@@ -21,7 +21,7 @@
 #include "bench_util.hpp"
 #include "endpoints/user_device.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
@@ -151,7 +151,8 @@ int main() {
   bench::note(
       "hop count p counts signaling hops from the last flowlink (adjacent "
       "to A) to the farther endpoint B");
-  bench::jsonLine("OBS_METRICS", registry.json());
+  bench::jsonLine("OBS_METRICS",
+                  obs::MetricsSnapshot::capture(registry).json());
   bench::verdict(ok, "latency grows linearly as p*n + (p+1)*c");
   bench::verdict(all_hops_ok,
                  "causal critical path attributes every hop exactly: "

@@ -17,7 +17,7 @@
 #include "bench_util.hpp"
 #include "endpoints/resources.hpp"
 #include "endpoints/user_device.hpp"
-#include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 #include "sim/simulator.hpp"
 
 int main() {
@@ -111,7 +111,8 @@ int main() {
   check(!v.media().hears(c.media().id()), "V released");
 
   std::printf("\n");
-  bench::jsonLine("OBS_METRICS", registry.json());
+  bench::jsonLine("OBS_METRICS",
+                  obs::MetricsSnapshot::capture(registry).json());
   bench::verdict(all_ok, "all four snapshots correct (paper Fig. 3)");
   return all_ok ? 0 : 1;
 }

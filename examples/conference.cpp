@@ -15,7 +15,7 @@
 #include "apps/conference.hpp"
 #include "endpoints/bridge_box.hpp"
 #include "endpoints/user_device.hpp"
-#include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
@@ -121,7 +121,8 @@ int main() {
               trace_path,
               static_cast<unsigned long long>(trace.recorded()),
               static_cast<unsigned long long>(trace.dropped()));
-  std::printf("metrics: %s\n", metrics.json().c_str());
+  std::printf("metrics: %s\n",
+              obs::MetricsSnapshot::capture(metrics).json().c_str());
 
   std::printf("\ndone\n");
   return 0;

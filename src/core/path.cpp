@@ -265,14 +265,14 @@ void PathSystem::fireRetry(PathEnd end) {
   End& e = ends_[idx(end)];
   Outbox out;
   retry(e.goal, e.slot, out);
-  flush(end == PathEnd::left ? "L" : "R", std::move(out));
+  flush(std::move(out));
 }
 
 void PathSystem::setMute(PathEnd end, bool mute_in, bool mute_out) {
   End& e = ends_[idx(end)];
   Outbox out;
   cmc::setMute(e.goal, mute_in, mute_out, e.slot, out);
-  flush(end == PathEnd::left ? "L" : "R", std::move(out));
+  flush(std::move(out));
 }
 
 void PathSystem::replaceGoal(PathEnd end, EndpointGoal goal) {
@@ -321,16 +321,14 @@ bool PathSystem::stabilize() {
     if (isEndpointParty(p)) {
       End& e = ends_[idx(endOfParty(p))];
       if (!converged(e.goal, e.slot)) refresh(e.goal, e.slot, out);
-      if (!out.empty()) emitted = true;
-      flush(p == 0 ? "L" : "R", std::move(out));
     } else {
       LinkBox& box = links_[p - 1];
       if (!box.link.converged(box.left, box.right)) {
         box.link.stabilize(box.left, box.right, out);
       }
-      if (!out.empty()) emitted = true;
-      flush("F", std::move(out));
     }
+    if (!out.empty()) emitted = true;
+    flush(std::move(out));
   }
   return emitted;
 }
@@ -342,14 +340,13 @@ void PathSystem::attachParty(std::uint32_t party) {
     if (e.attached) return;
     e.attached = true;
     attach(e.goal, e.slot, out);
-    flush(party == 0 ? "L" : "R", std::move(out));
   } else {
     LinkBox& box = links_[party - 1];
     if (box.attached) return;
     box.attached = true;
     box.link.attach(box.left, box.right, out);
-    flush("F", std::move(out));
   }
+  flush(std::move(out));
 }
 
 Descriptor PathSystem::chaosDescriptor(std::uint32_t party, std::uint8_t chaos_slot,
@@ -459,7 +456,7 @@ void PathSystem::applyChaos(const PathAction& action) {
     case SignalKind::closeack:
       throw std::logic_error("chaos cannot send bare closeack");
   }
-  flush("chaos", std::move(out));
+  flush(std::move(out));
 }
 
 void PathSystem::deliverInto(std::uint32_t channel_index, Side towards) {
@@ -492,22 +489,20 @@ void PathSystem::deliverInto(std::uint32_t channel_index, Side towards) {
 
   const DeliverResult result = slot->deliver(tunnel_signal->signal);
   if (result.autoReply) {
-    pushSignal("auto", channel_index, opposite(towards), *result.autoReply);
+    pushSignal(channel_index, opposite(towards), *result.autoReply);
   }
   if (!partyAttached(party)) return;  // chaotic phase: absorb silently
 
   Outbox out;
   if (party == 0) {
     onEvent(ends_[0].goal, *slot, result.event, out);
-    flush("L", std::move(out));
   } else if (party == partyCount() - 1) {
     onEvent(ends_[1].goal, *slot, result.event, out);
-    flush("R", std::move(out));
   } else {
     links_[party - 1].link.onEvent(*slot, *other, result.event,
                                    tunnel_signal->signal, out);
-    flush("F", std::move(out));
   }
+  flush(std::move(out));
 }
 
 PathSystem::SlotRoute PathSystem::routeOf(SlotId slot) const {
@@ -522,20 +517,15 @@ PathSystem::SlotRoute PathSystem::routeOf(SlotId slot) const {
   throw std::logic_error("routeOf: unknown slot");
 }
 
-void PathSystem::flush(const char* box_name, Outbox&& out) {
+void PathSystem::flush(Outbox&& out) {
   for (auto& item : out.take()) {
     const SlotRoute route = routeOf(item.slot);
-    pushSignal(box_name, route.channel, route.towards, std::move(item.signal));
+    pushSignal(route.channel, route.towards, std::move(item.signal));
   }
 }
 
-void PathSystem::pushSignal(const char* box_name, std::uint32_t channel_index,
-                            Side towards, Signal signal) {
-  if (trace_enabled_) {
-    std::ostringstream oss;
-    oss << signal;
-    trace_.push_back(TraceEntry{box_name, channel_index, towards, oss.str()});
-  }
+void PathSystem::pushSignal(std::uint32_t channel_index, Side towards,
+                            Signal signal) {
   channels_[channel_index].push(towards, TunnelSignal{0, std::move(signal)});
 }
 

@@ -176,16 +176,6 @@ class PathSystem {
   void canonicalize(ByteWriter& w) const;
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  // Trace of every signal emission, in order, if enabled (for tests and the
-  // message-sequence benches).
-  struct TraceEntry {
-    std::string box;
-    std::uint32_t channel;
-    Side towards;
-    std::string signal;
-  };
-  void enableTrace(bool on) noexcept { trace_enabled_ = on; }
-  [[nodiscard]] const std::vector<TraceEntry>& trace() const noexcept { return trace_; }
   [[nodiscard]] std::size_t deliveredCount() const noexcept { return delivered_; }
 
  private:
@@ -220,9 +210,8 @@ class PathSystem {
                            std::uint8_t chaos_slot,
                            std::vector<PathAction>& actions) const;
   void deliverInto(std::uint32_t channel_index, Side towards);
-  void flush(const char* box_name, Outbox&& out);
-  void pushSignal(const char* box_name, std::uint32_t channel_index, Side towards,
-                  Signal signal);
+  void flush(Outbox&& out);
+  void pushSignal(std::uint32_t channel_index, Side towards, Signal signal);
 
   // The slot a chaos action operates on.
   [[nodiscard]] SlotEndpoint& chaosTarget(std::uint32_t party, std::uint8_t chaos_slot);
@@ -249,8 +238,6 @@ class PathSystem {
   std::array<std::uint32_t, 2> modify_budget_{0, 0};
   std::uint32_t fault_budget_ = 0;
   bool stabilize_ = false;
-  bool trace_enabled_ = false;
-  std::vector<TraceEntry> trace_;
   std::size_t delivered_ = 0;
 };
 

@@ -125,7 +125,7 @@ int DistWorker::run() {
   for (const CallOutcome& outcome : runtime->outcomes()) {
     rollup.outcomes.push_back(toDistOutcome(outcome));
   }
-  rollup.rollup = obs::MetricsSnapshot::capture(runtime->metrics());
+  rollup.rollup = runtime->metrics();
   if (!conn->sendFrame(encodeRollup(rollup))) {
     return fail("could not send ROLLUP");
   }

@@ -37,11 +37,10 @@ LiveTelemetry::LiveTelemetry(Config config)
         obs::FlightRecorder::Config{config_.flight_dir, "slo", 16});
   }
   watchdog_.setOnBreach([this](const obs::SloStatus& status) {
-    // Sampler thread, hub lock held: dump only hub-owned state. The merged
-    // registry for this tick was rebuilt just before evaluate() ran.
-    if (flight_ != nullptr && live_merged_ != nullptr) {
-      flight_->setMetrics(live_merged_.get());
-      flight_->dump("slo_breach:" + status.rule);
+    // Sampler thread, hub lock held: dump only hub-owned state. This tick's
+    // merged snapshot was pushed just before evaluate() ran.
+    if (flight_ != nullptr) {
+      flight_->dump("slo_breach:" + status.rule, series_.latest());
     }
   });
   registerVerbs();
@@ -106,7 +105,7 @@ void LiveTelemetry::finish() {
   // One last window so the served state reflects the drained run, then drop
   // the borrowed registry pointers — the shards are about to be destroyed,
   // and the endpoint keeps serving the retained snapshots.
-  sampleOnce(/*final_tick=*/true);
+  sampleOnce();
   std::lock_guard<std::mutex> lock(mutex_);
   // Same retention discipline for the profile: merge once while the shard
   // tables are still alive, serve the retained report afterwards.
@@ -130,12 +129,12 @@ void LiveTelemetry::samplerLoop() {
   while (!stop_) {
     if (cv_.wait_for(lock, period, [this]() { return stop_; })) break;
     lock.unlock();
-    sampleOnce(/*final_tick=*/false);
+    sampleOnce();
     lock.lock();
   }
 }
 
-void LiveTelemetry::sampleOnce(bool final_tick) {
+void LiveTelemetry::sampleOnce() {
   TelemetryTick tick;
   std::function<void(const TelemetryTick&)> callback;
   {
@@ -153,9 +152,6 @@ void LiveTelemetry::sampleOnce(bool final_tick) {
       merged.mergeFrom(shot);
       shard_series_[i].push(std::move(shot));
     }
-    auto rebuilt = std::make_unique<obs::MetricsRegistry>();
-    merged.applyTo(*rebuilt);
-    live_merged_ = std::move(rebuilt);
 
     series_.push(std::move(merged));
     const obs::MetricsDelta* window = series_.latestWindow();
@@ -178,7 +174,6 @@ void LiveTelemetry::sampleOnce(bool final_tick) {
   // Outside the lock: the callback (and anything it triggers, like an ops
   // request from a test) may need hub state. The final tick fires it too —
   // a run shorter than one period still reports once.
-  (void)final_tick;
   if (callback) callback(tick);
 }
 
@@ -304,12 +299,10 @@ void LiveTelemetry::registerVerbs() {
     if (flight_ == nullptr) {
       throw std::runtime_error("no flight recorder configured");
     }
-    if (live_merged_ == nullptr) {
-      throw std::runtime_error("no sample captured yet");
-    }
-    flight_->setMetrics(live_merged_.get());
+    const obs::MetricsSnapshot* latest = series_.latest();
+    if (latest == nullptr) throw std::runtime_error("no sample captured yet");
     const std::string path =
-        flight_->dump(args.empty() ? "ops_request" : "ops:" + args);
+        flight_->dump(args.empty() ? "ops_request" : "ops:" + args, latest);
     if (path.empty()) throw std::runtime_error("dump failed (budget or io)");
     return path;
   });

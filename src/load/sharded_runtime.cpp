@@ -175,7 +175,9 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
       throw std::runtime_error("load shard " + std::to_string(shard->index) +
                                " failed: " + shard->error);
     }
-    rollup_.mergeAdditiveFrom(shard->metrics);
+    obs::MetricsSnapshot shot = obs::MetricsSnapshot::capture(shard->metrics);
+    shot.gauges.clear();  // shard-local instants: not part of the rollup
+    rollup_.mergeFrom(shot);
     if (const auto* h = shard->metrics.findHistogram("load.call_setup_us")) {
       setup_latency_.mergeFrom(*h);
     }

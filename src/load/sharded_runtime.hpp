@@ -29,8 +29,9 @@
 //     setThreadFlightRecorder), so shards never write into each other's
 //     artifacts, and a probe blowing its deadline on shard k dumps shard
 //     k's flight recorder;
-//   * gauges are excluded from the rollup (MetricsRegistry::
-//     mergeAdditiveFrom): instantaneous shard-local values like queue depth
+//   * the rollup is one MetricsSnapshot: each shard registry is captured,
+//     its gauges cleared, and the captures merged in shard order. Gauges
+//     are instantaneous shard-local values (queue depth, armed probes) that
 //     legitimately differ with shard count.
 //
 // Call lifecycle inside a shard (all in the shard's virtual time):
@@ -47,6 +48,7 @@
 #include "load/live_telemetry.hpp"
 #include "load/workload.hpp"
 #include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "sim/timing.hpp"
 #include "util/time.hpp"
@@ -161,9 +163,9 @@ class ShardedRuntime {
   [[nodiscard]] std::size_t cleanTeardownCount() const noexcept;
 
   // Additive rollup of every shard's registry (counters + histograms; see
-  // determinism contract above for why gauges stay per-shard). The probe
+  // determinism contract above for why gauges are left out). The probe
   // latency histograms are folded in as "load.call_setup_us".
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {
+  [[nodiscard]] const obs::MetricsSnapshot& metrics() const noexcept {
     return rollup_;
   }
   [[nodiscard]] std::string metricsJson() const { return rollup_.json(); }
@@ -228,7 +230,7 @@ class ShardedRuntime {
   std::vector<CallOutcome> outcomes_;
   std::vector<ShardStats> shard_stats_;
   std::vector<std::vector<obs::TraceEvent>> shard_traces_;
-  obs::MetricsRegistry rollup_;
+  obs::MetricsSnapshot rollup_;
   obs::Histogram setup_latency_;
   std::vector<std::unique_ptr<obs::ProfileTable>> shard_profiles_;
   obs::ProfileReport profile_report_;

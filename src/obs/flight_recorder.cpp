@@ -5,8 +5,8 @@
 #include <fstream>
 
 #include "obs/critical_path.hpp"
-#include "obs/metrics.hpp"
 #include "obs/probes.hpp"
+#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 
 namespace cmc::obs {
@@ -59,7 +59,7 @@ void FlightRecorder::setTrace(TraceRecorder* trace) noexcept {
   trace_ = trace;
 }
 
-void FlightRecorder::setMetrics(MetricsRegistry* metrics) noexcept {
+void FlightRecorder::setMetrics(const MetricsRegistry* metrics) noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   metrics_ = metrics;
 }
@@ -75,7 +75,8 @@ void FlightRecorder::setProfileSource(
   profile_source_ = std::move(source);
 }
 
-std::string FlightRecorder::dump(std::string_view reason) {
+std::string FlightRecorder::dump(std::string_view reason,
+                                 const MetricsSnapshot* metrics) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (dumps_ >= config_.max_dumps) return {};
   const std::uint64_t seq = dumps_++;
@@ -108,9 +109,10 @@ std::string FlightRecorder::dump(std::string_view reason) {
     body += ",\"probes\":";
     body += probes_->json();
   }
-  if (metrics_ != nullptr) {
+  if (metrics != nullptr || metrics_ != nullptr) {
     body += ",\"metrics\":";
-    body += metrics_->json();
+    body += metrics != nullptr ? metrics->json()
+                               : MetricsSnapshot::capture(*metrics_).json();
   }
   if (profile_source_) {
     const std::string profile = profile_source_();

@@ -32,6 +32,7 @@ namespace cmc::obs {
 class TraceRecorder;
 class MetricsRegistry;
 class ConvergenceProbes;
+struct MetricsSnapshot;
 
 class FlightRecorder {
  public:
@@ -48,7 +49,8 @@ class FlightRecorder {
   // Wire up the sources to snapshot; any may stay null (that section is
   // omitted from the dump). Simulator::attachFlightRecorder does this.
   void setTrace(TraceRecorder* trace) noexcept;
-  void setMetrics(MetricsRegistry* metrics) noexcept;
+  // The metrics section is this registry, captured at dump time.
+  void setMetrics(const MetricsRegistry* metrics) noexcept;
   void setProbes(const ConvergenceProbes* probes) noexcept;
   // Optional profile section: a callback returning ProfileReport JSON,
   // invoked at dump time (a callback rather than a table pointer, so the
@@ -59,9 +61,12 @@ class FlightRecorder {
 
   // Write one post-mortem: reason, retained trace window, metrics
   // snapshot, probe state, and the critical path extracted from the
-  // window. Returns the file path, or "" if the dump was skipped
-  // (max_dumps reached) or the file could not be written.
-  std::string dump(std::string_view reason);
+  // window. A non-null `metrics` is the metrics section in place of the
+  // wired registry (the telemetry hub passes its merged fleet snapshot).
+  // Returns the file path, or "" if the dump was skipped (max_dumps
+  // reached) or the file could not be written.
+  std::string dump(std::string_view reason,
+                   const MetricsSnapshot* metrics = nullptr);
 
   [[nodiscard]] std::uint64_t dumps() const noexcept;
   [[nodiscard]] std::string lastPath() const;
@@ -70,7 +75,7 @@ class FlightRecorder {
   mutable std::mutex mutex_;
   Config config_;
   TraceRecorder* trace_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
+  const MetricsRegistry* metrics_ = nullptr;
   const ConvergenceProbes* probes_ = nullptr;
   std::function<std::string()> profile_source_;
   std::uint64_t dumps_ = 0;

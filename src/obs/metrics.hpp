@@ -1,5 +1,6 @@
-// Metrics registry: named counters, gauges, and histograms with a one-call
-// JSON dump.
+// Metrics registry: named counters, gauges, and histograms. Read it whole
+// through MetricsSnapshot::capture (obs/snapshot.hpp), whose json() is the
+// one metrics serializer.
 //
 // Metrics are always safe to hammer from multiple threads (atomics all the
 // way down); the registry itself hands out stable references, so hot paths
@@ -17,7 +18,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -78,25 +78,33 @@ class Gauge {
   std::atomic<std::int64_t> max_{std::numeric_limits<std::int64_t>::min()};
 };
 
+struct HistogramSample;
+struct MetricsSnapshot;
+
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
 
+  // Bucket index: 0 holds values <= 0, i holds [2^(i-1), 2^i). The
+  // profiler's per-site distributions use the same buckets.
+  [[nodiscard]] static constexpr std::size_t bucketOf(
+      std::int64_t value) noexcept {
+    if (value <= 0) return 0;
+    const auto bits = static_cast<std::size_t>(
+        64 - __builtin_clzll(static_cast<unsigned long long>(value)));
+    return bits < kBuckets ? bits : kBuckets - 1;
+  }
+  // Interpolation bounds of bucket i: [bucketLo(i), bucketHi(i)), both 0
+  // for bucket 0.
+  [[nodiscard]] static double bucketLo(std::size_t i) noexcept;
+  [[nodiscard]] static double bucketHi(std::size_t i) noexcept;
+
   void observe(std::int64_t value) noexcept;
 
   // Fold `other`'s observations into this histogram (bucket-wise sums plus
-  // count/sum/min/max). Exact for everything but the interpolated
-  // quantiles, which stay as coarse as single-registry estimates. Used by
-  // sharded runtimes to roll per-shard latency histograms into one view.
+  // count/sum/min/max). Used by sharded runtimes to roll per-shard latency
+  // histograms into one view.
   void mergeFrom(const Histogram& other) noexcept;
-
-  // Fold pre-aggregated state (a MetricsSnapshot sample, a remote shard's
-  // exported buckets) into this histogram. The no-observation sentinel
-  // convention matches min()/max(): pass min > max to say "no min/max
-  // information" and only count/sum/buckets are folded in.
-  void accumulate(std::uint64_t count, std::int64_t sum, std::int64_t min,
-                  std::int64_t max,
-                  const std::array<std::uint64_t, kBuckets>& buckets) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -106,13 +114,11 @@ class Histogram {
   }
   [[nodiscard]] std::int64_t min() const noexcept;
   [[nodiscard]] std::int64_t max() const noexcept;
+  // Plain-value copy of the current state (relaxed reads).
+  [[nodiscard]] HistogramSample sample() const noexcept;
+  // Both estimate from sample(); see HistogramSample.
   [[nodiscard]] double mean() const noexcept;
-  // Quantile estimate in [0,1]; interpolates within the selected bucket.
   [[nodiscard]] double quantile(double q) const noexcept;
-  // Raw bucket count (snapshot capture; index < kBuckets).
-  [[nodiscard]] std::uint64_t bucket(std::size_t index) const noexcept {
-    return buckets_[index].load(std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<std::uint64_t> count_{0};
@@ -120,6 +126,21 @@ class Histogram {
   std::atomic<std::int64_t> min_{std::numeric_limits<std::int64_t>::max()};
   std::atomic<std::int64_t> max_{std::numeric_limits<std::int64_t>::min()};
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+};
+
+// Pre-aggregated histogram state: what snapshots carry, merge, diff and
+// ship between processes, and the one home of the quantile estimator.
+struct HistogramSample {
+  std::uint64_t count = 0;
+  std::int64_t sum = 0;
+  std::int64_t min = 0;  // 0 when empty, like Histogram::min()
+  std::int64_t max = 0;
+  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
+
+  [[nodiscard]] double mean() const noexcept;
+  // Quantile estimate in [0,1] by linear interpolation within the winning
+  // bucket, clamped to [min, max] when those are known.
+  [[nodiscard]] double quantile(double q) const noexcept;
 };
 
 class MetricsRegistry {
@@ -131,34 +152,13 @@ class MetricsRegistry {
   [[nodiscard]] Histogram& histogram(std::string_view name);
 
   [[nodiscard]] const Counter* findCounter(std::string_view name) const;
-  [[nodiscard]] const Gauge* findGauge(std::string_view name) const;
   [[nodiscard]] const Histogram* findHistogram(std::string_view name) const;
 
-  // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  // Keys are sorted (std::map), so the dump is deterministic.
-  [[nodiscard]] std::string json() const;
-
-  // Visit every metric in name order under the registry lock. The visited
-  // references are the live atomics — visitors read with relaxed loads and
-  // must not call back into the registry (the lock is held). This is what
-  // MetricsSnapshot::capture uses to read a hot registry without pausing
-  // its writers.
-  void visit(
-      const std::function<void(const std::string&, const Counter&)>& counter,
-      const std::function<void(const std::string&, const Gauge&)>& gauge,
-      const std::function<void(const std::string&, const Histogram&)>& histogram)
-      const;
-
-  // Merge the additive metrics of `other` into this registry: counters add,
-  // histograms merge bucket-wise. Gauges are instantaneous, host-local
-  // readings (queue depth, armed probes); summing last-written values
-  // across shards is meaningless, so they are deliberately left out — which
-  // also keeps a sharded rollup invariant in the shard count.
-  void mergeAdditiveFrom(const MetricsRegistry& other);
-
-  void clear();
-
  private:
+  // MetricsSnapshot::capture walks the maps under the lock with relaxed
+  // reads; it is the only way to read the registry as a whole.
+  friend struct MetricsSnapshot;
+
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;

@@ -95,31 +95,24 @@ std::string ConvergenceProbes::json() const {
   std::string out = "{";
   char buf[192];
   bool first = true;
-  for (const auto& [bucket, h] : histograms_) {
+  for (const auto& [bucket, histogram] : histograms_) {
     if (!first) out += ',';
     first = false;
     out += '"';
     out += bucket;
     out += "\":";
+    const HistogramSample h = histogram.sample();
     std::snprintf(
         buf, sizeof(buf),
         "{\"count\":%llu,\"min_us\":%lld,\"max_us\":%lld,\"mean_us\":%.1f,"
         "\"p50_us\":%.1f,\"p90_us\":%.1f,\"p99_us\":%.1f}",
-        static_cast<unsigned long long>(h.count()),
-        static_cast<long long>(h.min()), static_cast<long long>(h.max()),
+        static_cast<unsigned long long>(h.count),
+        static_cast<long long>(h.min), static_cast<long long>(h.max),
         h.mean(), h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
     out += buf;
   }
   out += '}';
   return out;
-}
-
-void ConvergenceProbes::reset() {
-  armed_.clear();
-  histograms_.clear();
-  results_.clear();
-  failed_.clear();
-  converged_ = 0;
 }
 
 }  // namespace cmc::obs

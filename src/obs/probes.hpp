@@ -76,19 +76,9 @@ class ConvergenceProbes {
   [[nodiscard]] std::optional<std::int64_t> latencyUs(const std::string& name) const;
 
   [[nodiscard]] const Histogram* histogram(const std::string& bucket) const;
-  // All bucket histograms, for cross-shard aggregation (Histogram::
-  // mergeFrom). Keys are bucket names; the map is stable while no probe
-  // converges, so snapshot after the hosting loop has drained.
-  [[nodiscard]] const std::map<std::string, Histogram>& histograms()
-      const noexcept {
-    return histograms_;
-  }
 
   // {"<bucket>":{count,...}, ...} — per-bucket latency histograms (µs).
   [[nodiscard]] std::string json() const;
-
-  // Drop armed probes and recorded results.
-  void reset();
 
  private:
   struct Armed {

@@ -18,14 +18,6 @@ thread_local constinit ThreadState tls;
 
 namespace {
 
-// Bucket convention matches MetricsRegistry: 0 holds <= 0, i holds
-// [2^(i-1), 2^i).
-std::size_t bucketOf(std::int64_t value) noexcept {
-  if (value <= 0) return 0;
-  const int bits = 64 - __builtin_clzll(static_cast<unsigned long long>(value));
-  return std::min<std::size_t>(static_cast<std::size_t>(bits), 63);
-}
-
 // Median cost of one bracketing steady-clock pair, measured once per
 // process (the clock's cost does not drift within a run). Subtracted from
 // every span so ~20ns leaf sites are not reported as ~60ns.
@@ -182,7 +174,8 @@ void ProfileTable::leave(prof::Node* node, std::int64_t dt_ns,
   if (calls == 0 || dt_ns > node->max_ns.load(std::memory_order_relaxed)) {
     node->max_ns.store(dt_ns, std::memory_order_relaxed);
   }
-  node->buckets[bucketOf(dt_ns)].fetch_add(1, std::memory_order_relaxed);
+  node->buckets[Histogram::bucketOf(dt_ns)].fetch_add(
+      1, std::memory_order_relaxed);
   node->calls.store(calls + 1, std::memory_order_relaxed);
 }
 
@@ -214,7 +207,7 @@ void ProfileTable::value(const char* site, std::int64_t v) {
   if (calls == 0 || v > node->max_ns.load(std::memory_order_relaxed)) {
     node->max_ns.store(v, std::memory_order_relaxed);
   }
-  node->buckets[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+  node->buckets[Histogram::bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
   node->calls.store(calls + 1, std::memory_order_relaxed);
 }
 

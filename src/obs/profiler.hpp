@@ -41,6 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace cmc::obs {
 
 class ProfileTable;
@@ -60,7 +62,8 @@ struct ProfileNode {
   std::uint64_t alloc_bytes = 0;
   std::uint64_t frees = 0;
   std::uint64_t free_bytes = 0;
-  std::array<std::uint64_t, 64> buckets{};  // base-2, as MetricsRegistry
+  // Base-2, bucketed by Histogram::bucketOf.
+  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
 };
 
 struct ProfileTotals {
@@ -121,7 +124,7 @@ struct Node {
   std::atomic<std::uint64_t> alloc_bytes{0};
   std::atomic<std::uint64_t> frees{0};
   std::atomic<std::uint64_t> free_bytes{0};
-  std::array<std::atomic<std::uint64_t>, 64> buckets{};
+  std::array<std::atomic<std::uint64_t>, Histogram::kBuckets> buckets{};
   // Owner-only child index for O(children) lookup on enter; readers must
   // never touch it (report() rebuilds the tree from parent pointers).
   std::vector<Node*> children;

@@ -1,21 +1,11 @@
 #include "obs/snapshot.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace cmc::obs {
 
 namespace {
-
-// Bucket i of the base-2 histogram covers [2^(i-1), 2^i) with bucket 0
-// holding exactly zero; lo/hi give the interpolation bounds.
-double bucketLo(std::size_t i) noexcept {
-  return i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i) - 1);
-}
-double bucketHi(std::size_t i) noexcept {
-  return i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i));
-}
 
 void appendHistogramJson(std::string& out, const HistogramSample& h) {
   char buf[224];
@@ -29,12 +19,95 @@ void appendHistogramJson(std::string& out, const HistogramSample& h) {
   out += buf;
 }
 
-void appendSections(std::string& out,
-                    const std::map<std::string, std::uint64_t>& counters,
-                    const std::map<std::string, GaugeSample>& gauges,
-                    const std::map<std::string, HistogramSample>& histograms) {
+// Derive the representable value range of a bucket-diff histogram, where
+// the true windowed min/max are unknowable from cumulative extrema.
+void boundFromBuckets(HistogramSample& h) noexcept {
+  if (h.count == 0) {
+    h.min = 0;
+    h.max = 0;
+    return;
+  }
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  bool seen = false;
+  for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+    if (h.buckets[i] == 0) continue;
+    if (!seen) lo = i;
+    hi = i;
+    seen = true;
+  }
+  h.min = static_cast<std::int64_t>(Histogram::bucketLo(lo));
+  h.max = hi == 0 ? 0 : static_cast<std::int64_t>(Histogram::bucketHi(hi)) - 1;
+}
+
+std::string sanitizePromName(std::string_view name) {
+  std::string out = "cmc_";
+  for (char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_';
+    out += ok ? c : '_';
+  }
+  return out;
+}
+
+}  // namespace
+
+MetricsSnapshot MetricsSnapshot::capture(const MetricsRegistry& registry,
+                                         std::int64_t wall_ms) {
+  MetricsSnapshot snap;
+  snap.wall_ms = wall_ms;
+  std::lock_guard<std::mutex> lock(registry.mutex_);
+  for (const auto& [name, c] : registry.counters_) {
+    snap.counters.emplace(name, c->value());
+  }
+  for (const auto& [name, g] : registry.gauges_) {
+    snap.gauges.emplace(name, GaugeSample{g->value(), g->max()});
+  }
+  for (const auto& [name, h] : registry.histograms_) {
+    snap.histograms.emplace(name, h->sample());
+  }
+  return snap;
+}
+
+void MetricsSnapshot::mergeFrom(const MetricsSnapshot& other) {
+  for (const auto& [name, v] : other.counters) counters[name] += v;
+  for (const auto& [name, g] : other.gauges) {
+    GaugeSample& mine = gauges[name];
+    mine.value += g.value;
+    mine.max = std::max(mine.max, g.max);
+  }
+  for (const auto& [name, h] : other.histograms) {
+    HistogramSample& mine = histograms[name];
+    if (h.count == 0) continue;  // the name is kept, the extrema untouched
+    if (mine.count == 0) {
+      mine.min = h.min;
+      mine.max = h.max;
+    } else {
+      mine.min = std::min(mine.min, h.min);
+      mine.max = std::max(mine.max, h.max);
+    }
+    mine.count += h.count;
+    mine.sum += h.sum;
+    for (std::size_t i = 0; i < mine.buckets.size(); ++i) {
+      mine.buckets[i] += h.buckets[i];
+    }
+  }
+}
+
+std::uint64_t MetricsSnapshot::counter(std::string_view name) const noexcept {
+  auto it = counters.find(std::string(name));
+  return it != counters.end() ? it->second : 0;
+}
+
+const HistogramSample* MetricsSnapshot::histogram(
+    std::string_view name) const noexcept {
+  auto it = histograms.find(std::string(name));
+  return it != histograms.end() ? &it->second : nullptr;
+}
+
+std::string MetricsSnapshot::json() const {
   char buf[96];
-  out += "\"counters\":{";
+  std::string out = "{\"counters\":{";
   bool first = true;
   auto key = [&](const std::string& name) {
     if (!first) out += ',';
@@ -63,163 +136,8 @@ void appendSections(std::string& out,
     key(name);
     appendHistogramJson(out, h);
   }
-  out += "}";
-}
-
-// Derive the representable value range of a bucket-diff histogram, where
-// the true windowed min/max are unknowable from cumulative extrema.
-void boundFromBuckets(HistogramSample& h) noexcept {
-  if (h.count == 0) {
-    h.min = 0;
-    h.max = 0;
-    return;
-  }
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  bool seen = false;
-  for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-    if (h.buckets[i] == 0) continue;
-    if (!seen) lo = i;
-    hi = i;
-    seen = true;
-  }
-  h.min = static_cast<std::int64_t>(bucketLo(lo));
-  h.max = hi == 0 ? 0 : static_cast<std::int64_t>(bucketHi(hi)) - 1;
-}
-
-std::string sanitizePromName(std::string_view name) {
-  std::string out = "cmc_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
+  out += "}}";
   return out;
-}
-
-}  // namespace
-
-double HistogramSample::mean() const noexcept {
-  return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
-                   : 0.0;
-}
-
-double HistogramSample::quantile(double q) const noexcept {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  double cumulative = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const double in_bucket = static_cast<double>(buckets[i]);
-    if (in_bucket == 0) continue;
-    if (cumulative + in_bucket >= target) {
-      const double frac = (target - cumulative) / in_bucket;
-      const double estimate = bucketLo(i) + (bucketHi(i) - bucketLo(i)) * frac;
-      if (min <= max) {
-        return std::clamp(estimate, static_cast<double>(min),
-                          static_cast<double>(max));
-      }
-      return estimate;
-    }
-    cumulative += in_bucket;
-  }
-  return static_cast<double>(max);
-}
-
-MetricsSnapshot MetricsSnapshot::capture(const MetricsRegistry& registry,
-                                         std::int64_t wall_ms) {
-  MetricsSnapshot snap;
-  snap.wall_ms = wall_ms;
-  registry.visit(
-      [&](const std::string& name, const Counter& c) {
-        snap.counters.emplace(name, c.value());
-      },
-      [&](const std::string& name, const Gauge& g) {
-        snap.gauges.emplace(name, GaugeSample{g.value(), g.max()});
-      },
-      [&](const std::string& name, const Histogram& h) {
-        HistogramSample sample;
-        sample.count = h.count();
-        sample.sum = h.sum();
-        sample.min = h.min();
-        sample.max = h.max();
-        for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-          sample.buckets[i] = h.bucket(i);
-        }
-        snap.histograms.emplace(name, std::move(sample));
-      });
-  return snap;
-}
-
-void MetricsSnapshot::mergeFrom(const MetricsSnapshot& other) {
-  for (const auto& [name, v] : other.counters) counters[name] += v;
-  for (const auto& [name, g] : other.gauges) {
-    GaugeSample& mine = gauges[name];
-    mine.value += g.value;
-    mine.max = std::max(mine.max, g.max);
-  }
-  for (const auto& [name, h] : other.histograms) {
-    if (h.count == 0) continue;
-    HistogramSample& mine = histograms[name];
-    if (mine.count == 0) {
-      mine.min = h.min;
-      mine.max = h.max;
-    } else {
-      mine.min = std::min(mine.min, h.min);
-      mine.max = std::max(mine.max, h.max);
-    }
-    mine.count += h.count;
-    mine.sum += h.sum;
-    for (std::size_t i = 0; i < mine.buckets.size(); ++i) {
-      mine.buckets[i] += h.buckets[i];
-    }
-  }
-}
-
-void MetricsSnapshot::applyTo(MetricsRegistry& registry) const {
-  for (const auto& [name, v] : counters) registry.counter(name).add(v);
-  for (const auto& [name, g] : gauges) {
-    Gauge& gauge = registry.gauge(name);
-    gauge.set(g.max);  // raise the high-water mark first
-    gauge.set(g.value);
-  }
-  for (const auto& [name, h] : histograms) {
-    registry.histogram(name).accumulate(h.count, h.sum, h.min, h.max,
-                                        h.buckets);
-  }
-}
-
-std::uint64_t MetricsSnapshot::counter(std::string_view name) const noexcept {
-  auto it = counters.find(std::string(name));
-  return it != counters.end() ? it->second : 0;
-}
-
-const HistogramSample* MetricsSnapshot::histogram(
-    std::string_view name) const noexcept {
-  auto it = histograms.find(std::string(name));
-  return it != histograms.end() ? &it->second : nullptr;
-}
-
-std::string MetricsSnapshot::json() const {
-  std::string out;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "{\"wall_ms\":%lld,",
-                static_cast<long long>(wall_ms));
-  out += buf;
-  appendSections(out, counters, gauges, histograms);
-  out += "}";
-  return out;
-}
-
-std::uint64_t MetricsDelta::counter(std::string_view name) const noexcept {
-  auto it = counters.find(std::string(name));
-  return it != counters.end() ? it->second : 0;
-}
-
-const HistogramSample* MetricsDelta::histogram(
-    std::string_view name) const noexcept {
-  auto it = histograms.find(std::string(name));
-  return it != histograms.end() ? &it->second : nullptr;
 }
 
 double MetricsDelta::counterRate(std::string_view name) const noexcept {
@@ -229,20 +147,17 @@ double MetricsDelta::counterRate(std::string_view name) const noexcept {
 }
 
 std::string MetricsDelta::json() const {
-  std::string out;
   char buf[96];
   std::snprintf(buf, sizeof(buf), "{\"start_ms\":%lld,\"window_ms\":%lld,",
-                static_cast<long long>(start_ms),
+                static_cast<long long>(wall_ms),
                 static_cast<long long>(window_ms));
-  out += buf;
-  appendSections(out, counters, gauges, histograms);
-  out += "}";
-  return out;
+  // Splice the window stamp in front of the snapshot's own sections.
+  return buf + MetricsSnapshot::json().substr(1);
 }
 
 MetricsDelta delta(const MetricsSnapshot& prev, const MetricsSnapshot& curr) {
   MetricsDelta d;
-  d.start_ms = prev.wall_ms;
+  d.wall_ms = prev.wall_ms;
   d.window_ms = std::max<std::int64_t>(curr.wall_ms - prev.wall_ms, 0);
   for (const auto& [name, v] : curr.counters) {
     auto it = prev.counters.find(name);
@@ -312,11 +227,6 @@ std::string SnapshotSeries::json(std::size_t last_n) const {
                 static_cast<unsigned long long>(pushed_ - entries_.size()));
   out += buf;
   return out;
-}
-
-void SnapshotSeries::clear() {
-  entries_.clear();
-  pushed_ = 0;
 }
 
 void serializeSnapshot(const MetricsSnapshot& snapshot, ByteWriter& out) {
@@ -425,7 +335,7 @@ std::string prometheusText(const MetricsSnapshot& snapshot) {
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i <= last; ++i) {
       cumulative += h.buckets[i];
-      const double le = i == 0 ? 0.0 : bucketHi(i) - 1.0;
+      const double le = i == 0 ? 0.0 : Histogram::bucketHi(i) - 1.0;
       std::snprintf(buf, sizeof(buf), "{le=\"%.0f\"} %llu\n", le,
                     static_cast<unsigned long long>(cumulative));
       out += prom + "_bucket" + buf;

@@ -6,6 +6,10 @@
 // Snapshots are cheap enough to take on a period from a sampler thread
 // while the registry's owner keeps hammering it.
 //
+// Snapshots are also the one rollup type: sharded and distributed load
+// runs capture each shard registry and fold the captures together with
+// mergeFrom, and json() serializes every metrics view the repo prints.
+//
 // Two snapshots of the same registry bracket a *window*: delta() turns the
 // cumulative counters and histogram buckets into per-window increments,
 // from which windowed rates (counterRate) and windowed quantiles
@@ -22,7 +26,6 @@
 // tests/load_test.cpp and the ops-smoke CI job).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -40,22 +43,6 @@ struct GaugeSample {
   std::int64_t max = 0;
 };
 
-// Pre-aggregated histogram state: enough to merge, diff, and estimate
-// quantiles with the same base-2-bucket interpolation as the live
-// Histogram.
-struct HistogramSample {
-  std::uint64_t count = 0;
-  std::int64_t sum = 0;
-  std::int64_t min = 0;  // clamped to 0 when empty, like Histogram::min()
-  std::int64_t max = 0;
-  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
-
-  [[nodiscard]] double mean() const noexcept;
-  // Quantile estimate in [0,1] by interpolation within the winning bucket,
-  // clamped to [min, max] when those are known.
-  [[nodiscard]] double quantile(double q) const noexcept;
-};
-
 struct MetricsSnapshot {
   std::int64_t wall_ms = 0;  // capture instant, caller-defined epoch
   std::map<std::string, std::uint64_t> counters;
@@ -66,44 +53,36 @@ struct MetricsSnapshot {
   [[nodiscard]] static MetricsSnapshot capture(const MetricsRegistry& registry,
                                                std::int64_t wall_ms = 0);
 
-  // Sum another snapshot into this one: counters and histogram buckets add;
-  // gauge values add and maxes take the max. Summing gauges is only
-  // meaningful as a fleet-wide telemetry view (total armed probes across
-  // shards) — the rollup contract of sharded runtimes still excludes them.
+  // Sum another snapshot into this one: counters and histogram buckets add,
+  // and every name on either side is kept, even at zero. Gauge values add
+  // and maxes take the max, which is only meaningful as a fleet-wide
+  // telemetry view (total armed probes across shards) — rollups of sharded
+  // runs clear the gauges before merging.
   void mergeFrom(const MetricsSnapshot& other);
-
-  // Rebuild registry content from this snapshot (counters add, gauges set,
-  // histograms accumulate). Lets a flight recorder dump a merged live view
-  // through the ordinary MetricsRegistry::json() path.
-  void applyTo(MetricsRegistry& registry) const;
 
   [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
   [[nodiscard]] const HistogramSample* histogram(
       std::string_view name) const noexcept;
 
-  // Same shape as MetricsRegistry::json(), deterministic key order.
+  // The one metrics serializer:
+  // {"counters":{...},"gauges":{...},"histograms":{...}} in name order.
+  // wall_ms is not part of it, so equal metrics serialize to equal bytes.
   [[nodiscard]] std::string json() const;
 };
 
 // One observation window: the per-window increments between two cumulative
-// snapshots of the same registry. Counters clamp at zero rather than
-// underflow (a restarted source must read as a quiet window, not a 2^64
-// spike); histogram diffs are bucket-wise, so windowed quantiles are as
-// exact as the cumulative ones. Gauges are instantaneous and carry the
-// window-end reading.
-struct MetricsDelta {
-  std::int64_t start_ms = 0;
+// snapshots of the same registry, stamped with the window start (wall_ms)
+// and width. Counters clamp at zero rather than underflow (a restarted
+// source must read as a quiet window, not a 2^64 spike); histogram diffs
+// are bucket-wise, so windowed quantiles are as exact as the cumulative
+// ones. Gauges are instantaneous and carry the window-end reading.
+struct MetricsDelta : MetricsSnapshot {
   std::int64_t window_ms = 0;
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, GaugeSample> gauges;
-  std::map<std::string, HistogramSample> histograms;
 
-  [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
-  [[nodiscard]] const HistogramSample* histogram(
-      std::string_view name) const noexcept;
   // Windowed rate: counter increment / window seconds (0 if no window).
   [[nodiscard]] double counterRate(std::string_view name) const noexcept;
 
+  // {"start_ms":...,"window_ms":...,"counters":{...},...}
   [[nodiscard]] std::string json() const;
 };
 
@@ -135,8 +114,6 @@ class SnapshotSeries {
   // {"windows":[{...},...],"retained":N,"evicted":M} — newest last; at most
   // `last_n` windows (0 = all retained).
   [[nodiscard]] std::string json(std::size_t last_n = 0) const;
-
-  void clear();
 
  private:
   struct Entry {

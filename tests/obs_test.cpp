@@ -13,6 +13,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probes.hpp"
+#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
@@ -120,7 +121,8 @@ TEST(ObsMetricsTest, GaugeMaxNeverSetReturnsValueNotSentinel) {
   EXPECT_EQ(gauge.value(), 0);
   obs::MetricsRegistry reg;
   (void)reg.gauge("untouched");
-  EXPECT_NE(reg.json().find("\"untouched\":{\"value\":0,\"max\":0}"),
+  EXPECT_NE(obs::MetricsSnapshot::capture(reg).json().find(
+                "\"untouched\":{\"value\":0,\"max\":0}"),
             std::string::npos);
   // Once set, max tracks the high-water mark as before.
   gauge.set(-5);
@@ -174,7 +176,7 @@ TEST(ObsMetricsTest, CountersPopulatedBySimulation) {
   const obs::Counter* achieved = reg.findCounter("goal.achieved");
   ASSERT_NE(achieved, nullptr);
   EXPECT_GE(achieved->value(), 1u);
-  const std::string json = reg.json();
+  const std::string json = obs::MetricsSnapshot::capture(reg).json();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"sim.stimuli\""), std::string::npos);
 }

@@ -150,11 +150,12 @@ TEST(SnapshotTest, WindowedQuantilesComeFromBucketDiffs) {
   EXPECT_LT(cumulative->quantile(0.50), 100.0);
 }
 
-TEST(SnapshotTest, MergeSumsAndApplyToRebuilds) {
+TEST(SnapshotTest, MergeSumsAndKeepsZeroCountHistograms) {
   obs::MetricsRegistry a;
   a.counter("c").add(2);
   a.gauge("g").set(3);
   a.histogram("h").observe(50);
+  (void)a.histogram("unobserved");
   obs::MetricsRegistry b;
   b.counter("c").add(5);
   b.gauge("g").set(4);
@@ -163,14 +164,22 @@ TEST(SnapshotTest, MergeSumsAndApplyToRebuilds) {
   merged.mergeFrom(obs::MetricsSnapshot::capture(b, 0));
   EXPECT_EQ(merged.counter("c"), 7u);
   EXPECT_EQ(merged.gauges.at("g").value, 7);  // fleet total
+  ASSERT_NE(merged.histogram("h"), nullptr);
   EXPECT_EQ(merged.histogram("h")->count, 2u);
+  EXPECT_EQ(merged.histogram("h")->min, 50);
+  EXPECT_EQ(merged.histogram("h")->max, 70);
 
-  obs::MetricsRegistry rebuilt;
-  merged.applyTo(rebuilt);
-  EXPECT_EQ(rebuilt.findCounter("c")->value(), 7u);
-  EXPECT_EQ(rebuilt.findHistogram("h")->count(), 2u);
-  EXPECT_EQ(rebuilt.findHistogram("h")->min(), 50);
-  EXPECT_EQ(rebuilt.findHistogram("h")->max(), 70);
+  // A created-but-unobserved histogram survives the merge, as a zero
+  // counter does, whichever side it is on.
+  obs::MetricsSnapshot empty_first;
+  empty_first.mergeFrom(obs::MetricsSnapshot::capture(a, 0));
+  for (const obs::MetricsSnapshot* snap : {&merged, &empty_first}) {
+    const std::string json = snap->json();
+    EXPECT_NE(json.find("\"unobserved\":{\"count\":0,\"sum\":0,\"min\":0,"
+                        "\"max\":0,"),
+              std::string::npos)
+        << json;
+  }
 }
 
 TEST(SnapshotTest, SeriesIsBoundedAndTracksWindows) {

@@ -396,24 +396,5 @@ TEST(PathActions, ModifyBudgetExposesModifyActions) {
   EXPECT_EQ(modifies, 6u);  // 3 non-current combos per endpoint
 }
 
-// ----------------------------------------------------------------- tracing
-
-TEST(PathTrace, TraceRecordsSignalSequence) {
-  PathSystem path(PathSystem::makeGoal(K::openSlot, PathEnd::left),
-                  PathSystem::makeGoal(K::holdSlot, PathEnd::right), 0,
-                  /*defer_attach=*/true);
-  path.enableTrace(true);
-  PathAction attach0;
-  attach0.kind = PathAction::Kind::attach;
-  attach0.party = 0;
-  path.apply(attach0);
-  PathAction attach1 = attach0;
-  attach1.party = 1;
-  path.apply(attach1);
-  path.run();
-  ASSERT_GE(path.trace().size(), 3u);
-  EXPECT_NE(path.trace()[0].signal.find("open"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace cmc
