@@ -14,27 +14,30 @@
 #include <sstream>
 
 #include "core/goal.hpp"
+#include "net/framed_rpc.hpp"
 #include "net/tcp_transport.hpp"
 
 int main() {
   using namespace cmc;
   using namespace cmc::net;
 
-  TcpSignalingListener listener(0);
+  std::promise<int> accepted;  // outlives the listener's accept thread
+  Listener listener(0);
   if (!listener.ok()) {
     std::fprintf(stderr, "could not bind a loopback listener\n");
     return 1;
   }
   std::printf("listening on 127.0.0.1:%u\n", listener.port());
 
-  auto accepted = std::async(std::launch::async,
-                             [&listener]() { return listener.acceptOne(); });
+  auto accepted_fd = accepted.get_future();
+  listener.start([&accepted](int fd) { accepted.set_value(fd); });
   auto caller_peer = TcpSignalingPeer::connect("127.0.0.1", listener.port());
-  auto callee_peer = accepted.get();
-  if (!caller_peer || !callee_peer) {
+  if (!caller_peer) {
     std::fprintf(stderr, "loopback connect failed\n");
     return 1;
   }
+  auto callee_peer = std::make_unique<TcpSignalingPeer>(accepted_fd.get());
+  listener.stop();  // one call, one connection
 
   std::mutex mutex;
   std::condition_variable cv;

@@ -1,9 +1,6 @@
 #include "load/dist/driver.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -56,11 +53,8 @@ struct DistDriver::Impl {
   enum Phase { gather = 0, pushSpec = 1, started = 2, shutdown = 3 };
 
   DriverConfig config;
-  int listen_fd = -1;
-  std::uint16_t port = 0;
   bool ran = false;
 
-  std::thread acceptor;
   std::mutex mutex;
   std::condition_variable cv;
   Phase phase = gather;
@@ -75,41 +69,21 @@ struct DistDriver::Impl {
   std::vector<std::vector<std::uint8_t>> spec_frames;  // rank-indexed
   std::vector<std::unique_ptr<Link>> links;
   std::vector<pid_t> children;
+  net::Listener listener;  // after what its accept thread uses
 
-  explicit Impl(DriverConfig cfg) : config(std::move(cfg)) {
+  explicit Impl(DriverConfig cfg)
+      : config(std::move(cfg)),
+        listener(static_cast<std::uint16_t>(config.port)) {
     if (config.workers == 0) config.workers = 1;
     if (config.shards == 0) config.shards = 1;
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) return;
-    int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(config.port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-            0 ||
-        ::listen(listen_fd, 16) != 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-      return;
-    }
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) ==
-        0) {
-      port = ntohs(addr.sin_port);
-    }
   }
 
+  // Link threads only ever shut their connection down; its fd closes when
+  // the Link is destroyed, after its thread has been joined.
   ~Impl() {
-    if (listen_fd >= 0) {
-      ::shutdown(listen_fd, SHUT_RDWR);
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
-    if (acceptor.joinable()) acceptor.join();
+    listener.stop();
     for (auto& link : links) {
-      if (link->conn) link->conn->close();
+      link->conn->shutdownNow();
       if (link->thread.joinable()) link->thread.join();
     }
   }
@@ -129,25 +103,21 @@ struct DistDriver::Impl {
                        [](bool c) { return c; });
   }
 
-  void acceptLoop() {
-    while (true) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) break;  // listener closed by cleanup
-      auto link = std::make_unique<Link>();
-      link->conn = std::make_unique<net::FramedConn>(fd);
-      link->conn->setRecvTimeoutMs(kPollMs);
-      Link* raw = link.get();
-      link->thread = std::thread([this, raw]() { serveLink(*raw); });
-      std::lock_guard<std::mutex> lock(mutex);
-      links.push_back(std::move(link));
-    }
+  void acceptLink(int fd) {
+    auto link = std::make_unique<Link>();
+    link->conn = std::make_unique<net::FramedConn>(fd);
+    link->conn->setRecvTimeoutMs(kPollMs);
+    Link* raw = link.get();
+    link->thread = std::thread([this, raw]() { serveLink(*raw); });
+    std::lock_guard<std::mutex> lock(mutex);
+    links.push_back(std::move(link));
   }
 
   // Reject a pre-rank connection: explain, then hang up. Not fatal to the
   // run — the listener keeps waiting for the real workers.
   void dropLink(Link& link, const std::string& why) {
     link.conn->sendFrame(encodeErrorMsg(why));
-    link.conn->close();
+    link.conn->shutdownNow();
   }
 
   // A ranked link failed in a way that poisons the whole run.
@@ -157,7 +127,7 @@ struct DistDriver::Impl {
       if (link.has_rank) reports[link.rank].error = why;
     }
     abort(std::move(why));
-    link.conn->close();
+    link.conn->shutdownNow();
   }
 
   void serveLink(Link& link) {
@@ -177,7 +147,7 @@ struct DistDriver::Impl {
             // EOF before HELLO, or a hostile length header poisoned the
             // stream: this connection was never a worker. Drop it; the
             // listener and every real link keep going.
-            link.conn->close();
+            link.conn->shutdownNow();
             return;
         }
         if (Clock::now() > hello_deadline) return;
@@ -371,12 +341,12 @@ struct DistDriver::Impl {
       cv.wait(lock, [this]() { return phase == shutdown; });
     }
     link.conn->sendFrame(encodeShutdown());
-    link.conn->close();
+    link.conn->shutdownNow();
   }
 
   void spawnChildren() {
     for (std::size_t rank = 0; rank < config.workers; ++rank) {
-      const std::string port_arg = std::to_string(port);
+      const std::string port_arg = std::to_string(listener.port());
       const std::string rank_arg = std::to_string(rank);
       const pid_t pid = ::fork();
       if (pid == 0) {
@@ -414,7 +384,7 @@ struct DistDriver::Impl {
     for (std::size_t rank = 0; rank < config.workers; ++rank) {
       result.workers[rank].rank = static_cast<std::uint32_t>(rank);
     }
-    if (listen_fd < 0) {
+    if (!listener.ok()) {
       result.error = "driver listener failed to bind";
       return result;
     }
@@ -444,7 +414,7 @@ struct DistDriver::Impl {
     spec_hash_ = workloadHash(workload);
 
     const auto wall_start = Clock::now();
-    acceptor = std::thread([this]() { acceptLoop(); });
+    listener.start([this](int fd) { acceptLink(fd); });
     if (!config.worker_binary.empty()) spawnChildren();
 
     // gather → spec
@@ -517,20 +487,13 @@ struct DistDriver::Impl {
       cv.notify_all();
     }
 
-    // Stop accepting, then join every link.
-    ::shutdown(listen_fd, SHUT_RDWR);
-    ::close(listen_fd);
-    listen_fd = -1;
-    if (acceptor.joinable()) acceptor.join();
-    std::vector<std::unique_ptr<Link>> finished;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      finished.swap(links);
-    }
-    for (auto& link : finished) {
+    // Stop accepting, then join every link (each ends on its own once the
+    // phase is shutdown) before its fd closes.
+    listener.stop();
+    for (auto& link : links) {
       if (link->thread.joinable()) link->thread.join();
-      if (link->conn) link->conn->close();
     }
+    links.clear();
     reapChildren();
     result.wall_seconds =
         std::chrono::duration<double>(Clock::now() - wall_start).count();
@@ -603,9 +566,9 @@ DistDriver::DistDriver(DriverConfig config)
 
 DistDriver::~DistDriver() = default;
 
-bool DistDriver::ok() const noexcept { return impl_->listen_fd >= 0 || impl_->ran; }
+bool DistDriver::ok() const noexcept { return impl_->listener.ok() || impl_->ran; }
 
-std::uint16_t DistDriver::port() const noexcept { return impl_->port; }
+std::uint16_t DistDriver::port() const noexcept { return impl_->listener.port(); }
 
 DistResult DistDriver::run(const WorkloadSpec& workload) {
   return impl_->run(workload);

@@ -1,23 +1,30 @@
-// FramedConn: one blocking, framed request/response connection.
+// One socket path for every TCP link in the system: connectTcp() dials,
+// Listener binds and accepts, FramedConn carries raw frames.
 //
 // Two protocols ride the raw [length][checksum][body] frames of
 // net/framing.hpp — the read-only ops/telemetry plane (obs/ops_server) and
-// the distributed load coordinator (load/dist). Both need the same client
-// machinery: connect to a loopback peer, send whole frames (thread-safe, so
-// a sampler thread can interleave with the main conversation), and pop
-// complete frame bodies off the stream with the decoder state carried
-// across reads. This header is that one codepath; OpsClient and the
-// driver/worker links are thin protocol layers over it.
+// the distributed load coordinator (load/dist). Both need the same
+// machinery: a loopback listener whose accept loop runs on its own thread,
+// a connect to a loopback peer, whole-frame sends (thread-safe, so a
+// sampler thread can interleave with the main conversation), and complete
+// frame bodies popped off the stream with the decoder state carried across
+// reads. The signaling transport (net/tcp_transport) shares the listener
+// and the connect. OpsClient/OpsServer and the driver/worker links are thin
+// protocol layers over this header.
 //
 // Read semantics mirror the decoder contract: a corrupt frame is skipped
-// like line noise (counted, never surfaced), a hostile length poisons the
+// like line noise (never surfaced), a hostile length poisons the
 // stream (lastRead() == poisoned; hang up), EOF and receive timeouts are
 // reported distinctly so callers can attribute "peer died" vs "peer is
 // slow" — the distinction the dist driver's failure reports are built on.
 //
+// Shutdown order, everywhere a thread may be blocked on a socket: shut the
+// socket down (wakes the blocked call), join the thread, then close the fd.
+// Closing first would let the fd number be reused under the blocked thread.
+//
 // Header-only on purpose: cmc_net links cmc_obs (trace stamping), and
-// cmc_obs's OpsClient needs this type, so an out-of-line definition in
-// either library would cycle.
+// cmc_obs's OpsServer/OpsClient need these types, so an out-of-line
+// definition in either library would cycle.
 #pragma once
 
 #include <arpa/inet.h>
@@ -28,15 +35,120 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/framing.hpp"
+#include "util/log.hpp"
 
 namespace cmc::net {
+
+// Connect a TCP socket to host:port (dotted IPv4). Returns the connected
+// fd, owned by the caller, or -1.
+[[nodiscard]] inline int connectTcp(const std::string& host,
+                                    std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Write every byte to a connected socket; false when the connection is gone.
+[[nodiscard]] inline bool sendAll(int fd,
+                                  const std::vector<std::uint8_t>& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// A loopback listening socket with its accept loop on its own thread.
+class Listener {
+ public:
+  using AcceptHandler = std::function<void(int fd)>;
+
+  // Bind and listen on 127.0.0.1:port (0 picks a free port; see port()).
+  explicit Listener(std::uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd_ < 0) return;
+    int one = 1;
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd_, kBacklog) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+  }
+
+  ~Listener() { stop(); }
+
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  [[nodiscard]] bool ok() const noexcept { return fd_ >= 0; }
+  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+
+  // Run the accept loop on its own thread; on_accept owns every accepted
+  // fd. Call once; a no-op on a listener that failed to bind or stopped.
+  // A throwing on_accept (say, no thread left for the session) costs that
+  // one connection, not the listener.
+  void start(AcceptHandler on_accept) {
+    if (fd_ < 0 || thread_.joinable()) return;
+    thread_ = std::thread([fd = fd_, on_accept = std::move(on_accept)]() {
+      while (true) {
+        const int client = ::accept(fd, nullptr, nullptr);
+        if (client < 0) return;  // shut down by stop()
+        try {
+          on_accept(client);
+        } catch (const std::exception& e) {
+          log::warn("net", "dropping accepted connection: ", e.what());
+        }
+      }
+    });
+  }
+
+  // Stop accepting: shut down (wakes a blocked accept), join, then close.
+  // Idempotent; also runs from the destructor.
+  void stop() {
+    if (fd_ < 0) return;
+    ::shutdown(fd_, SHUT_RDWR);
+    if (thread_.joinable()) thread_.join();
+    ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  static constexpr int kBacklog = 16;
+
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
 
 class FramedConn {
  public:
@@ -65,16 +177,8 @@ class FramedConn {
   [[nodiscard]] static std::unique_ptr<FramedConn> connect(
       const std::string& host, std::uint16_t port,
       std::int64_t recv_timeout_ms = 5'000) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connectTcp(host, port);
     if (fd < 0) return nullptr;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd);
-      return nullptr;
-    }
     auto conn = std::unique_ptr<FramedConn>(new FramedConn(fd));
     conn->setRecvTimeoutMs(recv_timeout_ms);
     return conn;
@@ -99,15 +203,7 @@ class FramedConn {
   // tests speak malformed wire through this).
   bool sendBytes(const std::vector<std::uint8_t>& bytes) {
     std::lock_guard<std::mutex> lock(send_mutex_);
-    if (fd_ < 0) return false;
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
+    return fd_ >= 0 && sendAll(fd_, bytes);
   }
 
   // Next complete frame body, or nullopt — inspect lastRead() to tell a
@@ -144,10 +240,6 @@ class FramedConn {
   }
 
   [[nodiscard]] ReadStatus lastRead() const noexcept { return last_read_; }
-  [[nodiscard]] bool isOpen() const noexcept { return fd_ >= 0; }
-  [[nodiscard]] std::uint64_t corruptFrames() const noexcept {
-    return decoder_.corruptFrames();
-  }
 
   // Wake a reader blocked in readFrame() from another thread (it observes
   // EOF); the fd itself stays owned until close()/destruction.

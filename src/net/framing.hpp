@@ -13,10 +13,13 @@
 // than poisoning the whole connection. Only a header that has plainly lost
 // sync (absurd length) or a checksum-valid body that still fails to parse
 // (a framing bug, not line noise) kills the stream.
+//
+// The same header carries opaque bodies for the ops/telemetry plane
+// (obs/ops_server) and the dist coordinator (load/dist) via
+// net/framed_rpc.hpp; RawFrameDecoder below is the only header parser.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -30,22 +33,32 @@ namespace cmc::net {
   return static_cast<std::uint32_t>(fnv1a(data, size));
 }
 
-// Encode one message as a frame: [length u32][checksum u32][body].
+// Encode raw bytes as a frame: [length u32][checksum u32][body].
+[[nodiscard]] inline std::vector<std::uint8_t> encodeRawFrame(
+    const std::uint8_t* body, std::size_t size) {
+  ByteWriter frame;
+  frame.u32(static_cast<std::uint32_t>(size));
+  frame.u32(frameChecksum(body, size));
+  std::vector<std::uint8_t> out = frame.take();
+  out.insert(out.end(), body, body + size);
+  return out;
+}
+
+[[nodiscard]] inline std::vector<std::uint8_t> encodeRawFrame(
+    const std::vector<std::uint8_t>& body) {
+  return encodeRawFrame(body.data(), body.size());
+}
+
+// Encode one message as a frame whose body is its ChannelMessage bytes.
 [[nodiscard]] inline std::vector<std::uint8_t> encodeFrame(
     const ChannelMessage& message) {
   ByteWriter body;
   serialize(message, body);
-  const auto& b = body.bytes();
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(b.size()));
-  frame.u32(frameChecksum(b.data(), b.size()));
-  std::vector<std::uint8_t> out = frame.take();
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+  return encodeRawFrame(body.bytes());
 }
 
-// Incremental decoder: feed arbitrary byte chunks, pop whole messages.
-class FrameDecoder {
+// Incremental decoder: feed arbitrary byte chunks, pop whole frame bodies.
+class RawFrameDecoder {
  public:
   // Maximum accepted frame size; malformed/hostile lengths are rejected.
   static constexpr std::uint32_t kMaxFrame = 1 << 20;
@@ -54,13 +67,12 @@ class FrameDecoder {
     buffer_.insert(buffer_.end(), data, data + size);
   }
 
-  // Returns the next complete message, or nullopt if more bytes are needed.
+  // Returns the next complete body, or nullopt if more bytes are needed.
   // A frame failing its checksum is silently skipped (corruptFrames()
-  // counts it) — equivalent to network loss. A malformed frame that passes
-  // the checksum, or a hostile length, poisons the decoder (error()
-  // becomes true): the stream has lost sync and the connection should be
-  // dropped.
-  [[nodiscard]] std::optional<ChannelMessage> next() {
+  // counts it) — equivalent to network loss. A hostile length poisons the
+  // decoder (error() becomes true): the stream has lost sync and the
+  // connection should be dropped.
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> next() {
     while (!error_ && buffer_.size() >= kHeaderSize) {
       const std::uint32_t length = readU32(0);
       const std::uint32_t checksum = readU32(4);
@@ -75,19 +87,13 @@ class FrameDecoder {
       if (frameChecksum(body, length) != checksum) {
         // Corrupted in transit: discard and let the protocol's
         // stabilization machinery treat it as a lost signal.
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + kHeaderSize + length);
+        buffer_.erase(buffer_.begin(), buffer_.begin() + kHeaderSize + length);
         ++corrupt_frames_;
         continue;
       }
-      ByteReader reader(body, length);
-      auto message = deserializeChannelMessage(reader);
+      std::vector<std::uint8_t> out(body, body + length);
       buffer_.erase(buffer_.begin(), buffer_.begin() + kHeaderSize + length);
-      if (!message) {
-        error_ = true;
-        return std::nullopt;
-      }
-      return message;
+      return out;
     }
     return std::nullopt;
   }
@@ -115,83 +121,33 @@ class FrameDecoder {
   std::uint64_t corrupt_frames_ = 0;
 };
 
-// ---------------------------------------------------------------- raw frames
-// The same [length u32][checksum u32][body] header carries protocols other
-// than ChannelMessage: the read-only ops/telemetry plane (obs/ops_server)
-// frames opaque request/response byte bodies. Semantics match FrameDecoder:
-// a checksum mismatch discards the frame as if the network lost it, a
-// hostile length poisons the stream.
-
-[[nodiscard]] inline std::vector<std::uint8_t> encodeRawFrame(
-    const std::uint8_t* body, std::size_t size) {
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(size));
-  frame.u32(frameChecksum(body, size));
-  std::vector<std::uint8_t> out = frame.take();
-  out.insert(out.end(), body, body + size);
-  return out;
-}
-
-[[nodiscard]] inline std::vector<std::uint8_t> encodeRawFrame(
-    const std::vector<std::uint8_t>& body) {
-  return encodeRawFrame(body.data(), body.size());
-}
-
-// Incremental decoder for raw-body frames: feed arbitrary byte chunks, pop
-// whole bodies. Corrupt frames are skipped and counted; an absurd length
-// marks the stream poisoned (error()) — the connection should be dropped.
-class RawFrameDecoder {
+// Incremental ChannelMessage decoder: raw frames, each body parsed as one
+// message. A body that passes its checksum but does not parse is a framing
+// bug, not line noise, so it poisons the decoder like a hostile length.
+class FrameDecoder {
  public:
-  static constexpr std::uint32_t kMaxFrame = FrameDecoder::kMaxFrame;
-
   void feed(const std::uint8_t* data, std::size_t size) {
-    buffer_.insert(buffer_.end(), data, data + size);
+    raw_.feed(data, size);
   }
 
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> next() {
-    while (!error_ && buffer_.size() >= kHeaderSize) {
-      const std::uint32_t length = readU32(0);
-      const std::uint32_t checksum = readU32(4);
-      if (length > kMaxFrame) {
-        error_ = true;
-        return std::nullopt;
-      }
-      if (buffer_.size() < kHeaderSize + static_cast<std::size_t>(length)) {
-        return std::nullopt;
-      }
-      const std::uint8_t* body = buffer_.data() + kHeaderSize;
-      if (frameChecksum(body, length) != checksum) {
-        buffer_.erase(buffer_.begin(), buffer_.begin() + kHeaderSize + length);
-        ++corrupt_frames_;
-        continue;
-      }
-      std::vector<std::uint8_t> out(body, body + length);
-      buffer_.erase(buffer_.begin(), buffer_.begin() + kHeaderSize + length);
-      return out;
-    }
-    return std::nullopt;
+  [[nodiscard]] std::optional<ChannelMessage> next() {
+    if (error_) return std::nullopt;
+    auto body = raw_.next();
+    if (!body) return std::nullopt;
+    ByteReader reader(body->data(), body->size());
+    auto message = deserializeChannelMessage(reader);
+    if (!message) error_ = true;
+    return message;
   }
 
-  [[nodiscard]] bool error() const noexcept { return error_; }
-  [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
+  [[nodiscard]] bool error() const noexcept { return error_ || raw_.error(); }
   [[nodiscard]] std::uint64_t corruptFrames() const noexcept {
-    return corrupt_frames_;
+    return raw_.corruptFrames();
   }
 
  private:
-  static constexpr std::size_t kHeaderSize = 8;
-
-  [[nodiscard]] std::uint32_t readU32(std::size_t offset) const noexcept {
-    std::uint32_t value = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      value |= static_cast<std::uint32_t>(buffer_[offset + i]) << (8 * i);
-    }
-    return value;
-  }
-
-  std::vector<std::uint8_t> buffer_;
+  RawFrameDecoder raw_;
   bool error_ = false;
-  std::uint64_t corrupt_frames_ = 0;
 };
 
 }  // namespace cmc::net

@@ -1,14 +1,12 @@
 #include "net/tcp_transport.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <variant>
 
+#include "net/framed_rpc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -24,6 +22,7 @@ TcpSignalingPeer::TcpSignalingPeer(int fd) : fd_(fd) {
 TcpSignalingPeer::~TcpSignalingPeer() {
   close();
   if (reader_.joinable()) reader_.join();
+  ::close(fd_);
 }
 
 void TcpSignalingPeer::start(MessageHandler on_message, ClosedHandler on_closed) {
@@ -61,15 +60,9 @@ bool TcpSignalingPeer::send(const ChannelMessage& message) {
     }
   }
   std::lock_guard<std::mutex> lock(send_mutex_);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      open_.store(false);
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!sendAll(fd_, frame)) {
+    open_.store(false);
+    return false;
   }
   if (obs::MetricsRegistry* m = obs::metrics()) {
     m->counter("net.frames_sent").add();
@@ -79,11 +72,8 @@ bool TcpSignalingPeer::send(const ChannelMessage& message) {
 }
 
 void TcpSignalingPeer::close() {
-  bool was_open = open_.exchange(false);
-  if (was_open) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-  }
+  open_.store(false);
+  ::shutdown(fd_, SHUT_RDWR);
 }
 
 void TcpSignalingPeer::readLoop() {
@@ -118,54 +108,9 @@ void TcpSignalingPeer::readLoop() {
 
 std::unique_ptr<TcpSignalingPeer> TcpSignalingPeer::connect(
     const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connectTcp(host, port);
   if (fd < 0) return nullptr;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return nullptr;
-  }
   return std::make_unique<TcpSignalingPeer>(fd);
-}
-
-TcpSignalingListener::TcpSignalingListener(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return;
-  int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd_, 8) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  }
-}
-
-TcpSignalingListener::~TcpSignalingListener() { close(); }
-
-std::unique_ptr<TcpSignalingPeer> TcpSignalingListener::acceptOne() {
-  if (fd_ < 0) return nullptr;
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) return nullptr;
-  return std::make_unique<TcpSignalingPeer>(client);
-}
-
-void TcpSignalingListener::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
 }
 
 }  // namespace cmc::net

@@ -7,10 +7,12 @@
 // FIFO and reliability come from TCP itself, satisfying the signaling-
 // channel contract of Section III-A.
 //
-// TcpSignalingListener accepts incoming connections on a loopback/port and
-// produces peers. Both are intentionally small: the protocol and goal
-// machinery neither know nor care whether their tunnel is an in-process
-// deque (ChannelState), a simulated link, or this socket.
+// A peer either dials out (connect(), via net::connectTcp) or adopts a
+// socket that a net::Listener (net/framed_rpc.hpp) accepted. close() only
+// shuts the socket down, which wakes the reader; the destructor joins the
+// reader and then closes the fd. The protocol and goal machinery neither
+// know nor care whether their tunnel is an in-process deque
+// (ChannelState), a simulated link, or this socket.
 #pragma once
 
 #include <atomic>
@@ -41,6 +43,8 @@ class TcpSignalingPeer {
   // Send a message; thread-safe. Returns false if the connection is gone.
   bool send(const ChannelMessage& message);
 
+  // Shut the connection down; the reader observes EOF and exits. The fd
+  // stays owned until destruction.
   void close();
   [[nodiscard]] bool isOpen() const noexcept { return open_.load(); }
 
@@ -67,29 +71,6 @@ class TcpSignalingPeer {
   MessageHandler on_message_;
   ClosedHandler on_closed_;
   std::thread reader_;
-};
-
-class TcpSignalingListener {
- public:
-  // Bind and listen on 127.0.0.1:port (port 0 picks a free port).
-  explicit TcpSignalingListener(std::uint16_t port);
-  ~TcpSignalingListener();
-
-  TcpSignalingListener(const TcpSignalingListener&) = delete;
-  TcpSignalingListener& operator=(const TcpSignalingListener&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-  [[nodiscard]] bool ok() const noexcept { return fd_ >= 0; }
-
-  // Block until one connection arrives (or the listener is closed);
-  // returns the connected peer or nullptr.
-  [[nodiscard]] std::unique_ptr<TcpSignalingPeer> acceptOne();
-
-  void close();
-
- private:
-  int fd_ = -1;
-  std::uint16_t port_ = 0;
 };
 
 }  // namespace cmc::net

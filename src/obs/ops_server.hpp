@@ -19,8 +19,9 @@
 //
 // The server is strictly read-only with respect to the host: handlers are
 // registered by the host and decide what to expose; the protocol has no
-// mutating verbs. Each connection gets its own session thread, so a slow
-// reader cannot stall the sampler or other clients.
+// mutating verbs. The listener is a net::Listener and each connection is a
+// net::FramedConn served on its own session thread, so a slow reader cannot
+// stall the sampler or other clients.
 #pragma once
 
 #include <atomic>
@@ -31,12 +32,9 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-namespace cmc::net {
-class FramedConn;
-}
+#include "net/framed_rpc.hpp"
 
 namespace cmc::obs {
 
@@ -54,8 +52,8 @@ class OpsServer {
   OpsServer(const OpsServer&) = delete;
   OpsServer& operator=(const OpsServer&) = delete;
 
-  [[nodiscard]] bool ok() const noexcept { return listen_fd_ >= 0; }
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] bool ok() const noexcept { return listener_.ok(); }
+  [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
 
   // Register a verb (before start()).
   void handle(std::string verb, std::string content_type, Handler handler);
@@ -63,26 +61,22 @@ class OpsServer {
   void start();
   void stop();
 
-  [[nodiscard]] std::uint64_t requestsServed() const noexcept;
   [[nodiscard]] std::uint64_t errorsServed() const noexcept;
 
  private:
   struct Session;
 
-  void acceptLoop();
-  void serveConnection(int fd);
+  void acceptSession(int fd);
+  void serveConnection(net::FramedConn& conn);
   [[nodiscard]] std::vector<std::uint8_t> respond(
       const std::vector<std::uint8_t>& request);
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread acceptor_;
   mutable std::mutex mutex_;  // sessions_ + verb table + stats
   std::map<std::string, std::pair<std::string, Handler>> verbs_;
   std::vector<std::unique_ptr<Session>> sessions_;
-  std::uint64_t requests_ = 0;
   std::uint64_t errors_ = 0;
+  net::Listener listener_;  // last: its accept thread uses the members above
 };
 
 // Blocking client for cmc_top, tests, and scripts. One connection, one
@@ -116,8 +110,6 @@ class OpsClient {
   // framed response, if any. Lets tests speak malformed protocol.
   bool sendRaw(const std::vector<std::uint8_t>& bytes);
   [[nodiscard]] std::optional<Response> readResponse();
-
-  [[nodiscard]] bool isOpen() const noexcept;
 
  private:
   explicit OpsClient(std::unique_ptr<net::FramedConn> conn);

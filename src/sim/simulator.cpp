@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "obs/flight_recorder.hpp"
@@ -157,7 +158,9 @@ void Simulator::crashBox(const CrashEvent& crash) {
   if (it == boxes_.end()) return;
   Box& target = *it->second;
   const SimTime up_at = loop_.now() + crash.down_for;
-  down_until_[crash.box] = up_at;
+  // Overlapping crashes: the box stays down until the later up-time.
+  SimTime& down_until = down_until_[crash.box];
+  down_until = std::max(down_until, up_at);
   if (fault_plan_ != nullptr) ++fault_plan_->counters().crashes;
   if (obs::MetricsRegistry* m = obs::metrics()) {
     m->counter("fault.crashes").add();
@@ -171,7 +174,12 @@ void Simulator::crashBox(const CrashEvent& crash) {
     rec->record(std::move(ev));
   }
   loop_.scheduleAt(up_at, [this, &target, name = crash.box]() {
-    down_until_.erase(name);
+    // Overlapping crashes restart the box once, at the latest up-time: a
+    // box still down belongs to a later crash's restart, and a box already
+    // up was restarted by a crash ending at the same instant.
+    auto down = down_until_.find(name);
+    if (down == down_until_.end() || loop_.now() < down->second) return;
+    down_until_.erase(down);
     if (obs::TraceRecorder* rec = obs::recorder()) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::mark;

@@ -55,9 +55,6 @@ class Simulator {
   }
 
   [[nodiscard]] Box& box(const std::string& name);
-  [[nodiscard]] bool hasBox(const std::string& name) const noexcept {
-    return boxes_.count(name) != 0;
-  }
 
   // Statically connect two boxes with a signaling channel of `tunnels`
   // tunnels (both ends exist immediately; `a` is the initiator side).

@@ -124,6 +124,27 @@ TEST_F(FailureFixture, CrashMidOpenRecovers) {
   EXPECT_TRUE(b_.media().hears(a_.media().id()));
 }
 
+TEST_F(FailureFixture, OverlappingCrashesKeepTheLongerOutage) {
+  // A second crash lands while B is still down from the first: B stays
+  // down until the later up-time and restarts once, not when the first
+  // outage would have ended.
+  FaultPlan plan(1);
+  plan.addCrash(CrashEvent{"B", SimTime{} + 60_ms, 500_ms});
+  plan.addCrash(CrashEvent{"B", SimTime{} + 200_ms, 2_s});
+  sim_.installFaultPlan(&plan);
+  sim_.inject("A", [](Box& bx) { static_cast<UserDeviceBox&>(bx).placeCall("B"); });
+  sim_.runFor(1_s);
+  EXPECT_TRUE(sim_.boxDown("B")) << "first restart ended the longer outage";
+  sim_.runFor(2_s);
+  EXPECT_FALSE(sim_.boxDown("B"));
+  EXPECT_EQ(plan.counters().crashes, 2u);
+  sim_.runFor(15_s);
+  EXPECT_TRUE(a_.inCall()) << "caller stuck after overlapping crashes";
+  EXPECT_TRUE(b_.inCall());
+  EXPECT_TRUE(a_.media().hears(b_.media().id()));
+  EXPECT_TRUE(b_.media().hears(a_.media().id()));
+}
+
 // Relay with one flowlink joining its two statically configured channels.
 class RelayBox : public Box {
  public:

@@ -1,12 +1,18 @@
-// Tests for the TCP signaling transport: framing, loopback delivery, FIFO
-// ordering, and a full media-channel setup between two endpoint goals
-// talking over real sockets.
+// Tests for the TCP signaling transport: framing, the listener contract,
+// loopback delivery, FIFO ordering, and a full media-channel setup between
+// two endpoint goals talking over real sockets.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <future>
+#include <thread>
 
 #include "core/goal.hpp"
+#include "net/framed_rpc.hpp"
 #include "net/tcp_transport.hpp"
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
@@ -179,20 +185,59 @@ TEST(Framing, ChecksumCatchesHeaderLengthCorruption) {
   EXPECT_EQ(decoder.corruptFrames(), 1u);
 }
 
+// ------------------------------------------------------------- listener
+TEST(Listener, PortZeroResolvesToAFreePort) {
+  Listener listener(0);
+  ASSERT_TRUE(listener.ok());
+  EXPECT_NE(listener.port(), 0u);
+}
+
+TEST(Listener, StopIsIdempotentAndSafeBeforeStart) {
+  Listener listener(0);
+  ASSERT_TRUE(listener.ok());
+  listener.stop();  // never started
+  EXPECT_FALSE(listener.ok());
+  listener.stop();  // second stop
+  listener.start([](int fd) { ::close(fd); });  // no-op once stopped
+  listener.stop();
+}
+
+TEST(Listener, StopWakesABlockedAcceptAndRefusesLaterConnects) {
+  Listener listener(0);
+  ASSERT_TRUE(listener.ok());
+  const std::uint16_t port = listener.port();
+  std::atomic<int> accepted{0};
+  listener.start([&accepted](int fd) {
+    ++accepted;
+    ::close(fd);
+  });
+  // Give the accept thread time to block in accept().
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto stopped =
+      std::async(std::launch::async, [&listener]() { listener.stop(); });
+  ASSERT_EQ(stopped.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "stop() did not wake the blocked accept thread";
+  EXPECT_EQ(accepted.load(), 0);
+  const int fd = connectTcp("127.0.0.1", port);
+  EXPECT_LT(fd, 0) << "connect succeeded after stop()";
+  if (fd >= 0) ::close(fd);
+}
+
 class LoopbackPair : public ::testing::Test {
  protected:
   void SetUp() override {
-    listener_ = std::make_unique<TcpSignalingListener>(0);
+    listener_ = std::make_unique<Listener>(0);
     ASSERT_TRUE(listener_->ok());
-    auto accepted = std::async(std::launch::async,
-                               [this]() { return listener_->acceptOne(); });
+    auto accepted_fd = accepted_.get_future();
+    listener_->start([this](int fd) { accepted_.set_value(fd); });
     client_ = TcpSignalingPeer::connect("127.0.0.1", listener_->port());
     ASSERT_NE(client_, nullptr);
-    server_ = accepted.get();
-    ASSERT_NE(server_, nullptr);
+    server_ = std::make_unique<TcpSignalingPeer>(accepted_fd.get());
   }
 
-  std::unique_ptr<TcpSignalingListener> listener_;
+  std::promise<int> accepted_;  // outlives the listener's accept thread
+  std::unique_ptr<Listener> listener_;
   std::unique_ptr<TcpSignalingPeer> client_;
   std::unique_ptr<TcpSignalingPeer> server_;
 };
