@@ -101,7 +101,6 @@ double measure(std::size_t k, TimingModel timing, obs::MetricsRegistry* reg,
 
   const auto latency = sim.probes().latencyUs(probe);
   if (!latency) return -1;
-  bench::jsonLine("CONVERGENCE", sim.probes().json());
 
   obs::CriticalPathOptions opts;
   opts.end_actor = "B";

@@ -520,7 +520,7 @@ struct DistDriver::Impl {
       if (outcome.converged) ++result.converged;
       if (outcome.clean_teardown) ++result.clean_teardowns;
     }
-    if (const auto* h = merged.histogram("load.call_setup_us")) {
+    if (const auto* h = merged.histogram("probe.call_setup_us")) {
       result.setup_p50_us = h->quantile(0.50);
       result.setup_p99_us = h->quantile(0.99);
     }

@@ -178,7 +178,7 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
     obs::MetricsSnapshot shot = obs::MetricsSnapshot::capture(shard->metrics);
     shot.gauges.clear();  // shard-local instants: not part of the rollup
     rollup_.mergeFrom(shot);
-    if (const auto* h = shard->metrics.findHistogram("load.call_setup_us")) {
+    if (const auto* h = shard->metrics.findHistogram("probe.call_setup_us")) {
       setup_latency_.mergeFrom(*h);
     }
     shard_stats_.push_back(shard->stats);
@@ -358,12 +358,8 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
       shard.outcomes.push_back(call.outcome);
     }
 
-    // Fold probe latencies into the shard registry so the rollup carries
-    // them, and leave behind additive load counters (all shard-count
-    // invariant; see the determinism contract in the header).
-    if (const auto* h = sim.probes().histogram("call_setup")) {
-      shard.metrics.histogram("load.call_setup_us").mergeFrom(*h);
-    }
+    // Leave behind additive load counters (all shard-count invariant; see
+    // the determinism contract in the header).
     std::size_t converged = 0;
     std::size_t clean = 0;
     for (const CallOutcome& outcome : shard.outcomes) {

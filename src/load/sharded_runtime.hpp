@@ -163,8 +163,8 @@ class ShardedRuntime {
   [[nodiscard]] std::size_t cleanTeardownCount() const noexcept;
 
   // Additive rollup of every shard's registry (counters + histograms; see
-  // determinism contract above for why gauges are left out). The probe
-  // latency histograms are folded in as "load.call_setup_us".
+  // determinism contract above for why gauges are left out). Call-setup
+  // latency is the probes' own "probe.call_setup_us" histogram.
   [[nodiscard]] const obs::MetricsSnapshot& metrics() const noexcept {
     return rollup_;
   }

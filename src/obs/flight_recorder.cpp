@@ -106,8 +106,6 @@ std::string FlightRecorder::dump(std::string_view reason,
     std::snprintf(buf, sizeof(buf), ",\"probes_armed\":%zu,\"probes_failed\":%zu",
                   probes_->armedCount(), probes_->failedCount());
     body += buf;
-    body += ",\"probes\":";
-    body += probes_->json();
   }
   if (metrics != nullptr || metrics_ != nullptr) {
     body += ",\"metrics\":";

@@ -1,7 +1,5 @@
 #include "obs/probes.hpp"
 
-#include <cstdio>
-
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -49,12 +47,10 @@ std::size_t ConvergenceProbes::check(std::int64_t now_us) {
       continue;
     }
     const std::int64_t latency = now_us - probe.start_us;
-    histograms_[probe.bucket].observe(latency);
-    // Mirror the observation into the metrics namespace as it happens, so a
-    // live sampler sees per-window setup latency mid-run instead of waiting
-    // for the end-of-run fold. Written unconditionally (sampler or not):
-    // per-call latencies are deterministic, so this keeps the rollup
-    // byte-identical whether or not anyone is watching.
+    // Recorded as it happens, so a live sampler sees per-window setup
+    // latency mid-run. Written unconditionally (sampler or not): per-call
+    // latencies are deterministic, so this keeps the rollup byte-identical
+    // whether or not anyone is watching.
     if (MetricsRegistry* m = metrics()) {
       m->histogram("probe." + probe.bucket + "_us").observe(latency);
     }
@@ -84,35 +80,6 @@ std::optional<std::int64_t> ConvergenceProbes::latencyUs(
   auto it = results_.find(name);
   if (it == results_.end()) return std::nullopt;
   return it->second;
-}
-
-const Histogram* ConvergenceProbes::histogram(const std::string& bucket) const {
-  auto it = histograms_.find(bucket);
-  return it != histograms_.end() ? &it->second : nullptr;
-}
-
-std::string ConvergenceProbes::json() const {
-  std::string out = "{";
-  char buf[192];
-  bool first = true;
-  for (const auto& [bucket, histogram] : histograms_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += bucket;
-    out += "\":";
-    const HistogramSample h = histogram.sample();
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"count\":%llu,\"min_us\":%lld,\"max_us\":%lld,\"mean_us\":%.1f,"
-        "\"p50_us\":%.1f,\"p90_us\":%.1f,\"p99_us\":%.1f}",
-        static_cast<unsigned long long>(h.count),
-        static_cast<long long>(h.min), static_cast<long long>(h.max),
-        h.mean(), h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
-    out += buf;
-  }
-  out += '}';
-  return out;
 }
 
 }  // namespace cmc::obs

@@ -8,7 +8,8 @@
 // quiescent condition (bothFlowing along the path, media audible, both
 // closed, ...); the hosting Simulator re-evaluates armed probes after every
 // box stimulus completes, and the first time a predicate holds the probe
-// records `now - armed_at` into a named latency histogram and disarms.
+// records `now - armed_at` into the registry histogram "probe.<bucket>_us"
+// (when a metrics registry is installed) and disarms.
 //
 // Predicates run only while at least one probe is armed, so an idle probe
 // set costs one `empty()` check per stimulus. Probes are owned by a single
@@ -27,8 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace cmc::obs {
 
 class ConvergenceProbes {
@@ -37,8 +36,9 @@ class ConvergenceProbes {
   using FailureHandler =
       std::function<void(const std::string& name, std::int64_t now_us)>;
 
-  // Arm a probe. `bucket` names the histogram the latency lands in (several
-  // probes — e.g. runs with different seeds — may share one bucket);
+  // Arm a probe. `bucket` names the registry histogram the latency lands
+  // in, "probe.<bucket>_us" (several probes — e.g. runs with different
+  // seeds — may share one bucket);
   // `name` identifies this single measurement. A positive `deadline_us`
   // turns the probe into a watchdog: if it has not converged by that
   // virtual instant, the next check() marks it failed, disarms it, and
@@ -75,11 +75,6 @@ class ConvergenceProbes {
   // Latency of a named measurement, once converged.
   [[nodiscard]] std::optional<std::int64_t> latencyUs(const std::string& name) const;
 
-  [[nodiscard]] const Histogram* histogram(const std::string& bucket) const;
-
-  // {"<bucket>":{count,...}, ...} — per-bucket latency histograms (µs).
-  [[nodiscard]] std::string json() const;
-
  private:
   struct Armed {
     std::string name;
@@ -90,7 +85,6 @@ class ConvergenceProbes {
   };
 
   std::vector<Armed> armed_;
-  std::map<std::string, Histogram> histograms_;
   std::map<std::string, std::int64_t> results_;
   std::vector<std::string> failed_;
   FailureHandler on_failure_;

@@ -77,19 +77,22 @@ void Simulator::useSimTimeForLogs() {
   owns_log_time_ = true;
 }
 
-Box& Simulator::box(const std::string& name) {
-  auto it = boxes_.find(name);
-  if (it == boxes_.end()) throw std::logic_error("unknown box: " + name);
-  return *it->second;
+BoxId Simulator::idOf(const std::string& name) const {
+  auto it = box_ids_.find(name);
+  if (it == box_ids_.end()) throw std::logic_error("unknown box: " + name);
+  return it->second;
 }
 
+Box& Simulator::box(const std::string& name) { return *entry(idOf(name)).box; }
+
 void Simulator::registerBox(std::unique_ptr<Box> box) {
-  const std::string& name = box->name();
-  if (boxes_.count(name) != 0) throw std::logic_error("duplicate box: " + name);
-  box_clock_[name] = BoxClock{SimTime{}, "sim.box_busy_us." + name};
+  const BoxId id = box->id();
+  if (!box_ids_.emplace(box->name(), id).second) {
+    throw std::logic_error("duplicate box: " + box->name());
+  }
   if (fault_plan_ != nullptr) box->enableStabilization(true);
-  boxes_.emplace(name, std::move(box));
-  if (fault_plan_ != nullptr) scheduleRefreshTick(name);
+  boxes_.emplace_back().box = std::move(box);
+  if (fault_plan_ != nullptr) scheduleRefreshTick(id);
 }
 
 ChannelId Simulator::connect(const std::string& a, const std::string& b,
@@ -99,8 +102,8 @@ ChannelId Simulator::connect(const std::string& a, const std::string& b,
   ChannelRecord rec;
   rec.id = ChannelId{next_channel_id_++};
   rec.tunnels = tunnels;
-  rec.boxA = a;
-  rec.boxB = b;
+  rec.boxA = box_a.id();
+  rec.boxB = box_b.id();
   rec.slotsA = box_a.addChannelEnd(rec.id, tunnels, /*initiator=*/true, "", b);
   rec.slotsB = box_b.addChannelEnd(rec.id, tunnels, /*initiator=*/false, "", a);
   rec.aliveA = rec.aliveB = true;
@@ -118,11 +121,11 @@ ChannelId Simulator::connect(const std::string& a, const std::string& b,
 }
 
 void Simulator::inject(const std::string& box_name, std::function<void(Box&)> fn) {
-  Box& target = box(box_name);
-  loop_.schedule(SimDuration{0},
-                 [this, &target, fn = std::move(fn)]() mutable {
-                   stimulate(target, [&target, fn = std::move(fn)]() { fn(target); });
-                 });
+  const BoxId id = idOf(box_name);
+  loop_.schedule(SimDuration{0}, [this, id, fn = std::move(fn)]() mutable {
+    Box& target = *entry(id).box;
+    stimulate(id, [&target, fn = std::move(fn)]() { fn(target); });
+  });
 }
 
 bool Simulator::run(SimDuration horizon) { return loop_.runUntilIdle(horizon); }
@@ -132,9 +135,10 @@ void Simulator::runFor(SimDuration d) { loop_.runUntil(loop_.now() + d); }
 void Simulator::installFaultPlan(FaultPlan* plan) {
   fault_plan_ = plan;
   if (plan == nullptr) return;
-  for (auto& [name, box] : boxes_) {
-    box->enableStabilization(true);
-    scheduleRefreshTick(name);
+  // Name order, so same-instant refresh ticks fire in box-name order.
+  for (const auto& [name, id] : box_ids_) {
+    entry(id).box->enableStabilization(true);
+    scheduleRefreshTick(id);
   }
   for (const CrashEvent& crash : plan->crashes()) {
     loop_.scheduleAt(crash.at, [this, crash]() { crashBox(crash); });
@@ -149,18 +153,28 @@ void Simulator::installFaultPlan(FaultPlan* plan) {
 }
 
 bool Simulator::boxDown(const std::string& name) const noexcept {
-  auto it = down_until_.find(name);
-  return it != down_until_.end() && loop_.now() < it->second;
+  auto it = box_ids_.find(name);
+  return it != box_ids_.end() && isDown(boxes_[it->second.value() - 1]);
+}
+
+bool Simulator::droppedAtDeadBox(const BoxEntry& e) {
+  if (!isDown(e)) return false;
+  if (fault_plan_ != nullptr) ++fault_plan_->counters().dead_box_drops;
+  if (obs::MetricsRegistry* m = obs::metrics()) {
+    m->counter("fault.dead_box_drops").add();
+  }
+  return true;
 }
 
 void Simulator::crashBox(const CrashEvent& crash) {
-  auto it = boxes_.find(crash.box);
-  if (it == boxes_.end()) return;
-  Box& target = *it->second;
+  auto it = box_ids_.find(crash.box);
+  if (it == box_ids_.end()) return;
+  const BoxId id = it->second;
+  Box& target = *entry(id).box;
   const SimTime up_at = loop_.now() + crash.down_for;
   // Overlapping crashes: the box stays down until the later up-time.
-  SimTime& down_until = down_until_[crash.box];
-  down_until = std::max(down_until, up_at);
+  std::optional<SimTime>& down_until = entry(id).down_until;
+  down_until = down_until ? std::max(*down_until, up_at) : up_at;
   if (fault_plan_ != nullptr) ++fault_plan_->counters().crashes;
   if (obs::MetricsRegistry* m = obs::metrics()) {
     m->counter("fault.crashes").add();
@@ -173,58 +187,56 @@ void Simulator::crashBox(const CrashEvent& crash) {
     ev.v0 = crash.down_for.count();
     rec->record(std::move(ev));
   }
-  loop_.scheduleAt(up_at, [this, &target, name = crash.box]() {
+  loop_.scheduleAt(up_at, [this, &target, id]() {
     // Overlapping crashes restart the box once, at the latest up-time: a
     // box still down belongs to a later crash's restart, and a box already
     // up was restarted by a crash ending at the same instant.
-    auto down = down_until_.find(name);
-    if (down == down_until_.end() || loop_.now() < down->second) return;
-    down_until_.erase(down);
+    std::optional<SimTime>& down = entry(id).down_until;
+    if (!down || loop_.now() < *down) return;
+    down.reset();
     if (obs::TraceRecorder* rec = obs::recorder()) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::mark;
       ev.name = "restart";
-      ev.actor = name;
+      ev.actor = target.name();
       rec->record(std::move(ev));
     }
-    stimulate(target, [&target]() { target.crashRestart(); });
-    scheduleRefreshTick(name);
+    stimulate(id, [&target]() { target.crashRestart(); });
+    scheduleRefreshTick(id);
   });
 }
 
-void Simulator::scheduleRefreshTick(const std::string& name) {
+void Simulator::scheduleRefreshTick(BoxId id) {
   if (fault_plan_ == nullptr) return;
-  bool& armed = refresh_armed_[name];
+  bool& armed = entry(id).refresh_armed;
   if (armed) return;
   armed = true;
   loop_.schedule(fault_plan_->spec().refresh_interval,
-                 [this, name]() { refreshTick(name); });
+                 [this, id]() { refreshTick(id); });
 }
 
-void Simulator::refreshTick(const std::string& name) {
-  refresh_armed_[name] = false;
+void Simulator::refreshTick(BoxId id) {
+  BoxEntry& e = entry(id);
+  e.refresh_armed = false;
   if (fault_plan_ == nullptr) return;
-  auto it = boxes_.find(name);
-  if (it == boxes_.end()) return;
-  if (boxDown(name)) return;  // the restart handler re-arms
-  Box& target = *it->second;
+  if (isDown(e)) return;  // the restart handler re-arms
+  Box& target = *e.box;
   if (target.needsRefresh()) {
-    stimulate(target, [&target]() { target.refreshGoals(); });
+    stimulate(id, [&target]() { target.refreshGoals(); });
   }
   // Keep ticking while faults may still hit this box; once injection is
   // over, stimulus completions re-arm the tick whenever a box is left
   // unconverged, so a converged path stops ticking and the loop can drain.
   if (fault_plan_->activeAt(loop_.now() + fault_plan_->spec().refresh_interval) ||
       target.needsRefresh()) {
-    scheduleRefreshTick(name);
+    scheduleRefreshTick(id);
   }
 }
 
-void Simulator::stimulate(Box& box, StimulusFn fn, obs::TraceContext cause) {
+void Simulator::stimulate(BoxId id, StimulusFn fn, obs::TraceContext cause) {
   // Serialize on the box: processing starts when the box frees up and takes
   // c; outputs appear at completion.
-  BoxClock& clock = box_clock_[box.name()];
-  SimTime& busy = clock.busy_until;
+  SimTime& busy = entry(id).busy_until;
   const SimTime start = loop_.now() < busy ? busy : loop_.now();
   const SimTime done = start + timing_.processing;
   busy = done;
@@ -235,18 +247,15 @@ void Simulator::stimulate(Box& box, StimulusFn fn, obs::TraceContext cause) {
                              done - start)
                              .count();
     m->counter("sim.busy_us").add(static_cast<std::uint64_t>(busy_us));
-    m->counter(clock.busy_counter).add(static_cast<std::uint64_t>(busy_us));
   }
   const std::int64_t start_us =
       std::chrono::duration_cast<std::chrono::microseconds>(start.sinceStart())
           .count();
-  loop_.scheduleAt(done, [this, &box, start_us, cause,
+  loop_.scheduleAt(done, [this, id, start_us, cause,
                           fn = std::move(fn)]() mutable {
     // A stimulus queued before a crash dies with the box's volatile state.
-    if (boxDown(box.name())) {
-      if (fault_plan_ != nullptr) ++fault_plan_->counters().dead_box_drops;
-      return;
-    }
+    if (droppedAtDeadBox(entry(id))) return;
+    Box& box = *entry(id).box;
     obs::TraceRecorder* rec = obs::recorder();
     // Span adoption: the stimulus becomes a child of the span that stamped
     // the triggering signal; a causeless stimulus roots a fresh trace.
@@ -283,7 +292,7 @@ void Simulator::stimulate(Box& box, StimulusFn fn, obs::TraceContext cause) {
     // Liveness under faults: any stimulus that leaves the box unconverged
     // (a lost answer, a stale signal) re-arms its refresh tick.
     if (fault_plan_ != nullptr && box.needsRefresh()) {
-      scheduleRefreshTick(box.name());
+      scheduleRefreshTick(id);
     }
     if (!probes_.empty()) probes_.check(nowUs());
   });
@@ -302,7 +311,7 @@ void Simulator::drain(Box& box) {
 
 void Simulator::processOutput(Box& sender, Box::Output&& out) {
   CMC_PROF_SCOPE("sim.process_output");
-  const std::string from = sender.name();
+  const BoxId from = sender.id();
   // Every output is stamped with the context of the stimulus that produced
   // it (empty when propagation is off or during static configuration), so
   // the receiving box's stimulus span can adopt it as its causal parent.
@@ -311,12 +320,13 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
   for (auto& item : out.tunnel) {
     const Route route = routeOf(sender, item.slot);
     ChannelRecord& rec = record(route.channel);
-    const std::string& to = route.from_side_a ? rec.boxB : rec.boxA;
+    const std::string& to =
+        entry(route.from_side_a ? rec.boxB : rec.boxA).box->name();
     if (obs::TraceRecorder* trace = obs::recorder()) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::signalSend;
       ev.name.assign(toString(kindOf(item.signal)));
-      ev.actor = from;
+      ev.actor = sender.name();
       ev.aux = to;
       ev.id = item.slot.value();
       ev.v0 = static_cast<std::int64_t>(route.channel.value());
@@ -326,7 +336,7 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     const SimDuration latency = timing_.sampleNetwork(rng_);
     FaultDecision fate;  // default: deliver one copy, on time
     if (fault_plan_ != nullptr) {
-      fate = fault_plan_->decide(from, to, loop_.now());
+      fate = fault_plan_->decide(sender.name(), to, loop_.now());
     }
     if (obs::MetricsRegistry* m = obs::metrics();
         m != nullptr && fault_plan_ != nullptr) {
@@ -342,7 +352,7 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
         obs::TraceEvent ev;
         ev.kind = obs::EventKind::mark;
         ev.name = "fault_drop";
-        ev.actor = from;
+        ev.actor = sender.name();
         ev.aux = to;
         ev.id = item.slot.value();
         trace->record(std::move(ev));
@@ -377,22 +387,15 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
   for (auto& [channel_id, meta] : out.meta) {
     auto it = channels_.find(channel_id);
     if (it == channels_.end()) continue;
-    ChannelRecord& rec = it->second;
-    const bool from_a = rec.boxA == from;
-    const std::string to = from_a ? rec.boxB : rec.boxA;
+    const ChannelRecord& rec = it->second;
+    const BoxId to = rec.boxA == from ? rec.boxB : rec.boxA;
     meta.ctx = cause;  // in-band provenance, mirrors the net frame encoding
     loop_.schedule(timing_.sampleNetwork(rng_),
                    [this, to, channel_id, meta = std::move(meta)]() {
-                     auto cit = channels_.find(channel_id);
-                     if (cit == channels_.end()) return;
-                     if (boxDown(to)) {
-                       if (fault_plan_ != nullptr) {
-                         ++fault_plan_->counters().dead_box_drops;
-                       }
-                       return;
-                     }
-                     Box& target = box(to);
-                     stimulate(target, [&target, channel_id, meta]() {
+                     if (channels_.count(channel_id) == 0) return;
+                     if (droppedAtDeadBox(entry(to))) return;
+                     Box& target = *entry(to).box;
+                     stimulate(to, [&target, channel_id, meta]() {
                        target.deliverMeta(channel_id, meta);
                      }, meta.ctx);
                    });
@@ -403,19 +406,17 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     // (e.g. an openslot retry descends from the open that went unanswered).
     loop_.schedule(timer.delay, [this, from, cause,
                                  tag = std::move(timer.tag)]() {
-      auto it = boxes_.find(from);
-      if (it == boxes_.end()) return;
       // Timers are volatile: a crash forgets them (crashRestart re-arms
       // what its re-attached goals still need).
-      if (boxDown(from)) return;
-      Box& target = *it->second;
-      stimulate(target, [&target, tag]() { target.fireTimer(tag); }, cause);
+      if (droppedAtDeadBox(entry(from))) return;
+      Box& target = *entry(from).box;
+      stimulate(from, [&target, tag]() { target.fireTimer(tag); }, cause);
     });
   }
 
   for (auto& request : out.channelRequests) {
-    auto target_it = boxes_.find(request.target);
-    if (target_it == boxes_.end()) {
+    auto target_it = box_ids_.find(request.target);
+    if (target_it == box_ids_.end()) {
       log::warn("sim", "channel request to unknown box ", request.target);
       continue;
     }
@@ -423,7 +424,7 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     rec.id = ChannelId{next_channel_id_++};
     rec.tunnels = request.tunnels;
     rec.boxA = from;
-    rec.boxB = request.target;
+    rec.boxB = target_it->second;
     rec.slotsA = sender.addChannelEnd(rec.id, rec.tunnels, /*initiator=*/true,
                                       request.tag, request.target);
     rec.aliveA = true;
@@ -436,12 +437,13 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     // transport-level end registration is synchronous so that signals in
     // flight right behind the setup find the slots; the callee's feature
     // reaction to the new channel is charged one processing cost.
-    loop_.schedule(timing_.sampleNetwork(rng_), [this, id, from, cause]() {
+    loop_.schedule(timing_.sampleNetwork(rng_), [this, id, cause]() {
       auto cit = channels_.find(id);
       if (cit == channels_.end() || !cit->second.aliveA) return;
       ChannelRecord& r = cit->second;
-      Box& callee = box(r.boxB);
-      r.slotsB = callee.addChannelEnd(id, r.tunnels, /*initiator=*/false, "", from);
+      Box& callee = *entry(r.boxB).box;
+      r.slotsB = callee.addChannelEnd(id, r.tunnels, /*initiator=*/false, "",
+                                      entry(r.boxA).box->name());
       r.aliveB = true;
       for (std::uint32_t t = 0; t < r.tunnels; ++t) {
         routes_[{callee.id().value(), r.slotsB[t]}] = Route{id, t, false};
@@ -455,7 +457,7 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
       if (!probes_.empty()) probes_.check(nowUs());
       // Drain hook outputs after processing cost; causally the callee's
       // reaction descends from the stimulus that requested the channel.
-      stimulate(callee, []() {}, cause);
+      stimulate(r.boxB, []() {}, cause);
     });
   }
 
@@ -468,14 +470,13 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     for (SlotId s : (from_a ? rec.slotsA : rec.slotsB)) {
       routes_.erase({sender.id().value(), s});
     }
-    const std::string to = from_a ? rec.boxB : rec.boxA;
+    const BoxId to = from_a ? rec.boxB : rec.boxA;
     const bool peer_alive = from_a ? rec.aliveB : rec.aliveA;
     if (peer_alive) {
       loop_.schedule(timing_.sampleNetwork(rng_), [this, id, to, cause]() {
-        auto cit = channels_.find(id);
-        if (cit == channels_.end()) return;
-        Box& target = box(to);
-        stimulate(target, [this, &target, id, to]() {
+        if (channels_.count(id) == 0) return;
+        Box& target = *entry(to).box;
+        stimulate(to, [this, &target, id, to]() {
           target.deliverMeta(id, MetaSignal{MetaKind::teardown, "", ""});
           auto cit2 = channels_.find(id);
           if (cit2 != channels_.end()) {
@@ -503,22 +504,16 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
   if (cit == channels_.end()) return;  // torn down while in flight
   ChannelRecord& rec = cit->second;
   const bool to_a = to_side_a;
-  const std::string& to_box = to_a ? rec.boxA : rec.boxB;
-  const std::string& from_box = to_a ? rec.boxB : rec.boxA;
+  const BoxId to = to_a ? rec.boxA : rec.boxB;
   if ((to_a && !rec.aliveA) || (!to_a && !rec.aliveB)) return;
   const auto& slots = to_a ? rec.slotsA : rec.slotsB;
   if (tunnel >= slots.size()) return;
-  if (boxDown(to_box)) {
-    // The destination is crashed: the signal reaches a dead transport and
-    // is lost, exactly like a drop fault.
-    if (fault_plan_ != nullptr) ++fault_plan_->counters().dead_box_drops;
-    if (obs::MetricsRegistry* m = obs::metrics()) {
-      m->counter("fault.dead_box_drops").add();
-    }
-    return;
-  }
+  // The destination is crashed: the signal reaches a dead transport and is
+  // lost, exactly like a drop fault.
+  if (droppedAtDeadBox(entry(to))) return;
   const SlotId slot = slots[tunnel];
-  Box& target = box(to_box);
+  Box& target = *entry(to).box;
+  const std::string& from_name = entry(to_a ? rec.boxB : rec.boxA).box->name();
   ++signals_delivered_;
   if (obs::MetricsRegistry* m = obs::metrics()) {
     m->counter(signalCounterName(kindOf(signal))).add();
@@ -527,8 +522,8 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
     obs::TraceEvent ev;
     ev.kind = obs::EventKind::signalRecv;
     ev.name.assign(toString(kindOf(signal)));
-    ev.actor = to_box;
-    ev.aux = from_box;
+    ev.actor = target.name();
+    ev.aux = from_name;
     ev.id = slot.value();
     ev.v0 = static_cast<std::int64_t>(channel.value());
     ev.v1 = tunnel;
@@ -540,9 +535,9 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
     trace->record(std::move(ev));
   }
   if (onSignalDelivered) {
-    onSignalDelivered(from_box, to_box, signal, loop_.now());
+    onSignalDelivered(from_name, target.name(), signal, loop_.now());
   }
-  stimulate(target, [&target, slot, signal = std::move(signal)]() {
+  stimulate(to, [&target, slot, signal = std::move(signal)]() {
     target.deliverTunnel(slot, signal);
   }, ctx);
 }

@@ -18,8 +18,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/box.hpp"
 #include "media/network.hpp"
@@ -48,7 +50,9 @@ class Simulator {
   // address channel requests to each other by name.
   template <typename B, typename... Args>
   B& addBox(Args&&... args) {
-    auto box = std::make_unique<B>(BoxId{next_box_id_++}, std::forward<Args>(args)...);
+    // Ids are handed out 1, 2, 3...: box `id` is row id - 1 of boxes_.
+    auto box = std::make_unique<B>(BoxId{boxes_.size() + 1},
+                                   std::forward<Args>(args)...);
     B& ref = *box;
     registerBox(std::move(box));
     return ref;
@@ -145,40 +149,58 @@ class Simulator {
   struct ChannelRecord {
     ChannelId id;
     std::uint32_t tunnels = 1;
-    std::string boxA;  // initiator
-    std::string boxB;
+    BoxId boxA;  // initiator
+    BoxId boxB;
     std::vector<SlotId> slotsA;
     std::vector<SlotId> slotsB;
     bool aliveA = false;
     bool aliveB = false;
   };
 
+  // One row of the box table: the box and the three facts the timing and
+  // fault models keep about it.
+  struct BoxEntry {
+    std::unique_ptr<Box> box;
+    SimTime busy_until;  // serial server: next instant the box is free
+    std::optional<SimTime> down_until;  // set from a crash to its restart
+    bool refresh_armed = false;         // a refresh tick is pending
+  };
+
   void registerBox(std::unique_ptr<Box> box);
+  [[nodiscard]] BoxEntry& entry(BoxId id) { return boxes_[id.value() - 1]; }
+  [[nodiscard]] BoxId idOf(const std::string& name) const;
+  [[nodiscard]] bool isDown(const BoxEntry& e) const noexcept {
+    return e.down_until && loop_.now() < *e.down_until;
+  }
+  // True when `e` is crashed: whatever was about to reach the box — a
+  // queued stimulus, a meta-signal, a timer, a tunnel signal — is lost, and
+  // counted once in both the plan's and the registry's dead_box_drops.
+  bool droppedAtDeadBox(const BoxEntry& e);
   // A stimulus body. Inline capacity covers the hot case (a Signal plus a
   // slot and box reference) so queuing a stimulus allocates nothing; bigger
   // closures from cold paths spill to the heap inside InlineFn.
   using StimulusFn = InlineFn<120>;
-  // Run `fn` as a stimulus on `box` now: serialize on the box (busy time),
-  // charge c, then execute and drain outputs. `cause` is the causal parent
-  // (the context stamped on the signal/timer that triggered this stimulus);
-  // empty for roots — user injections, refresh ticks, restarts — which
-  // start a fresh trace when propagation is enabled.
-  void stimulate(Box& box, StimulusFn fn, obs::TraceContext cause = {});
+  // Run `fn` as a stimulus on box `id` now: serialize on the box (busy
+  // time), charge c, then execute and drain outputs. `cause` is the causal
+  // parent (the context stamped on the signal/timer that triggered this
+  // stimulus); empty for roots — user injections, refresh ticks, restarts —
+  // which start a fresh trace when propagation is enabled.
+  void stimulate(BoxId id, StimulusFn fn, obs::TraceContext cause = {});
   // Execute a scheduled CrashEvent: mark the box down, drop its queued
   // stimuli, and schedule the restart (Box::crashRestart) at the end of
   // the outage.
   void crashBox(const CrashEvent& crash);
-  // Arm (if not already armed) one refresh tick for `name`, firing
+  // Arm (if not already armed) one refresh tick for box `id`, firing
   // refresh_interval from now.
-  void scheduleRefreshTick(const std::string& name);
-  void refreshTick(const std::string& name);
+  void scheduleRefreshTick(BoxId id);
+  void refreshTick(BoxId id);
   void drain(Box& box);
   void processOutput(Box& box, Box::Output&& out);
   // Deliver a tunnel signal scheduled by processOutput. The in-flight event
   // carries only route coordinates (channel id, tunnel, destination side) —
-  // box names are resolved from the channel record on arrival, so the
-  // capture is small and string-free; a torn-down channel means the signal
-  // is simply lost, same as before.
+  // the destination box is resolved from the channel record on arrival, so
+  // the capture is small and string-free; a torn-down channel means the
+  // signal is simply lost, same as before.
   void deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
                            bool to_side_a, Signal signal,
                            obs::TraceContext ctx);
@@ -195,25 +217,18 @@ class Simulator {
   MediaNetwork media_net_{loop_};  // before boxes_: endpoints detach on box death
   TimingModel timing_;
   Rng rng_;
-  std::uint64_t next_box_id_ = 1;
   std::uint64_t next_channel_id_ = 1;
-  std::map<std::string, std::unique_ptr<Box>> boxes_;
+  // The box table: boxes_[id - 1] is the box with that id. The name index
+  // serves only callers that address boxes by name.
+  std::vector<BoxEntry> boxes_;
+  std::map<std::string, BoxId> box_ids_;
   std::map<ChannelId, ChannelRecord> channels_;
   // (box id, slot) -> route, maintained as ends come and go. Keyed by the
   // numeric box id so hot-path lookups build no string key.
   std::map<std::pair<std::uint64_t, SlotId>, Route> routes_;
-  // Per-box serial-server clock plus the box's pre-composed busy-time
-  // counter name (so charging busy time never concatenates strings).
-  struct BoxClock {
-    SimTime busy_until;
-    std::string busy_counter;
-  };
-  std::map<std::string, BoxClock> box_clock_;
   std::uint64_t signals_delivered_ = 0;
   obs::ConvergenceProbes probes_;
   FaultPlan* fault_plan_ = nullptr;  // not owned
-  std::map<std::string, SimTime> down_until_;  // crashed boxes
-  std::map<std::string, bool> refresh_armed_;  // tick pending per box
   // Globals this simulator installed, cleared on destruction so a stale
   // pointer never outlives the run that owns it.
   obs::TraceRecorder* attached_trace_ = nullptr;

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "endpoints/user_device.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
 
@@ -143,6 +144,47 @@ TEST_F(FailureFixture, OverlappingCrashesKeepTheLongerOutage) {
   EXPECT_TRUE(b_.inCall());
   EXPECT_TRUE(a_.media().hears(b_.media().id()));
   EXPECT_TRUE(b_.media().hears(a_.media().id()));
+}
+
+// A box that arms a timer on request and counts the ones that fire.
+class TimerBox : public Box {
+ public:
+  using Box::Box;
+  void arm(SimDuration delay) { setTimer(delay, "t"); }
+  int fired = 0;
+
+ protected:
+  void onTimer(const std::string&) override { ++fired; }
+};
+
+TEST(CrashRestart, DeadBoxDropsCountTimersAndQueuedStimuliOnce) {
+  // Everything that reaches a crashed box is lost and counted once, the
+  // same way in the plan's counters and in the metrics registry: here a
+  // stimulus still queued when the crash lands, and a timer due during
+  // the outage.
+  Simulator sim(TimingModel::paperDefaults(), 43);
+  obs::MetricsRegistry reg;
+  sim.attachMetrics(&reg);
+  auto& box = sim.addBox<TimerBox>("T");
+  FaultPlan plan(1);
+  plan.addCrash(CrashEvent{"T", SimTime{} + 100_ms, 1_s});
+  sim.installFaultPlan(&plan);
+
+  sim.inject("T", [](Box& bx) { static_cast<TimerBox&>(bx).arm(500_ms); });
+  sim.runFor(90_ms);
+  // Starts at 90 ms and would complete at 110 ms (c = 20 ms): the crash at
+  // 100 ms kills it in the queue.
+  bool ran = false;
+  sim.inject("T", [&ran](Box&) { ran = true; });
+  sim.runFor(3_s);
+
+  EXPECT_EQ(plan.counters().crashes, 1u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(box.fired, 0);
+  const obs::Counter* drops = reg.findCounter("fault.dead_box_drops");
+  ASSERT_NE(drops, nullptr);
+  EXPECT_EQ(plan.counters().dead_box_drops, 2u);
+  EXPECT_EQ(drops->value(), plan.counters().dead_box_drops);
 }
 
 // Relay with one flowlink joining its two statically configured channels.

@@ -148,7 +148,9 @@ TEST(ShardDeterminism, HoldsUnderPerCallFaultPlans) {
 // storage, event pooling, signal routing) that shifts a single counter or
 // histogram bucket fails here instead of slipping through as a "still
 // self-consistent" change. Recorded at the introduction of the hot-path
-// memory model; a mismatch means behavior changed, not just performance.
+// memory model and re-recorded once, when the per-box busy counters and the
+// duplicate load.call_setup_us histogram left the rollup (every other byte
+// unchanged); a mismatch means behavior changed, not just performance.
 
 std::uint64_t rollupDigest(const WorkloadSpec& workload, std::size_t shards,
                            std::size_t* bytes_out) {
@@ -165,16 +167,39 @@ std::uint64_t rollupDigest(const WorkloadSpec& workload, std::size_t shards,
 TEST(RollupPins, CleanRunMatchesRecordedDigest) {
   std::size_t bytes = 0;
   const std::uint64_t digest = rollupDigest(smallWorkload(42), 1, &bytes);
-  EXPECT_EQ(bytes, 5270u);
-  EXPECT_EQ(digest, 0x9e33345f4e5b379cULL);
+  EXPECT_EQ(bytes, 626u);
+  EXPECT_EQ(digest, 0xd581a51f40d81abbULL);
 }
 
 TEST(RollupPins, FaultyEightShardRunMatchesRecordedDigest) {
   std::size_t bytes = 0;
   const std::uint64_t digest =
       rollupDigest(smallWorkload(42, /*fault_fraction=*/0.3), 8, &bytes);
-  EXPECT_EQ(bytes, 5420u);
-  EXPECT_EQ(digest, 0xb473ccab00fc03a0ULL);
+  EXPECT_EQ(bytes, 755u);
+  EXPECT_EQ(digest, 0x42e01a1db36d7a45ULL);
+}
+
+// The metric namespace has a fixed size: which names a rollup holds
+// depends on the code paths the call mix exercises, never on how many
+// calls ran (no per-box or per-call metric names).
+TEST(RollupNames, DoNotGrowWithCallCount) {
+  const auto names = [](std::size_t calls) {
+    WorkloadSpec workload = smallWorkload(42);
+    workload.calls = calls;
+    LoadConfig config;
+    config.shards = 2;
+    ShardedRuntime runtime(config);
+    runtime.run(workload);
+    std::set<std::string> out;
+    const obs::MetricsSnapshot& rollup = runtime.metrics();
+    for (const auto& entry : rollup.counters) out.insert(entry.first);
+    for (const auto& entry : rollup.gauges) out.insert(entry.first);
+    for (const auto& entry : rollup.histograms) out.insert(entry.first);
+    return out;
+  };
+  const std::set<std::string> small = names(60);
+  EXPECT_EQ(names(240), small);
+  EXPECT_LT(small.size(), 60u);
 }
 
 TEST(Churn, TeardownLeavesNoLeakedSlotsOrGoals) {

@@ -255,6 +255,8 @@ TEST(ObsMetricsTest, HistogramQuantiles) {
 
 TEST(ObsProbesTest, ProbeCapturesConvergenceLatency) {
   Simulator sim(TimingModel::paperDefaults(), 11);
+  obs::MetricsRegistry reg;
+  sim.attachMetrics(&reg);
   auto& a = sim.addBox<UserDeviceBox>("A", sim.mediaNetwork(), sim.loop(),
                                       MediaAddress::parse("10.0.0.1", 5000));
   auto& b = sim.addBox<UserDeviceBox>("B", sim.mediaNetwork(), sim.loop(),
@@ -277,10 +279,11 @@ TEST(ObsProbesTest, ProbeCapturesConvergenceLatency) {
   ASSERT_TRUE(latency.has_value());
   EXPECT_GT(*latency, 0);
   EXPECT_LT(*latency, 2'000'000);  // converged well before the horizon
-  const obs::Histogram* h = sim.probes().histogram("setup");
+  // The latency lands in the registry histogram "probe.<bucket>_us".
+  const obs::Histogram* h = reg.findHistogram("probe.setup_us");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 1u);
-  EXPECT_NE(sim.probes().json().find("\"setup\""), std::string::npos);
+  EXPECT_EQ(h->sum(), *latency);
 }
 
 TEST(ObsProbesTest, UnsatisfiedProbeStaysArmed) {
