@@ -48,6 +48,7 @@
 #include "load/sharded_runtime.hpp"
 #include "load/workload.hpp"
 #include "obs/slo.hpp"
+#include "sim/timing.hpp"
 
 using namespace cmc;
 
@@ -133,9 +134,6 @@ int main(int argc, char** argv) {
     dcfg.workers = workers;
     dcfg.shards = config.shards;
     dcfg.worker_binary = worker_binary;
-    dcfg.setup_grace_us = config.setup_grace.count();
-    dcfg.teardown_grace_us = config.teardown_grace.count();
-    dcfg.setup_deadline_us = config.setup_deadline_us;
     load::dist::DistDriver driver(std::move(dcfg));
     if (!driver.ok()) {
       std::fprintf(stderr, "failed to bind the driver listener\n");
@@ -178,13 +176,13 @@ int main(int argc, char** argv) {
     rule.histogram = "probe.call_setup_us";
     rule.quantile = 0.99;
     // Default bound: the §VIII-C law for the longest generated path (a
-    // relayed call, p = 2 hops) under the configured timing model.
+    // relayed call, p = 2 hops) under the runtime's paper timing model.
+    const TimingModel timing = TimingModel::paperDefaults();
     rule.max_value =
         slo_setup_p99_us > 0.0
             ? slo_setup_p99_us
             : static_cast<double>(obs::latencyLawUs(
-                  2, config.timing.network.count(),
-                  config.timing.processing.count()));
+                  2, timing.network.count(), timing.processing.count()));
     rule.min_count = 5;
     config.slos.push_back(rule);
   }

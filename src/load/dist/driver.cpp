@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "net/framed_rpc.hpp"
@@ -46,27 +47,30 @@ struct DistDriver::Impl {
   struct Link {
     std::unique_ptr<net::FramedConn> conn;
     std::thread thread;
-    std::uint32_t rank = 0;
-    bool has_rank = false;
+    std::uint32_t rank = 0;  // valid once the link's HELLO claimed it
+  };
+
+  // One row of the rank table. A rank is claimed when its report says
+  // connected; it is through the SPEC phase when acked, and through the
+  // collect phase once its rollup has landed.
+  struct Rank {
+    WorkerReport report;
+    std::optional<Rollup> rollup;
+    std::vector<std::uint8_t> spec_frame;
   };
 
   enum Phase { gather = 0, pushSpec = 1, started = 2, shutdown = 3 };
 
   DriverConfig config;
   bool ran = false;
+  std::uint64_t spec_hash = 0;
 
   std::mutex mutex;
   std::condition_variable cv;
   Phase phase = gather;
   bool aborted = false;
   std::string fatal_error;
-  std::vector<bool> claimed;
-  std::size_t acks = 0;
-  std::size_t rollups_in = 0;
-  std::vector<WorkerReport> reports;            // rank-indexed
-  std::vector<Rollup> rollups;                  // rank-indexed
-  std::vector<bool> have_rollup;                // rank-indexed
-  std::vector<std::vector<std::uint8_t>> spec_frames;  // rank-indexed
+  std::vector<Rank> ranks;  // rank-indexed
   std::vector<std::unique_ptr<Link>> links;
   std::vector<pid_t> children;
   net::Listener listener;  // after what its accept thread uses
@@ -98,9 +102,9 @@ struct DistDriver::Impl {
     cv.notify_all();
   }
 
-  [[nodiscard]] bool allClaimed() const {
-    return std::all_of(claimed.begin(), claimed.end(),
-                       [](bool c) { return c; });
+  [[nodiscard]] bool isAborted() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return aborted;
   }
 
   void acceptLink(int fd) {
@@ -114,43 +118,99 @@ struct DistDriver::Impl {
   }
 
   // Reject a pre-rank connection: explain, then hang up. Not fatal to the
-  // run — the listener keeps waiting for the real workers.
-  void dropLink(Link& link, const std::string& why) {
+  // run — the listener keeps waiting for the real workers. Returns false,
+  // the link never having claimed a rank.
+  bool dropLink(Link& link, const std::string& why) {
     link.conn->sendFrame(encodeErrorMsg(why));
     link.conn->shutdownNow();
+    return false;
   }
 
-  // A ranked link failed in a way that poisons the whole run.
-  void failLink(Link& link, std::string why) {
+  // A ranked link failed in a way that poisons the whole run. `what` is
+  // prefixed with the rank, in both the rank's report and the run's error.
+  void failLink(Link& link, const std::string& what) {
+    std::string why = "rank " + std::to_string(link.rank) + " " + what;
     {
       std::lock_guard<std::mutex> lock(mutex);
-      if (link.has_rank) reports[link.rank].error = why;
+      ranks[link.rank].report.error = why;
     }
     abort(std::move(why));
     link.conn->shutdownNow();
   }
 
-  void serveLink(Link& link) {
-    // ---------------------------------------------------------- gather
+  // Block until the run reaches `target`. True when the link goes on; false
+  // when the run aborted or shut down first, and then the worker has been
+  // sent SHUTDOWN so it exits instead of timing out.
+  bool awaitPhase(Link& link, Phase target) {
+    bool go_on = false;
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      cv.wait(lock, [&]() { return phase >= target || aborted; });
+      go_on = !aborted && phase != shutdown;
+    }
+    if (!go_on) link.conn->sendFrame(encodeShutdown());
+    return go_on;
+  }
+
+  // Push a driver frame to a ranked link; a dead link fails the run.
+  bool push(Link& link, const std::vector<std::uint8_t>& frame,
+            const char* verb) {
+    if (link.conn->sendFrame(frame)) return true;
+    failLink(link, std::string("died during ") + verb + " push");
+    return false;
+  }
+
+  // The one read step of a ranked link: its next frame, or nullopt once the
+  // link is done. The abort of another link sends this worker SHUTDOWN;
+  // EOF, a poisoned stream, an ERROR frame or the `deadline` fail the run
+  // with this rank's attribution.
+  std::optional<std::vector<std::uint8_t>> nextFrame(
+      Link& link, Clock::time_point deadline, const char* awaiting) {
+    while (true) {
+      auto frame = link.conn->readFrame();
+      if (frame && peekVerb(*frame) == Verb::error) {
+        auto message = parseErrorMsg(*frame);
+        failLink(link, "reported: " +
+                           (message ? *message : "unparseable error"));
+        return std::nullopt;
+      }
+      if (frame) return frame;
+      if (link.conn->lastRead() != net::FramedConn::ReadStatus::timeout) {
+        failLink(link, std::string("died awaiting ") + awaiting);
+        return std::nullopt;
+      }
+      if (isAborted()) {
+        link.conn->sendFrame(encodeShutdown());
+        return std::nullopt;
+      }
+      if (Clock::now() > deadline) {
+        failLink(link, std::string("timed out awaiting ") + awaiting);
+        return std::nullopt;
+      }
+    }
+  }
+
+  // gather: read until a HELLO claims an unclaimed rank. False when the
+  // link never became a rank: it was dropped, it timed out, or the run
+  // ended first.
+  bool claimRank(Link& link) {
     const auto hello_deadline =
         Clock::now() + std::chrono::milliseconds(config.hello_timeout_ms);
     while (true) {
       auto frame = link.conn->readFrame();
       if (!frame) {
-        switch (link.conn->lastRead()) {
-          case net::FramedConn::ReadStatus::timeout: {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (aborted || phase == shutdown) return;
-            break;
-          }
-          default:
-            // EOF before HELLO, or a hostile length header poisoned the
-            // stream: this connection was never a worker. Drop it; the
-            // listener and every real link keep going.
-            link.conn->shutdownNow();
-            return;
+        if (link.conn->lastRead() != net::FramedConn::ReadStatus::timeout) {
+          // EOF before HELLO, or a hostile length header poisoned the
+          // stream: this connection was never a worker. Drop it; the
+          // listener and every real link keep going.
+          link.conn->shutdownNow();
+          return false;
         }
-        if (Clock::now() > hello_deadline) return;
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (aborted || phase == shutdown) return false;
+        }
+        if (Clock::now() > hello_deadline) return false;
         continue;
       }
       if (peekVerb(*frame) != Verb::hello) {
@@ -169,179 +229,129 @@ struct DistDriver::Impl {
                                   " out of range (fleet of " +
                                   std::to_string(config.workers) + ")");
       }
+      bool claimed = false;
       {
         std::lock_guard<std::mutex> lock(mutex);
-        if (claimed[hello->rank]) {
-          // Unlocked dropLink below; the claim check itself stays atomic.
-        } else {
-          claimed[hello->rank] = true;
-          reports[hello->rank].connected = true;
+        WorkerReport& report = ranks[hello->rank].report;
+        if (!report.connected) {
+          report.connected = claimed = true;
           link.rank = hello->rank;
-          link.has_rank = true;
         }
       }
-      if (!link.has_rank) {
+      if (!claimed) {
         return dropLink(link,
                         "duplicate HELLO for rank " + std::to_string(hello->rank));
       }
       cv.notify_all();
-      break;
+      return true;
     }
+  }
+
+  void serveLink(Link& link) {
+    if (!claimRank(link)) return;
 
     // ------------------------------------------------------------- spec
+    if (!awaitPhase(link, pushSpec) ||
+        !push(link, ranks[link.rank].spec_frame, "SPEC")) {
+      return;
+    }
+    auto frame = nextFrame(
+        link,
+        Clock::now() + std::chrono::milliseconds(config.ack_timeout_ms),
+        "SPEC_ACK");
+    if (!frame) return;
+    if (peekVerb(*frame) != Verb::specAck) {
+      return failLink(link, "broke protocol (expected SPEC_ACK)");
+    }
+    auto ack = parseSpecAck(*frame);
+    if (!ack || ack->rank != link.rank) {
+      return failLink(link, "sent malformed SPEC_ACK");
+    }
+    // The worker hashed the blob bytes it received; both sides serialize
+    // identically, so any divergence means the fleet would not be running
+    // one workload. Abort rather than merge apples and oranges.
+    if (ack->spec_hash != spec_hash) {
+      return failLink(link, "acknowledged a different spec hash");
+    }
     {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [this]() { return phase != gather || aborted; });
-      if (aborted || phase == shutdown) {
-        lock.unlock();
-        link.conn->sendFrame(encodeShutdown());
-        return;
-      }
+      std::lock_guard<std::mutex> lock(mutex);
+      ranks[link.rank].report.acked = true;
     }
-    if (!link.conn->sendFrame(spec_frames[link.rank])) {
-      return failLink(link, "rank " + std::to_string(link.rank) +
-                                " died during SPEC push");
-    }
-    const auto ack_deadline =
-        Clock::now() + std::chrono::milliseconds(config.ack_timeout_ms);
-    while (true) {
-      auto frame = link.conn->readFrame();
-      if (!frame) {
-        if (link.conn->lastRead() == net::FramedConn::ReadStatus::timeout) {
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (aborted) {
-              link.conn->sendFrame(encodeShutdown());
-              return;
-            }
-          }
-          if (Clock::now() > ack_deadline) {
-            return failLink(link, "rank " + std::to_string(link.rank) +
-                                      " never acknowledged SPEC");
-          }
-          continue;
-        }
-        return failLink(link, "rank " + std::to_string(link.rank) +
-                                  " died awaiting SPEC_ACK");
-      }
-      if (auto verb = peekVerb(*frame); verb == Verb::error) {
-        auto message = parseErrorMsg(*frame);
-        return failLink(link, "rank " + std::to_string(link.rank) +
-                                  " reported: " +
-                                  (message ? *message : "unparseable error"));
-      } else if (verb != Verb::specAck) {
-        return failLink(link, "rank " + std::to_string(link.rank) +
-                                  " broke protocol (expected SPEC_ACK)");
-      }
-      auto ack = parseSpecAck(*frame);
-      if (!ack || ack->rank != link.rank) {
-        return failLink(link, "rank " + std::to_string(link.rank) +
-                                  " sent malformed SPEC_ACK");
-      }
-      // The worker hashed the blob bytes it received; both sides serialize
-      // identically, so any divergence means the fleet would not be running
-      // one workload. Abort rather than merge apples and oranges.
-      if (ack->spec_hash != spec_hash_) {
-        return failLink(link, "rank " + std::to_string(link.rank) +
-                                  " acknowledged a different spec hash");
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        reports[link.rank].acked = true;
-        ++acks;
-      }
-      cv.notify_all();
-      break;
-    }
+    cv.notify_all();
 
-    // ------------------------------------------------------------ start
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [this]() { return phase >= started || aborted; });
-      if (aborted || phase == shutdown) {
-        lock.unlock();
-        link.conn->sendFrame(encodeShutdown());
-        return;
-      }
+    // ---------------------------------------------------- start, collect
+    if (!awaitPhase(link, started) || !push(link, encodeStart(), "START")) {
+      return;
     }
-    if (!link.conn->sendFrame(encodeStart())) {
-      return failLink(link, "rank " + std::to_string(link.rank) +
-                                " died during START push");
-    }
-
-    // ---------------------------------------------------------- collect
     const auto rollup_deadline =
         Clock::now() + std::chrono::milliseconds(config.rollup_timeout_ms);
-    while (true) {
-      auto frame = link.conn->readFrame();
-      if (!frame) {
-        if (link.conn->lastRead() == net::FramedConn::ReadStatus::timeout) {
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (aborted) {
-              link.conn->sendFrame(encodeShutdown());
-              return;
-            }
-          }
-          if (Clock::now() > rollup_deadline) {
-            return failLink(link, "rank " + std::to_string(link.rank) +
-                                      " ROLLUP timed out");
-          }
-          continue;
-        }
-        return failLink(link, "rank " + std::to_string(link.rank) +
-                                  " died after START (no ROLLUP)");
-      }
+    std::optional<Rollup> rollup;
+    while (!rollup) {
+      frame = nextFrame(link, rollup_deadline, "ROLLUP");
+      if (!frame) return;
       const auto verb = peekVerb(*frame);
       if (verb == Verb::progress) {
         auto progress = parseProgress(*frame);
         if (!progress || progress->rank != link.rank) {
-          return failLink(link, "rank " + std::to_string(link.rank) +
-                                    " sent malformed PROGRESS");
+          return failLink(link, "sent malformed PROGRESS");
         }
         {
           std::lock_guard<std::mutex> lock(mutex);
-          ++reports[link.rank].progress_frames;
+          ++ranks[link.rank].report.progress_frames;
         }
         if (config.on_progress) config.on_progress(*progress);
         continue;
       }
-      if (verb == Verb::error) {
-        auto message = parseErrorMsg(*frame);
-        return failLink(link, "rank " + std::to_string(link.rank) +
-                                  " reported: " +
-                                  (message ? *message : "unparseable error"));
-      }
       if (verb != Verb::rollup) {
-        return failLink(link, "rank " + std::to_string(link.rank) +
-                                  " broke protocol (expected ROLLUP)");
+        return failLink(link, "broke protocol (expected ROLLUP)");
       }
-      auto rollup = parseRollup(*frame);
+      rollup = parseRollup(*frame);
       if (!rollup || rollup->rank != link.rank ||
-          rollup->spec_hash != spec_hash_) {
-        return failLink(link, "rank " + std::to_string(link.rank) +
-                                  " sent malformed ROLLUP");
+          rollup->spec_hash != spec_hash) {
+        return failLink(link, "sent malformed ROLLUP");
       }
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        reports[link.rank].rolled_up = true;
-        reports[link.rank].calls = rollup->outcomes.size();
-        reports[link.rank].wall_seconds = rollup->wall_seconds;
-        rollups[link.rank] = std::move(*rollup);
-        have_rollup[link.rank] = true;
-        ++rollups_in;
-      }
-      cv.notify_all();
-      break;
     }
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      Rank& row = ranks[link.rank];
+      row.report.rolled_up = true;
+      row.report.calls = rollup->outcomes.size();
+      row.report.wall_seconds = rollup->wall_seconds;
+      row.rollup = std::move(rollup);
+    }
+    cv.notify_all();
 
     // --------------------------------------------------------- shutdown
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [this]() { return phase == shutdown; });
-    }
-    link.conn->sendFrame(encodeShutdown());
+    awaitPhase(link, shutdown);  // false by then: it sends SHUTDOWN
     link.conn->shutdownNow();
+  }
+
+  // One phase-advance step of run(): wait, bounded by `timeout_ms`, until
+  // every rank is `through` the current phase, then move the link threads
+  // on to `next`. A rank still missing at the deadline is attributed and
+  // aborts the run. False once the run has aborted.
+  bool advance(Phase next, const char* verb, std::int64_t timeout_ms,
+               bool (*through)(const Rank&)) {
+    std::unique_lock<std::mutex> lock(mutex);
+    const auto all_through = [&]() {
+      return std::all_of(ranks.begin(), ranks.end(), through);
+    };
+    cv.wait_until(lock, Clock::now() + std::chrono::milliseconds(timeout_ms),
+                  [&]() { return aborted || all_through(); });
+    if (!aborted && !all_through()) {
+      std::vector<std::uint32_t> missing;
+      for (std::size_t rank = 0; rank < ranks.size(); ++rank) {
+        if (through(ranks[rank])) continue;
+        missing.push_back(static_cast<std::uint32_t>(rank));
+        ranks[rank].report.error = std::string("never sent ") + verb;
+      }
+      aborted = true;
+      fatal_error = "worker rank(s) " + joinRanks(missing) + " never sent " +
+                    verb + " within " + std::to_string(timeout_ms) + "ms";
+    }
+    if (!aborted) phase = next;
+    cv.notify_all();
+    return !aborted;
   }
 
   void spawnChildren() {
@@ -394,89 +404,33 @@ struct DistDriver::Impl {
     }
     ran = true;
 
-    claimed.assign(config.workers, false);
-    reports = result.workers;
-    rollups.resize(config.workers);
-    have_rollup.assign(config.workers, false);
-    spec_frames.clear();
+    ranks.resize(config.workers);
     for (std::size_t rank = 0; rank < config.workers; ++rank) {
       SpecAssignment spec;
       spec.workload = workload;
       spec.rank = static_cast<std::uint32_t>(rank);
       spec.worker_count = static_cast<std::uint32_t>(config.workers);
       spec.shards = static_cast<std::uint32_t>(config.shards);
-      spec.setup_grace_us = config.setup_grace_us;
-      spec.teardown_grace_us = config.teardown_grace_us;
-      spec.setup_deadline_us = config.setup_deadline_us;
       spec.progress_ms = config.progress_ms;
-      spec_frames.push_back(encodeSpec(spec));
+      ranks[rank].report = result.workers[rank];
+      ranks[rank].spec_frame = encodeSpec(spec);
     }
-    spec_hash_ = workloadHash(workload);
+    spec_hash = workloadHash(workload);
 
     const auto wall_start = Clock::now();
     listener.start([this](int fd) { acceptLink(fd); });
     if (!config.worker_binary.empty()) spawnChildren();
 
-    // gather → spec
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait_until(lock,
-                    wall_start +
-                        std::chrono::milliseconds(config.hello_timeout_ms),
-                    [this]() { return aborted || allClaimed(); });
-      if (!aborted && !allClaimed()) {
-        std::vector<std::uint32_t> missing;
-        for (std::size_t rank = 0; rank < claimed.size(); ++rank) {
-          if (!claimed[rank]) {
-            missing.push_back(static_cast<std::uint32_t>(rank));
-            reports[rank].error = "never sent HELLO";
-          }
-        }
-        aborted = true;
-        fatal_error = "worker rank(s) " + joinRanks(missing) +
-                      " never sent HELLO within " +
-                      std::to_string(config.hello_timeout_ms) + "ms";
-      }
-      if (!aborted) {
-        phase = pushSpec;
-      }
-      cv.notify_all();
-    }
-
-    // spec → start (link threads enforce the per-rank ack deadline; the
-    // slack here only catches a link thread dying without attribution)
-    if (!isAborted()) {
-      std::unique_lock<std::mutex> lock(mutex);
-      const auto deadline =
-          Clock::now() +
-          std::chrono::milliseconds(config.ack_timeout_ms + 10'000);
-      cv.wait_until(lock, deadline, [this]() {
-        return aborted || acks == config.workers;
-      });
-      if (!aborted && acks != config.workers) {
-        aborted = true;
-        fatal_error = "SPEC_ACK phase stalled";
-      }
-      if (!aborted) {
-        phase = started;
-      }
-      cv.notify_all();
-    }
-
-    // start → all rollups in
-    if (!isAborted()) {
-      std::unique_lock<std::mutex> lock(mutex);
-      const auto deadline =
-          Clock::now() +
-          std::chrono::milliseconds(config.rollup_timeout_ms + 10'000);
-      cv.wait_until(lock, deadline, [this]() {
-        return aborted || rollups_in == config.workers;
-      });
-      if (!aborted && rollups_in != config.workers) {
-        aborted = true;
-        fatal_error = "ROLLUP phase stalled";
-      }
-      cv.notify_all();
+    // gather → spec → start → all rollups in. Link threads enforce each
+    // rank's own ack and rollup deadlines; the slack on those two steps
+    // only catches a link thread ending without attribution.
+    constexpr std::int64_t kSlackMs = 10'000;
+    if (advance(pushSpec, "HELLO", config.hello_timeout_ms,
+                [](const Rank& r) { return r.report.connected; }) &&
+        advance(started, "SPEC_ACK", config.ack_timeout_ms + kSlackMs,
+                [](const Rank& r) { return r.report.acked; })) {
+      advance(shutdown, "ROLLUP", config.rollup_timeout_ms + kSlackMs,
+              [](const Rank& r) { return r.rollup.has_value(); });
     }
 
     // shutdown: always reached, success or abort — links send SHUTDOWN on
@@ -502,11 +456,13 @@ struct DistDriver::Impl {
     // Rank order, success or not: on failure the partial artifacts plus
     // per-rank attribution are the post-mortem.
     obs::MetricsSnapshot merged;
-    for (std::size_t rank = 0; rank < config.workers; ++rank) {
-      if (!have_rollup[rank]) continue;
-      merged.mergeFrom(rollups[rank].rollup);
-      result.signals_delivered += rollups[rank].signals_delivered;
-      for (const DistOutcome& outcome : rollups[rank].outcomes) {
+    for (std::size_t rank = 0; rank < ranks.size(); ++rank) {
+      const Rank& row = ranks[rank];
+      result.workers[rank] = row.report;
+      if (!row.rollup) continue;
+      merged.mergeFrom(row.rollup->rollup);
+      result.signals_delivered += row.rollup->signals_delivered;
+      for (const DistOutcome& outcome : row.rollup->outcomes) {
         result.outcomes.push_back(outcome);
       }
     }
@@ -524,7 +480,6 @@ struct DistDriver::Impl {
       result.setup_p50_us = h->quantile(0.50);
       result.setup_p99_us = h->quantile(0.99);
     }
-    result.workers = reports;
 
     std::string error;
     {
@@ -552,13 +507,6 @@ struct DistDriver::Impl {
     result.ok = error.empty();
     return result;
   }
-
-  [[nodiscard]] bool isAborted() {
-    std::lock_guard<std::mutex> lock(mutex);
-    return aborted;
-  }
-
-  std::uint64_t spec_hash_ = 0;
 };
 
 DistDriver::DistDriver(DriverConfig config)

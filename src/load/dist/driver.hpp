@@ -18,13 +18,20 @@
 // identical to a single-process run of the same spec (tests/dist_test.cpp
 // proves 1×8 ≡ 2×4 ≡ 4×2, clean and faulty).
 //
+// Each link runs on its own thread. Once its HELLO claims a rank, every
+// read on it goes through one step that also owns the link's failure
+// handling, and all per-rank state lives in one rank table (claim, report,
+// rollup, SPEC frame); the main thread advances the phases by watching
+// that table.
+//
 // Failure is a first-class result, never a hang: every phase has a
 // deadline, every link failure (died, timed out, version mismatch, hash
-// mismatch, protocol violation) aborts the fleet promptly, and the
-// DistResult carries per-rank attribution plus whatever rollups had
-// already landed. Hostile connections — wrong magic, corrupt frames,
-// absurd length headers, verbs before HELLO — are rejected or dropped
-// per-link while the listener keeps serving the real workers.
+// mismatch, protocol violation, ERROR from the worker) aborts the fleet
+// promptly, and the DistResult carries per-rank attribution ("rank N ...")
+// plus whatever rollups had already landed. Hostile connections — wrong
+// magic, corrupt frames, absurd length headers, verbs before HELLO — are
+// rejected or dropped per-link while the listener keeps serving the real
+// workers.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +55,6 @@ struct DriverConfig {
   std::int64_t rollup_timeout_ms = 300'000;
   // Ask workers to stream PROGRESS every this many ms (0 = off).
   std::int64_t progress_ms = 0;
-  // Run shape forwarded to every worker's LoadConfig.
-  std::int64_t setup_grace_us = 3'000'000;
-  std::int64_t teardown_grace_us = 1'000'000;
-  std::int64_t setup_deadline_us = 0;
   // Path to a cmc_load_worker binary to spawn one subprocess per rank.
   // Empty = external workers: the caller connects DistWorkers (threads or
   // processes it owns) to port() itself.

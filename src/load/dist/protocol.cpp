@@ -63,9 +63,6 @@ std::vector<std::uint8_t> encodeSpec(const SpecAssignment& spec) {
   out.u32(spec.rank);
   out.u32(spec.worker_count);
   out.u32(spec.shards);
-  writeI64(out, spec.setup_grace_us);
-  writeI64(out, spec.teardown_grace_us);
-  writeI64(out, spec.setup_deadline_us);
   writeI64(out, spec.progress_ms);
   out.u32(static_cast<std::uint32_t>(blob.size()));
   for (std::uint8_t b : blob.bytes()) out.u8(b);
@@ -80,9 +77,6 @@ std::optional<SpecAssignment> parseSpec(const std::vector<std::uint8_t>& body) {
   spec.rank = in->u32();
   spec.worker_count = in->u32();
   spec.shards = in->u32();
-  spec.setup_grace_us = readI64(*in);
-  spec.teardown_grace_us = readI64(*in);
-  spec.setup_deadline_us = readI64(*in);
   spec.progress_ms = readI64(*in);
   const std::uint32_t blob_len = in->u32();
   if (!in->ok() || in->remaining() < blob_len) return std::nullopt;
@@ -153,7 +147,6 @@ std::vector<std::uint8_t> encodeRollup(const Rollup& rollup) {
   out.u64(rollup.spec_hash);
   writeF64(out, rollup.wall_seconds);
   out.u64(rollup.signals_delivered);
-  out.u64(rollup.probes_failed);
   out.u32(static_cast<std::uint32_t>(rollup.outcomes.size()));
   for (const DistOutcome& o : rollup.outcomes) {
     out.u64(o.id);
@@ -174,7 +167,6 @@ std::optional<Rollup> parseRollup(const std::vector<std::uint8_t>& body) {
   rollup.spec_hash = in->u64();
   rollup.wall_seconds = readF64(*in);
   rollup.signals_delivered = in->u64();
-  rollup.probes_failed = in->u64();
   const std::uint32_t n = in->u32();
   if (!in->ok()) return std::nullopt;
   rollup.outcomes.reserve(n);

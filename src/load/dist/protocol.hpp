@@ -6,11 +6,13 @@
 // verb-specific payload (util/bytes.hpp encoding):
 //
 //   HELLO     worker → driver   magic, protocol version, rank
-//   SPEC      driver → worker   full WorkloadSpec + run shape + spec hash
+//   SPEC      driver → worker   rank, fleet size, shards, progress period,
+//                               WorkloadSpec blob + its hash
 //   SPEC_ACK  worker → driver   rank + the hash the worker recomputed
 //   START     driver → worker   begin executing the assigned slice
 //   PROGRESS  worker → driver   rank, tick, merged MetricsSnapshot
-//   ROLLUP    worker → driver   rank, hash, outcomes, rollup snapshot
+//   ROLLUP    worker → driver   rank, hash, wall time, signals, outcomes,
+//                               rollup snapshot
 //   SHUTDOWN  driver → worker   conversation over, exit cleanly
 //   ERROR     either direction  human-readable failure, link is dead
 //
@@ -41,7 +43,8 @@
 namespace cmc::load::dist {
 
 inline constexpr std::uint32_t kMagic = 0x434d4344;  // "CMCD"
-inline constexpr std::uint32_t kVersion = 1;
+// The driver rejects a HELLO of any other version.
+inline constexpr std::uint32_t kVersion = 2;
 
 enum class Verb : std::uint8_t {
   hello = 1,
@@ -60,7 +63,10 @@ struct Hello {
   std::uint32_t rank = 0;
 };
 
-// Everything a worker needs to run its slice. The workload travels as a
+// Everything a worker needs to run its slice, and only what varies from
+// run to run: the call lifecycle graces are fixed constants of the
+// runtime (load/sharded_runtime.hpp), and dist runs set no per-call
+// setup deadline, so none of those travel. The workload travels as a
 // serialized blob whose FNV-1a hash rides along; the worker recomputes the
 // hash over the bytes it received and echoes it in SPEC_ACK, so a
 // corrupted-but-parseable spec can never silently split the fleet across
@@ -70,9 +76,6 @@ struct SpecAssignment {
   std::uint32_t rank = 0;
   std::uint32_t worker_count = 1;
   std::uint32_t shards = 1;  // per worker
-  std::int64_t setup_grace_us = 3'000'000;
-  std::int64_t teardown_grace_us = 1'000'000;
-  std::int64_t setup_deadline_us = 0;
   std::int64_t progress_ms = 0;  // 0 = no PROGRESS stream
   std::uint64_t spec_hash = 0;   // filled by encodeSpec / parseSpec
 };
@@ -103,7 +106,6 @@ struct Rollup {
   std::uint64_t spec_hash = 0;
   double wall_seconds = 0.0;
   std::uint64_t signals_delivered = 0;
-  std::uint64_t probes_failed = 0;
   std::vector<DistOutcome> outcomes;   // this worker's slice, id order
   obs::MetricsSnapshot rollup;         // additive: counters + histograms
 };

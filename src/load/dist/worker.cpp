@@ -1,6 +1,7 @@
 #include "load/dist/worker.hpp"
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,30 @@ std::string describeRead(net::FramedConn::ReadStatus status) {
   }
 }
 
+// The worker's one read step: the driver's next frame if it is `want`.
+// Otherwise the conversation is over — nullopt, with `error` left empty
+// when the driver sent SHUTDOWN early (the fleet aborted before this rank
+// was needed), or saying what went wrong.
+std::optional<std::vector<std::uint8_t>> expect(net::FramedConn& conn,
+                                                Verb want, const char* name,
+                                                std::string& error) {
+  auto frame = conn.readFrame();
+  if (!frame) {
+    error = describeRead(conn.lastRead()) + " (awaiting " + name + ")";
+    return std::nullopt;
+  }
+  const auto verb = peekVerb(*frame);
+  if (verb == want) return frame;
+  if (verb == Verb::error) {
+    auto message = parseErrorMsg(*frame);
+    error = "driver reported: " +
+            (message ? *message : std::string("unparseable error"));
+  } else if (verb != Verb::shutdown) {
+    error = std::string("expected ") + name;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 int DistWorker::run() {
@@ -37,20 +62,14 @@ int DistWorker::run() {
     error_ = std::move(why);
     return 1;
   };
+  auto over = [this]() { return error_.empty() ? 0 : 1; };
 
   if (!conn->sendFrame(encodeHello(Hello{kMagic, kVersion, config_.rank}))) {
     return fail("could not send HELLO");
   }
 
-  auto frame = conn->readFrame();
-  if (!frame) return fail(describeRead(conn->lastRead()) + " (awaiting SPEC)");
-  if (auto verb = peekVerb(*frame); verb == Verb::error) {
-    auto message = parseErrorMsg(*frame);
-    return fail("driver rejected HELLO: " +
-                (message ? *message : std::string("unparseable error")));
-  } else if (verb == Verb::shutdown) {
-    return 0;  // driver aborted the run before this rank was needed
-  }
+  auto frame = expect(*conn, Verb::spec, "SPEC", error_);
+  if (!frame) return over();
   auto spec = parseSpec(*frame);
   if (!spec) return fail("malformed SPEC frame");
   if (spec->rank != config_.rank) {
@@ -70,10 +89,7 @@ int DistWorker::run() {
     return fail("could not send SPEC_ACK");
   }
 
-  frame = conn->readFrame();
-  if (!frame) return fail(describeRead(conn->lastRead()) + " (awaiting START)");
-  if (peekVerb(*frame) == Verb::shutdown) return 0;  // fleet aborted pre-START
-  if (peekVerb(*frame) != Verb::start) return fail("expected START");
+  if (!expect(*conn, Verb::start, "START", error_)) return over();
 
   // The full call set and ITS horizon — then our slice of it. See header.
   const std::vector<CallSpec> all_calls =
@@ -87,9 +103,6 @@ int DistWorker::run() {
 
   LoadConfig load;
   load.shards = spec->shards;
-  load.setup_grace = SimDuration{spec->setup_grace_us};
-  load.teardown_grace = SimDuration{spec->teardown_grace_us};
-  load.setup_deadline_us = spec->setup_deadline_us;
   ShardedRuntime* runtime_ptr = nullptr;  // bound before run() starts ticking
   if (spec->progress_ms > 0) {
     load.sample_ms = spec->progress_ms;
@@ -120,7 +133,6 @@ int DistWorker::run() {
   rollup.spec_hash = local_hash;
   rollup.wall_seconds = runtime->wallSeconds();
   rollup.signals_delivered = runtime->signalsDelivered();
-  rollup.probes_failed = runtime->probeFailures();
   rollup.outcomes.reserve(runtime->outcomes().size());
   for (const CallOutcome& outcome : runtime->outcomes()) {
     rollup.outcomes.push_back(toDistOutcome(outcome));
@@ -130,12 +142,7 @@ int DistWorker::run() {
     return fail("could not send ROLLUP");
   }
 
-  frame = conn->readFrame();
-  if (!frame) {
-    return fail(describeRead(conn->lastRead()) + " (awaiting SHUTDOWN)");
-  }
-  if (peekVerb(*frame) != Verb::shutdown) return fail("expected SHUTDOWN");
-  return 0;
+  return expect(*conn, Verb::shutdown, "SHUTDOWN", error_) ? 0 : 1;
 }
 
 }  // namespace cmc::load::dist

@@ -1,13 +1,17 @@
 // DistWorker: one rank of a distributed load run.
 //
 // A worker dials the driver, introduces itself (HELLO), receives the full
-// WorkloadSpec plus run shape (SPEC), acknowledges with the spec hash it
-// recomputed (SPEC_ACK), and on START regenerates the ENTIRE call set from
-// the spec — WorkloadGenerator is a pure function — computes the
-// workload-wide fault horizon over all calls, and runs only the slice
-// id % worker_count == rank on a local ShardedRuntime. The rollup snapshot,
-// placement-free outcomes, and summary stats go back as one ROLLUP frame;
-// SHUTDOWN ends the conversation.
+// WorkloadSpec plus its rank, fleet size and shard count (SPEC),
+// acknowledges with the spec hash it recomputed (SPEC_ACK), and on START
+// regenerates the ENTIRE call set from the spec — WorkloadGenerator is a
+// pure function — computes the workload-wide fault horizon over all calls,
+// and runs only the slice id % worker_count == rank on a local
+// ShardedRuntime. The rollup snapshot, placement-free outcomes, and summary
+// stats go back as one ROLLUP frame; SHUTDOWN ends the conversation.
+//
+// Every read from the driver is one step that expects a verb (SPEC, START,
+// SHUTDOWN). A SHUTDOWN in place of SPEC or START means the fleet aborted
+// before this rank was needed, and the worker exits cleanly.
 //
 // Regenerating instead of shipping call lists keeps the SPEC frame O(1) in
 // workload size and makes it structurally impossible for the driver to
@@ -38,8 +42,8 @@ class DistWorker {
  public:
   explicit DistWorker(WorkerConfig config) : config_(std::move(config)) {}
 
-  // Run the whole conversation. Returns 0 after a clean SHUTDOWN, 1 on any
-  // failure (error() says what happened). Failures the worker itself
+  // Run the whole conversation. Returns 0 after a SHUTDOWN (early or at the
+  // end), 1 on any failure (error() says what happened). Failures the worker itself
   // detects — spec-hash mismatch, a shard throwing — are also reported to
   // the driver as an ERROR frame before giving up.
   [[nodiscard]] int run();

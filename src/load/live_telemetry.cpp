@@ -26,7 +26,7 @@ double windowQuantile(const obs::MetricsDelta* window, std::string_view name,
 LiveTelemetry::LiveTelemetry(Config config)
     : config_(std::move(config)),
       epoch_(std::chrono::steady_clock::now()),
-      series_(config_.series_capacity),
+      series_(kSeriesCapacity),
       watchdog_(config_.slos) {
   if (config_.ops_port >= 0) {
     server_ = std::make_unique<obs::OpsServer>(
@@ -68,7 +68,7 @@ void LiveTelemetry::attach(std::vector<const obs::MetricsRegistry*> shards) {
     registries_ = std::move(shards);
     shard_series_.clear();
     for (std::size_t i = 0; i < registries_.size(); ++i) {
-      shard_series_.emplace_back(config_.series_capacity);
+      shard_series_.emplace_back(kSeriesCapacity);
     }
   }
   sampler_ = std::thread([this]() { samplerLoop(); });

@@ -66,14 +66,22 @@ struct TelemetryTick {
 class LiveTelemetry {
  public:
   struct Config {
-    // <0: no ops endpoint (sampler only); 0: auto-pick a free port.
+    // <0: no ops endpoint (sampler only). 0: bind 127.0.0.1 on a free port
+    // (see port()). >0: bind that port. The endpoint is up from
+    // construction, so pollers can connect before a run and watch it all.
     int ops_port = -1;
+    // Sampler period (wall-clock ms).
     std::int64_t sample_ms = 250;
-    std::size_t series_capacity = 240;  // 1 min of windows at 250ms
+    // SLO watchdogs evaluated against each merged window.
     std::vector<obs::SloRule> slos;
-    std::string flight_dir;  // "" = no SLO/on-demand flight dumps
+    // Directory for SLO-breach and on-demand flight dumps ("" = none).
+    std::string flight_dir;
+    // Invoked after every sampler tick (sampler thread, no hub lock held).
     std::function<void(const TelemetryTick&)> on_sample;
   };
+
+  // Windows each series keeps: 1 min at the default 250 ms period.
+  static constexpr std::size_t kSeriesCapacity = 240;
 
   explicit LiveTelemetry(Config config);
   ~LiveTelemetry();

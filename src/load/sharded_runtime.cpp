@@ -75,14 +75,7 @@ ShardedRuntime::ShardedRuntime(LoadConfig config) : config_(std::move(config)) {
   if (config_.shards == 0) config_.shards = 1;
   if (!config_.profile_dir.empty()) config_.profile = true;
   if (config_.ops_port >= 0 || !config_.slos.empty() || config_.on_sample) {
-    LiveTelemetry::Config live;
-    live.ops_port = config_.ops_port;
-    live.sample_ms = config_.sample_ms;
-    live.series_capacity = config_.series_capacity;
-    live.slos = config_.slos;
-    live.flight_dir = config_.flight_dir;
-    live.on_sample = config_.on_sample;
-    live_ = std::make_unique<LiveTelemetry>(std::move(live));
+    live_ = std::make_unique<LiveTelemetry>(config_);  // the Config base
     if (!live_->ok()) {
       throw std::runtime_error("ops endpoint failed to bind port " +
                                std::to_string(config_.ops_port));
@@ -235,7 +228,7 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     // >=90% coverage even when shards time-slice few cores.
     CMC_PROF_SCOPE("shard.run");
     std::uint64_t sim_seed = 0x10ad ^ shard.index;
-    Simulator sim(config_.timing, splitmix64(sim_seed));
+    Simulator sim(TimingModel::paperDefaults(), splitmix64(sim_seed));
     trace.setTimeSource([&sim]() { return sim.nowUs(); });
 
     obs::FlightRecorder flight{obs::FlightRecorder::Config{
@@ -304,7 +297,7 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
         });
 
         const SimTime teardown_at =
-            call.spec.arrival + config_.setup_grace + call.spec.hold;
+            call.spec.arrival + kSetupGrace + call.spec.hold;
         sim.loop().scheduleAt(teardown_at, [&sim, &shard, &call, probe]() {
           // Final verdict for this call's probe (it may be resting right now,
           // or past its watchdog deadline), then retire it: once torn down
@@ -320,7 +313,7 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
         });
 
         sim.loop().scheduleAt(
-            teardown_at + config_.teardown_grace, [&sim, &call, probe]() {
+            teardown_at + kTeardownGrace, [&sim, &call, probe]() {
               const auto latency = sim.probes().latencyUs(probe);
               call.outcome.converged = latency.has_value();
               call.outcome.setup_latency_us = latency.value_or(-1);

@@ -19,9 +19,9 @@
 // What makes that hold:
 //   * every call's randomness comes from its own seed (WorkloadGenerator),
 //     never from shard-shared state;
-//   * the default timing model has zero network jitter, so the simulator's
-//     latency stream consumes no Rng (nonzero jitter_stddev voids the
-//     cross-shard-count guarantee — each shard draws from its own stream);
+//   * every shard simulates with TimingModel::paperDefaults(), which has
+//     zero network jitter, so the simulator's latency stream consumes no
+//     Rng;
 //   * per-call fault plans are routed by box name (PerCallFaultRouter) with
 //     a workload-wide activity horizon;
 //   * observability is installed per shard thread via the thread-local
@@ -36,8 +36,8 @@
 //
 // Call lifecycle inside a shard (all in the shard's virtual time):
 //   arrival            spawn boxes, dial, arm "call_setup" probe
-//   + setup_grace+hold final probe check, disarm, caller hangs up
-//   + teardown_grace   leak audit: every box back to 0 slots / 0 goals
+//   + kSetupGrace+hold final probe check, disarm, caller hangs up
+//   + kTeardownGrace   leak audit: every box back to 0 slots / 0 goals
 #pragma once
 
 #include <cstdint>
@@ -50,20 +50,24 @@
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
-#include "sim/timing.hpp"
 #include "util/time.hpp"
 
 namespace cmc::load {
 
-struct LoadConfig {
+// Virtual time granted between arrival and caller hang-up, on top of the
+// call's own hold time; generous enough for any clean path to quiesce.
+inline constexpr SimDuration kSetupGrace{3'000'000};
+// Virtual time between hang-up and the leak audit (covers teardown
+// propagation across the path).
+inline constexpr SimDuration kTeardownGrace{1'000'000};
+
+// The live telemetry plane's knobs (ops_port, sample_ms, slos, on_sample,
+// flight_dir) are inherited from LiveTelemetry::Config. They are all
+// optional and strictly read-only with respect to the run: enabling any of
+// them cannot change outcomes or the final rollup (tested). flight_dir
+// also gives every shard a flight recorder that dumps on probe timeouts.
+struct LoadConfig : LiveTelemetry::Config {
   std::size_t shards = 1;
-  TimingModel timing = TimingModel::paperDefaults();
-  // Virtual time granted between arrival and caller hang-up, on top of the
-  // call's own hold time; generous enough for any clean path to quiesce.
-  SimDuration setup_grace{3'000'000};
-  // Virtual time between hang-up and the leak audit (covers teardown
-  // propagation across the path).
-  SimDuration teardown_grace{1'000'000};
   // Per-call watchdog: fail a call's setup probe if its rest state is not
   // reached within this many µs of arrival (0 = no watchdog).
   std::int64_t setup_deadline_us = 0;
@@ -71,26 +75,6 @@ struct LoadConfig {
   // suites; off for pure throughput runs).
   bool capture_traces = false;
   std::size_t trace_capacity = 1 << 15;
-  // Install a per-shard flight recorder dumping into this directory on
-  // probe timeouts ("" = no flight recorder). Also used by the live
-  // telemetry hub for SLO-breach and on-demand dumps.
-  std::string flight_dir;
-
-  // ------------------------------------------------- live telemetry plane
-  // All optional and strictly read-only with respect to the run: enabling
-  // any of it cannot change outcomes or the final rollup (tested).
-  //
-  // <0: no ops endpoint. 0: bind 127.0.0.1 on a free port (see opsPort()).
-  // >0: bind that port. The endpoint is up from construction, so pollers
-  // can connect before run() and watch the whole soak.
-  int ops_port = -1;
-  // Sampler period (wall-clock ms) and how many windows each series keeps.
-  std::int64_t sample_ms = 250;
-  std::size_t series_capacity = 240;
-  // SLO watchdogs evaluated against each merged window.
-  std::vector<obs::SloRule> slos;
-  // Invoked after every sampler tick (sampler thread, no hub lock held).
-  std::function<void(const TelemetryTick&)> on_sample;
   // Keep serving the drained run's state for this long at the end of run()
   // (gives out-of-process pollers a window to take their last reading).
   std::int64_t ops_linger_ms = 0;

@@ -29,25 +29,6 @@ std::string slugify(std::string_view reason) {
   return slug.empty() ? std::string("unspecified") : slug;
 }
 
-void appendEscapedJson(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 FlightRecorder::FlightRecorder() : FlightRecorder(Config{}) {}
@@ -82,7 +63,7 @@ std::string FlightRecorder::dump(std::string_view reason,
   const std::uint64_t seq = dumps_++;
 
   std::string body = "{\"reason\":\"";
-  appendEscapedJson(body, reason);
+  appendJsonEscaped(body, reason);
   char buf[64];
   std::snprintf(buf, sizeof(buf), "\",\"seq\":%llu",
                 static_cast<unsigned long long>(seq));

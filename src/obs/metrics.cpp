@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 namespace cmc::obs {
 
@@ -163,6 +164,25 @@ void setMetrics(MetricsRegistry* registry) noexcept {
 
 void setThreadMetrics(MetricsRegistry* registry) noexcept {
   t_metrics = registry;
+}
+
+void appendJsonEscaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 }  // namespace cmc::obs

@@ -173,4 +173,9 @@ class MetricsRegistry {
 void setMetrics(MetricsRegistry* registry) noexcept;
 void setThreadMetrics(MetricsRegistry* registry) noexcept;
 
+// Append `s` as the body of a JSON string: quotes, backslashes and control
+// bytes escaped. Every obs exporter writes names through this one escaper;
+// metric names can arrive from another process (a worker's ROLLUP frame).
+void appendJsonEscaped(std::string& out, std::string_view s);
+
 }  // namespace cmc::obs

@@ -95,25 +95,6 @@ void canonicalize(std::vector<ProfileNode>& nodes) {
   nodes = std::move(out);
 }
 
-void appendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void appendU64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
@@ -331,7 +312,7 @@ std::string ProfileReport::json() const {
     const ProfileNode& n = nodes_[i];
     if (i) out += ',';
     out += "{\"site\":\"";
-    appendEscaped(out, n.site);
+    appendJsonEscaped(out, n.site);
     out += "\",\"parent\":";
     appendI64(out, n.parent);
     out += ",\"depth\":";
@@ -429,11 +410,11 @@ std::string ProfileReport::speedscope(const std::string& name) const {
   for (std::size_t i = 0; i < frames.size(); ++i) {
     if (i) out += ',';
     out += "{\"name\":\"";
-    appendEscaped(out, frames[i]);
+    appendJsonEscaped(out, frames[i]);
     out += "\"}";
   }
   out += "]},\"profiles\":[{\"type\":\"sampled\",\"name\":\"";
-  appendEscaped(out, name);
+  appendJsonEscaped(out, name);
   out += "\",\"unit\":\"nanoseconds\",\"startValue\":0,\"endValue\":";
   appendI64(out, end_value);
   out += ",\"samples\":[";
@@ -500,7 +481,7 @@ std::string ProfileReport::attributionJson(std::int64_t wall_ns) const {
     const auto& [site, agg] = ordered[i];
     if (i) out += ',';
     out += "{\"site\":\"";
-    appendEscaped(out, site);
+    appendJsonEscaped(out, site);
     out += "\",\"calls\":";
     appendU64(out, agg.calls);
     out += ",\"total_ns\":";

@@ -113,7 +113,7 @@ std::string MetricsSnapshot::json() const {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += name;
+    appendJsonEscaped(out, name);
     out += "\":";
   };
   for (const auto& [name, v] : counters) {

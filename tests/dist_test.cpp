@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -191,6 +193,24 @@ TEST(SnapshotWire, WrongBucketCountIsRejected) {
   for (std::size_t i = 0; i + 1 < obs::Histogram::kBuckets; ++i) out.u64(0);
   ByteReader reader(out.bytes());
   EXPECT_FALSE(obs::deserializeSnapshot(reader).has_value());
+}
+
+TEST(SnapshotWire, HostileNamesStayValidJson) {
+  // A worker's ROLLUP or PROGRESS frame may carry any name bytes; the JSON
+  // view must escape them rather than splice them into the document.
+  ByteWriter out;
+  out.u64(0);  // wall_ms
+  out.u32(1);  // one counter...
+  out.str("evil\"name\\\x01");
+  out.u64(1);
+  out.u32(0);  // gauges
+  out.u32(0);  // histograms
+  ByteReader reader(out.bytes());
+  auto parsed = obs::deserializeSnapshot(reader);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->json(),
+            "{\"counters\":{\"evil\\\"name\\\\\\u0001\":1},"
+            "\"gauges\":{},\"histograms\":{}}");
 }
 
 // ---------------------------------------------------------- workload + verbs
@@ -511,6 +531,98 @@ TEST(DistFailure, WorkerDyingAfterStartFailsWithAttribution) {
   EXPECT_NE(result.error.find("died"), std::string::npos) << result.error;
   ASSERT_EQ(result.workers.size(), 2u);
   EXPECT_FALSE(result.workers[1].rolled_up);
+}
+
+// Collect-phase abuse: rank 0 is a real worker, rank 1 speaks the protocol
+// by hand through START and then misbehaves instead of sending its ROLLUP.
+dist::DistResult runWithBadCollector(
+    const std::function<void(net::FramedConn&, std::uint64_t spec_hash)>&
+        misbehave) {
+  dist::DriverConfig cfg;
+  cfg.workers = 2;
+  cfg.shards = 1;
+  DriverHarness harness(std::move(cfg));
+  harness.start(smallWorkload(3));
+  std::thread survivor = realWorker(harness, 0, /*expected_rc=*/-1);
+
+  auto rank1 = connectTo(harness);
+  if (rank1 != nullptr) {
+    rank1->sendFrame(
+        dist::encodeHello(dist::Hello{dist::kMagic, dist::kVersion, 1}));
+    auto spec_frame = rank1->readFrame();
+    auto spec = spec_frame ? dist::parseSpec(*spec_frame) : std::nullopt;
+    EXPECT_TRUE(spec.has_value());
+    if (spec) {
+      rank1->sendFrame(dist::encodeSpecAck(dist::SpecAck{1, spec->spec_hash}));
+      auto start_frame = rank1->readFrame();
+      EXPECT_TRUE(start_frame && dist::peekVerb(*start_frame) == dist::Verb::start);
+      misbehave(*rank1, spec->spec_hash);
+    }
+  }
+  dist::DistResult result = harness.finish();
+  survivor.join();
+  return result;
+}
+
+void expectBlamesRank1(const dist::DistResult& result,
+                       const std::string& needle) {
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("rank 1"), std::string::npos) << result.error;
+  EXPECT_NE(result.error.find(needle), std::string::npos) << result.error;
+  ASSERT_EQ(result.workers.size(), 2u);
+  EXPECT_EQ(result.workers[1].error, result.error);
+  EXPECT_FALSE(result.workers[1].rolled_up);
+  EXPECT_TRUE(result.workers[0].error.empty()) << result.workers[0].error;
+}
+
+TEST(DistFailure, ErrorFrameAfterStartIsAttributed) {
+  expectBlamesRank1(runWithBadCollector([](net::FramedConn& conn,
+                                           std::uint64_t) {
+                      conn.sendFrame(dist::encodeErrorMsg("disk on fire"));
+                    }),
+                    "reported: disk on fire");
+}
+
+TEST(DistFailure, UnexpectedVerbAfterStartBreaksProtocol) {
+  expectBlamesRank1(
+      runWithBadCollector([](net::FramedConn& conn, std::uint64_t hash) {
+        conn.sendFrame(dist::encodeSpecAck(dist::SpecAck{1, hash}));
+      }),
+      "broke protocol");
+}
+
+TEST(DistFailure, RollupForAnotherRankIsRejected) {
+  expectBlamesRank1(
+      runWithBadCollector([](net::FramedConn& conn, std::uint64_t hash) {
+        dist::Rollup rollup;
+        rollup.rank = 0;
+        rollup.spec_hash = hash;
+        conn.sendFrame(dist::encodeRollup(rollup));
+      }),
+      "ROLLUP");
+}
+
+TEST(DistFailure, RollupWithWrongSpecHashIsRejected) {
+  expectBlamesRank1(
+      runWithBadCollector([](net::FramedConn& conn, std::uint64_t hash) {
+        dist::Rollup rollup;
+        rollup.rank = 1;
+        rollup.spec_hash = hash ^ 0xBEEF;
+        conn.sendFrame(dist::encodeRollup(rollup));
+      }),
+      "ROLLUP");
+}
+
+TEST(DistFailure, MalformedProgressIsRejected) {
+  expectBlamesRank1(
+      runWithBadCollector([](net::FramedConn& conn, std::uint64_t) {
+        dist::Progress progress;
+        progress.rank = 1;
+        auto body = dist::encodeProgress(progress);
+        body.pop_back();  // truncated snapshot
+        conn.sendFrame(body);
+      }),
+      "PROGRESS");
 }
 
 TEST(DistFailure, CorruptFrameIsSkippedAsLossNotAProtocolError) {

@@ -168,7 +168,7 @@ void checkWorkload(const WorkloadSpec& workload, SuiteStats& stats) {
     const CallSpec& call = outcome.spec;
     const auto& events = runtime.shardTraces()[outcome.shard];
     const std::int64_t teardown_us =
-        (call.arrival + runtime.config().setup_grace + call.hold)
+        (call.arrival + kSetupGrace + call.hold)
             .sinceStart()
             .count();
     CallReplay replay = replayCall(call, events, teardown_us);
