@@ -6,10 +6,7 @@
 // workload (src/load) through 1/2/4/8 shards and reports wall-clock
 // calls/sec plus the convergence-latency distribution — which, by the
 // determinism contract, must not move with shard count (the rollups are
-// byte-identical; only the wall clock changes). When a cmc_load_worker
-// binary is discoverable, one more row runs the same workload as a real
-// multi-process fleet (2 workers × 4 shards over the framed-TCP dist
-// plane) and holds its merged rollup to the same byte-identity bar.
+// byte-identical; only the wall clock changes).
 //
 //   LOAD_THROUGHPUT {"shards":[...],"calls_per_s":[...],...}
 //
@@ -21,7 +18,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "load/dist/driver.hpp"
 #include "load/sharded_runtime.hpp"
 #include "load/workload.hpp"
 
@@ -94,41 +90,6 @@ int main() {
                  "metrics rollup is byte-identical across shard counts "
                  "(determinism contract)");
 
-  // Multi-process row: the same workload through a 2-worker × 4-shard fleet
-  // of spawned cmc_load_worker subprocesses. The merged rollup must land on
-  // the same bytes as every in-process row above.
-  double dist_rate = -1.0;
-  bool dist_identical = false;
-  const std::string worker_binary = dist::findWorkerBinary();
-  if (worker_binary.empty()) {
-    bench::note("  -> no cmc_load_worker binary found; skipping the "
-                "multi-process row (build the examples to enable it)");
-  } else {
-    dist::DriverConfig dcfg;
-    dcfg.workers = 2;
-    dcfg.shards = 4;
-    dcfg.worker_binary = worker_binary;
-    dist::DistDriver driver(std::move(dcfg));
-    const dist::DistResult result = driver.run(workload);
-    if (!result.ok) {
-      bench::verdict(false, "distributed 2x4 run completes: " + result.error);
-      return 1;
-    }
-    dist_rate = result.wall_seconds > 0
-                    ? static_cast<double>(calls) / result.wall_seconds
-                    : 0.0;
-    dist_identical = result.rollup_json == first_rollup;
-    std::printf(
-        "  2 procs x 4 shards  calls/s=%10.0f  converged=%zu/%zu  "
-        "setup p50=%7.1fms p99=%7.1fms  wall=%6.3fs\n",
-        dist_rate, result.converged, calls, result.setup_p50_us / 1000.0,
-        result.setup_p99_us / 1000.0, result.wall_seconds);
-    bench::verdict(dist_identical,
-                   "multi-process merged rollup is byte-identical to the "
-                   "in-process rollups");
-    if (!dist_identical) return 1;
-  }
-
   const double scaling = rates[0] > 0 ? rates[2] / rates[0] : 0.0;
   std::printf("  scaling 1 -> 4 shards: %.2fx\n", scaling);
   if (cores >= 4) {
@@ -159,8 +120,6 @@ int main() {
   }
   json += "],\"scaling_1_to_4\":" + std::to_string(scaling) +
           ",\"rollup_identical\":" + (rollups_identical ? "true" : "false") +
-          ",\"dist_calls_per_s\":" + std::to_string(dist_rate) +
-          ",\"dist_rollup_identical\":" + (dist_identical ? "true" : "false") +
           "}";
   bench::jsonLine("LOAD_THROUGHPUT", json);
 

@@ -2,7 +2,6 @@
 //
 //   load_soak [--calls N] [--shards N] [--rate CALLS_PER_S]
 //             [--duration SIM_SECONDS] [--faults FRACTION] [--seed S]
-//             [--workers N] [--worker-binary PATH]
 //             [--ops-port P] [--sample-ms MS] [--ops-linger MS]
 //             [--slo-setup-p99-us US] [--flight-dir DIR]
 //             [--profile] [--profile-dir DIR]
@@ -32,19 +31,10 @@
 // profile.speedscope.json there, and enables the `profile` ops verb when
 // combined with --ops-port. Profiling is additive-only: the "metrics:"
 // rollup line stays byte-identical with it on or off.
-//
-// --workers N switches to distributed mode (docs/LOAD.md §Distributed): a
-// DistDriver spawns N cmc_load_worker subprocesses (auto-located next to
-// this binary, or forced with --worker-binary), each running --shards
-// shards of its slice. The "metrics:" line is the merged rollup and is
-// byte-identical to the single-process line for the same spec — the
-// dist-smoke CI job pipes both through cmp to hold that equivalence.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
-#include "load/dist/driver.hpp"
 #include "load/sharded_runtime.hpp"
 #include "load/workload.hpp"
 #include "obs/slo.hpp"
@@ -65,8 +55,6 @@ int main(int argc, char** argv) {
   double duration_s = 0.0;
   bool ops_on = false;
   double slo_setup_p99_us = -1.0;  // <0: no SLO; 0: paper-law default
-  std::size_t workers = 0;         // 0: single-process; N: distributed run
-  std::string worker_binary;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -87,10 +75,6 @@ int main(int argc, char** argv) {
       workload.fault_fraction = std::strtod(next(), nullptr);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       workload.master_seed = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      workers = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--worker-binary") == 0) {
-      worker_binary = next();
     } else if (std::strcmp(argv[i], "--ops-port") == 0) {
       config.ops_port = static_cast<int>(std::strtol(next(), nullptr, 10));
       ops_on = true;
@@ -121,54 +105,6 @@ int main(int argc, char** argv) {
               workload.calls, workload.arrivals_per_s, config.shards,
               workload.fault_fraction,
               static_cast<unsigned long long>(workload.master_seed));
-
-  if (workers > 0) {
-    if (worker_binary.empty()) worker_binary = load::dist::findWorkerBinary();
-    if (worker_binary.empty()) {
-      std::fprintf(stderr,
-                   "no cmc_load_worker binary found (build it, or pass "
-                   "--worker-binary PATH)\n");
-      return 2;
-    }
-    load::dist::DriverConfig dcfg;
-    dcfg.workers = workers;
-    dcfg.shards = config.shards;
-    dcfg.worker_binary = worker_binary;
-    load::dist::DistDriver driver(std::move(dcfg));
-    if (!driver.ok()) {
-      std::fprintf(stderr, "failed to bind the driver listener\n");
-      return 2;
-    }
-    std::printf("dist: %zu workers x %zu shards via %s\n", workers,
-                config.shards, worker_binary.c_str());
-    const load::dist::DistResult result = driver.run(workload);
-    for (const auto& report : result.workers) {
-      std::printf("  worker %u: %s, %llu calls, %.2fs%s%s\n", report.rank,
-                  report.rolled_up ? "rolled up" : "incomplete",
-                  static_cast<unsigned long long>(report.calls),
-                  report.wall_seconds, report.error.empty() ? "" : " — ",
-                  report.error.c_str());
-    }
-    if (!result.ok) {
-      std::printf("FAIL: %s\n", result.error.c_str());
-      return 1;
-    }
-    std::printf("setup latency us: p50=%.0f p99=%.0f\n", result.setup_p50_us,
-                result.setup_p99_us);
-    std::printf("calls/sec (wall): %.0f\n",
-                result.wall_seconds > 0.0
-                    ? static_cast<double>(workload.calls) / result.wall_seconds
-                    : 0.0);
-    // Same line, same bytes, as the single-process path below: the
-    // dist-smoke CI job cmp's the two.
-    std::printf("metrics: %s\n", result.rollup_json.c_str());
-    const bool dist_ok = result.converged == workload.calls &&
-                         result.clean_teardowns == workload.calls;
-    std::printf("%s: %zu/%zu converged, %zu/%zu clean teardowns\n",
-                dist_ok ? "PASS" : "FAIL", result.converged, workload.calls,
-                result.clean_teardowns, workload.calls);
-    return dist_ok ? 0 : 1;
-  }
 
   if (slo_setup_p99_us >= 0.0) {
     obs::SloRule rule;

@@ -9,7 +9,7 @@
 // evicted, so an InternedDescriptor handle is valid forever and two handles
 // are equal iff their pointers are equal (hash-consing invariant). Distinct
 // descriptors are bounded by distinct DescriptorIds actually observed, so
-// growth is linear in calls set up, ~100 bytes each (DESIGN.md §4.6).
+// growth is linear in calls set up, ~100 bytes each (DESIGN.md §4.5).
 //
 // InternedDescriptor deliberately mimics std::optional<const Descriptor>:
 // has_value / operator bool / operator* / operator-> / reset, plus an

@@ -205,12 +205,6 @@ std::string LiveTelemetry::lastDumpPath() const {
   return flight_ != nullptr ? flight_->lastPath() : std::string{};
 }
 
-obs::MetricsSnapshot LiveTelemetry::latestMerged() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const obs::MetricsSnapshot* latest = series_.latest();
-  return latest != nullptr ? *latest : obs::MetricsSnapshot{};
-}
-
 std::string LiveTelemetry::shardsText() const {
   std::string out;
   char buf[256];

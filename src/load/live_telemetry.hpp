@@ -114,10 +114,6 @@ class LiveTelemetry {
   [[nodiscard]] std::uint64_t breaches() const;
   [[nodiscard]] std::uint64_t sloDumps() const;
   [[nodiscard]] std::string lastDumpPath() const;
-  // Latest merged fleet snapshot (default-constructed before the first
-  // tick). Copied under the hub lock: safe to call from the on_sample
-  // callback — the dist worker streams PROGRESS frames from it.
-  [[nodiscard]] obs::MetricsSnapshot latestMerged() const;
 
  private:
   void samplerLoop();

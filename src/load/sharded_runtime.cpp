@@ -91,14 +91,6 @@ void ShardedRuntime::run(const WorkloadSpec& workload) {
 
 void ShardedRuntime::run(const std::vector<CallSpec>& calls,
                          const WorkloadSpec& workload) {
-  // Workload-wide fault-activity horizon: the last instant any call's
-  // arrival-relative fault window can still be open. Passed to every
-  // shard's router so refresh-tick lifetimes are shard-count invariant.
-  run(calls, workload, faultHorizon(calls, workload));
-}
-
-void ShardedRuntime::run(const std::vector<CallSpec>& calls,
-                         const WorkloadSpec& workload, SimTime fault_horizon) {
   if (ran_) {
     // The rollup histogram cannot be un-merged; one runtime, one run.
     throw std::logic_error("ShardedRuntime::run may only be called once");
@@ -118,6 +110,10 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
   for (const CallSpec& call : calls) {
     shards[call.id % config_.shards]->calls.push_back(call);
   }
+  // Workload-wide fault-activity horizon: the last instant any call's
+  // arrival-relative fault window can still be open. Passed to every
+  // shard's router so refresh-tick lifetimes are shard-count invariant.
+  const SimTime fault_horizon = faultHorizon(calls, workload);
 
   if (config_.profile) {
     shard_profiles_.reserve(config_.shards);

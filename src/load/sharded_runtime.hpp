@@ -130,13 +130,6 @@ class ShardedRuntime {
   // horizon is computed over `calls` — correct when they ARE the whole
   // workload.
   void run(const std::vector<CallSpec>& calls, const WorkloadSpec& workload);
-  // Run a slice of a larger workload under an explicit fault horizon. A
-  // distributed worker executing only its share of the calls must pass the
-  // horizon of the FULL call set (load::faultHorizon over every generated
-  // call), or refresh-tick lifetimes — and with them the rollup — would
-  // depend on which worker drew the last faulty call.
-  void run(const std::vector<CallSpec>& calls, const WorkloadSpec& workload,
-           SimTime fault_horizon);
 
   // ---------------------------------------------------------------- results
   // Outcomes of every call, sorted by call id (shard-order independent).

@@ -89,9 +89,9 @@ struct CallSpec {
 
 // Workload-wide fault-activity horizon: the last instant any call's
 // arrival-relative fault window can still be open. Every shard's fault
-// router — on every worker process — must be handed the horizon of the
-// FULL call set, not of its own slice, so refresh-tick lifetimes stay
-// invariant under any placement of calls across shards and workers.
+// router must be handed the horizon of the FULL call set, not of its own
+// slice, so refresh-tick lifetimes stay invariant under any placement of
+// calls across shards.
 [[nodiscard]] SimTime faultHorizon(const std::vector<CallSpec>& calls,
                                    const WorkloadSpec& spec);
 

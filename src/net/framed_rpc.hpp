@@ -1,22 +1,18 @@
 // One socket path for every TCP link in the system: connectTcp() dials,
 // Listener binds and accepts, FramedConn carries raw frames.
 //
-// Two protocols ride the raw [length][checksum][body] frames of
-// net/framing.hpp — the read-only ops/telemetry plane (obs/ops_server) and
-// the distributed load coordinator (load/dist). Both need the same
-// machinery: a loopback listener whose accept loop runs on its own thread,
-// a connect to a loopback peer, whole-frame sends (thread-safe, so a
-// sampler thread can interleave with the main conversation), and complete
-// frame bodies popped off the stream with the decoder state carried across
-// reads. The signaling transport (net/tcp_transport) shares the listener
-// and the connect. OpsClient/OpsServer and the driver/worker links are thin
-// protocol layers over this header.
+// The read-only ops/telemetry plane (obs/ops_server) rides the raw
+// [length][checksum][body] frames of net/framing.hpp through this header:
+// a loopback listener whose accept loop runs on its own thread, a connect
+// to a loopback peer, whole-frame sends, and complete frame bodies popped
+// off the stream with the decoder state carried across reads. The
+// signaling transport (net/tcp_transport) shares the listener and the
+// connect. OpsClient/OpsServer are a thin verb/response layer over it.
 //
 // Read semantics mirror the decoder contract: a corrupt frame is skipped
-// like line noise (never surfaced), a hostile length poisons the
-// stream (lastRead() == poisoned; hang up), EOF and receive timeouts are
-// reported distinctly so callers can attribute "peer died" vs "peer is
-// slow" — the distinction the dist driver's failure reports are built on.
+// like line noise (never surfaced), a hostile length poisons the stream
+// (lastRead() == poisoned; hang up), and EOF, a connection error or a
+// receive timeout all read as closed.
 //
 // Shutdown order, everywhere a thread may be blocked on a socket: shut the
 // socket down (wakes the blocked call), join the thread, then close the fd.
@@ -33,7 +29,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -155,8 +150,7 @@ class FramedConn {
   enum class ReadStatus {
     none,      // no read attempted yet
     frame,     // last read produced a complete frame
-    timeout,   // receive timed out with no complete frame
-    closed,    // peer closed (or connection error)
+    closed,    // peer closed, connection error, or receive timeout
     poisoned,  // hostile length header: stream lost sync, hang up
   };
 
@@ -192,9 +186,9 @@ class FramedConn {
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   }
 
-  // Frame `body` and send it. Thread-safe: sends are serialized, so a
-  // background progress stream cannot interleave bytes with the main
-  // conversation. Returns false when the connection is gone.
+  // Frame `body` and send it. Thread-safe: sends are serialized, so two
+  // senders cannot interleave bytes. Returns false when the connection is
+  // gone.
   bool sendFrame(const std::vector<std::uint8_t>& body) {
     return sendBytes(encodeRawFrame(body));
   }
@@ -207,7 +201,7 @@ class FramedConn {
   }
 
   // Next complete frame body, or nullopt — inspect lastRead() to tell a
-  // timeout from EOF from a poisoned stream. Decoder state (including a
+  // closed stream from a poisoned one. Decoder state (including a
   // partially received frame) carries over between calls.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> readFrame() {
     if (fd_ < 0) {
@@ -225,14 +219,8 @@ class FramedConn {
         return std::nullopt;
       }
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n == 0) {
+      if (n <= 0) {
         last_read_ = ReadStatus::closed;
-        return std::nullopt;
-      }
-      if (n < 0) {
-        last_read_ = (errno == EAGAIN || errno == EWOULDBLOCK)
-                         ? ReadStatus::timeout
-                         : ReadStatus::closed;
         return std::nullopt;
       }
       decoder_.feed(chunk, static_cast<std::size_t>(n));

@@ -15,8 +15,8 @@
 // (a framing bug, not line noise) kills the stream.
 //
 // The same header carries opaque bodies for the ops/telemetry plane
-// (obs/ops_server) and the dist coordinator (load/dist) via
-// net/framed_rpc.hpp; RawFrameDecoder below is the only header parser.
+// (obs/ops_server) via net/framed_rpc.hpp; RawFrameDecoder below is the
+// only header parser.
 #pragma once
 
 #include <cstdint>

@@ -128,8 +128,8 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-// Pre-aggregated histogram state: what snapshots carry, merge, diff and
-// ship between processes, and the one home of the quantile estimator.
+// Pre-aggregated histogram state: what snapshots carry, merge and diff,
+// and the one home of the quantile estimator.
 struct HistogramSample {
   std::uint64_t count = 0;
   std::int64_t sum = 0;
@@ -174,8 +174,8 @@ void setMetrics(MetricsRegistry* registry) noexcept;
 void setThreadMetrics(MetricsRegistry* registry) noexcept;
 
 // Append `s` as the body of a JSON string: quotes, backslashes and control
-// bytes escaped. Every obs exporter writes names through this one escaper;
-// metric names can arrive from another process (a worker's ROLLUP frame).
+// bytes escaped. Every obs exporter writes names through this one escaper,
+// so a metric name may hold any bytes.
 void appendJsonEscaped(std::string& out, std::string_view s);
 
 }  // namespace cmc::obs

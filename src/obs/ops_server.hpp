@@ -1,11 +1,11 @@
 // Read-only ops endpoint over the framed-TCP transport (net/framing.hpp).
 //
-// Long-running hosts — a sharded soak, eventually a multi-process load
-// coordinator — need to answer "how is it going" while they run. OpsServer
-// is that answer's transport: a tiny request/response protocol riding the
-// same [length][checksum][body] frames as the signaling plane, modeled on
-// the daemon RPC split of Nix-style remote stores (one long-lived loopback
-// connection, verbs in, payloads out).
+// Long-running hosts such as a sharded soak need to answer "how is it
+// going" while they run. OpsServer is that answer's transport: a tiny
+// request/response protocol riding the same [length][checksum][body]
+// frames as the signaling plane, modeled on the daemon RPC split of
+// Nix-style remote stores (one long-lived loopback connection, verbs in,
+// payloads out).
 //
 // Wire format (inside one raw frame, util/bytes.hpp encoding):
 //   request  = str(verb) str(args)
@@ -81,8 +81,7 @@ class OpsServer {
 
 // Blocking client for cmc_top, tests, and scripts. One connection, one
 // outstanding request at a time. A thin verb/response layer over
-// net::FramedConn — the same framed client codepath the distributed load
-// coordinator's worker links use.
+// net::FramedConn.
 class OpsClient {
  public:
   struct Response {

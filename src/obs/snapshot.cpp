@@ -229,80 +229,6 @@ std::string SnapshotSeries::json(std::size_t last_n) const {
   return out;
 }
 
-void serializeSnapshot(const MetricsSnapshot& snapshot, ByteWriter& out) {
-  out.u64(static_cast<std::uint64_t>(snapshot.wall_ms));
-  out.u32(static_cast<std::uint32_t>(snapshot.counters.size()));
-  for (const auto& [name, v] : snapshot.counters) {
-    out.str(name);
-    out.u64(v);
-  }
-  out.u32(static_cast<std::uint32_t>(snapshot.gauges.size()));
-  for (const auto& [name, g] : snapshot.gauges) {
-    out.str(name);
-    out.u64(static_cast<std::uint64_t>(g.value));
-    out.u64(static_cast<std::uint64_t>(g.max));
-  }
-  out.u32(static_cast<std::uint32_t>(snapshot.histograms.size()));
-  for (const auto& [name, h] : snapshot.histograms) {
-    out.str(name);
-    out.u64(h.count);
-    out.u64(static_cast<std::uint64_t>(h.sum));
-    out.u64(static_cast<std::uint64_t>(h.min));
-    out.u64(static_cast<std::uint64_t>(h.max));
-    out.u32(static_cast<std::uint32_t>(h.buckets.size()));
-    for (std::uint64_t bucket : h.buckets) out.u64(bucket);
-  }
-}
-
-std::optional<MetricsSnapshot> deserializeSnapshot(ByteReader& in) {
-  MetricsSnapshot snap;
-  snap.wall_ms = static_cast<std::int64_t>(in.u64());
-  // Each section must arrive in strictly ascending name order: that both
-  // rejects duplicate names (which would silently drop data into a
-  // std::map) and makes the wire form canonical, so re-serializing a
-  // parsed snapshot reproduces the input bytes.
-  const std::string* prev = nullptr;
-  auto ordered = [&prev](const std::string& name) {
-    const bool ok = prev == nullptr || *prev < name;
-    return ok;
-  };
-  const std::uint32_t n_counters = in.u32();
-  prev = nullptr;
-  for (std::uint32_t i = 0; i < n_counters; ++i) {
-    std::string name = in.str();
-    const std::uint64_t value = in.u64();
-    if (!in.ok() || !ordered(name)) return std::nullopt;
-    prev = &snap.counters.emplace(std::move(name), value).first->first;
-  }
-  const std::uint32_t n_gauges = in.u32();
-  prev = nullptr;
-  for (std::uint32_t i = 0; i < n_gauges; ++i) {
-    std::string name = in.str();
-    GaugeSample g;
-    g.value = static_cast<std::int64_t>(in.u64());
-    g.max = static_cast<std::int64_t>(in.u64());
-    if (!in.ok() || !ordered(name)) return std::nullopt;
-    prev = &snap.gauges.emplace(std::move(name), g).first->first;
-  }
-  const std::uint32_t n_histograms = in.u32();
-  prev = nullptr;
-  for (std::uint32_t i = 0; i < n_histograms; ++i) {
-    std::string name = in.str();
-    HistogramSample h;
-    h.count = in.u64();
-    h.sum = static_cast<std::int64_t>(in.u64());
-    h.min = static_cast<std::int64_t>(in.u64());
-    h.max = static_cast<std::int64_t>(in.u64());
-    if (in.u32() != Histogram::kBuckets) return std::nullopt;
-    for (std::uint64_t& bucket : h.buckets) bucket = in.u64();
-    // The bucket loop zero-fills past a truncation; in.ok() catches it.
-    if (!in.ok() || !ordered(name)) return std::nullopt;
-    prev = &snap.histograms.emplace(std::move(name), std::move(h)).first->first;
-  }
-  if (!in.ok()) return std::nullopt;
-  return snap;
-}
-
 std::string prometheusText(const MetricsSnapshot& snapshot) {
   std::string out;
   char buf[128];

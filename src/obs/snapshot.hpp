@@ -6,9 +6,9 @@
 // Snapshots are cheap enough to take on a period from a sampler thread
 // while the registry's owner keeps hammering it.
 //
-// Snapshots are also the one rollup type: sharded and distributed load
-// runs capture each shard registry and fold the captures together with
-// mergeFrom, and json() serializes every metrics view the repo prints.
+// Snapshots are also the one rollup type: a sharded load run captures each
+// shard registry and folds the captures together with mergeFrom, and
+// json() serializes every metrics view the repo prints.
 //
 // Two snapshots of the same registry bracket a *window*: delta() turns the
 // cumulative counters and histogram buckets into per-window increments,
@@ -29,12 +29,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "obs/metrics.hpp"
-#include "util/bytes.hpp"
 
 namespace cmc::obs {
 
@@ -125,21 +123,6 @@ class SnapshotSeries {
   std::uint64_t pushed_ = 0;
   std::deque<Entry> entries_;
 };
-
-// Wire form of one snapshot, for the distributed load plane's PROGRESS and
-// ROLLUP frames (util/bytes.hpp encoding): wall_ms, then each section as a
-// u32 count of (name, payload) entries in ascending name order.
-//
-// The decoder is strict so that cross-process rollups stay trustworthy: it
-// rejects truncation anywhere (including inside a histogram's bucket
-// array), a bucket count other than Histogram::kBuckets, and names that
-// are out of order or duplicated within a section. Strict ascending order
-// makes the encoding canonical — deserialize ∘ serialize is the identity
-// on bytes, which is what lets CI byte-compare a merged remote rollup
-// against a local run.
-void serializeSnapshot(const MetricsSnapshot& snapshot, ByteWriter& out);
-[[nodiscard]] std::optional<MetricsSnapshot> deserializeSnapshot(
-    ByteReader& in);
 
 // Prometheus text exposition (version 0.0.4) of one cumulative snapshot.
 // Metric names are sanitized ('.' and other non-[a-zA-Z0-9_] become '_')

@@ -10,7 +10,7 @@
 // no heap allocation — a node is recycled the moment its handler starts.
 // Handlers are InlineFn, not std::function: captures up to kHandlerCapacity
 // bytes (every simulator hot-path lambda) live inside the node itself
-// (DESIGN.md §4.6). Delivery is batched: one wakeup drains the whole run of
+// (DESIGN.md §4.5). Delivery is batched: one wakeup drains the whole run of
 // equal-timestamp events, so a burst of same-tunnel signals costs one
 // queue-depth sample and one batch record, not one per signal.
 #pragma once

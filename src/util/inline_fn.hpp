@@ -6,7 +6,7 @@
 // event cost one heap allocation just to exist. InlineFn<N> stores captures
 // up to N bytes directly inside the object; larger captures fall back to
 // the heap (cold paths only — the event-loop capacity is sized so every
-// simulator hot-path lambda fits inline; see DESIGN.md §4.6).
+// simulator hot-path lambda fits inline; see DESIGN.md §4.5).
 //
 // Move-only (captures own Signals and contexts), invocable once or many
 // times, empty-testable. Not a general std::function replacement: no copy,

@@ -2,7 +2,7 @@
 // the rest.
 //
 // The signal hot path copies descriptors on every hop, and a descriptor's
-// codec list is 1-3 entries in practice (docs/DESIGN.md §4.6). With
+// codec list is 1-3 entries in practice (docs/DESIGN.md §4.5). With
 // std::vector each copy is a heap allocation; with SmallVec the list lives
 // inside the object and a copy is a memcpy-sized move of inline bytes. The
 // interface is the std::vector subset the codebase actually uses — this is

@@ -112,7 +112,8 @@ TEST(ShardDeterminism, SameSeedSameResultsAtOneAndEightShards) {
 
   expectSameOutcomes(a, b);
   // The whole additive rollup — counters and histograms, including the
-  // per-box busy counters keyed by call id — must be byte-identical.
+  // aggregate sim.busy_us counter and the probe.call_setup_us histogram —
+  // must be byte-identical.
   EXPECT_EQ(a.metricsJson(), b.metricsJson());
   EXPECT_EQ(a.signalsDelivered(), b.signalsDelivered());
 }

@@ -182,6 +182,16 @@ TEST(SnapshotTest, MergeSumsAndKeepsZeroCountHistograms) {
   }
 }
 
+TEST(SnapshotTest, HostileNamesStayValidJson) {
+  // A metric name may hold any bytes; the JSON view must escape them
+  // rather than splice them into the document.
+  obs::MetricsRegistry reg;
+  reg.counter("evil\"name\\\x01").add(1);
+  EXPECT_EQ(obs::MetricsSnapshot::capture(reg, 0).json(),
+            "{\"counters\":{\"evil\\\"name\\\\\\u0001\":1},"
+            "\"gauges\":{},\"histograms\":{}}");
+}
+
 TEST(SnapshotTest, SeriesIsBoundedAndTracksWindows) {
   obs::SnapshotSeries series(/*capacity=*/3);
   obs::MetricsRegistry reg;
@@ -400,10 +410,9 @@ TEST_F(OpsEndpointTest, HostileLengthKillsConnectionButNotListener) {
 }
 
 TEST_F(OpsEndpointTest, BareFramedConnSpeaksTheOpsProtocol) {
-  // OpsClient is a thin layer over net::FramedConn — the same transport the
-  // distributed load plane's worker links use. A bare FramedConn speaking
-  // hand-built request frames must get the same service, which pins the
-  // shared codepath: one framing implementation, two protocols on top.
+  // OpsClient is a thin layer over net::FramedConn. A bare FramedConn
+  // speaking hand-built request frames must get the same service, which
+  // pins the shared codepath: one framing implementation under the verbs.
   auto conn = net::FramedConn::connect("127.0.0.1", server_->port());
   ASSERT_NE(conn, nullptr);
   ByteWriter request;
