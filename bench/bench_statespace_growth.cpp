@@ -39,8 +39,8 @@ int main() {
     const double sgrowth = static_cast<double>(linked.states()) /
                            static_cast<double>(flat.states());
     const double tgrowth =
-        linked.seconds > 0 && flat.seconds > 0
-            ? linked.seconds / std::max(flat.seconds, 1e-6)
+        linked.stats.seconds > 0 && flat.stats.seconds > 0
+            ? linked.stats.seconds / std::max(flat.stats.seconds, 1e-6)
             : 0.0;
     std::printf("  %-10s/%-11s %12zu %12zu %11.1fx %9.1fx\n",
                 std::string(toString(flat_config.left)).c_str(),
@@ -81,7 +81,7 @@ int main() {
     const auto graph = explorePath(GoalKind::openSlot, GoalKind::openSlot, 1,
                                    plimits);
     if (threads == 1) {
-      baseline_seconds = graph.seconds;
+      baseline_seconds = graph.stats.seconds;
       baseline_states = graph.states();
       baseline_transitions = graph.transitions;
     } else {
@@ -89,12 +89,13 @@ int main() {
                   graph.transitions == baseline_transitions;
     }
     const double speedup =
-        graph.seconds > 0 ? baseline_seconds / graph.seconds : 0.0;
+        graph.stats.seconds > 0 ? baseline_seconds / graph.stats.seconds : 0.0;
     best_speedup = std::max(best_speedup, speedup);
     std::printf("  %-8zu %12zu %12zu %10.0f %9.2f %7.2fx\n", threads,
                 graph.states(), graph.transitions,
-                graph.stats.statesPerSecond(), graph.seconds, speedup);
-    bench::exploreStats(graph.stats, "statespace_growth", "openSlot/openSlot/1");
+                graph.stats.statesPerSecond(), graph.stats.seconds, speedup);
+    bench::jsonLine("EXPLORE_STATS[statespace_growth:openSlot/openSlot/1]",
+                    graph.stats.snapshot().json());
   }
   bench::verdict(counts_ok,
                  "identical state/transition counts at every thread count");

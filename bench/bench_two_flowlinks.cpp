@@ -40,9 +40,9 @@ int main() {
     std::printf("  %-10s %-10s %-34s %10zu %12zu %8.2f %7s %6s\n",
                 std::string(toString(config.left)).c_str(),
                 std::string(toString(config.right)).c_str(),
-                std::string(toString(o.spec)).c_str(), o.states, o.transitions,
-                o.seconds, o.safety_ok ? "pass" : "FAIL",
-                o.spec_ok ? "pass" : "FAIL");
+                std::string(toString(o.spec)).c_str(), o.stats.states,
+                o.stats.transitions, o.stats.seconds,
+                o.safety_ok ? "pass" : "FAIL", o.spec_ok ? "pass" : "FAIL");
     if (!o.failure.empty()) std::printf("      %s\n", o.failure.c_str());
   }
   bench::verdict(all_ok, "all six 2-flowlink models pass safety + spec");

@@ -9,8 +9,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "mc/explore_stats.hpp"
-
 namespace cmc::bench {
 
 inline void banner(const std::string& experiment, const std::string& claim) {
@@ -52,11 +50,6 @@ inline void appendResult(const std::string& tag, const std::string& json) {
 inline void jsonLine(const std::string& tag, const std::string& json) {
   std::printf("  %s %s\n", tag.c_str(), json.c_str());
   appendResult(tag, json);
-}
-
-inline void exploreStats(const ExploreStats& stats, const std::string& bench,
-                         const std::string& config) {
-  jsonLine("EXPLORE_STATS", stats.json(bench, config));
 }
 
 }  // namespace cmc::bench

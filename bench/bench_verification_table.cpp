@@ -12,13 +12,41 @@
 // space by orders of magnitude (see bench_statespace_growth).
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "bench_util.hpp"
 #include "mc/verification.hpp"
 
+namespace {
+
+using namespace cmc;
+
+// One table row, its counterexample if any, and the run's EXPLORE_STATS
+// line tagged with the bench and model label (`suffix` marks the column).
+void printRow(const VerificationCase& config, const VerificationOutcome& o,
+              const char* suffix) {
+  const std::string left(toString(config.left));
+  const std::string right(toString(config.right));
+  std::printf("  %-10s %-10s %-6zu %-34s %10zu %12zu %9.1f %8.2f %7s %6s\n",
+              left.c_str(), right.c_str(), config.flowlinks,
+              std::string(toString(o.spec)).c_str(), o.stats.states,
+              o.stats.transitions,
+              static_cast<double>(o.stats.bytes_retained) / (1024.0 * 1024.0),
+              o.stats.seconds, o.safety_ok ? "pass" : "FAIL",
+              o.spec_ok ? "pass" : "FAIL");
+  if (!o.failure.empty()) {
+    std::printf("      counterexample: %s\n", o.failure.c_str());
+  }
+  const std::string label = left + "/" + right + "/" +
+                            std::to_string(config.flowlinks) + suffix;
+  bench::jsonLine("EXPLORE_STATS[verification_table:" + label + "]",
+                  o.stats.snapshot().json());
+}
+
+}  // namespace
+
 int main() {
-  using namespace cmc;
   bench::banner(
       "E1: verification of the 12 path models (Section VIII-A)",
       "all six path types, with 0 and 1 flowlinks, satisfy safety and "
@@ -41,21 +69,7 @@ int main() {
   for (const auto& config : paperVerificationSuite()) {
     const VerificationOutcome o = verifyPath(config, limits);
     all_ok = all_ok && o.ok();
-    std::printf("  %-10s %-10s %-6zu %-34s %10zu %12zu %9.1f %8.2f %7s %6s\n",
-                std::string(toString(config.left)).c_str(),
-                std::string(toString(config.right)).c_str(), config.flowlinks,
-                std::string(toString(o.spec)).c_str(), o.states, o.transitions,
-                static_cast<double>(o.bytes) / (1024.0 * 1024.0), o.seconds,
-                o.safety_ok ? "pass" : "FAIL", o.spec_ok ? "pass" : "FAIL");
-    if (!o.failure.empty()) {
-      std::printf("      counterexample: %s\n", o.failure.c_str());
-    }
-    char config_label[64];
-    std::snprintf(config_label, sizeof(config_label), "%s/%s/%zu",
-                  std::string(toString(config.left)).c_str(),
-                  std::string(toString(config.right)).c_str(),
-                  config.flowlinks);
-    bench::exploreStats(o.stats, "verification_table", config_label);
+    printRow(config, o, "");
   }
   bench::verdict(all_ok,
                  "all 12 models pass safety + specification (paper: same)");
@@ -80,21 +94,7 @@ int main() {
   for (const auto& config : paperVerificationSuite()) {
     const VerificationOutcome o = verifyPath(config, faulty);
     faulty_ok = faulty_ok && o.ok();
-    std::printf("  %-10s %-10s %-6zu %-34s %10zu %12zu %9.1f %8.2f %7s %6s\n",
-                std::string(toString(config.left)).c_str(),
-                std::string(toString(config.right)).c_str(), config.flowlinks,
-                std::string(toString(o.spec)).c_str(), o.states, o.transitions,
-                static_cast<double>(o.bytes) / (1024.0 * 1024.0), o.seconds,
-                o.safety_ok ? "pass" : "FAIL", o.spec_ok ? "pass" : "FAIL");
-    if (!o.failure.empty()) {
-      std::printf("      counterexample: %s\n", o.failure.c_str());
-    }
-    char config_label[80];
-    std::snprintf(config_label, sizeof(config_label), "%s/%s/%zu/faulty",
-                  std::string(toString(config.left)).c_str(),
-                  std::string(toString(config.right)).c_str(),
-                  config.flowlinks);
-    bench::exploreStats(o.stats, "verification_table", config_label);
+    printRow(config, o, "/faulty");
   }
   bench::verdict(faulty_ok,
                  "all 12 models self-stabilize under a 2-fault budget");

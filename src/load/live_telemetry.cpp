@@ -229,7 +229,7 @@ std::string LiveTelemetry::shardsText() const {
         windowQuantile(window, "probe.call_setup_us", 0.99),
         static_cast<unsigned long long>(latest->counter("fault.dropped") +
                                         latest->counter("fault.duplicated") +
-                                        latest->counter("fault.reordered")),
+                                        latest->counter("fault.delayed")),
         static_cast<unsigned long long>(latest->counter("trace.dropped")));
     out += buf;
   }

@@ -1,13 +1,14 @@
-// Observability surface of the explorer: one struct of counters and phase
-// timings filled in by every explore() run, cheap enough to always collect.
-// Benches print the human-readable fields and emit `json()` lines so the
-// bench trajectory can be scraped by tooling.
+// Observability surface of the explorer: the one record of an explore()
+// run's counters and phase timings, filled in by every run and cheap enough
+// to always collect. snapshot() turns it into an obs::MetricsSnapshot, so
+// the explorer's machine-readable output goes through the same serializer
+// (MetricsSnapshot::json) as every other metrics view in the repo.
 #pragma once
 
 #include <cstddef>
-#include <cstdio>
-#include <string>
-#include <string_view>
+#include <cstdint>
+
+#include "obs/snapshot.hpp"
 
 namespace cmc {
 
@@ -36,24 +37,35 @@ struct ExploreStats {
     return total > 0 ? static_cast<double>(dedup_hits) / total : 0.0;
   }
 
-  // One-line JSON object tagged with the emitting bench and configuration.
-  [[nodiscard]] std::string json(std::string_view bench,
-                                 std::string_view config) const {
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"bench\":\"%.*s\",\"config\":\"%.*s\",\"threads\":%zu,"
-        "\"states\":%zu,\"transitions\":%zu,\"terminals\":%zu,"
-        "\"dedup_hits\":%zu,\"dedup_ratio\":%.4f,\"collisions\":%zu,"
-        "\"bytes_retained\":%zu,\"frontier_depth\":%zu,\"peak_frontier\":%zu,"
-        "\"states_per_sec\":%.0f,\"expand_seconds\":%.4f,"
-        "\"merge_seconds\":%.4f,\"seconds\":%.4f,\"truncated\":%s}",
-        static_cast<int>(bench.size()), bench.data(),
-        static_cast<int>(config.size()), config.data(), threads, states,
-        transitions, terminals, dedup_hits, dedupRatio(), collisions,
-        bytes_retained, frontier_depth, peak_frontier, statesPerSecond(),
-        expand_seconds, merge_seconds, seconds, truncated ? "true" : "false");
-    return std::string(buf);
+  // The record as metrics: every count and timing (in whole microseconds)
+  // under an `mc.*` counter, the thread count and widest level as gauges.
+  [[nodiscard]] obs::MetricsSnapshot snapshot() const {
+    auto us = [](double s) {
+      return static_cast<std::uint64_t>(s * 1e6 + 0.5);
+    };
+    obs::MetricsSnapshot out;
+    out.counters = {
+        {"mc.states", states},
+        {"mc.transitions", transitions},
+        {"mc.terminals", terminals},
+        {"mc.dedup_hits", dedup_hits},
+        {"mc.collisions", collisions},
+        {"mc.bytes_retained", bytes_retained},
+        {"mc.frontier_depth", frontier_depth},
+        {"mc.truncated", truncated ? 1u : 0u},
+        {"mc.expand_us", us(expand_seconds)},
+        {"mc.merge_us", us(merge_seconds)},
+        {"mc.explore_us", us(seconds)},
+    };
+    auto gauge = [](std::size_t v) {
+      const auto value = static_cast<std::int64_t>(v);
+      return obs::GaugeSample{value, value};
+    };
+    out.gauges = {
+        {"mc.threads", gauge(threads)},
+        {"mc.peak_frontier", gauge(peak_frontier)},
+    };
+    return out;
   }
 };
 

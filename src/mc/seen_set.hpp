@@ -7,7 +7,7 @@
 // canonical byte encoding* on every insert — two states may share a
 // fingerprint, and both are kept, each with its own index. The price is
 // that canonical bytes are retained for the lifetime of the exploration
-// (reported as `bytesRetained()`, the dominant memory cost of a run).
+// (reported as `bytesRetained()`, the largest share of a run's memory).
 //
 // Concurrency: the table is lock-striped into shards addressed by
 // fingerprint, so parallel BFS workers inserting unrelated states almost

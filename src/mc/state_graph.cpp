@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "mc/seen_set.hpp"
@@ -50,17 +51,16 @@ StateBits bitsOf(const PathSystem& system, bool terminal) {
 struct Expansion {
   std::uint32_t index = 0;
   StateBits bits{};
-  bool terminal = false;
   std::vector<std::uint32_t> targets;
 };
 
-// A freshly discovered state: its system is parked here until the merge
-// phase places it at its claimed index.
+// A freshly discovered state. Its system stays here, in the batch of the
+// worker that found it, until the next level expands and then resets it.
 struct Discovery {
   std::uint32_t index;
-  PathSystem system;
   std::uint32_t parent;
-  std::string action;
+  PathAction action;
+  std::optional<PathSystem> system;
 };
 
 struct WorkerBatch {
@@ -68,62 +68,79 @@ struct WorkerBatch {
   std::vector<Discovery> discoveries;
 };
 
-// Expand frontier states until the shared cursor runs off the end (or the
-// state budget dies). Claiming distinct frontier slots via the cursor means
-// each state has exactly one expander, so writing states[index] (reset
-// after expansion, to free the PathSystem early) is race-free; the states
-// vector itself is never resized while workers run.
-void expandFrontier(const std::vector<std::uint32_t>& frontier,
-                    std::atomic<std::size_t>& cursor,
-                    std::vector<std::optional<PathSystem>>& states,
-                    SeenSet& seen, std::uint64_t fingerprint_mask,
-                    std::atomic<bool>& out_of_budget, WorkerBatch& out) {
-  for (;;) {
-    const std::size_t slot = cursor.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= frontier.size()) return;
-    if (out_of_budget.load(std::memory_order_relaxed)) return;
-    const std::uint32_t index = frontier[slot];
-    // Profiling sites here record only on threads with an installed table:
-    // the single-thread deterministic path profiles fully; parallel workers
-    // (no thread-local table) record nothing and race on nothing.
-    CMC_PROF_SCOPE("mc.expand_state");
-    const PathSystem& system = *states[index];
-    const std::vector<PathAction> actions = system.enabledActions();
-    Expansion expansion;
-    expansion.index = index;
-    expansion.bits = bitsOf(system, actions.empty());
-    expansion.terminal = actions.empty();
-    if (expansion.terminal) {
-      expansion.targets.push_back(index);  // stutter
-    } else {
-      for (const PathAction& action : actions) {
-        PathSystem successor = system;
-        successor.apply(action);
-        ByteWriter w;
-        {
-          CMC_PROF_SCOPE("mc.canonicalize");
-          successor.canonicalize(w);
-        }
-        std::vector<std::uint8_t> bytes = w.take();
-        std::uint64_t fp;
-        {
-          CMC_PROF_SCOPE("mc.fingerprint");
-          fp = fnv1a(bytes) & fingerprint_mask;
-        }
-        const SeenSet::Outcome got = seen.insert(fp, std::move(bytes));
-        if (got.index == SeenSet::kNoIndex) {
-          out_of_budget.store(true, std::memory_order_relaxed);
-          break;  // keep the edges recorded so far for this state
-        }
-        if (got.inserted) {
-          out.discoveries.push_back(
-              Discovery{got.index, std::move(successor), index, action.toString()});
-        }
-        expansion.targets.push_back(got.index);
+// One BFS level awaiting expansion: the previous level's discoveries, left
+// in the per-worker vectors that found them. No merge step copies or sorts
+// them: each system is built once, by apply(), and freed once, when
+// expanded.
+using Level = std::vector<std::vector<Discovery>>;
+
+// Expand one state: record its bits and successor edges, park each new
+// successor in `out`, and free the state's system.
+void expandState(Discovery& state, SeenSet& seen,
+                 std::uint64_t fingerprint_mask,
+                 std::atomic<bool>& out_of_budget, WorkerBatch& out) {
+  // Profiling sites here record only on threads with an installed table:
+  // the single-thread deterministic path profiles fully; parallel workers
+  // (no thread-local table) record nothing and race on nothing.
+  CMC_PROF_SCOPE("mc.expand_state");
+  const std::uint32_t index = state.index;
+  const PathSystem& system = *state.system;
+  const std::vector<PathAction> actions = system.enabledActions();
+  Expansion expansion;
+  expansion.index = index;
+  expansion.bits = bitsOf(system, actions.empty());
+  if (expansion.bits.terminal) {
+    expansion.targets.push_back(index);  // stutter
+  } else {
+    for (const PathAction& action : actions) {
+      PathSystem successor = system;
+      successor.apply(action);
+      ByteWriter w;
+      {
+        CMC_PROF_SCOPE("mc.canonicalize");
+        successor.canonicalize(w);
       }
+      std::vector<std::uint8_t> bytes = w.take();
+      std::uint64_t fp;
+      {
+        CMC_PROF_SCOPE("mc.fingerprint");
+        fp = fnv1a(bytes) & fingerprint_mask;
+      }
+      const SeenSet::Outcome got = seen.insert(fp, std::move(bytes));
+      if (got.index == SeenSet::kNoIndex) {
+        out_of_budget.store(true, std::memory_order_relaxed);
+        break;  // keep the edges recorded so far for this state
+      }
+      if (got.inserted) {
+        out.discoveries.push_back(
+            Discovery{got.index, index, action, std::move(successor)});
+      }
+      expansion.targets.push_back(got.index);
     }
-    states[index].reset();
-    out.expansions.push_back(std::move(expansion));
+  }
+  state.system.reset();
+  out.expansions.push_back(std::move(expansion));
+}
+
+// Expand level states until every part's cursor runs off its end (or the
+// state budget dies). Worker `first` drains part `first`, which it
+// allocated, before helping with the others, so its frees stay in its own
+// malloc arena instead of all workers contending on one part's arena. Each
+// slot is claimed by exactly one worker, so resetting its system is
+// race-free; the level is never resized while workers run.
+void expandLevel(Level& level, std::vector<std::atomic<std::size_t>>& cursors,
+                 std::size_t first, SeenSet& seen,
+                 std::uint64_t fingerprint_mask,
+                 std::atomic<bool>& out_of_budget, WorkerBatch& out) {
+  for (std::size_t k = 0; k < level.size(); ++k) {
+    const std::size_t p = (first + k) % level.size();
+    for (;;) {
+      const std::size_t slot =
+          cursors[p].fetch_add(1, std::memory_order_relaxed);
+      if (slot >= level[p].size()) break;
+      if (out_of_budget.load(std::memory_order_relaxed)) return;
+      expandState(level[p][slot], seen, fingerprint_mask, out_of_budget, out);
+    }
   }
 }
 
@@ -142,7 +159,7 @@ std::vector<std::string> ExploreResult::traceTo(std::uint32_t state) const {
   std::vector<std::string> trace;
   std::uint32_t current = state;
   while (current != 0) {
-    trace.push_back(parent_action[current]);
+    trace.push_back(parent_action[current].toString());
     current = parent[current];
   }
   std::reverse(trace.begin(), trace.end());
@@ -183,10 +200,6 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
       std::clamp<std::size_t>(limits.max_states, 1, SeenSet::kNoIndex - 1));
 
   SeenSet seen(max_states);
-  // A state's PathSystem is only needed until expansion; the slot is freed
-  // afterwards (bits, edges, and the canonical bytes in `seen` remain).
-  std::vector<std::optional<PathSystem>> states;
-
   {
     ByteWriter w;
     initial.canonicalize(w);
@@ -194,89 +207,81 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
     const std::uint64_t fp = fnv1a(bytes) & limits.fingerprint_mask;
     seen.insert(fp, std::move(bytes));
   }
-  states.emplace_back(initial);
   result.bits.push_back(StateBits{});
   result.edges.emplace_back();
   result.parent.push_back(0);
-  result.parent_action.emplace_back("<init>");
+  result.parent_action.emplace_back();
 
+  ExploreStats& stats = result.stats;
+  stats.threads = thread_count;
   std::atomic<bool> out_of_budget{false};
-  std::vector<std::uint32_t> frontier{0};
+  Level level(1);
+  level[0].push_back(Discovery{0, 0, PathAction{}, initial});
+  std::size_t level_size = 1;
 
-  while (!frontier.empty() && !out_of_budget.load(std::memory_order_relaxed)) {
-    ++result.stats.frontier_depth;
-    result.stats.peak_frontier =
-        std::max(result.stats.peak_frontier, frontier.size());
+  while (level_size > 0 && !out_of_budget.load(std::memory_order_relaxed)) {
+    ++stats.frontier_depth;
+    stats.peak_frontier = std::max(stats.peak_frontier, level_size);
 
     const auto expand_start = Clock::now();
-    std::atomic<std::size_t> cursor{0};
+    std::vector<std::atomic<std::size_t>> cursors(level.size());
     std::vector<WorkerBatch> batches(thread_count);
     {
       CMC_PROF_SCOPE("mc.expand");
       if (thread_count == 1) {
-        // Deterministic fallback: frontier slots in order, indices assigned
-        // in FIFO discovery order — identical to the historical explorer.
-        expandFrontier(frontier, cursor, states, seen, limits.fingerprint_mask,
-                       out_of_budget, batches[0]);
+        // Deterministic fallback: level slots in order, indices assigned in
+        // FIFO discovery order — identical to the historical explorer.
+        expandLevel(level, cursors, 0, seen, limits.fingerprint_mask,
+                    out_of_budget, batches[0]);
       } else {
         std::vector<std::thread> workers;
         workers.reserve(thread_count);
         for (std::size_t t = 0; t < thread_count; ++t) {
           workers.emplace_back([&, t] {
-            expandFrontier(frontier, cursor, states, seen,
-                           limits.fingerprint_mask, out_of_budget, batches[t]);
+            expandLevel(level, cursors, t, seen, limits.fingerprint_mask,
+                        out_of_budget, batches[t]);
           });
         }
         for (std::thread& worker : workers) worker.join();
       }
     }
-    result.stats.expand_seconds += elapsed(expand_start);
+    stats.expand_seconds += elapsed(expand_start);
 
     const auto merge_start = Clock::now();
     CMC_PROF_SCOPE("mc.merge");
     const std::uint32_t total = seen.size();
-    states.resize(total);
     result.bits.resize(total);  // value-init: expanded=false until committed
     result.edges.resize(total);
     result.parent.resize(total, 0);
     result.parent_action.resize(total);
-    std::vector<std::uint32_t> next_frontier;
+    level.clear();
+    level_size = 0;
     for (WorkerBatch& batch : batches) {
-      for (Discovery& d : batch.discoveries) {
-        states[d.index].emplace(std::move(d.system));
+      for (const Discovery& d : batch.discoveries) {
         result.parent[d.index] = d.parent;
-        result.parent_action[d.index] = std::move(d.action);
-        next_frontier.push_back(d.index);
+        result.parent_action[d.index] = d.action;
       }
       for (Expansion& e : batch.expansions) {
         result.bits[e.index] = e.bits;
-        result.transitions += e.targets.size();
-        if (e.terminal) ++result.terminals;
+        stats.transitions += e.targets.size();
+        if (e.bits.terminal) ++stats.terminals;
         result.edges[e.index] = std::move(e.targets);
       }
+      level_size += batch.discoveries.size();
+      level.push_back(std::move(batch.discoveries));
     }
-    // Low-index-first keeps expansion near-FIFO under multiple workers (and
-    // is a no-op for one worker, whose discoveries arrive already sorted).
-    if (thread_count > 1) {
-      std::sort(next_frontier.begin(), next_frontier.end());
-    }
-    frontier = std::move(next_frontier);
-    result.stats.merge_seconds += elapsed(merge_start);
+    stats.merge_seconds += elapsed(merge_start);
   }
 
-  result.truncated = out_of_budget.load(std::memory_order_relaxed);
-  result.bytes_canonical = seen.bytesRetained();
-  result.seconds = elapsed(start_time);
-
-  result.stats.threads = thread_count;
-  result.stats.states = result.bits.size();
-  result.stats.transitions = result.transitions;
-  result.stats.terminals = result.terminals;
-  result.stats.dedup_hits = seen.hits();
-  result.stats.collisions = seen.collisions();
-  result.stats.bytes_retained = seen.bytesRetained();
-  result.stats.truncated = result.truncated;
-  result.stats.seconds = result.seconds;
+  stats.states = result.bits.size();
+  stats.dedup_hits = seen.hits();
+  stats.collisions = seen.collisions();
+  stats.bytes_retained = seen.bytesRetained();
+  stats.truncated = out_of_budget.load(std::memory_order_relaxed);
+  stats.seconds = elapsed(start_time);
+  result.transitions = stats.transitions;
+  result.truncated = stats.truncated;
+  result.bytes_canonical = stats.bytes_retained;
   return result;
 }
 

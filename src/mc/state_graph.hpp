@@ -94,19 +94,22 @@ struct ExploreResult {
   // Adjacency: edges[i] lists successor state indices (terminal self-loops
   // included).
   std::vector<std::vector<std::uint32_t>> edges;
-  // Parent pointers for counterexample reconstruction.
+  // Parent pointers for counterexample reconstruction: the action that
+  // first reached each state from its parent (state 0 keeps a default
+  // action that traceTo never reads).
   std::vector<std::uint32_t> parent;
-  std::vector<std::string> parent_action;
+  std::vector<PathAction> parent_action;
+  ExploreStats stats;            // the run's counters and timings
+  // Copies of stats.transitions, stats.truncated and stats.bytes_retained,
+  // kept only because perfbench/cmc_perfbench.cpp reads them.
   std::size_t transitions = 0;
-  std::size_t terminals = 0;
   bool truncated = false;        // hit max_states
-  std::size_t bytes_canonical = 0;  // canonical-state bytes retained by the seen-set
-  double seconds = 0;
-  ExploreStats stats;            // observability counters for this run
+  std::size_t bytes_canonical = 0;
 
   [[nodiscard]] std::size_t states() const noexcept { return bits.size(); }
 
-  // Path of actions from the initial state to `state`.
+  // Path of actions from the initial state to `state`, each rendered with
+  // PathAction::toString.
   [[nodiscard]] std::vector<std::string> traceTo(std::uint32_t state) const;
 };
 

@@ -73,13 +73,7 @@ VerificationOutcome verifyPath(const VerificationCase& config,
 
   const ExploreResult graph =
       explorePath(config.left, config.right, config.flowlinks, limits);
-  outcome.states = graph.states();
-  outcome.transitions = graph.transitions;
-  outcome.terminals = graph.terminals;
-  outcome.bytes = graph.bytes_canonical;
-  outcome.seconds = graph.seconds;
   outcome.stats = graph.stats;
-  outcome.truncated = graph.truncated;
 
   // Under fault injection quiescent-but-unstable transients are expected
   // while a repair is pending; only terminal states must be stable.

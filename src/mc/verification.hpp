@@ -48,17 +48,11 @@ struct VerificationOutcome {
   PathSpec spec{};
   bool safety_ok = false;
   bool spec_ok = false;
-  bool truncated = false;
-  std::size_t states = 0;
-  std::size_t transitions = 0;
-  std::size_t terminals = 0;
-  std::size_t bytes = 0;     // canonical-state bytes retained (memory proxy)
-  double seconds = 0;
-  ExploreStats stats;        // explorer observability counters
+  ExploreStats stats;        // the exploration's counters and timings
   std::string failure;       // first counterexample summary, if any
 
   [[nodiscard]] bool ok() const noexcept {
-    return safety_ok && spec_ok && !truncated;
+    return safety_ok && spec_ok && !stats.truncated;
   }
 };
 

@@ -1,7 +1,5 @@
 #include "sim/fault.hpp"
 
-#include <sstream>
-
 namespace cmc {
 
 FaultDecision FaultPlan::decide(const std::string& from, const std::string& to,
@@ -43,18 +41,6 @@ FaultDecision FaultPlan::decide(const std::string& from, const std::string& to,
     }
   }
   return decision;
-}
-
-std::string FaultPlan::json() const {
-  std::ostringstream oss;
-  oss << "{\"seed\":" << seed_ << ",\"considered\":" << counters_.considered
-      << ",\"dropped\":" << counters_.dropped
-      << ",\"duplicated\":" << counters_.duplicated
-      << ",\"reordered\":" << counters_.reordered
-      << ",\"burst_delayed\":" << counters_.burst_delayed
-      << ",\"crashes\":" << counters_.crashes
-      << ",\"dead_box_drops\":" << counters_.dead_box_drops << "}";
-  return oss.str();
 }
 
 }  // namespace cmc

@@ -122,10 +122,6 @@ class FaultPlan {
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
   [[nodiscard]] Counters& counters() noexcept { return counters_; }
 
-  // {"seed":...,"considered":...,...} — one JSON object, keys sorted as
-  // declared, for bench/CI artifacts.
-  [[nodiscard]] std::string json() const;
-
  private:
   [[nodiscard]] const FaultSpec& specFor(const std::string& from,
                                          const std::string& to) const {

@@ -313,7 +313,7 @@ TEST(McFaultColumn, VerificationTableHoldsUnderFaultBudget) {
     EXPECT_TRUE(outcome.ok())
         << toString(config.left) << "/" << toString(config.right)
         << " flowlinks=" << config.flowlinks << ": " << outcome.failure;
-    EXPECT_FALSE(outcome.truncated);
+    EXPECT_FALSE(outcome.stats.truncated);
   }
 }
 

@@ -132,8 +132,8 @@ ExploreResult linearGraph(const CallReplay& replay, std::size_t loop_to,
           static_cast<std::uint32_t>(has_loop ? loop_to : i)};
     }
   }
-  graph.transitions = n;
-  graph.terminals = has_loop ? 0 : 1;
+  graph.stats.transitions = n;
+  graph.stats.terminals = has_loop ? 0 : 1;
   return graph;
 }
 

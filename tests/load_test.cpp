@@ -437,6 +437,38 @@ TEST(LiveTelemetry, OpsEndpointServesMergedStateDuringAndAfterRun) {
   EXPECT_NE(health->body.find("final=1"), std::string::npos);
 }
 
+TEST(LiveTelemetry, ShardsVerbFaultCountsMatchTheRollup) {
+  // faults= in the `shards` reply sums each shard's drops, duplicates and
+  // delays; over all shards it must equal the same three rollup counters.
+  // Reorders are counted as fault.delayed, so a faulty run must show some.
+  LoadConfig config;
+  config.shards = 4;
+  config.ops_port = 0;
+  ShardedRuntime runtime(config);
+  runtime.run(smallWorkload(42, /*fault_fraction=*/0.3));
+
+  const obs::MetricsSnapshot& rollup = runtime.metrics();
+  ASSERT_GT(rollup.counter("fault.delayed"), 0u);
+  auto c = obs::OpsClient::connect("127.0.0.1", runtime.opsPort());
+  ASSERT_NE(c, nullptr);
+  auto shards = c->request("shards");
+  ASSERT_TRUE(shards.has_value());
+  std::istringstream lines(shards->body);
+  std::string line;
+  std::size_t shard_lines = 0;
+  std::uint64_t faults = 0;
+  while (std::getline(lines, line)) {
+    const std::size_t at = line.find(" faults=");
+    ASSERT_NE(at, std::string::npos) << line;
+    faults += std::stoull(line.substr(at + 8));
+    ++shard_lines;
+  }
+  EXPECT_EQ(shard_lines, 4u);
+  EXPECT_EQ(faults, rollup.counter("fault.dropped") +
+                        rollup.counter("fault.duplicated") +
+                        rollup.counter("fault.delayed"));
+}
+
 TEST(LiveTelemetry, SloBreachDegradesHealthAndDumpsWithoutStoppingTheRun) {
   namespace fs = std::filesystem;
   const fs::path dir =

@@ -5,6 +5,8 @@
 // ThreadSanitizer preset (cmake --preset tsan) is meant to exercise.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mc/verification.hpp"
 #include "util/bytes.hpp"
 
@@ -14,9 +16,10 @@ namespace {
 using K = GoalKind;
 
 // Deterministic digest of a sequentially-explored graph: folds every
-// state's observable bits, parent index, and parent action label, then the
-// edge totals. Only meaningful at threads==1, where state order is part of
-// the explorer's contract.
+// state's observable bits, parent index, and parent action label ("<init>"
+// for state 0, which has no parent action), then the edge totals. Only
+// meaningful at threads==1, where state order is part of the explorer's
+// contract.
 std::uint64_t graphFingerprint(const ExploreResult& g) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](std::uint64_t v) {
@@ -28,11 +31,11 @@ std::uint64_t graphFingerprint(const ExploreResult& g) {
   for (std::size_t i = 0; i < g.bits.size(); ++i) {
     mix(g.bits[i].observable());
     mix(g.parent[i]);
-    const std::string& a = g.parent_action[i];
+    const std::string a = i == 0 ? "<init>" : g.parent_action[i].toString();
     h = fnv1a(reinterpret_cast<const std::uint8_t*>(a.data()), a.size(), h);
   }
   mix(g.transitions);
-  mix(g.terminals);
+  mix(g.stats.terminals);
   return h;
 }
 
@@ -68,7 +71,8 @@ TEST_P(ParallelEquivalence, CountsAndVerdictsMatchAcrossThreadCounts) {
     EXPECT_FALSE(graph.truncated) << threads << " threads";
     EXPECT_EQ(graph.states(), baseline.states()) << threads << " threads";
     EXPECT_EQ(graph.transitions, baseline.transitions) << threads << " threads";
-    EXPECT_EQ(graph.terminals, baseline.terminals) << threads << " threads";
+    EXPECT_EQ(graph.stats.terminals, baseline.stats.terminals)
+        << threads << " threads";
     EXPECT_EQ(!checkSafety(graph).has_value(), base_safety)
         << threads << " threads";
     EXPECT_EQ(!checkSpec(graph, spec).has_value(), base_spec)
@@ -130,7 +134,7 @@ TEST(ParallelExplore, CollisionSafetyHoldsUnderThreads) {
   EXPECT_GT(masked.stats.collisions, 0u);
   EXPECT_EQ(masked.states(), full.states());
   EXPECT_EQ(masked.transitions, full.transitions);
-  EXPECT_EQ(masked.terminals, full.terminals);
+  EXPECT_EQ(masked.stats.terminals, full.stats.terminals);
 }
 
 TEST(ParallelExplore, TruncationIsExactUnderThreads) {
@@ -184,7 +188,7 @@ TEST(ExplorerPins, ReferenceModelMatchesRecordedFingerprint) {
   ASSERT_FALSE(flat.truncated);
   EXPECT_EQ(flat.states(), 13470u);
   EXPECT_EQ(flat.transitions, 31607u);
-  EXPECT_EQ(flat.terminals, 64u);
+  EXPECT_EQ(flat.stats.terminals, 64u);
   EXPECT_EQ(graphFingerprint(flat), 0x26fcade4cad75678ULL);
 }
 
@@ -201,7 +205,7 @@ TEST(ExplorerPins, LargeReferenceModelMatchesRecordedCounts) {
   ASSERT_FALSE(linked.truncated);
   EXPECT_EQ(linked.states(), 782915u);
   EXPECT_EQ(linked.transitions, 2320246u);
-  EXPECT_EQ(linked.terminals, 128u);
+  EXPECT_EQ(linked.stats.terminals, 128u);
 }
 
 }  // namespace

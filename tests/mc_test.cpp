@@ -4,6 +4,9 @@
 // checks proving the checker can find violations.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "mc/seen_set.hpp"
 #include "mc/verification.hpp"
 
@@ -25,7 +28,7 @@ TEST(Explore, DeterministicAcrossRuns) {
   auto b = explorePath(K::openSlot, K::holdSlot, 0, quick());
   EXPECT_EQ(a.states(), b.states());
   EXPECT_EQ(a.transitions, b.transitions);
-  EXPECT_EQ(a.terminals, b.terminals);
+  EXPECT_EQ(a.stats.terminals, b.stats.terminals);
 }
 
 TEST(Explore, NoChaosOpenOpenIsTiny) {
@@ -34,7 +37,7 @@ TEST(Explore, NoChaosOpenOpenIsTiny) {
   limits.defer_attach = false;
   auto graph = explorePath(K::openSlot, K::openSlot, 0, limits);
   EXPECT_LT(graph.states(), 50u);
-  EXPECT_GE(graph.terminals, 1u);
+  EXPECT_GE(graph.stats.terminals, 1u);
   EXPECT_FALSE(graph.truncated);
 }
 
@@ -139,7 +142,7 @@ TEST(CollisionSafety, MaskedFingerprintsDoNotMergeStates) {
   EXPECT_GT(masked.stats.collisions, 0u);
   EXPECT_EQ(masked.states(), full.states());
   EXPECT_EQ(masked.transitions, full.transitions);
-  EXPECT_EQ(masked.terminals, full.terminals);
+  EXPECT_EQ(masked.stats.terminals, full.stats.terminals);
   EXPECT_EQ(quiescentObservables(masked), quiescentObservables(full));
 }
 
@@ -162,7 +165,6 @@ TEST(ExploreStatsTest, CountersAreCoherent) {
   EXPECT_EQ(stats.threads, 1u);
   EXPECT_EQ(stats.states, graph.states());
   EXPECT_EQ(stats.transitions, graph.transitions);
-  EXPECT_EQ(stats.terminals, graph.terminals);
   EXPECT_EQ(stats.bytes_retained, graph.bytes_canonical);
   EXPECT_GT(stats.frontier_depth, 0u);
   EXPECT_GT(stats.peak_frontier, 0u);
@@ -174,10 +176,49 @@ TEST(ExploreStatsTest, CountersAreCoherent) {
             stats.transitions + 1)  // +1: the initial state is not an edge
       << "edge accounting broke";
   EXPECT_FALSE(stats.truncated);
-  const std::string json = stats.json("test", "openSlot/holdSlot/0");
-  EXPECT_NE(json.find("\"states\":"), std::string::npos);
-  EXPECT_NE(json.find("\"collisions\":"), std::string::npos);
-  EXPECT_NE(json.find("\"truncated\":false"), std::string::npos);
+}
+
+TEST(ExploreStatsTest, SnapshotCarriesEveryCounter) {
+  // A coarse mask forces collisions, so that counter is not 0 by luck.
+  ExploreLimits limits = quick();
+  limits.fingerprint_mask = 0xFF;
+  const ExploreStats stats =
+      explorePath(K::openSlot, K::holdSlot, 0, limits).stats;
+  ASSERT_GT(stats.collisions, 0u);
+  const obs::MetricsSnapshot snap = stats.snapshot();
+  auto us = [](double s) { return static_cast<std::uint64_t>(s * 1e6 + 0.5); };
+  const std::map<std::string, std::uint64_t> counters = {
+      {"mc.states", stats.states},
+      {"mc.transitions", stats.transitions},
+      {"mc.terminals", stats.terminals},
+      {"mc.dedup_hits", stats.dedup_hits},
+      {"mc.collisions", stats.collisions},
+      {"mc.bytes_retained", stats.bytes_retained},
+      {"mc.frontier_depth", stats.frontier_depth},
+      {"mc.truncated", 0},
+      {"mc.expand_us", us(stats.expand_seconds)},
+      {"mc.merge_us", us(stats.merge_seconds)},
+      {"mc.explore_us", us(stats.seconds)},
+  };
+  EXPECT_EQ(snap.counters, counters);
+  ASSERT_EQ(snap.gauges.size(), 2u);
+  EXPECT_EQ(snap.gauges.at("mc.threads").value, 1);
+  EXPECT_EQ(snap.gauges.at("mc.peak_frontier").value,
+            static_cast<std::int64_t>(stats.peak_frontier));
+  EXPECT_EQ(snap.gauges.at("mc.peak_frontier").max,
+            static_cast<std::int64_t>(stats.peak_frontier));
+  EXPECT_TRUE(snap.histograms.empty());
+
+  // One JSON object with exactly the registry's three keys, in the order
+  // MetricsSnapshot::json writes them.
+  const std::string json = snap.json();
+  EXPECT_EQ(json.rfind("{\"counters\":{\"mc.bytes_retained\":", 0), 0u);
+  EXPECT_NE(json.find("},\"gauges\":{\"mc.peak_frontier\":{\"value\":"),
+            std::string::npos);
+  EXPECT_TRUE(json.ends_with("},\"histograms\":{}}")) << json;
+  EXPECT_NE(json.find("\"mc.states\":" + std::to_string(stats.states) + ","),
+            std::string::npos);
+  EXPECT_NE(json.find("\"mc.truncated\":0},\"gauges\":"), std::string::npos);
 }
 
 TEST(Explore, TraceReconstructsFromInit) {
@@ -230,8 +271,8 @@ TEST_P(VerifySuite, ModelSatisfiesSafetyAndSpec) {
   auto outcome = verifyPath(config, quick());
   EXPECT_TRUE(outcome.safety_ok) << outcome.failure;
   EXPECT_TRUE(outcome.spec_ok) << outcome.failure;
-  EXPECT_FALSE(outcome.truncated);
-  EXPECT_GT(outcome.states, 0u);
+  EXPECT_FALSE(outcome.stats.truncated);
+  EXPECT_GT(outcome.stats.states, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperModels, VerifySuite, ::testing::Range(0, 12));

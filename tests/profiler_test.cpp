@@ -292,7 +292,7 @@ TEST_F(ProfilerTest, ExplorerComputesIdenticalGraphProfiled) {
 
   EXPECT_EQ(profiled.states(), plain.states());
   EXPECT_EQ(profiled.transitions, plain.transitions);
-  EXPECT_EQ(profiled.terminals, plain.terminals);
+  EXPECT_EQ(profiled.stats.terminals, plain.stats.terminals);
   std::multiset<std::uint32_t> plain_obs, profiled_obs;
   for (const StateBits& s : plain.bits) plain_obs.insert(s.observable());
   for (const StateBits& s : profiled.bits) profiled_obs.insert(s.observable());
