@@ -51,6 +51,7 @@ class LoadEndpointBox : public Box {
   }
   [[nodiscard]] SlotId callSlot() const noexcept { return slot_; }
   // Quiescence predicates for the call's §V rest state.
+  [[nodiscard]] GoalKind goal() const noexcept { return kind_; }
   [[nodiscard]] bool atGoal() const { return ready() && goalSatisfied(slot_); }
   [[nodiscard]] bool closedAtRest() const { return ready() && isClosed(slot_); }
 
@@ -140,5 +141,30 @@ class LoadRelayBox : public Box {
   SlotId in_slot_{};
   SlotId out_slot_{};
 };
+
+// A call path's §V rest state for its goal pair: any close goal (or a pure
+// hold/hold pair) rests with both endpoint slots closed; otherwise — open
+// against open or hold — it rests with both endpoint goals satisfied
+// (flowing) and, through a relay, the flowlink matched. It reads the path's
+// own boxes and nothing else, so a probe on it watches exactly those.
+inline bool pathAtRest(const LoadEndpointBox& left,
+                       const LoadEndpointBox& right,
+                       const LoadRelayBox* relay) {
+  if (!left.ready() || !right.ready()) return false;
+  if (relay != nullptr && !relay->linked()) return false;
+  const bool has_close =
+      left.goal() == GoalKind::closeSlot || right.goal() == GoalKind::closeSlot;
+  const bool has_open =
+      left.goal() == GoalKind::openSlot || right.goal() == GoalKind::openSlot;
+  if (has_open && !has_close) {
+    bool ok = left.atGoal() && right.atGoal();
+    if (ok && relay != nullptr) {
+      ok = relay->goalSatisfied(relay->inSlot()) &&
+           relay->goalSatisfied(relay->outSlot());
+    }
+    return ok;
+  }
+  return left.closedAtRest() && right.closedAtRest();
+}
 
 }  // namespace cmc::load

@@ -26,34 +26,9 @@ struct CallRuntime {
   LoadEndpointBox* left = nullptr;
   LoadEndpointBox* right = nullptr;
   LoadRelayBox* relay = nullptr;
-  bool torn_down = false;
+  obs::ConvergenceProbes::Id probe;  // the call's setup probe, once armed
   CallOutcome outcome;
 };
-
-// The call's §V rest state for its goal pair: any close goal (or a pure
-// hold/hold pair) rests with both endpoint slots closed; otherwise — open
-// against open or hold — it rests with both endpoint goals satisfied
-// (flowing) and, through a relay, the flowlink matched.
-bool atRest(const CallRuntime& call) {
-  if (call.torn_down || call.left == nullptr || call.right == nullptr) {
-    return false;
-  }
-  if (!call.left->ready() || !call.right->ready()) return false;
-  if (call.relay != nullptr && !call.relay->linked()) return false;
-  const bool has_close = call.spec.left == GoalKind::closeSlot ||
-                         call.spec.right == GoalKind::closeSlot;
-  const bool has_open = call.spec.left == GoalKind::openSlot ||
-                        call.spec.right == GoalKind::openSlot;
-  if (has_open && !has_close) {
-    bool ok = call.left->atGoal() && call.right->atGoal();
-    if (ok && call.relay != nullptr) {
-      ok = call.relay->goalSatisfied(call.relay->inSlot()) &&
-           call.relay->goalSatisfied(call.relay->outSlot());
-    }
-    return ok;
-  }
-  return call.left->closedAtRest() && call.right->closedAtRest();
-}
 
 bool leakFree(const Box* box) {
   return box == nullptr || (box->slotCount() == 0 && box->goalCount() == 0);
@@ -253,7 +228,7 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     {
       CMC_PROF_SCOPE("shard.schedule");
       for (const CallSpec& call : shard.calls) {
-        live.push_back(CallRuntime{call, nullptr, nullptr, nullptr, false, {}});
+        live.push_back(CallRuntime{call, nullptr, nullptr, nullptr, {}, {}});
       }
       for (CallRuntime& call : live) {
         call.outcome.spec = call.spec;
@@ -275,11 +250,16 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
           call.left = &left;
           call.right = &right;
           std::string target = call.spec.rightName();
+          // The probe reads this call's boxes and nothing else, so only
+          // their stimuli re-check it.
+          obs::ConvergenceProbes::Watch watch{left.id().value(),
+                                              right.id().value()};
           if (call.spec.flowlinks > 0) {
             auto& relay = sim.addBox<LoadRelayBox>(call.spec.relayName(),
                                                    call.spec.rightName());
             call.relay = &relay;
             target = call.spec.relayName();
+            watch.push_back(relay.id().value());
           }
           sim.inject(call.spec.leftName(), [target](Box& box) {
             static_cast<LoadEndpointBox&>(box).dial(target);
@@ -288,21 +268,24 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
               config_.setup_deadline_us > 0
                   ? sim.nowUs() + config_.setup_deadline_us
                   : 0;
-          sim.probes().arm(probe, "call_setup", sim.nowUs(),
-                           [&call]() { return atRest(call); }, deadline);
+          call.probe = sim.probes().arm(
+              probe, "call_setup", sim.nowUs(),
+              [&left, &right, relay = call.relay]() {
+                return pathAtRest(left, right, relay);
+              },
+              deadline, std::move(watch));
         });
 
         const SimTime teardown_at =
             call.spec.arrival + kSetupGrace + call.spec.hold;
-        sim.loop().scheduleAt(teardown_at, [&sim, &shard, &call, probe]() {
+        sim.loop().scheduleAt(teardown_at, [&sim, &shard, &call]() {
           // Final verdict for this call's probe (it may be resting right now,
           // or past its watchdog deadline), then retire it: once torn down
           // the predicate can never hold again.
-          sim.probes().check(sim.nowUs());
-          sim.probes().disarm(probe);
+          sim.probes().check(call.probe, sim.nowUs());
+          sim.probes().disarm(call.probe);
           shard.metrics.counter("load.call_teardowns").add(1);
           shard.metrics.gauge("load.armed_probes").add(-1);
-          call.torn_down = true;
           sim.inject(call.spec.leftName(), [](Box& box) {
             static_cast<LoadEndpointBox&>(box).hangUp();
           });
@@ -310,7 +293,9 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
 
         sim.loop().scheduleAt(
             teardown_at + kTeardownGrace, [&sim, &call, probe]() {
-              const auto latency = sim.probes().latencyUs(probe);
+              // Taken, not read: the probe keeps results only for calls
+              // whose outcome is still open.
+              const auto latency = sim.probes().takeLatencyUs(probe);
               call.outcome.converged = latency.has_value();
               call.outcome.setup_latency_us = latency.value_or(-1);
               call.outcome.clean_teardown = leakFree(call.left) &&
@@ -332,7 +317,6 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     }
     if (!idle) throw std::runtime_error("shard event loop failed to drain");
     CMC_PROF_SCOPE("shard.finalize");
-    sim.probes().check(sim.nowUs());
 
     // Per-call fault totals (drops + dups + reorders seen by each call).
     std::uint64_t faults_total = 0;
@@ -366,6 +350,7 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     shard.stats.signals_delivered = sim.signalsDelivered();
     shard.stats.probes_converged = sim.probes().convergedCount();
     shard.stats.probes_failed = sim.probes().failedCount();
+    shard.stats.probe_evaluations = sim.probes().evaluations();
     shard.stats.failed_probes = sim.probes().failed();
     shard.stats.flight_dumps = flight.dumps();
     shard.stats.trace_dropped = trace.dropped();

@@ -35,9 +35,11 @@
 //     legitimately differ with shard count.
 //
 // Call lifecycle inside a shard (all in the shard's virtual time):
-//   arrival            spawn boxes, dial, arm "call_setup" probe
-//   + kSetupGrace+hold final probe check, disarm, caller hangs up
-//   + kTeardownGrace   leak audit: every box back to 0 slots / 0 goals
+//   arrival            spawn boxes, dial, arm "call_setup" probe watching
+//                      the call's own boxes (L, R, and F with a relay)
+//   + kSetupGrace+hold check and disarm that one probe, caller hangs up
+//   + kTeardownGrace   take the probe's latency, leak audit: every box
+//                      back to 0 slots / 0 goals
 #pragma once
 
 #include <cstdint>
@@ -108,6 +110,9 @@ struct ShardStats {
   std::size_t probes_converged = 0;
   std::size_t probes_failed = 0;
   std::vector<std::string> failed_probes;  // call probe names, arrival order
+  // Probe predicate calls (not in the rollup): about one per stimulus of a
+  // call still settling, independent of how many other calls are in flight.
+  std::uint64_t probe_evaluations = 0;
   std::uint64_t flight_dumps = 0;
   std::uint64_t trace_dropped = 0;  // ring overflow (capture_traces runs)
   std::int64_t thread_wall_ns = 0;  // this shard thread's own lifetime

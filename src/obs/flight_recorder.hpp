@@ -6,8 +6,8 @@
 // plus the extracted critical path into one JSON post-mortem file. The
 // triggers:
 //
-//   * a convergence probe blowing its deadline (ConvergenceProbes::check
-//     notifies the installed recorder on every timeout);
+//   * a convergence probe blowing its deadline (ConvergenceProbes'
+//     checkBox / check(Id) notify the installed recorder on every timeout);
 //   * an explicit assertion (flightAssert / dump("reason")) from tests,
 //     benches, or fault-injection harnesses;
 //

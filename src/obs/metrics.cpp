@@ -10,6 +10,7 @@ namespace {
 
 std::atomic<MetricsRegistry*> g_metrics{nullptr};
 thread_local MetricsRegistry* t_metrics = nullptr;
+std::atomic<std::uint64_t> g_registry_serial{0};
 
 void raiseMax(std::atomic<std::int64_t>& slot, std::int64_t value) noexcept {
   std::int64_t seen = slot.load(std::memory_order_relaxed);
@@ -146,6 +147,9 @@ const Counter* MetricsRegistry::findCounter(std::string_view name) const {
   auto it = counters_.find(name);
   return it != counters_.end() ? it->second.get() : nullptr;
 }
+
+MetricsRegistry::MetricsRegistry() noexcept
+    : serial_(g_registry_serial.fetch_add(1, std::memory_order_relaxed) + 1) {}
 
 const Histogram* MetricsRegistry::findHistogram(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);

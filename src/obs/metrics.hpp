@@ -145,6 +145,8 @@ struct HistogramSample {
 
 class MetricsRegistry {
  public:
+  MetricsRegistry() noexcept;
+
   // Lookup-or-create; returned references stay valid for the registry's
   // lifetime, so call sites may cache them.
   [[nodiscard]] Counter& counter(std::string_view name);
@@ -154,11 +156,17 @@ class MetricsRegistry {
   [[nodiscard]] const Counter* findCounter(std::string_view name) const;
   [[nodiscard]] const Histogram* findHistogram(std::string_view name) const;
 
+  // Process-unique, never reused: a cache of handles keyed by registry
+  // pointer checks it, because a new registry may reuse a dead one's
+  // address.
+  [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
+
  private:
   // MetricsSnapshot::capture walks the maps under the lock with relaxed
   // reads; it is the only way to read the registry as a whole.
   friend struct MetricsSnapshot;
 
+  std::uint64_t serial_;
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;

@@ -1,78 +1,175 @@
 #include "obs/probes.hpp"
 
+#include <algorithm>
+
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace cmc::obs {
 
-void ConvergenceProbes::arm(std::string name, std::string bucket,
-                            std::int64_t now_us, Predicate quiescent,
-                            std::int64_t deadline_us) {
-  Armed probe;
+ConvergenceProbes::Id ConvergenceProbes::arm(std::string name,
+                                             std::string bucket,
+                                             std::int64_t now_us,
+                                             Predicate quiescent,
+                                             std::int64_t deadline_us,
+                                             Watch watch) {
+  std::uint32_t slot = 0;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(probes_.size());
+    probes_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Probe& probe = probes_[slot];
   probe.name = std::move(name);
   probe.bucket = std::move(bucket);
   probe.start_us = now_us;
   probe.deadline_us = deadline_us;
   probe.quiescent = std::move(quiescent);
+  probe.seq = next_seq_++;
   if (TraceRecorder* rec = recorder()) {
     rec->record(EventKind::mark, "probe_armed:" + probe.name, /*actor=*/{});
   }
-  armed_.push_back(std::move(probe));
+  for (std::uint64_t box : watch) {
+    const bool listed = std::any_of(probe.watch.begin(), probe.watch.end(),
+                                    [box](const Link& l) { return l.box == box; });
+    if (listed) continue;
+    if (box >= heads_.size()) heads_.resize(box + 1, 0);
+    probe.watch.push_back(Link{box, heads_[box]});
+    heads_[box] = slot + 1;
+  }
+  if (probe.watch.empty()) {
+    probe.unwatched_at = static_cast<std::uint32_t>(unwatched_.size());
+    unwatched_.push_back(slot);
+  }
+  if (deadline_us > 0) {
+    deadlines_.push_back(Deadline{deadline_us, probe.seq, slot});
+    std::push_heap(deadlines_.begin(), deadlines_.end(), Deadline::later);
+  }
+  ++armed_;
+  return Id{slot, probe.seq};
 }
 
-std::size_t ConvergenceProbes::check(std::int64_t now_us) {
-  std::size_t fired = 0;
-  for (std::size_t i = 0; i < armed_.size();) {
-    Armed& probe = armed_[i];
-    if (!probe.quiescent || !probe.quiescent()) {
-      if (probe.deadline_us > 0 && now_us >= probe.deadline_us) {
-        // Watchdog expired: this is a failed convergence. Capture the
-        // post-mortem first — the retained trace window still holds the
-        // stalled causal chain — then surface the failure.
-        const std::string name = probe.name;
-        failed_.push_back(name);
-        if (TraceRecorder* rec = recorder()) {
-          rec->record(EventKind::mark, "probe_failed:" + name, /*actor=*/{},
-                      probe.bucket, /*id=*/0, /*v0=*/now_us - probe.start_us);
-        }
-        armed_.erase(armed_.begin() + static_cast<std::ptrdiff_t>(i));
-        if (FlightRecorder* fr = flightRecorder()) {
-          fr->dump("probe_timeout:" + name);
-        }
-        if (on_failure_) on_failure_(name, now_us);
-        continue;
-      }
-      ++i;
-      continue;
+std::size_t ConvergenceProbes::checkBox(std::uint64_t box, std::int64_t now_us) {
+  for (std::uint32_t slot : unwatched_) queue(slot);
+  if (box < heads_.size()) {
+    for (std::uint32_t at = heads_[box]; at != 0; at = linkOf(at - 1, box).next) {
+      queue(at - 1);
     }
-    const std::int64_t latency = now_us - probe.start_us;
-    // Recorded as it happens, so a live sampler sees per-window setup
-    // latency mid-run. Written unconditionally (sampler or not): per-call
-    // latencies are deterministic, so this keeps the rollup byte-identical
-    // whether or not anyone is watching.
-    if (MetricsRegistry* m = metrics()) {
-      m->histogram("probe." + probe.bucket + "_us").observe(latency);
-    }
-    results_[probe.name] = latency;
-    if (TraceRecorder* rec = recorder()) {
-      rec->record(EventKind::mark, "probe_converged:" + probe.name, /*actor=*/{},
-                  probe.bucket, /*id=*/0, /*v0=*/latency);
-    }
-    ++converged_;
-    ++fired;
-    armed_.erase(armed_.begin() + static_cast<std::ptrdiff_t>(i));
   }
+  return evaluateDue(now_us);
+}
+
+std::size_t ConvergenceProbes::check(Id id, std::int64_t now_us) {
+  if (live(id.slot, id.seq)) queue(id.slot);
+  return evaluateDue(now_us);
+}
+
+std::size_t ConvergenceProbes::evaluateDue(std::int64_t now_us) {
+  while (!deadlines_.empty() && deadlines_.front().at_us <= now_us) {
+    const Deadline d = deadlines_.front();
+    std::pop_heap(deadlines_.begin(), deadlines_.end(), Deadline::later);
+    deadlines_.pop_back();
+    // Entries of probes that already converged or were disarmed are stale.
+    if (live(d.slot, d.seq)) due_.push_back(Due{d.seq, d.slot});
+  }
+  if (due_.empty()) return 0;
+  // Walk a swapped-out list: a failure handler may check again, and that
+  // inner check must not touch the list this loop is reading.
+  std::vector<Due> due;
+  due.swap(due_);
+  // Arm order, each probe once (a probe can be both watched and expired).
+  std::sort(due.begin(), due.end(),
+            [](const Due& a, const Due& b) { return a.seq < b.seq; });
+  std::size_t fired = 0;
+  std::uint64_t last = 0;
+  for (const Due& d : due) {
+    if (d.seq == last || !live(d.slot, d.seq)) continue;
+    last = d.seq;
+    ++evaluations_;
+    const std::int64_t deadline_us = probes_[d.slot].deadline_us;
+    const Predicate& quiescent = probes_[d.slot].quiescent;
+    if (quiescent && quiescent()) {
+      converge(d.slot, now_us);
+      ++fired;
+    } else if (deadline_us > 0 && now_us >= deadline_us) {
+      fail(d.slot, now_us);
+    }
+  }
+  // Hand the buffer back so the next check allocates nothing.
+  due.clear();
+  due_.swap(due);
   return fired;
 }
 
-bool ConvergenceProbes::disarm(const std::string& name) {
-  for (std::size_t i = 0; i < armed_.size(); ++i) {
-    if (armed_[i].name != name) continue;
-    armed_.erase(armed_.begin() + static_cast<std::ptrdiff_t>(i));
-    return true;
+void ConvergenceProbes::converge(std::uint32_t slot, std::int64_t now_us) {
+  Probe& probe = probes_[slot];
+  const std::int64_t latency = now_us - probe.start_us;
+  // Recorded as it happens, so a live sampler sees per-window setup
+  // latency mid-run. Written unconditionally (sampler or not): per-call
+  // latencies are deterministic, so this keeps the rollup byte-identical
+  // whether or not anyone is watching.
+  if (MetricsRegistry* m = metrics()) {
+    m->histogram("probe." + probe.bucket + "_us").observe(latency);
   }
-  return false;
+  if (TraceRecorder* rec = recorder()) {
+    rec->record(EventKind::mark, "probe_converged:" + probe.name, /*actor=*/{},
+                probe.bucket, /*id=*/0, /*v0=*/latency);
+  }
+  results_.insert_or_assign(std::move(probe.name), latency);
+  ++converged_;
+  retire(slot);
+}
+
+void ConvergenceProbes::fail(std::uint32_t slot, std::int64_t now_us) {
+  // Watchdog expired: this is a failed convergence. Capture the
+  // post-mortem first — the retained trace window still holds the
+  // stalled causal chain — then surface the failure.
+  Probe& probe = probes_[slot];
+  const std::string name = std::move(probe.name);
+  failed_.push_back(name);
+  if (TraceRecorder* rec = recorder()) {
+    rec->record(EventKind::mark, "probe_failed:" + name, /*actor=*/{},
+                probe.bucket, /*id=*/0, /*v0=*/now_us - probe.start_us);
+  }
+  retire(slot);
+  if (FlightRecorder* fr = flightRecorder()) {
+    fr->dump("probe_timeout:" + name);
+  }
+  if (on_failure_) on_failure_(name, now_us);
+}
+
+ConvergenceProbes::Link& ConvergenceProbes::linkOf(std::uint32_t slot,
+                                                   std::uint64_t box) noexcept {
+  Link* link = probes_[slot].watch.begin();
+  while (link->box != box) ++link;
+  return *link;
+}
+
+void ConvergenceProbes::retire(std::uint32_t slot) {
+  Probe& probe = probes_[slot];
+  for (const Link& link : probe.watch) {
+    std::uint32_t* at = &heads_[link.box];
+    while (*at != slot + 1) at = &linkOf(*at - 1, link.box).next;
+    *at = link.next;
+  }
+  if (probe.watch.empty()) {
+    const std::uint32_t moved = unwatched_.back();
+    unwatched_[probe.unwatched_at] = moved;
+    probes_[moved].unwatched_at = probe.unwatched_at;
+    unwatched_.pop_back();
+  }
+  probe = Probe{};
+  free_.push_back(slot);
+  --armed_;
+}
+
+bool ConvergenceProbes::disarm(Id id) {
+  if (!live(id.slot, id.seq)) return false;
+  retire(id.slot);
+  return true;
 }
 
 std::optional<std::int64_t> ConvergenceProbes::latencyUs(
@@ -80,6 +177,15 @@ std::optional<std::int64_t> ConvergenceProbes::latencyUs(
   auto it = results_.find(name);
   if (it == results_.end()) return std::nullopt;
   return it->second;
+}
+
+std::optional<std::int64_t> ConvergenceProbes::takeLatencyUs(
+    const std::string& name) {
+  auto it = results_.find(name);
+  if (it == results_.end()) return std::nullopt;
+  const std::int64_t latency = it->second;
+  results_.erase(it);
+  return latency;
 }
 
 }  // namespace cmc::obs

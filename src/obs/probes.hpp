@@ -6,19 +6,33 @@
 // p*n + (p+1)*c. A probe captures exactly that interval empirically: arm it
 // at the moment of the goal change with a predicate describing the target
 // quiescent condition (bothFlowing along the path, media audible, both
-// closed, ...); the hosting Simulator re-evaluates armed probes after every
-// box stimulus completes, and the first time a predicate holds the probe
-// records `now - armed_at` into the registry histogram "probe.<bucket>_us"
-// (when a metrics registry is installed) and disarms.
+// closed, ...), and the first time the predicate holds the probe records
+// `now - armed_at` into the registry histogram "probe.<bucket>_us" (when a
+// metrics registry is installed) and disarms.
 //
-// Predicates run only while at least one probe is armed, so an idle probe
-// set costs one `empty()` check per stimulus. Probes are owned by a single
-// simulation thread; they are not thread-safe by design. All timestamps —
-// arm instants and watchdog deadlines — are in the hosting loop's virtual
-// time, and the deadline path resolves the flight recorder through
-// obs::flightRecorder(), which honors the calling thread's override: in a
-// sharded runtime a deadline miss therefore dumps the shard that armed the
-// probe, never a sibling shard's recorder.
+// When the predicate is evaluated depends on the probe's watch set, the ids
+// of the boxes whose state it reads. The hosting Simulator calls
+// checkBox(box) after each completed stimulus of `box` (and when a channel
+// end materializes on it), which evaluates only the probes watching that
+// box. A probe armed with an empty watch set is unwatched: it may read any
+// box, so every checkBox evaluates it. Each call is its own signaling path,
+// so a call's probe watches that call's boxes and a stimulus costs one
+// predicate, however many calls are in flight. A watch set must name every
+// box the predicate reads, or a flip caused by an unwatched box is recorded
+// late.
+//
+// Watchdog deadlines sit in a min-heap: a probe that misses its deadline
+// fails at the first check of any kind at or after it, whichever box was
+// stimulated. Within one check, probes are evaluated in arm order.
+//
+// Idle cost: the Simulator skips the call when nothing is armed, and a
+// check that finds no due probe allocates nothing. Probes are owned by a
+// single simulation thread; they are not thread-safe by design. All
+// timestamps — arm instants and watchdog deadlines — are in the hosting
+// loop's virtual time, and the deadline path resolves the flight recorder
+// through obs::flightRecorder(), which honors the calling thread's
+// override: in a sharded runtime a deadline miss therefore dumps the shard
+// that armed the probe, never a sibling shard's recorder.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +42,8 @@
 #include <string>
 #include <vector>
 
+#include "util/small_vec.hpp"
+
 namespace cmc::obs {
 
 class ConvergenceProbes {
@@ -35,35 +51,51 @@ class ConvergenceProbes {
   using Predicate = std::function<bool()>;
   using FailureHandler =
       std::function<void(const std::string& name, std::int64_t now_us)>;
+  // Box ids (BoxId::value()) whose stimuli can change a predicate; empty
+  // means "any box". A call path has at most three boxes, kept inline.
+  using Watch = SmallVec<std::uint64_t, 3>;
+
+  // Handle to one armed probe. Stale handles (the probe converged, failed
+  // or was disarmed) are safe: operations on them do nothing.
+  struct Id {
+    std::uint32_t slot = 0;
+    std::uint64_t seq = 0;  // arm order, never reused; 0 = no probe
+  };
 
   // Arm a probe. `bucket` names the registry histogram the latency lands
   // in, "probe.<bucket>_us" (several probes — e.g. runs with different
   // seeds — may share one bucket);
   // `name` identifies this single measurement. A positive `deadline_us`
   // turns the probe into a watchdog: if it has not converged by that
-  // virtual instant, the next check() marks it failed, disarms it, and
+  // virtual instant, the next check marks it failed, disarms it, and
   // triggers the installed flight recorder (obs/flight_recorder.hpp).
-  void arm(std::string name, std::string bucket, std::int64_t now_us,
-           Predicate quiescent, std::int64_t deadline_us = 0);
+  Id arm(std::string name, std::string bucket, std::int64_t now_us,
+         Predicate quiescent, std::int64_t deadline_us = 0, Watch watch = {});
 
-  // Evaluate armed probes; satisfied ones record and disarm, expired ones
-  // fail (post-mortem dump + onFailure). Returns the number of probes that
-  // converged in this call.
-  std::size_t check(std::int64_t now_us);
+  // Both checks evaluate their probes in arm order: satisfied ones record
+  // and disarm, expired ones fail (post-mortem dump + onFailure). Each also
+  // evaluates the probes whose deadline has passed. They return the number
+  // of probes that converged in this call.
+  //
+  // Evaluate the probes watching `box` and the unwatched ones (after a
+  // stimulus of `box`, or a channel end materializing on it).
+  std::size_t checkBox(std::uint64_t box, std::int64_t now_us);
+  // Evaluate the probe `id` alone (a host's final verdict before disarm).
+  std::size_t check(Id id, std::int64_t now_us);
 
-  // Drop the armed probe named `name` without recording a result either
-  // way. Returns true if it was armed. Call-churn hosts disarm a call's
-  // setup probe at teardown: once the call's boxes close, its quiescence
-  // predicate can never hold, and an abandoned probe would be re-evaluated
-  // on every later stimulus for the life of the shard.
-  bool disarm(const std::string& name);
+  // Drop an armed probe without recording a result either way; O(watch).
+  // Returns true if it was armed. Call-churn hosts disarm a call's setup
+  // probe at teardown: once the call's boxes close, its quiescence
+  // predicate can never hold.
+  bool disarm(Id id);
 
   // Called for every probe that blows its deadline, after the flight-
-  // recorder dump; hosts use it to abort or log.
+  // recorder dump; hosts use it to abort or log. The handler may itself
+  // check, arm or disarm probes.
   void setOnFailure(FailureHandler handler) { on_failure_ = std::move(handler); }
 
-  [[nodiscard]] bool empty() const noexcept { return armed_.empty(); }
-  [[nodiscard]] std::size_t armedCount() const noexcept { return armed_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return armed_ == 0; }
+  [[nodiscard]] std::size_t armedCount() const noexcept { return armed_; }
   [[nodiscard]] std::size_t convergedCount() const noexcept { return converged_; }
   [[nodiscard]] std::size_t failedCount() const noexcept {
     return failed_.size();
@@ -71,20 +103,72 @@ class ConvergenceProbes {
   [[nodiscard]] const std::vector<std::string>& failed() const noexcept {
     return failed_;
   }
+  // Predicate calls so far: the work the watch sets save.
+  [[nodiscard]] std::uint64_t evaluations() const noexcept {
+    return evaluations_;
+  }
 
   // Latency of a named measurement, once converged.
   [[nodiscard]] std::optional<std::int64_t> latencyUs(const std::string& name) const;
+  // The same, removing the result: hosts that read each latency once keep
+  // the result table bounded by the measurements not yet read.
+  std::optional<std::int64_t> takeLatencyUs(const std::string& name);
 
  private:
-  struct Armed {
+  // One watched box, threaded into that box's list of watchers.
+  struct Link {
+    std::uint64_t box;
+    std::uint32_t next;  // slot + 1 of the box's next watcher; 0 = end
+  };
+  struct Probe {
     std::string name;
     std::string bucket;
     std::int64_t start_us = 0;
     std::int64_t deadline_us = 0;  // 0 = no watchdog
     Predicate quiescent;
+    SmallVec<Link, 3> watch;         // empty = unwatched
+    std::uint64_t seq = 0;           // 0 = free slot
+    std::uint32_t unwatched_at = 0;  // index in unwatched_ (empty watch)
+  };
+  struct Deadline {
+    std::int64_t at_us;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    // Heap order: the front is the earliest deadline, ties in arm order.
+    static bool later(const Deadline& a, const Deadline& b) noexcept {
+      return a.at_us != b.at_us ? a.at_us > b.at_us : a.seq > b.seq;
+    }
+  };
+  // A queued evaluation; stale once the slot's seq moves on.
+  struct Due {
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
 
-  std::vector<Armed> armed_;
+  [[nodiscard]] bool live(std::uint32_t slot, std::uint64_t seq) const noexcept {
+    return slot < probes_.size() && seq != 0 && probes_[slot].seq == seq;
+  }
+  void queue(std::uint32_t slot) { due_.push_back({probes_[slot].seq, slot}); }
+  [[nodiscard]] Link& linkOf(std::uint32_t slot, std::uint64_t box) noexcept;
+  // Queue the probes past their deadline, then evaluate everything queued.
+  std::size_t evaluateDue(std::int64_t now_us);
+  void converge(std::uint32_t slot, std::int64_t now_us);
+  void fail(std::uint32_t slot, std::int64_t now_us);
+  void retire(std::uint32_t slot);
+
+  std::vector<Probe> probes_;  // slot table; free slots are reused
+  std::vector<std::uint32_t> free_;
+  // Box id -> slot + 1 of its first watcher (0 = none). Box ids are the
+  // Simulator's dense BoxId values, so this is four bytes per box.
+  std::vector<std::uint32_t> heads_;
+  std::vector<std::uint32_t> unwatched_;
+  std::vector<Deadline> deadlines_;  // min-heap on (at_us, seq); lazy
+  // Work list, reused by every check; a re-entrant check (from a failure
+  // handler) finds it empty and queues into a buffer of its own.
+  std::vector<Due> due_;
+  std::size_t armed_ = 0;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t evaluations_ = 0;
   std::map<std::string, std::int64_t> results_;
   std::vector<std::string> failed_;
   FailureHandler on_failure_;

@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -10,24 +9,6 @@
 #include "util/log.hpp"
 
 namespace cmc {
-
-namespace {
-
-// Pre-composed per-kind counter names: charging "sim.signal.open" on every
-// delivery must not rebuild the string.
-const std::string& signalCounterName(SignalKind kind) {
-  static const std::array<std::string, 6> names = [] {
-    std::array<std::string, 6> out;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = std::string("sim.signal.") +
-               std::string(toString(static_cast<SignalKind>(i)));
-    }
-    return out;
-  }();
-  return names[static_cast<std::size_t>(kind)];
-}
-
-}  // namespace
 
 Simulator::Simulator(TimingModel timing, std::uint64_t seed)
     : timing_(timing), rng_(seed) {}
@@ -240,13 +221,13 @@ void Simulator::stimulate(BoxId id, StimulusFn fn, obs::TraceContext cause) {
   const SimTime start = loop_.now() < busy ? busy : loop_.now();
   const SimTime done = start + timing_.processing;
   busy = done;
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("sim.stimuli").add();
-    m->gauge("sim.queue_depth").set(static_cast<std::int64_t>(loop_.pending()));
+  if (HotMetrics* hm = hotMetrics()) {
+    hm->stimuli->add();
+    hm->queue_depth->set(static_cast<std::int64_t>(loop_.pending()));
     const auto busy_us = std::chrono::duration_cast<std::chrono::microseconds>(
                              done - start)
                              .count();
-    m->counter("sim.busy_us").add(static_cast<std::uint64_t>(busy_us));
+    hm->busy_us->add(static_cast<std::uint64_t>(busy_us));
   }
   const std::int64_t start_us =
       std::chrono::duration_cast<std::chrono::microseconds>(start.sinceStart())
@@ -294,7 +275,7 @@ void Simulator::stimulate(BoxId id, StimulusFn fn, obs::TraceContext cause) {
     if (fault_plan_ != nullptr && box.needsRefresh()) {
       scheduleRefreshTick(id);
     }
-    if (!probes_.empty()) probes_.check(nowUs());
+    if (!probes_.empty()) probes_.checkBox(id.value(), nowUs());
   });
 }
 
@@ -448,13 +429,12 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
       for (std::uint32_t t = 0; t < r.tunnels; ++t) {
         routes_[{callee.id().value(), r.slotsB[t]}] = Route{id, t, false};
       }
-      // Materialization mutates box state (slots appear, goals may attach
-      // in the incoming-channel hook) outside any stimulus, so re-evaluate
-      // probes here: a quiescence predicate that flips at this instant must
-      // record this instant, not whichever unrelated stimulus happens to
-      // complete next — under concurrent call load the gap would make probe
-      // latencies depend on what else shares the event loop.
-      if (!probes_.empty()) probes_.check(nowUs());
+      // Materialization mutates the callee's state (slots appear, goals may
+      // attach in the incoming-channel hook) outside any stimulus, so
+      // re-evaluate the callee's probes here: a quiescence predicate that
+      // flips at this instant must record this instant, not the callee's
+      // next stimulus one processing cost later.
+      if (!probes_.empty()) probes_.checkBox(r.boxB.value(), nowUs());
       // Drain hook outputs after processing cost; causally the callee's
       // reaction descends from the stimulus that requested the channel.
       stimulate(r.boxB, []() {}, cause);
@@ -515,8 +495,14 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
   Box& target = *entry(to).box;
   const std::string& from_name = entry(to_a ? rec.boxB : rec.boxA).box->name();
   ++signals_delivered_;
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter(signalCounterName(kindOf(signal))).add();
+  if (HotMetrics* hm = hotMetrics()) {
+    const SignalKind kind = kindOf(signal);
+    obs::Counter*& counter = hm->signals[static_cast<std::size_t>(kind)];
+    if (counter == nullptr) {
+      counter = &hm->registry->counter("sim.signal." +
+                                       std::string(toString(kind)));
+    }
+    counter->add();
   }
   if (obs::TraceRecorder* trace = obs::recorder()) {
     obs::TraceEvent ev;
@@ -540,6 +526,20 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
   stimulate(to, [&target, slot, signal = std::move(signal)]() {
     target.deliverTunnel(slot, signal);
   }, ctx);
+}
+
+Simulator::HotMetrics* Simulator::hotMetrics() {
+  obs::MetricsRegistry* m = obs::metrics();
+  if (m == nullptr) return nullptr;
+  if (m != hot_.registry || m->serial() != hot_.serial) {
+    hot_ = HotMetrics{};
+    hot_.registry = m;
+    hot_.serial = m->serial();
+    hot_.stimuli = &m->counter("sim.stimuli");
+    hot_.queue_depth = &m->gauge("sim.queue_depth");
+    hot_.busy_us = &m->counter("sim.busy_us");
+  }
+  return &hot_;
 }
 
 Simulator::Route Simulator::routeOf(const Box& box, SlotId slot) const {

@@ -15,6 +15,7 @@
 // openslot retries through box timers.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -36,6 +37,8 @@ namespace cmc::obs {
 class TraceRecorder;
 class MetricsRegistry;
 class FlightRecorder;
+class Counter;
+class Gauge;
 }  // namespace cmc::obs
 
 namespace cmc {
@@ -111,8 +114,10 @@ class Simulator {
   // wall clock (restored on destruction).
   void useSimTimeForLogs();
 
-  // Convergence probes: armed predicates re-checked after every completed
-  // box stimulus, capturing the exact virtual time a path quiesced.
+  // Convergence probes, capturing the exact virtual time a path quiesced.
+  // After each completed stimulus of a box, and when a channel end
+  // materializes on it, the probes watching that box are re-checked, plus
+  // every probe armed without a watch set (obs/probes.hpp).
   [[nodiscard]] obs::ConvergenceProbes& probes() noexcept { return probes_; }
 
   // ------------------------------------------------------- fault injection
@@ -210,6 +215,22 @@ class Simulator {
     std::uint32_t tunnel;
     bool from_side_a;
   };
+  // Metric handles the per-stimulus path charges, resolved once per
+  // registry. obs::metrics() can switch (thread overrides, attachMetrics),
+  // so the cache is keyed by the registry's pointer and serial.
+  struct HotMetrics {
+    obs::MetricsRegistry* registry = nullptr;
+    std::uint64_t serial = 0;
+    obs::Counter* stimuli = nullptr;
+    obs::Gauge* queue_depth = nullptr;
+    obs::Counter* busy_us = nullptr;
+    // "sim.signal.<kind>" per SignalKind, resolved at the first delivery of
+    // that kind, so the registry holds only the kinds that occurred.
+    std::array<obs::Counter*, 6> signals{};
+  };
+  // The current registry's handles, or nullptr when metrics are off.
+  [[nodiscard]] HotMetrics* hotMetrics();
+
   [[nodiscard]] Route routeOf(const Box& box, SlotId slot) const;
   [[nodiscard]] ChannelRecord& record(ChannelId id);
 
@@ -228,6 +249,7 @@ class Simulator {
   std::map<std::pair<std::uint64_t, SlotId>, Route> routes_;
   std::uint64_t signals_delivered_ = 0;
   obs::ConvergenceProbes probes_;
+  HotMetrics hot_;
   FaultPlan* fault_plan_ = nullptr;  // not owned
   // Globals this simulator installed, cleared on destruction so a stale
   // pointer never outlives the run that owns it.

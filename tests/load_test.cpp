@@ -24,11 +24,13 @@
 #include <string>
 
 #include "conformance.hpp"
+#include "load/call_boxes.hpp"
 #include "load/sharded_runtime.hpp"
 #include "load/workload.hpp"
 #include "obs/ops_server.hpp"
 #include "obs/slo.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/simulator.hpp"
 #include "util/bytes.hpp"
 
 namespace cmc::load {
@@ -308,6 +310,82 @@ TEST(ShardLocalTime, ProbeDeadlineDumpsTheOwningShardsFlightRecorder) {
   EXPECT_TRUE(saw_shard0);
   EXPECT_TRUE(saw_shard1);
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------------------ probe index
+//
+// The runtime arms each call's setup probe watching only the call's boxes
+// (L, R, and F with a relay). That is sound because the rest predicate
+// reads nothing else: a probe watching those boxes and an unwatched probe,
+// armed together on one path, must record the same latency — for every
+// call type, with and without a flowlink, clean and under faults.
+TEST(ProbeIndex, WatchedAndUnwatchedProbesRecordIdenticalLatencies) {
+  FaultSpec faults;
+  faults.drop_rate = 0.2;
+  faults.duplicate_rate = 0.1;
+  faults.reorder_rate = 0.1;
+  std::size_t faulted = 0;
+  for (const CallType& type : callTypes()) {
+    for (const std::uint32_t flowlinks : {0u, 1u}) {
+      for (const bool faulty : {false, true}) {
+        SCOPED_TRACE(std::string(type.name) + " flowlinks=" +
+                     std::to_string(flowlinks) +
+                     (faulty ? " faulty" : " clean"));
+        Simulator sim(TimingModel::paperDefaults(), 5);
+        FaultPlan plan(0xfa17 + flowlinks, faults);
+        auto& left = sim.addBox<LoadEndpointBox>("L", type.left, PathEnd::left);
+        auto& right =
+            sim.addBox<LoadEndpointBox>("R", type.right, PathEnd::right);
+        LoadRelayBox* relay = nullptr;
+        std::string target = "R";
+        obs::ConvergenceProbes::Watch watch{left.id().value(),
+                                            right.id().value()};
+        if (flowlinks > 0) {
+          relay = &sim.addBox<LoadRelayBox>("F", "R");
+          target = "F";
+          watch.push_back(relay->id().value());
+        }
+        if (faulty) sim.installFaultPlan(&plan);
+        sim.inject("L", [target](Box& box) {
+          static_cast<LoadEndpointBox&>(box).dial(target);
+        });
+        const auto rest = [&]() { return pathAtRest(left, right, relay); };
+        sim.probes().arm("watched", "watched", sim.nowUs(), rest, 0, watch);
+        sim.probes().arm("any", "any", sim.nowUs(), rest);
+        // An open goal facing a close retries until hang-up, so the loop
+        // never drains on its own: run past the fault window instead.
+        sim.runFor(std::chrono::seconds(10));
+
+        const auto any = sim.probes().latencyUs("any");
+        ASSERT_TRUE(any.has_value());
+        EXPECT_EQ(sim.probes().latencyUs("watched"), any);
+        if (faulty) faulted += plan.counters().dropped;
+      }
+    }
+  }
+  EXPECT_GT(faulted, 0u) << "the fault plans must have dropped signals";
+}
+
+// At 2,000 calls/s hundreds of calls are settling at once, yet each
+// stimulus evaluates at most its own call's probe (plus one final check per
+// call at teardown). Before the index every stimulus evaluated every armed
+// probe.
+TEST(ProbeIndex, EvaluationsScaleWithStimuliNotCallsInFlight) {
+  WorkloadSpec workload = smallWorkload(7);
+  workload.calls = 1000;
+  workload.arrivals_per_s = 2000.0;
+  LoadConfig config;
+  config.shards = 1;
+  ShardedRuntime runtime(config);
+  runtime.run(workload);
+  ASSERT_EQ(runtime.convergedCount(), workload.calls);
+  std::uint64_t evaluations = 0;
+  for (const ShardStats& stats : runtime.shardStats()) {
+    evaluations += stats.probe_evaluations;
+  }
+  const std::uint64_t stimuli = runtime.metrics().counter("sim.stimuli");
+  EXPECT_GT(evaluations, 0u);
+  EXPECT_LE(evaluations, stimuli + workload.calls);
 }
 
 TEST(Conformance, CapturedLoadTracesSatisfyTheWireOracle) {

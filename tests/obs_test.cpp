@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -181,6 +182,39 @@ TEST(ObsMetricsTest, CountersPopulatedBySimulation) {
   EXPECT_NE(json.find("\"sim.stimuli\""), std::string::npos);
 }
 
+// The simulator caches its per-stimulus metric handles per registry. A
+// switch to another registry — even a new one built where a dead one lived —
+// must re-resolve them, never write through the old handles.
+TEST(ObsMetricsTest, SimulatorFollowsRegistrySwitches) {
+  Simulator sim(TimingModel::paperDefaults(), 23);
+  sim.addBox<UserDeviceBox>("A", sim.mediaNetwork(), sim.loop(),
+                            MediaAddress::parse("10.0.0.1", 5000));
+  const auto poke = [&]() {
+    sim.inject("A", [](Box&) {});
+    sim.runFor(1_s);
+  };
+  obs::MetricsRegistry first;
+  sim.attachMetrics(&first);
+  poke();
+  EXPECT_EQ(first.findCounter("sim.stimuli")->value(), 1u);
+
+  std::optional<obs::MetricsRegistry> reused;
+  reused.emplace();
+  sim.attachMetrics(&*reused);
+  poke();
+  poke();
+  EXPECT_EQ(first.findCounter("sim.stimuli")->value(), 1u);
+  EXPECT_EQ(reused->findCounter("sim.stimuli")->value(), 2u);
+
+  reused.reset();
+  reused.emplace();  // same address, different registry
+  sim.attachMetrics(&*reused);
+  poke();
+  ASSERT_NE(reused->findCounter("sim.stimuli"), nullptr);
+  EXPECT_EQ(reused->findCounter("sim.stimuli")->value(), 1u);
+  sim.attachMetrics(nullptr);
+}
+
 TEST(ObsMetricsTest, GaugeAddIsExactUnderContention) {
   // Regression: add() used to be a load/set pair, losing concurrent deltas.
   obs::Gauge gauge;
@@ -296,6 +330,161 @@ TEST(ObsProbesTest, UnsatisfiedProbeStaysArmed) {
   EXPECT_EQ(sim.probes().armedCount(), 1u);
   EXPECT_EQ(sim.probes().convergedCount(), 0u);
   EXPECT_FALSE(sim.probes().latencyUs("never").has_value());
+}
+
+TEST(ObsProbesTest, FailureHandlerMayCheckAgain) {
+  obs::ConvergenceProbes probes;
+  std::vector<std::string> inner;
+  // Each failure arms a probe that holds at once and checks it from inside
+  // the outer check; the outer check must still fail every expired probe.
+  probes.setOnFailure([&](const std::string& name, std::int64_t now_us) {
+    inner.push_back("inner_" + name);
+    probes.arm(inner.back(), "inner", now_us, []() { return true; });
+    probes.checkBox(/*box=*/7, now_us);
+  });
+  for (int i = 0; i < 3; ++i) {
+    probes.arm("w" + std::to_string(i), "w", 0, []() { return false; },
+               /*deadline_us=*/50, {1});
+  }
+  EXPECT_EQ(probes.checkBox(1, 40), 0u);
+  EXPECT_TRUE(inner.empty());
+  EXPECT_EQ(probes.checkBox(2, 60), 0u);
+  EXPECT_EQ(probes.failed(), (std::vector<std::string>{"w0", "w1", "w2"}));
+  EXPECT_EQ(inner.size(), 3u);
+  EXPECT_EQ(probes.convergedCount(), 3u);
+  for (const std::string& name : inner) {
+    EXPECT_EQ(probes.latencyUs(name), std::optional<std::int64_t>(0)) << name;
+  }
+  EXPECT_EQ(probes.armedCount(), 0u);
+  // The work list survived the nesting: later checks still evaluate.
+  probes.arm("late", "late", 60, []() { return true; }, 0, {3});
+  EXPECT_EQ(probes.checkBox(3, 70), 1u);
+}
+
+// The probe index: a probe armed with a watch set is evaluated only after
+// stimuli of the boxes it watches (and at channel-end materialization on
+// them); an unwatched probe after every stimulus. A and B are unconnected
+// phones, so a no-op injection stimulates exactly the box it targets.
+class ObsProbeIndexTest : public ::testing::Test {
+ protected:
+  void poke(const std::string& box) {
+    sim.inject(box, [](Box&) {});
+  }
+  std::uint64_t idOf(const std::string& box) {
+    return sim.box(box).id().value();
+  }
+  // Never satisfied; counts its evaluations.
+  obs::ConvergenceProbes::Predicate counting() {
+    return [this]() {
+      ++evaluated;
+      return false;
+    };
+  }
+
+  Simulator sim{TimingModel::paperDefaults(), 19};
+  UserDeviceBox& a = sim.addBox<UserDeviceBox>(
+      "A", sim.mediaNetwork(), sim.loop(), MediaAddress::parse("10.0.0.1", 5000));
+  UserDeviceBox& b = sim.addBox<UserDeviceBox>(
+      "B", sim.mediaNetwork(), sim.loop(), MediaAddress::parse("10.0.0.2", 5000));
+  int evaluated = 0;
+};
+
+TEST_F(ObsProbeIndexTest, WatchedProbeIsEvaluatedOnlyOnItsBoxesStimuli) {
+  sim.probes().arm("a", "a", sim.nowUs(), counting(), 0, {idOf("A")});
+  poke("B");
+  poke("B");
+  poke("B");
+  sim.runFor(1_s);
+  EXPECT_EQ(evaluated, 0);
+  poke("A");
+  poke("A");
+  sim.runFor(1_s);
+  EXPECT_EQ(evaluated, 2);
+  EXPECT_EQ(sim.probes().evaluations(), 2u);
+  EXPECT_EQ(sim.probes().armedCount(), 1u);
+}
+
+TEST_F(ObsProbeIndexTest, UnwatchedProbeIsEvaluatedOnEveryStimulus) {
+  sim.probes().arm("any", "any", sim.nowUs(), counting());
+  poke("A");
+  poke("B");
+  poke("B");
+  poke("A");
+  poke("B");
+  sim.runFor(1_s);
+  EXPECT_EQ(evaluated, 5);
+}
+
+TEST_F(ObsProbeIndexTest, WatchdogFailsAtFirstCheckPastDeadlineOnAnyBox) {
+  obs::FlightRecorder::Config cfg;
+  cfg.directory = ::testing::TempDir();
+  cfg.prefix = "obs_test_probe_index";
+  obs::FlightRecorder flight(cfg);
+  sim.attachFlightRecorder(&flight);
+  std::int64_t failed_at = -1;
+  sim.probes().setOnFailure(
+      [&](const std::string&, std::int64_t now_us) { failed_at = now_us; });
+  // Watches A, which is never stimulated; its deadline is 50 ms.
+  sim.probes().arm("a_watchdog", "a_watchdog", sim.nowUs(), counting(),
+                   /*deadline_us=*/50'000, {idOf("A")});
+  poke("B");  // completes at c = 20 ms: before the deadline, not A's box
+  sim.runFor(40_ms);
+  EXPECT_EQ(evaluated, 0);
+  EXPECT_EQ(sim.probes().failedCount(), 0u);
+
+  std::int64_t checked_at = -1;
+  sim.inject("B", [&](Box&) { checked_at = sim.nowUs(); });
+  sim.runFor(1_s);
+  EXPECT_EQ(checked_at, 60'000);  // B's stimulus completes past the deadline
+  EXPECT_EQ(failed_at, checked_at);
+  EXPECT_EQ(evaluated, 1);
+  ASSERT_EQ(sim.probes().failed().size(), 1u);
+  EXPECT_EQ(sim.probes().failed()[0], "a_watchdog");
+  EXPECT_EQ(sim.probes().armedCount(), 0u);
+  EXPECT_EQ(flight.dumps(), 1u);
+}
+
+TEST_F(ObsProbeIndexTest, DisarmedWatchedProbeIsNeverEvaluatedAgain) {
+  const auto id = sim.probes().arm("a", "a", sim.nowUs(), counting(), 0,
+                                   {idOf("A")});
+  poke("A");
+  sim.runFor(1_s);
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_TRUE(sim.probes().disarm(id));
+  poke("A");
+  sim.runFor(1_s);
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_EQ(sim.probes().armedCount(), 0u);
+  // The freed slot is reused. Neither the stale handle nor A's watcher list
+  // may reach the newcomer, which watches B only.
+  sim.probes().arm("b", "b", sim.nowUs(), counting(), 0, {idOf("B")});
+  EXPECT_FALSE(sim.probes().disarm(id));
+  EXPECT_EQ(sim.probes().armedCount(), 1u);
+  poke("A");
+  sim.runFor(1_s);
+  EXPECT_EQ(evaluated, 1);
+  poke("B");
+  sim.runFor(1_s);
+  EXPECT_EQ(evaluated, 2);
+}
+
+TEST_F(ObsProbeIndexTest, WatchedProbeOnCalleeRecordsMaterializationInstant) {
+  // B's channel end appears one network latency after A's stimulus, outside
+  // any stimulus of B; the probe must record that instant, not B's reaction
+  // one processing cost later.
+  sim.probes().arm("callee_up", "callee_up", sim.nowUs(),
+                   [&]() {
+                     ++evaluated;
+                     return b.slotCount() > 0;
+                   },
+                   0, {idOf("B")});
+  sim.inject("A", [](Box& box) { static_cast<UserDeviceBox&>(box).placeCall("B"); });
+  sim.runFor(1_s);
+  const auto latency = sim.probes().latencyUs("callee_up");
+  ASSERT_TRUE(latency.has_value());
+  const TimingModel& t = sim.timing();
+  EXPECT_EQ(*latency, (t.processing + t.network).count());
+  EXPECT_EQ(evaluated, 1);  // A's stimulus did not evaluate it
 }
 
 TEST(ObsFlightRecorderTest, ProbeDeadlineTriggersPostMortemDump) {
