@@ -41,11 +41,11 @@ Box::Box(BoxId id, std::string name) : id_(id), name_(std::move(name)) {}
 
 std::vector<SlotId> Box::addChannelEnd(ChannelId channel, std::uint32_t tunnels,
                                        bool initiator, const std::string& tag,
-                                       const std::string& peer_name) {
+                                       BoxId peer, const std::string& peer_name) {
   ChannelEnd end;
   end.id = channel;
   end.initiator = initiator;
-  end.peer = peer_name;
+  end.peer = peer;
   for (std::uint32_t t = 0; t < tunnels; ++t) {
     const SlotId slot = slot_ids_.next();
     auto [it, inserted] = slots_.emplace(slot, SlotEndpoint{slot, initiator});
@@ -90,6 +90,21 @@ ChannelId Box::channelOf(SlotId slot) const {
     }
   }
   return ChannelId{};
+}
+
+std::optional<SlotId> Box::slotAt(ChannelId channel,
+                                  std::uint32_t tunnel) const {
+  auto it = channels_.find(channel);
+  if (it == channels_.end() || tunnel >= it->second.slots.size()) {
+    return std::nullopt;
+  }
+  return it->second.slots[tunnel];
+}
+
+std::optional<BoxId> Box::peerOf(ChannelId channel) const {
+  auto it = channels_.find(channel);
+  if (it == channels_.end()) return std::nullopt;
+  return it->second.peer;
 }
 
 void Box::setGoal(SlotId slot, EndpointGoal goal) {
@@ -224,7 +239,7 @@ void Box::crashRestart() {
       if (single_goals_.count(slot_id) == 0 && link_of_.count(slot_id) == 0) {
         continue;
       }
-      output_.tunnel.push_back(OutSignal{slot_id, slot.probeClose()});
+      queueTunnel(slot_id, slot.probeClose());
     }
   }
   if (obs::MetricsRegistry* m = obs::metrics()) {
@@ -279,7 +294,7 @@ void Box::deliverTunnel(SlotId slot, const Signal& signal) {
   const bool satisfied_before = observing && goalSatisfied(slot);
   const DeliverResult result = it->second.deliver(signal);
   if (result.autoReply) {
-    output_.tunnel.push_back(OutSignal{slot, *result.autoReply});
+    queueTunnel(slot, *result.autoReply);
   }
   dispatch(slot, result.event, signal);
   if (observing && !satisfied_before && goalSatisfied(slot)) {
@@ -305,15 +320,6 @@ void Box::fireTimer(const std::string& tag) {
     return;
   }
   onTimer(tag);
-}
-
-void Box::channelUp(ChannelId channel, const std::string& tag,
-                    const std::vector<SlotId>& slots) {
-  (void)channel;
-  (void)tag;
-  (void)slots;
-  // addChannelEnd already invoked the hook; method retained for runtimes
-  // that separate registration from notification.
 }
 
 Box::Output Box::drainOutput() {
@@ -363,7 +369,9 @@ bool Box::reselectSlotCodec(SlotId slot, Codec codec) {
 }
 
 void Box::sendMeta(ChannelId channel, MetaSignal meta) {
-  output_.meta.emplace_back(channel, std::move(meta));
+  if (auto peer = peerOf(channel)) {
+    output_.meta.push_back(MetaOut{channel, *peer, std::move(meta)});
+  }
 }
 
 void Box::requestChannel(std::string target, std::uint32_t tunnels,
@@ -373,7 +381,9 @@ void Box::requestChannel(std::string target, std::uint32_t tunnels,
 }
 
 void Box::destroyChannel(ChannelId channel) {
-  output_.teardowns.push_back(channel);
+  auto peer = peerOf(channel);
+  if (!peer) return;
+  output_.teardowns.push_back(Teardown{channel, *peer});
   removeChannel(channel);
 }
 
@@ -385,6 +395,19 @@ SlotEndpoint& Box::slotRef(SlotId slot) {
   auto it = slots_.find(slot);
   if (it == slots_.end()) throw std::logic_error("unknown slot");
   return it->second;
+}
+
+void Box::queueTunnel(SlotId slot, Signal signal) {
+  // The same lookup as channelOf, keeping the tunnel index it finds.
+  for (const auto& [id, end] : channels_) {
+    auto it = std::find(end.slots.begin(), end.slots.end(), slot);
+    if (it == end.slots.end()) continue;
+    const auto tunnel = static_cast<std::uint32_t>(it - end.slots.begin());
+    output_.tunnel.push_back(
+        TunnelOut{slot, id, tunnel, end.peer, std::move(signal)});
+    return;
+  }
+  throw std::logic_error("slot on no channel at box " + name_);
 }
 
 void Box::dispatch(SlotId slot, SlotEvent event, const Signal& signal) {
@@ -409,9 +432,7 @@ void Box::dispatch(SlotId slot, SlotEvent event, const Signal& signal) {
 }
 
 void Box::flushOutbox(Outbox&& out) {
-  for (auto& item : out.take()) {
-    output_.tunnel.push_back(std::move(item));
-  }
+  for (auto& item : out.take()) queueTunnel(item.slot, std::move(item.signal));
 }
 
 void Box::detachSlot(SlotId slot) {

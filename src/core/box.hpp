@@ -55,10 +55,12 @@ class Box {
   // ------------------------------------------------------------ wiring
   // Called by the runtime when a channel end is established at this box.
   // Returns the ids of the new slots (one per tunnel). `initiator` is true
-  // on the side that created the channel (wins open/open races).
+  // on the side that created the channel (wins open/open races). `peer` is
+  // the box at the far end: the end records it, and every output on the
+  // channel is addressed to it. `peer_name` is passed to onIncomingChannel.
   std::vector<SlotId> addChannelEnd(ChannelId channel, std::uint32_t tunnels,
                                     bool initiator, const std::string& tag,
-                                    const std::string& peer_name);
+                                    BoxId peer, const std::string& peer_name);
   // Called by the runtime when the channel is gone (local destroy or remote
   // teardown). Drops its slots and any goals over them.
   void removeChannel(ChannelId channel);
@@ -66,6 +68,12 @@ class Box {
   [[nodiscard]] bool hasChannel(ChannelId channel) const noexcept;
   [[nodiscard]] std::vector<SlotId> slotsOf(ChannelId channel) const;
   [[nodiscard]] ChannelId channelOf(SlotId slot) const;
+  // The delivery side of an end: the slot that is tunnel `tunnel` of
+  // `channel`, and the box at the channel's far end. Empty when this box
+  // holds no such end (never materialized, torn down, tunnel out of range).
+  [[nodiscard]] std::optional<SlotId> slotAt(ChannelId channel,
+                                             std::uint32_t tunnel) const;
+  [[nodiscard]] std::optional<BoxId> peerOf(ChannelId channel) const;
 
   // ------------------------------------------------- goal management (Maps)
   // Bind a single-slot goal to a slot, detaching whatever controlled it.
@@ -87,9 +95,6 @@ class Box {
   // themselves. Off by default — the baseline protocol semantics are
   // unchanged until a fault plan opts in.
   void enableStabilization(bool on);
-  [[nodiscard]] bool stabilizationEnabled() const noexcept {
-    return stabilization_enabled_;
-  }
   // Re-assert every goal that is not where it wants to be (idempotent;
   // runtime-paced, analogous to fireRetries).
   void refreshGoals();
@@ -129,21 +134,38 @@ class Box {
   virtual void deliverTunnel(SlotId slot, const Signal& signal);
   void deliverMeta(ChannelId channel, const MetaSignal& meta);
   void fireTimer(const std::string& tag);
-  // The runtime confirms a ChannelRequest: the channel now exists.
-  void channelUp(ChannelId channel, const std::string& tag,
-                 const std::vector<SlotId>& slots);
 
   // ------------------------------------------------------------- outputs
+  // Every output on a channel is addressed when it is queued, from this
+  // box's own end: the runtime reads where it goes from the output, not
+  // from a table of its own. A signal queued on a slot whose channel the
+  // same stimulus then destroys still goes out.
+  struct TunnelOut {
+    SlotId slot;
+    ChannelId channel;
+    std::uint32_t tunnel = 0;  // index of `slot` within the channel
+    BoxId peer;
+    Signal signal;
+  };
+  struct MetaOut {
+    ChannelId channel;
+    BoxId peer;
+    MetaSignal meta;
+  };
+  struct Teardown {
+    ChannelId channel;
+    BoxId peer;
+  };
   struct TimerRequest {
     SimDuration delay;
     std::string tag;
   };
   struct Output {
-    std::vector<OutSignal> tunnel;
-    std::vector<std::pair<ChannelId, MetaSignal>> meta;
+    std::vector<TunnelOut> tunnel;
+    std::vector<MetaOut> meta;
     std::vector<TimerRequest> timers;
     std::vector<ChannelRequest> channelRequests;
-    std::vector<ChannelId> teardowns;
+    std::vector<Teardown> teardowns;
 
     [[nodiscard]] bool empty() const noexcept {
       return tunnel.empty() && meta.empty() && timers.empty() &&
@@ -180,16 +202,19 @@ class Box {
   virtual void onCrashRestart() {}
 
   // --------------------------------------------------- subclass helpers
+  // sendMeta and destroyChannel on a channel this box no longer holds
+  // queue nothing.
   void sendMeta(ChannelId channel, MetaSignal meta);
   void requestChannel(std::string target, std::uint32_t tunnels, std::string tag);
   void destroyChannel(ChannelId channel);
   void setTimer(SimDuration delay, std::string tag);
 
  private:
+  // This box's end of a channel: one slot per tunnel, and the far end's box.
   struct ChannelEnd {
     ChannelId id;
     bool initiator = false;
-    std::string peer;
+    BoxId peer;
     std::vector<SlotId> slots;
   };
 
@@ -201,6 +226,8 @@ class Box {
   };
 
   [[nodiscard]] SlotEndpoint& slotRef(SlotId slot);
+  // Queue `signal` on `slot`, addressed from the slot's channel end.
+  void queueTunnel(SlotId slot, Signal signal);
   void dispatch(SlotId slot, SlotEvent event, const Signal& signal);
   void flushOutbox(Outbox&& out);
   void detachSlot(SlotId slot);

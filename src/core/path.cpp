@@ -463,7 +463,6 @@ void PathSystem::deliverInto(std::uint32_t channel_index, Side towards) {
   ChannelMessage message = channels_[channel_index].pop(towards);
   auto* tunnel_signal = std::get_if<TunnelSignal>(&message);
   if (tunnel_signal == nullptr) return;  // paths carry no meta-signals
-  ++delivered_;
 
   // Resolve the receiving party and slot. Channel i connects party i
   // (Side::A) with party i+1 (Side::B).

@@ -90,7 +90,6 @@ class PathSystem {
 
   // --- Introspection -----------------------------------------------------
   [[nodiscard]] std::size_t flowlinkCount() const noexcept { return links_.size(); }
-  [[nodiscard]] std::size_t channelCount() const noexcept { return channels_.size(); }
   [[nodiscard]] std::size_t partyCount() const noexcept { return links_.size() + 2; }
 
   [[nodiscard]] const SlotEndpoint& endpointSlot(PathEnd end) const noexcept {
@@ -159,7 +158,6 @@ class PathSystem {
   // --- Fault injection + stabilization (docs/FAULTS.md) -------------------
   // Budget bounding adversarial message faults (dropHead/dupHead actions).
   void setFaultBudget(std::uint32_t steps) noexcept { fault_budget_ = steps; }
-  [[nodiscard]] std::uint32_t faultBudget() const noexcept { return fault_budget_; }
   // Mark every slot stabilizing and enable the global refresh action. The
   // refresh is one action for the whole path (every party re-asserts at
   // once) and is enabled only in quiescent all-attached states where it
@@ -167,7 +165,6 @@ class PathSystem {
   // adversarial scheduler spurious no-op self-loops that read as livelocks
   // to the temporal checks.
   void enableStabilization(bool on);
-  [[nodiscard]] bool stabilizationEnabled() const noexcept { return stabilize_; }
   // Run one global refresh sweep now; returns true if anything was sent.
   // Tests use this directly as the self-stabilization oracle: alternate
   // stabilize()/run() until it returns false, then check the §V predicate.
@@ -175,8 +172,6 @@ class PathSystem {
 
   void canonicalize(ByteWriter& w) const;
   [[nodiscard]] std::uint64_t fingerprint() const;
-
-  [[nodiscard]] std::size_t deliveredCount() const noexcept { return delivered_; }
 
  private:
   struct End {
@@ -238,7 +233,6 @@ class PathSystem {
   std::array<std::uint32_t, 2> modify_budget_{0, 0};
   std::uint32_t fault_budget_ = 0;
   bool stabilize_ = false;
-  std::size_t delivered_ = 0;
 };
 
 }  // namespace cmc

@@ -101,17 +101,6 @@ void TraceRecorder::record(EventKind kind, std::string_view name,
   record(std::move(ev));
 }
 
-void TraceRecorder::recordSpan(std::string_view name, std::string_view actor,
-                               std::int64_t start_us, std::int64_t dur_us) {
-  TraceEvent ev;
-  ev.kind = EventKind::boxSpan;
-  ev.name.assign(name);
-  ev.actor.assign(actor);
-  ev.ts_us = start_us;
-  ev.dur_us = dur_us > 0 ? dur_us : 1;  // zero-width spans vanish in viewers
-  record(std::move(ev));
-}
-
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<TraceEvent> out;

@@ -87,9 +87,6 @@ class TraceRecorder {
   void record(EventKind kind, std::string_view name, std::string_view actor,
               std::string_view aux = {}, std::uint64_t id = 0,
               std::int64_t v0 = 0, std::int64_t v1 = 0);
-  // Spans carry an explicit start (the stamp is taken at completion).
-  void recordSpan(std::string_view name, std::string_view actor,
-                  std::int64_t start_us, std::int64_t dur_us);
 
   // Buffered events, oldest first. Takes the lock; not for hot paths.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;

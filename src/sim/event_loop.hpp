@@ -28,8 +28,8 @@ namespace cmc {
 class EventLoop {
  public:
   // Sized for the largest hot-path capture (delivery lambda: Signal +
-  // trace context + route coordinates). Bigger captures still work — they
-  // take the one-allocation fallback inside InlineFn.
+  // trace context + destination box, channel and tunnel). Bigger captures
+  // still work — they take the one-allocation fallback inside InlineFn.
   static constexpr std::size_t kHandlerCapacity = 192;
   using Handler = InlineFn<kHandlerCapacity>;
 

@@ -125,6 +125,9 @@ class FaultPlan {
  private:
   [[nodiscard]] const FaultSpec& specFor(const std::string& from,
                                          const std::string& to) const {
+    // The key outgrows the small-string buffer once box names do, so build
+    // it only when there is an override to find.
+    if (overrides_.empty()) return spec_;
     auto it = overrides_.find(from + "\x1f" + to);
     return it == overrides_.end() ? spec_ : it->second;
   }

@@ -80,20 +80,9 @@ ChannelId Simulator::connect(const std::string& a, const std::string& b,
                              std::uint32_t tunnels) {
   Box& box_a = box(a);
   Box& box_b = box(b);
-  ChannelRecord rec;
-  rec.id = ChannelId{next_channel_id_++};
-  rec.tunnels = tunnels;
-  rec.boxA = box_a.id();
-  rec.boxB = box_b.id();
-  rec.slotsA = box_a.addChannelEnd(rec.id, tunnels, /*initiator=*/true, "", b);
-  rec.slotsB = box_b.addChannelEnd(rec.id, tunnels, /*initiator=*/false, "", a);
-  rec.aliveA = rec.aliveB = true;
-  for (std::uint32_t t = 0; t < tunnels; ++t) {
-    routes_[{box_a.id().value(), rec.slotsA[t]}] = Route{rec.id, t, true};
-    routes_[{box_b.id().value(), rec.slotsB[t]}] = Route{rec.id, t, false};
-  }
-  const ChannelId id = rec.id;
-  channels_.emplace(id, std::move(rec));
+  const ChannelId id{next_channel_id_++};
+  box_a.addChannelEnd(id, tunnels, /*initiator=*/true, "", box_b.id(), b);
+  box_b.addChannelEnd(id, tunnels, /*initiator=*/false, "", box_a.id(), a);
   // Static configuration happens before time starts; drain any goal signals
   // the hooks produced.
   drain(box_a);
@@ -299,10 +288,7 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
   const obs::TraceContext cause = obs::currentContext();
 
   for (auto& item : out.tunnel) {
-    const Route route = routeOf(sender, item.slot);
-    ChannelRecord& rec = record(route.channel);
-    const std::string& to =
-        entry(route.from_side_a ? rec.boxB : rec.boxA).box->name();
+    const std::string& to = entry(item.peer).box->name();
     if (obs::TraceRecorder* trace = obs::recorder()) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::signalSend;
@@ -310,8 +296,8 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
       ev.actor = sender.name();
       ev.aux = to;
       ev.id = item.slot.value();
-      ev.v0 = static_cast<std::int64_t>(route.channel.value());
-      ev.v1 = route.tunnel;
+      ev.v0 = static_cast<std::int64_t>(item.channel.value());
+      ev.v1 = item.tunnel;
       trace->record(std::move(ev));
     }
     const SimDuration latency = timing_.sampleNetwork(rng_);
@@ -345,39 +331,37 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
       Signal signal_copy = item.signal;
       // Duplicates carry the same context: one trace id, one parent span;
       // each delivery then becomes its own span on the receiver. The event
-      // carries route coordinates, not box-name strings: with the codec
-      // list inline in the descriptor, the whole capture fits the event
-      // node and scheduling a delivery allocates nothing.
-      loop_.schedule(when, [this, channel = route.channel,
-                            tunnel = route.tunnel,
-                            to_side_a = !route.from_side_a, cause,
+      // carries the address, not box-name strings: with the codec list
+      // inline in the descriptor, the whole capture fits the event node and
+      // scheduling a delivery allocates nothing.
+      loop_.schedule(when, [this, to = item.peer, channel = item.channel,
+                            tunnel = item.tunnel, cause,
                             signal = std::move(signal_copy)]() mutable {
-        deliverTunnelSignal(channel, tunnel, to_side_a, std::move(signal),
-                            cause);
+        deliverTunnelSignal(to, channel, tunnel, std::move(signal), cause);
       });
     }
   }
 
   // Everything below is call-lifecycle administration — meta signals,
   // timers, channel creation and teardown — which inherently allocates
-  // (new protocol state, new routes). It runs under its own site so
+  // (new protocol state, new channel ends). It runs under its own site so
   // sim.process_output measures the per-signal forwarding path alone; the
   // admin cost stays visible in profiles under sim.output_admin.
   CMC_PROF_SCOPE("sim.output_admin");
 
-  for (auto& [channel_id, meta] : out.meta) {
-    auto it = channels_.find(channel_id);
-    if (it == channels_.end()) continue;
-    const ChannelRecord& rec = it->second;
-    const BoxId to = rec.boxA == from ? rec.boxB : rec.boxA;
+  for (auto& [channel, to, meta] : out.meta) {
     meta.ctx = cause;  // in-band provenance, mirrors the net frame encoding
     loop_.schedule(timing_.sampleNetwork(rng_),
-                   [this, to, channel_id, meta = std::move(meta)]() {
-                     if (channels_.count(channel_id) == 0) return;
+                   [this, from, to, channel, meta = std::move(meta)]() {
+                     // Lost only once neither end holds the channel.
+                     if (!entry(to).box->hasChannel(channel) &&
+                         !entry(from).box->hasChannel(channel)) {
+                       return;
+                     }
                      if (droppedAtDeadBox(entry(to))) return;
                      Box& target = *entry(to).box;
-                     stimulate(to, [&target, channel_id, meta]() {
-                       target.deliverMeta(channel_id, meta);
+                     stimulate(to, [&target, channel, meta]() {
+                       target.deliverMeta(channel, meta);
                      }, meta.ctx);
                    });
   }
@@ -401,99 +385,58 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
       log::warn("sim", "channel request to unknown box ", request.target);
       continue;
     }
-    ChannelRecord rec;
-    rec.id = ChannelId{next_channel_id_++};
-    rec.tunnels = request.tunnels;
-    rec.boxA = from;
-    rec.boxB = target_it->second;
-    rec.slotsA = sender.addChannelEnd(rec.id, rec.tunnels, /*initiator=*/true,
-                                      request.tag, request.target);
-    rec.aliveA = true;
-    for (std::uint32_t t = 0; t < rec.tunnels; ++t) {
-      routes_[{sender.id().value(), rec.slotsA[t]}] = Route{rec.id, t, true};
-    }
-    const ChannelId id = rec.id;
-    channels_.emplace(id, std::move(rec));
+    const BoxId to = target_it->second;
+    const ChannelId id{next_channel_id_++};
+    const std::uint32_t tunnels = request.tunnels;
+    sender.addChannelEnd(id, tunnels, /*initiator=*/true, request.tag, to,
+                         request.target);
     // The far end materializes one network latency later (setup meta). The
     // transport-level end registration is synchronous so that signals in
     // flight right behind the setup find the slots; the callee's feature
     // reaction to the new channel is charged one processing cost.
-    loop_.schedule(timing_.sampleNetwork(rng_), [this, id, cause]() {
-      auto cit = channels_.find(id);
-      if (cit == channels_.end() || !cit->second.aliveA) return;
-      ChannelRecord& r = cit->second;
-      Box& callee = *entry(r.boxB).box;
-      r.slotsB = callee.addChannelEnd(id, r.tunnels, /*initiator=*/false, "",
-                                      entry(r.boxA).box->name());
-      r.aliveB = true;
-      for (std::uint32_t t = 0; t < r.tunnels; ++t) {
-        routes_[{callee.id().value(), r.slotsB[t]}] = Route{id, t, false};
-      }
+    loop_.schedule(timing_.sampleNetwork(rng_),
+                   [this, id, tunnels, from, to, cause]() {
+      // The caller let go of its end before the setup arrived.
+      if (!entry(from).box->hasChannel(id)) return;
+      entry(to).box->addChannelEnd(id, tunnels, /*initiator=*/false, "", from,
+                                   entry(from).box->name());
       // Materialization mutates the callee's state (slots appear, goals may
       // attach in the incoming-channel hook) outside any stimulus, so
       // re-evaluate the callee's probes here: a quiescence predicate that
       // flips at this instant must record this instant, not the callee's
       // next stimulus one processing cost later.
-      if (!probes_.empty()) probes_.checkBox(r.boxB.value(), nowUs());
+      if (!probes_.empty()) probes_.checkBox(to.value(), nowUs());
       // Drain hook outputs after processing cost; causally the callee's
       // reaction descends from the stimulus that requested the channel.
-      stimulate(r.boxB, []() {}, cause);
+      stimulate(to, []() {}, cause);
     });
   }
 
-  for (ChannelId id : out.teardowns) {
-    auto it = channels_.find(id);
-    if (it == channels_.end()) continue;
-    ChannelRecord& rec = it->second;
-    const bool from_a = rec.boxA == from;
-    (from_a ? rec.aliveA : rec.aliveB) = false;
-    for (SlotId s : (from_a ? rec.slotsA : rec.slotsB)) {
-      routes_.erase({sender.id().value(), s});
-    }
-    const BoxId to = from_a ? rec.boxB : rec.boxA;
-    const bool peer_alive = from_a ? rec.aliveB : rec.aliveA;
-    if (peer_alive) {
-      loop_.schedule(timing_.sampleNetwork(rng_), [this, id, to, cause]() {
-        if (channels_.count(id) == 0) return;
-        Box& target = *entry(to).box;
-        stimulate(to, [this, &target, id, to]() {
-          target.deliverMeta(id, MetaSignal{MetaKind::teardown, "", ""});
-          auto cit2 = channels_.find(id);
-          if (cit2 != channels_.end()) {
-            ChannelRecord& r = cit2->second;
-            const bool was_a = r.boxA == to;
-            (was_a ? r.aliveA : r.aliveB) = false;
-            for (SlotId s : (was_a ? r.slotsA : r.slotsB)) {
-              routes_.erase({target.id().value(), s});
-            }
-            if (!r.aliveA && !r.aliveB) channels_.erase(cit2);
-          }
-        }, cause);
-      });
-    } else {
-      channels_.erase(it);
-    }
+  for (const auto& [channel, to] : out.teardowns) {
+    // A far end that never materialized, or already let go, is not told.
+    if (!entry(to).box->hasChannel(channel)) continue;
+    loop_.schedule(timing_.sampleNetwork(rng_), [this, channel, to, cause]() {
+      Box& target = *entry(to).box;
+      if (!target.hasChannel(channel)) return;  // it let go meanwhile
+      stimulate(to, [&target, channel]() {
+        target.deliverMeta(channel, MetaSignal{MetaKind::teardown, "", ""});
+      }, cause);
+    });
   }
 }
 
-void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
-                                    bool to_side_a, Signal signal,
+void Simulator::deliverTunnelSignal(BoxId to, ChannelId channel,
+                                    std::uint32_t tunnel, Signal signal,
                                     obs::TraceContext ctx) {
   CMC_PROF_SCOPE("sim.deliver_tunnel");
-  auto cit = channels_.find(channel);
-  if (cit == channels_.end()) return;  // torn down while in flight
-  ChannelRecord& rec = cit->second;
-  const bool to_a = to_side_a;
-  const BoxId to = to_a ? rec.boxA : rec.boxB;
-  if ((to_a && !rec.aliveA) || (!to_a && !rec.aliveB)) return;
-  const auto& slots = to_a ? rec.slotsA : rec.slotsB;
-  if (tunnel >= slots.size()) return;
+  Box& target = *entry(to).box;
+  // The destination end is gone: the signal is lost in the channel.
+  const std::optional<SlotId> slot = target.slotAt(channel, tunnel);
+  if (!slot) return;
   // The destination is crashed: the signal reaches a dead transport and is
   // lost, exactly like a drop fault.
   if (droppedAtDeadBox(entry(to))) return;
-  const SlotId slot = slots[tunnel];
-  Box& target = *entry(to).box;
-  const std::string& from_name = entry(to_a ? rec.boxB : rec.boxA).box->name();
+  const std::string& from_name = entry(*target.peerOf(channel)).box->name();
   ++signals_delivered_;
   if (HotMetrics* hm = hotMetrics()) {
     const SignalKind kind = kindOf(signal);
@@ -510,7 +453,7 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
     ev.name.assign(toString(kindOf(signal)));
     ev.actor = target.name();
     ev.aux = from_name;
-    ev.id = slot.value();
+    ev.id = slot->value();
     ev.v0 = static_cast<std::int64_t>(channel.value());
     ev.v1 = tunnel;
     // The arrival instant precedes the stimulus span (processing may queue
@@ -523,7 +466,7 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
   if (onSignalDelivered) {
     onSignalDelivered(from_name, target.name(), signal, loop_.now());
   }
-  stimulate(to, [&target, slot, signal = std::move(signal)]() {
+  stimulate(to, [&target, slot = *slot, signal = std::move(signal)]() {
     target.deliverTunnel(slot, signal);
   }, ctx);
 }
@@ -540,20 +483,6 @@ Simulator::HotMetrics* Simulator::hotMetrics() {
     hot_.busy_us = &m->counter("sim.busy_us");
   }
   return &hot_;
-}
-
-Simulator::Route Simulator::routeOf(const Box& box, SlotId slot) const {
-  auto it = routes_.find({box.id().value(), slot});
-  if (it == routes_.end()) {
-    throw std::logic_error("no route for slot on box " + box.name());
-  }
-  return it->second;
-}
-
-Simulator::ChannelRecord& Simulator::record(ChannelId id) {
-  auto it = channels_.find(id);
-  if (it == channels_.end()) throw std::logic_error("unknown channel");
-  return it->second;
 }
 
 }  // namespace cmc

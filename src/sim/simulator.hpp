@@ -13,6 +13,13 @@
 // The simulator also resolves ChannelRequests (configuration/routing being
 // outside the paper's scope, boxes address each other by name) and paces
 // openslot retries through box timers.
+//
+// A channel is recorded once, at its two ends: each box's ChannelEnd holds
+// its slots and the far end's BoxId, and every output a box queues is
+// already addressed from it. The simulator is the carrier between the two
+// ends. It keeps no channel or route table, only the next channel id; an
+// in-flight event holds BoxIds and resolves the destination's own end on
+// arrival.
 #pragma once
 
 #include <array>
@@ -151,17 +158,6 @@ class Simulator {
       onSignalDelivered;
 
  private:
-  struct ChannelRecord {
-    ChannelId id;
-    std::uint32_t tunnels = 1;
-    BoxId boxA;  // initiator
-    BoxId boxB;
-    std::vector<SlotId> slotsA;
-    std::vector<SlotId> slotsB;
-    bool aliveA = false;
-    bool aliveB = false;
-  };
-
   // One row of the box table: the box and the three facts the timing and
   // fault models keep about it.
   struct BoxEntry {
@@ -202,19 +198,14 @@ class Simulator {
   void drain(Box& box);
   void processOutput(Box& box, Box::Output&& out);
   // Deliver a tunnel signal scheduled by processOutput. The in-flight event
-  // carries only route coordinates (channel id, tunnel, destination side) —
-  // the destination box is resolved from the channel record on arrival, so
-  // the capture is small and string-free; a torn-down channel means the
-  // signal is simply lost, same as before.
-  void deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
-                           bool to_side_a, Signal signal,
-                           obs::TraceContext ctx);
+  // carries the address the sender queued it with (destination box,
+  // channel, tunnel), so the capture is small and string-free. The slot is
+  // read from the destination's own end on arrival: if that end is gone
+  // (never materialized, torn down while in flight) the signal is lost,
+  // before the dead-box check.
+  void deliverTunnelSignal(BoxId to, ChannelId channel, std::uint32_t tunnel,
+                           Signal signal, obs::TraceContext ctx);
 
-  struct Route {
-    ChannelId channel;
-    std::uint32_t tunnel;
-    bool from_side_a;
-  };
   // Metric handles the per-stimulus path charges, resolved once per
   // registry. obs::metrics() can switch (thread overrides, attachMetrics),
   // so the cache is keyed by the registry's pointer and serial.
@@ -231,9 +222,6 @@ class Simulator {
   // The current registry's handles, or nullptr when metrics are off.
   [[nodiscard]] HotMetrics* hotMetrics();
 
-  [[nodiscard]] Route routeOf(const Box& box, SlotId slot) const;
-  [[nodiscard]] ChannelRecord& record(ChannelId id);
-
   EventLoop loop_;
   MediaNetwork media_net_{loop_};  // before boxes_: endpoints detach on box death
   TimingModel timing_;
@@ -243,10 +231,6 @@ class Simulator {
   // serves only callers that address boxes by name.
   std::vector<BoxEntry> boxes_;
   std::map<std::string, BoxId> box_ids_;
-  std::map<ChannelId, ChannelRecord> channels_;
-  // (box id, slot) -> route, maintained as ends come and go. Keyed by the
-  // numeric box id so hot-path lookups build no string key.
-  std::map<std::pair<std::uint64_t, SlotId>, Route> routes_;
   std::uint64_t signals_delivered_ = 0;
   obs::ConvergenceProbes probes_;
   HotMetrics hot_;

@@ -23,6 +23,7 @@
 #include "load/sharded_runtime.hpp"
 #include "load/workload.hpp"
 #include "obs/profiler.hpp"
+#include "sim/fault.hpp"
 
 namespace cmc {
 namespace {
@@ -33,8 +34,8 @@ struct SiteBudget {
 };
 
 // One profiled single-shard run, sized to amortize warm-up growth (slab,
-// metric registries, route maps) across enough signals that steady-state
-// behavior dominates.
+// metric registries, channel-end maps) across enough signals that
+// steady-state behavior dominates.
 obs::ProfileReport profiledRun() {
   load::WorkloadSpec w;
   w.master_seed = 7;
@@ -89,6 +90,44 @@ TEST(AllocBudget, DeliveryVolumeIsRepresentative) {
     if (node.site == "sim.deliver_tunnel") deliveries += node.calls;
   }
   EXPECT_GE(deliveries, 1000u);
+}
+
+TEST(AllocBudget, FaultDecisionsAllocateNothing) {
+  // Load-runtime box names reach 8 characters by call 10,000 (c10000.L), so
+  // a from/to key no longer fits the small-string buffer. A plan with no
+  // per-tunnel override must decide without building one.
+  FaultSpec spec;
+  spec.drop_rate = 0.25;
+  spec.duplicate_rate = 0.25;
+  spec.reorder_rate = 0.25;
+  FaultPlan plan(7, spec);
+  const std::string from = "c10000.L";
+  const std::string to = "c10000.F";
+  const SimTime now{};
+
+  obs::ProfileTable table;
+  obs::setThreadProfiler(&table);
+  {
+    CMC_PROF_SCOPE("fault.decide");
+    for (int i = 0; i < 1000; ++i) {
+      (void)plan.decide(from, to, now);
+      (void)plan.decide(to, from, now);
+    }
+  }
+  obs::setThreadProfiler(nullptr);
+
+  const obs::ProfileReport report = table.report();
+  std::uint64_t calls = 0;
+  std::uint64_t allocs = 0;
+  for (const auto& node : report.nodes()) {
+    if (node.site == "fault.decide") {
+      calls += node.calls;
+      allocs += node.allocs;
+    }
+  }
+  ASSERT_EQ(calls, 1u);
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(plan.counters().considered, 2000u);
 }
 
 }  // namespace

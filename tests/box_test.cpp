@@ -25,7 +25,7 @@ class BoxFixture : public ::testing::Test {
 };
 
 TEST_F(BoxFixture, AddChannelEndCreatesSlots) {
-  auto slots = box_.addChannelEnd(ChannelId{1}, 3, true, "", "peer");
+  auto slots = box_.addChannelEnd(ChannelId{1}, 3, true, "", BoxId{2}, "peer");
   ASSERT_EQ(slots.size(), 3u);
   EXPECT_TRUE(box_.hasChannel(ChannelId{1}));
   EXPECT_EQ(box_.slotsOf(ChannelId{1}), slots);
@@ -37,7 +37,7 @@ TEST_F(BoxFixture, AddChannelEndCreatesSlots) {
 }
 
 TEST_F(BoxFixture, SetGoalAttachesAndEmits) {
-  auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", "peer");
+  auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
   auto out = box_.drainOutput();
   ASSERT_EQ(out.tunnel.size(), 1u);
@@ -46,8 +46,8 @@ TEST_F(BoxFixture, SetGoalAttachesAndEmits) {
 }
 
 TEST_F(BoxFixture, LinkSlotsSamePairIsIdempotent) {
-  auto s1 = box_.addChannelEnd(ChannelId{1}, 1, true, "", "x");
-  auto s2 = box_.addChannelEnd(ChannelId{2}, 1, true, "", "y");
+  auto s1 = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "x");
+  auto s2 = box_.addChannelEnd(ChannelId{2}, 1, true, "", BoxId{2}, "y");
   box_.linkSlots(s1[0], s2[0]);
   EXPECT_EQ(box_.goalKind(s1[0]), GoalKind::flowLink);
   // Re-linking the same (even reversed) pair must keep the same object:
@@ -58,9 +58,9 @@ TEST_F(BoxFixture, LinkSlotsSamePairIsIdempotent) {
 }
 
 TEST_F(BoxFixture, RelinkDifferentPairReplaces) {
-  auto s1 = box_.addChannelEnd(ChannelId{1}, 1, true, "", "x");
-  auto s2 = box_.addChannelEnd(ChannelId{2}, 1, true, "", "y");
-  auto s3 = box_.addChannelEnd(ChannelId{3}, 1, true, "", "z");
+  auto s1 = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "x");
+  auto s2 = box_.addChannelEnd(ChannelId{2}, 1, true, "", BoxId{2}, "y");
+  auto s3 = box_.addChannelEnd(ChannelId{3}, 1, true, "", BoxId{2}, "z");
   box_.linkSlots(s1[0], s2[0]);
   box_.linkSlots(s1[0], s3[0]);
   EXPECT_EQ(box_.goalKind(s1[0]), GoalKind::flowLink);
@@ -70,7 +70,7 @@ TEST_F(BoxFixture, RelinkDifferentPairReplaces) {
 }
 
 TEST_F(BoxFixture, DeliverTunnelRoutesToGoal) {
-  auto slots = box_.addChannelEnd(ChannelId{1}, 1, false, "", "peer");
+  auto slots = box_.addChannelEnd(ChannelId{1}, 1, false, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], HoldSlotGoal{phone(), DescriptorFactory{1}});
   (void)box_.drainOutput();
   box_.deliverTunnel(slots[0], OpenSignal{Medium::audio, remote(1)});
@@ -86,7 +86,7 @@ TEST_F(BoxFixture, DeliverToUnknownSlotIsSafe) {
 }
 
 TEST_F(BoxFixture, UnboundSlotAbsorbsButAutoReplies) {
-  auto slots = box_.addChannelEnd(ChannelId{1}, 1, false, "", "peer");
+  auto slots = box_.addChannelEnd(ChannelId{1}, 1, false, "", BoxId{2}, "peer");
   // No goal bound: an open is absorbed (protocol state advances)...
   box_.deliverTunnel(slots[0], OpenSignal{Medium::audio, remote(1)});
   EXPECT_EQ(box_.slotState(slots[0]), ProtocolState::opened);
@@ -99,7 +99,7 @@ TEST_F(BoxFixture, UnboundSlotAbsorbsButAutoReplies) {
 }
 
 TEST_F(BoxFixture, RetryTimerRequestedOncePerPendingRetry) {
-  auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", "peer");
+  auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
   (void)box_.drainOutput();
   box_.deliverTunnel(slots[0], CloseSignal{});  // rejected -> retry pending
@@ -118,8 +118,8 @@ TEST_F(BoxFixture, RetryTimerRequestedOncePerPendingRetry) {
 }
 
 TEST_F(BoxFixture, RemoveChannelDropsSlotsAndGoals) {
-  auto s1 = box_.addChannelEnd(ChannelId{1}, 1, true, "", "x");
-  auto s2 = box_.addChannelEnd(ChannelId{2}, 1, true, "", "y");
+  auto s1 = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "x");
+  auto s2 = box_.addChannelEnd(ChannelId{2}, 1, true, "", BoxId{2}, "y");
   box_.linkSlots(s1[0], s2[0]);
   box_.removeChannel(ChannelId{1});
   EXPECT_FALSE(box_.hasChannel(ChannelId{1}));
@@ -129,13 +129,13 @@ TEST_F(BoxFixture, RemoveChannelDropsSlotsAndGoals) {
 }
 
 TEST_F(BoxFixture, TeardownMetaRemovesChannel) {
-  box_.addChannelEnd(ChannelId{1}, 1, false, "", "peer");
+  box_.addChannelEnd(ChannelId{1}, 1, false, "", BoxId{2}, "peer");
   box_.deliverMeta(ChannelId{1}, MetaSignal{MetaKind::teardown, "", ""});
   EXPECT_FALSE(box_.hasChannel(ChannelId{1}));
 }
 
 TEST_F(BoxFixture, SetSlotMuteFlowsThroughGoal) {
-  auto slots = box_.addChannelEnd(ChannelId{1}, 1, false, "", "peer");
+  auto slots = box_.addChannelEnd(ChannelId{1}, 1, false, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], HoldSlotGoal{phone(), DescriptorFactory{1}});
   box_.deliverTunnel(slots[0], OpenSignal{Medium::audio, remote(1)});
   (void)box_.drainOutput();
@@ -147,17 +147,60 @@ TEST_F(BoxFixture, SetSlotMuteFlowsThroughGoal) {
 }
 
 TEST_F(BoxFixture, DrainOutputIsDestructive) {
-  auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", "peer");
+  auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
   EXPECT_FALSE(box_.drainOutput().empty());
   EXPECT_TRUE(box_.drainOutput().empty());
 }
 
 TEST_F(BoxFixture, ClearGoalDetaches) {
-  auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", "peer");
+  auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], CloseSlotGoal{});
   box_.clearGoal(slots[0]);
   EXPECT_EQ(box_.goalKind(slots[0]), std::nullopt);
+}
+
+TEST_F(BoxFixture, OutputsAreAddressedFromTheChannelEnd) {
+  box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "x");
+  auto slots = box_.addChannelEnd(ChannelId{4}, 3, true, "", BoxId{7}, "peer");
+  box_.setGoal(slots[2], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
+  auto out = box_.drainOutput();
+  ASSERT_EQ(out.tunnel.size(), 1u);
+  EXPECT_EQ(out.tunnel[0].slot, slots[2]);
+  EXPECT_EQ(out.tunnel[0].channel, ChannelId{4});
+  EXPECT_EQ(out.tunnel[0].tunnel, 2u);
+  EXPECT_EQ(out.tunnel[0].peer, BoxId{7});
+  // The delivery side reads the same end.
+  EXPECT_EQ(box_.slotAt(ChannelId{4}, 2), slots[2]);
+  EXPECT_EQ(box_.slotAt(ChannelId{4}, 3), std::nullopt);
+  EXPECT_EQ(box_.slotAt(ChannelId{9}, 0), std::nullopt);
+  EXPECT_EQ(box_.peerOf(ChannelId{4}), BoxId{7});
+  EXPECT_EQ(box_.peerOf(ChannelId{9}), std::nullopt);
+}
+
+// Exposes the protected channel helpers.
+class HelperBox : public Box {
+ public:
+  using Box::Box;
+  using Box::destroyChannel;
+  using Box::sendMeta;
+};
+
+TEST(BoxHelpers, MetaAndTeardownOnAChannelNotHeldQueueNothing) {
+  HelperBox box{BoxId{1}, "box"};
+  box.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
+  box.sendMeta(ChannelId{1}, MetaSignal{MetaKind::custom, "m", ""});
+  box.destroyChannel(ChannelId{1});
+  auto out = box.drainOutput();
+  ASSERT_EQ(out.meta.size(), 1u);
+  EXPECT_EQ(out.meta[0].peer, BoxId{2});
+  ASSERT_EQ(out.teardowns.size(), 1u);
+  EXPECT_EQ(out.teardowns[0].channel, ChannelId{1});
+  EXPECT_EQ(out.teardowns[0].peer, BoxId{2});
+  // The end is gone: a second teardown or a late meta has nowhere to go.
+  box.sendMeta(ChannelId{1}, MetaSignal{MetaKind::custom, "late", ""});
+  box.destroyChannel(ChannelId{1});
+  EXPECT_TRUE(box.drainOutput().empty());
 }
 
 }  // namespace

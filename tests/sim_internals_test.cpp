@@ -1,9 +1,11 @@
 // Tests for simulator internals: serial-server queueing (the paper's boxes
 // process one stimulus at a time at cost c), network jitter, the delivery
-// hook, and injection ordering.
+// hook, injection ordering, and the channel lifecycle the simulator carries
+// between the two ends of a channel.
 #include <gtest/gtest.h>
 
 #include "endpoints/user_device.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace cmc {
@@ -112,6 +114,129 @@ TEST(SimInternals, DuplicateBoxNameThrows) {
 TEST(SimInternals, UnknownBoxLookupThrows) {
   Simulator sim;
   EXPECT_THROW(sim.box("ghost"), std::logic_error);
+}
+
+// A box that exposes the channel helpers and logs what reaches it, in order.
+class WiredBox : public Box {
+ public:
+  using Box::Box;
+  using Box::destroyChannel;
+  using Box::requestChannel;
+  using Box::sendMeta;
+
+  void deliverTunnel(SlotId slot, const Signal& signal) override {
+    log.push_back("signal:" + std::string(toString(kindOf(signal))));
+    Box::deliverTunnel(slot, signal);
+  }
+
+  std::vector<std::string> log;
+  ChannelId requested;
+
+ protected:
+  void onChannelUp(ChannelId channel, const std::string&) override {
+    requested = channel;
+  }
+  void onIncomingChannel(ChannelId, const std::string&) override {
+    log.push_back("incoming");
+  }
+  void onMeta(ChannelId, const MetaSignal& meta) override {
+    log.push_back("meta:" + meta.tag);
+  }
+  void onChannelDown(ChannelId) override { log.push_back("down"); }
+};
+
+EndpointGoal opener() {
+  return OpenSlotGoal{Medium::audio,
+                      MediaIntent::endpoint(
+                          MediaAddress::parse("10.9.1.1", 5000),
+                          {Codec::g711u}),
+                      DescriptorFactory{1}};
+}
+
+TEST(SimChannelLifecycle, SignalQueuedBeforeDestroyStillReachesThePeer) {
+  // The signal was addressed when it was queued, so destroying the channel
+  // later in the same stimulus does not strand it: the peer gets the
+  // signal, then the teardown.
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  auto& a = sim.addBox<WiredBox>("A");
+  auto& b = sim.addBox<WiredBox>("B");
+  const ChannelId ch = sim.connect("A", "B");
+  b.log.clear();  // "incoming", from connect
+  sim.inject("A", [&](Box&) {
+    a.setGoal(a.slotsOf(ch).at(0), opener());
+    a.destroyChannel(ch);
+  });
+  sim.runFor(1_s);
+  EXPECT_EQ(b.log, (std::vector<std::string>{"signal:open", "down"}));
+  EXPECT_FALSE(b.hasChannel(ch));
+  EXPECT_EQ(sim.signalsDelivered(), 1u);
+}
+
+TEST(SimChannelLifecycle, HangupBeforeMaterializationNeverReachesCallee) {
+  // n = 34 ms, c = 20 ms: the request leaves at 20 ms and would materialize
+  // at 54 ms; the caller hangs up at 40 ms. The callee never gets an end,
+  // is never stimulated, and is sent no teardown.
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  obs::MetricsRegistry reg;
+  sim.attachMetrics(&reg);
+  auto& a = sim.addBox<WiredBox>("A");
+  auto& b = sim.addBox<WiredBox>("B");
+  sim.inject("A", [&](Box&) { a.requestChannel("B", 1, "call"); });
+  sim.inject("A", [&](Box&) {
+    ASSERT_TRUE(a.requested.valid());
+    a.destroyChannel(a.requested);
+  });
+  EXPECT_TRUE(sim.run());
+  EXPECT_FALSE(a.hasChannel(a.requested));
+  EXPECT_FALSE(b.hasChannel(a.requested));
+  EXPECT_TRUE(b.log.empty());
+  EXPECT_EQ(reg.counter("sim.stimuli").value(), 2u);  // the two injections
+}
+
+TEST(SimChannelLifecycle, SignalToATornDownEndIsLostBeforeTheDeadBoxCheck) {
+  // B drops its end at 20 ms, A's open leaves at 20 ms and arrives at 54 ms,
+  // while B is also crashed (30 ms to 1.03 s). The end is gone, so the
+  // signal is lost in the channel: it is neither delivered nor counted as a
+  // dead-box drop.
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  obs::MetricsRegistry reg;
+  sim.attachMetrics(&reg);
+  auto& a = sim.addBox<WiredBox>("A");
+  auto& b = sim.addBox<WiredBox>("B");
+  const ChannelId ch = sim.connect("A", "B");
+  b.log.clear();  // "incoming", from connect
+  FaultPlan plan(3, FaultSpec{0.0, 0.0, 0.0});
+  plan.addCrash(CrashEvent{"B", SimTime{} + 30_ms, 1_s});
+  sim.installFaultPlan(&plan);
+  sim.inject("B", [&](Box&) { b.destroyChannel(ch); });
+  sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(ch).at(0), opener()); });
+  sim.runFor(2_s);
+  EXPECT_EQ(plan.counters().crashes, 1u);
+  EXPECT_EQ(sim.signalsDelivered(), 0u);
+  EXPECT_EQ(b.log, (std::vector<std::string>{"down"}));  // its own destroy
+  EXPECT_EQ(plan.counters().dead_box_drops, 0u);
+  EXPECT_EQ(reg.counter("fault.dead_box_drops").value(), 0u);
+  EXPECT_FALSE(a.hasChannel(ch));  // the teardown reached A
+  sim.installFaultPlan(nullptr);
+}
+
+TEST(SimChannelLifecycle, MetaReachesAReceiverThatDroppedItsEnd) {
+  // B drops its end at 20 ms; A, still holding its end until the teardown
+  // arrives (54 ms) and is processed (74 ms), sends a meta at 20 ms. The
+  // meta arrives at 54 ms while A still holds the channel, so it is
+  // delivered even though B no longer does.
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  auto& a = sim.addBox<WiredBox>("A");
+  auto& b = sim.addBox<WiredBox>("B");
+  const ChannelId ch = sim.connect("A", "B");
+  b.log.clear();  // "incoming", from connect
+  sim.inject("B", [&](Box&) { b.destroyChannel(ch); });
+  sim.inject("A", [&](Box&) {
+    a.sendMeta(ch, MetaSignal{MetaKind::custom, "hello", ""});
+  });
+  sim.runFor(1_s);
+  EXPECT_EQ(b.log, (std::vector<std::string>{"down", "meta:hello"}));
+  EXPECT_EQ(a.log, (std::vector<std::string>{"down"}));
 }
 
 }  // namespace
