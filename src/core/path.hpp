@@ -43,10 +43,6 @@ namespace cmc {
 // Which end of the path.
 enum class PathEnd : std::uint8_t { left = 0, right = 1 };
 
-[[nodiscard]] constexpr PathEnd oppositeEnd(PathEnd e) noexcept {
-  return e == PathEnd::left ? PathEnd::right : PathEnd::left;
-}
-
 // One enabled action of the path system.
 struct PathAction {
   enum class Kind : std::uint8_t {

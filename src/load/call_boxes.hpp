@@ -49,7 +49,6 @@ class LoadEndpointBox : public Box {
   [[nodiscard]] bool ready() const noexcept {
     return slot_.valid() && channelOf(slot_).valid();
   }
-  [[nodiscard]] SlotId callSlot() const noexcept { return slot_; }
   // Quiescence predicates for the call's §V rest state.
   [[nodiscard]] GoalKind goal() const noexcept { return kind_; }
   [[nodiscard]] bool atGoal() const { return ready() && goalSatisfied(slot_); }

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "load/call_boxes.hpp"
-#include "load/fault_router.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/profiler.hpp"
 #include "sim/simulator.hpp"
@@ -28,6 +27,7 @@ struct CallRuntime {
   LoadRelayBox* relay = nullptr;
   obs::ConvergenceProbes::Id probe;  // the call's setup probe, once armed
   CallOutcome outcome;
+  std::unique_ptr<FaultPlan> faults;  // the call's own plan, if faulty
 };
 
 bool leakFree(const Box* box) {
@@ -86,8 +86,9 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
     shards[call.id % config_.shards]->calls.push_back(call);
   }
   // Workload-wide fault-activity horizon: the last instant any call's
-  // arrival-relative fault window can still be open. Passed to every
-  // shard's router so refresh-tick lifetimes are shard-count invariant.
+  // arrival-relative fault window can still be open. Every shard's
+  // installed plan closes its window there, so refresh-tick lifetimes are
+  // shard-count invariant.
   const SimTime fault_horizon = faultHorizon(calls, workload);
 
   if (config_.profile) {
@@ -211,16 +212,21 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
       obs::setThreadFlightRecorder(&flight);
     }
 
-    PerCallFaultRouter router(workload.fault_spec, fault_horizon);
+    // The installed plan injects nothing: faulty calls' boxes decide with
+    // their own plans. It is installed on every shard, even one that drew
+    // no faulty call, because it switches boxes into stabilization mode,
+    // and whether a call runs in that mode must not depend on where it
+    // landed. Its window closes at the horizon of the whole workload, not
+    // of this shard's slice: refresh-tick chains live while it is open, and
+    // if their lifetime varied by shard composition, a box could get a goal
+    // refresh at different instants under different shard counts.
+    const FaultSpec quiet{
+        .active_for = workload.fault_spec.active_for,
+        .refresh_interval = workload.fault_spec.refresh_interval};
+    FaultPlan installed(/*seed=*/0, quiet,
+                        SimTime{fault_horizon.sinceStart() - quiet.active_for});
     const bool faults_on = workload.fault_fraction > 0.0;
-    if (faults_on) {
-      for (const CallSpec& call : shard.calls) {
-        if (call.faulty) router.addCall(call, workload.fault_spec);
-      }
-      // Installed even when this shard drew no faulty calls: stabilization
-      // mode must not depend on shard assignment (see fault_router.hpp).
-      sim.installFaultPlan(&router);
-    }
+    if (faults_on) sim.installFaultPlan(&installed);
 
     // Phases under shard.run: scheduling the call set, draining the event
     // loop, finalizing outcomes.
@@ -228,7 +234,14 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     {
       CMC_PROF_SCOPE("shard.schedule");
       for (const CallSpec& call : shard.calls) {
-        live.push_back(CallRuntime{call, nullptr, nullptr, nullptr, {}, {}});
+        CallRuntime& runtime = live.emplace_back();
+        runtime.spec = call;
+        if (faults_on && call.faulty) {
+          // Seeded per call, its window opening at the call's arrival: the
+          // call's faults depend on nothing else in its shard.
+          runtime.faults = std::make_unique<FaultPlan>(
+              call.seed, workload.fault_spec, call.arrival);
+        }
       }
       for (CallRuntime& call : live) {
         call.outcome.spec = call.spec;
@@ -249,6 +262,10 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
               call.spec.rightName(), call.spec.right, PathEnd::right);
           call.left = &left;
           call.right = &right;
+          if (call.faults) {
+            sim.setBoxFaultPlan(left.id(), call.faults.get());
+            sim.setBoxFaultPlan(right.id(), call.faults.get());
+          }
           std::string target = call.spec.rightName();
           // The probe reads this call's boxes and nothing else, so only
           // their stimuli re-check it.
@@ -258,6 +275,7 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
             auto& relay = sim.addBox<LoadRelayBox>(call.spec.relayName(),
                                                    call.spec.rightName());
             call.relay = &relay;
+            if (call.faults) sim.setBoxFaultPlan(relay.id(), call.faults.get());
             target = call.spec.relayName();
             watch.push_back(relay.id().value());
           }
@@ -321,12 +339,10 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     // Per-call fault totals (drops + dups + reorders seen by each call).
     std::uint64_t faults_total = 0;
     for (CallRuntime& call : live) {
-      if (faults_on && call.spec.faulty) {
-        if (const auto* c = router.countersFor(call.spec.leftName())) {
-          call.outcome.faults_injected =
-              c->dropped + c->duplicated + c->reordered;
-          faults_total += call.outcome.faults_injected;
-        }
+      if (call.faults) {
+        const FaultPlan::Counters& c = call.faults->counters();
+        call.outcome.faults_injected = c.dropped + c.duplicated + c.reordered;
+        faults_total += call.outcome.faults_injected;
       }
       shard.outcomes.push_back(call.outcome);
     }

@@ -22,8 +22,10 @@
 //   * every shard simulates with TimingModel::paperDefaults(), which has
 //     zero network jitter, so the simulator's latency stream consumes no
 //     Rng;
-//   * per-call fault plans are routed by box name (PerCallFaultRouter) with
-//     a workload-wide activity horizon;
+//   * a faulty call's boxes decide with the call's own seeded plan, its
+//     window opening at the call's arrival; every other box decides with
+//     a shard's installed plan, which injects nothing and whose window
+//     closes at a workload-wide horizon;
 //   * observability is installed per shard thread via the thread-local
 //     overrides (obs::setThreadRecorder / setThreadMetrics /
 //     setThreadFlightRecorder), so shards never write into each other's

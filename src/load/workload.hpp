@@ -51,9 +51,9 @@ struct WorkloadSpec {
   double flowlink_fraction = 0.5;
   // Fraction of calls that run under an individual fault plan.
   double fault_fraction = 0.0;
-  // Fault shape for faulty calls. `active_for` is interpreted relative to
-  // the call's arrival (PerCallFaultRouter shifts time), so every faulty
-  // call sees the same fault window over its own lifetime.
+  // Fault shape for faulty calls. Each faulty call's plan starts at the
+  // call's arrival, so every faulty call sees the same fault window over
+  // its own lifetime.
   FaultSpec fault_spec = defaultCallFaults();
 
   [[nodiscard]] static FaultSpec defaultCallFaults() {
@@ -79,7 +79,7 @@ struct CallSpec {
   const char* type_name = "";
 
   // Box names are "c<id>.L" / "c<id>.F" / "c<id>.R": the call id prefix is
-  // how per-call fault routing and trace filtering find a call's boxes.
+  // how trace filtering finds a call's boxes.
   [[nodiscard]] std::string leftName() const { return prefix() + ".L"; }
   [[nodiscard]] std::string relayName() const { return prefix() + ".F"; }
   [[nodiscard]] std::string rightName() const { return prefix() + ".R"; }
@@ -88,10 +88,10 @@ struct CallSpec {
 };
 
 // Workload-wide fault-activity horizon: the last instant any call's
-// arrival-relative fault window can still be open. Every shard's fault
-// router must be handed the horizon of the FULL call set, not of its own
-// slice, so refresh-tick lifetimes stay invariant under any placement of
-// calls across shards.
+// arrival-relative fault window can still be open. Every shard's installed
+// plan must close its window at the horizon of the FULL call set, not of
+// its own slice, so refresh-tick lifetimes stay invariant under any
+// placement of calls across shards.
 [[nodiscard]] SimTime faultHorizon(const std::vector<CallSpec>& calls,
                                    const WorkloadSpec& spec);
 

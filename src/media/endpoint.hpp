@@ -68,7 +68,6 @@ class MediaEndpoint : public MediaSink {
   [[nodiscard]] const std::optional<SendState>& sendingState() const noexcept {
     return sending_;
   }
-  [[nodiscard]] bool listeningNow() const noexcept { return !listening_.empty(); }
 
   void onMediaPacket(const MediaPacket& packet) override {
     if (listening_.count(packet.codec) == 0) {

@@ -40,8 +40,8 @@ std::string_view toString(EventKind kind) noexcept {
 }
 
 TraceRecorder::TraceRecorder(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)),
-      wall_epoch_us_(wallMicros()) {
+    : wall_epoch_us_(wallMicros()),
+      capacity_(std::max<std::size_t>(capacity, 1)) {
   ring_.reserve(std::min<std::size_t>(capacity_, 4096));
 }
 

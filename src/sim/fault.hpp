@@ -7,22 +7,24 @@
 //   duplicate   — a signal is delivered twice (copies spaced apart);
 //   reorder     — a signal is held back up to `reorder_window`, letting
 //                 later signals on the same tunnel overtake it;
-//   burst delay — every signal sent inside a scheduled burst window incurs
-//                 a fixed extra delay (models transient congestion);
 //   crash       — a box loses all volatile slot state and rejoins the path
 //                 after `down_for` (Box::crashRestart).
+//
+// A plan is a plain value. The simulator's box table records which plan
+// decides for each box's signals: the installed plan by default, or a plan
+// of the box's own (Simulator::setBoxFaultPlan), so one shard can run every
+// faulty call under its own seeded plan.
 //
 // The plan owns its own Rng, separate from the simulator's jitter Rng, so
 // installing a plan never perturbs the latency stream: a run with a given
 // (sim seed, fault seed) pair replays byte-identically, and the same sim
 // seed without faults behaves exactly as before. Faults are injected only
-// while `activeAt(now)` holds (the first `active_for` of virtual time);
-// afterwards the path must self-stabilize, which is what the stabilization
-// probes and the property suite measure.
+// while `activeAt(now)` holds (the `active_for` after the plan's start
+// instant); afterwards the path must self-stabilize, which is what the
+// stabilization probes and the property suite measure.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,15 +34,15 @@
 
 namespace cmc {
 
-// Per-tunnel fault probabilities and shaping parameters.
+// Per-signal fault probabilities and shaping parameters.
 struct FaultSpec {
   double drop_rate = 0.0;       // P(signal vanishes)
   double duplicate_rate = 0.0;  // P(signal delivered twice)
   double reorder_rate = 0.0;    // P(signal held back for a random slice
                                 //   of reorder_window)
   SimDuration reorder_window{120'000};  // max hold-back (µs)
-  // Injection window: faults fire only in the first `active_for` of virtual
-  // time. Zero means "never stop" (for pure-churn experiments).
+  // Injection window: faults fire only in the first `active_for` after the
+  // plan's start. Zero means "never stop" (for pure-churn experiments).
   SimDuration active_for{5'000'000};
   // Cadence of the stabilization refresh tick the simulator runs on every
   // box while a plan is installed (goal/flowlink re-assertion; see
@@ -57,13 +59,6 @@ struct CrashEvent {
   SimDuration down_for{1'000'000};
 };
 
-// A burst window: signals sent in [at, at + duration) get `extra` delay.
-struct BurstWindow {
-  SimTime at;
-  SimDuration duration{500'000};
-  SimDuration extra{250'000};
-};
-
 // What the plan decided for one signal emission.
 struct FaultDecision {
   bool drop = false;
@@ -74,48 +69,34 @@ struct FaultDecision {
 
 class FaultPlan {
  public:
-  explicit FaultPlan(std::uint64_t seed, FaultSpec spec = {})
-      : seed_(seed), spec_(std::move(spec)), rng_(seed) {}
-  // decide() and activeAt() are virtual so that composite plans can route
-  // per-signal decisions to sub-plans — the sharded load runtime gives
-  // every call its own seeded plan (src/load/fault_router.hpp), keeping
-  // each call's fault stream independent of what else shares its shard.
-  virtual ~FaultPlan() = default;
+  // `start` opens the injection window: a plan made for a call that
+  // arrives at t=40s injects over [40s, 40s + active_for).
+  explicit FaultPlan(std::uint64_t seed, FaultSpec spec = {},
+                     SimTime start = {})
+      : seed_(seed), spec_(std::move(spec)), start_(start), rng_(seed) {}
 
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }
-
-  // Override the fault spec for one direction of one box pair (the tunnel
-  // from `from` to `to`); all other traffic keeps the default spec.
-  void tunnelOverride(const std::string& from, const std::string& to,
-                      FaultSpec spec) {
-    overrides_[from + "\x1f" + to] = std::move(spec);
-  }
 
   void addCrash(CrashEvent crash) { crashes_.push_back(std::move(crash)); }
   [[nodiscard]] const std::vector<CrashEvent>& crashes() const noexcept {
     return crashes_;
   }
 
-  void addBurst(BurstWindow burst) { bursts_.push_back(std::move(burst)); }
-
-  [[nodiscard]] virtual bool activeAt(SimTime now) const noexcept {
-    return spec_.active_for.count() == 0 || now.sinceStart() < spec_.active_for;
+  [[nodiscard]] bool activeAt(SimTime now) const noexcept {
+    return spec_.active_for.count() == 0 || now < start_ + spec_.active_for;
   }
 
-  // Decide the fate of one signal from `from` to `to` emitted at `now`.
-  // Consumes this plan's Rng stream; with a deterministic event loop the
-  // call sequence — and thus every decision — replays exactly per seed.
-  [[nodiscard]] virtual FaultDecision decide(const std::string& from,
-                                             const std::string& to,
-                                             SimTime now);
+  // Decide the fate of one signal emitted at `now`. Consumes this plan's
+  // Rng stream; with a deterministic event loop the call sequence — and
+  // thus every decision — replays exactly per seed.
+  [[nodiscard]] FaultDecision decide(SimTime now);
 
   struct Counters {
     std::uint64_t considered = 0;  // signals emitted while plan installed
     std::uint64_t dropped = 0;
     std::uint64_t duplicated = 0;
     std::uint64_t reordered = 0;
-    std::uint64_t burst_delayed = 0;
     std::uint64_t crashes = 0;         // maintained by the simulator
     std::uint64_t dead_box_drops = 0;  // deliveries to a crashed box
   };
@@ -123,21 +104,11 @@ class FaultPlan {
   [[nodiscard]] Counters& counters() noexcept { return counters_; }
 
  private:
-  [[nodiscard]] const FaultSpec& specFor(const std::string& from,
-                                         const std::string& to) const {
-    // The key outgrows the small-string buffer once box names do, so build
-    // it only when there is an override to find.
-    if (overrides_.empty()) return spec_;
-    auto it = overrides_.find(from + "\x1f" + to);
-    return it == overrides_.end() ? spec_ : it->second;
-  }
-
   std::uint64_t seed_;
   FaultSpec spec_;
+  SimTime start_;
   Rng rng_;
-  std::map<std::string, FaultSpec> overrides_;
   std::vector<CrashEvent> crashes_;
-  std::vector<BurstWindow> bursts_;
   Counters counters_;
 };
 

@@ -72,7 +72,9 @@ void Simulator::registerBox(std::unique_ptr<Box> box) {
     throw std::logic_error("duplicate box: " + box->name());
   }
   if (fault_plan_ != nullptr) box->enableStabilization(true);
-  boxes_.emplace_back().box = std::move(box);
+  BoxEntry& row = boxes_.emplace_back();
+  row.box = std::move(box);
+  row.fault_plan = fault_plan_;
   if (fault_plan_ != nullptr) scheduleRefreshTick(id);
 }
 
@@ -104,6 +106,7 @@ void Simulator::runFor(SimDuration d) { loop_.runUntil(loop_.now() + d); }
 
 void Simulator::installFaultPlan(FaultPlan* plan) {
   fault_plan_ = plan;
+  for (BoxEntry& row : boxes_) row.fault_plan = plan;
   if (plan == nullptr) return;
   // Name order, so same-instant refresh ticks fire in box-name order.
   for (const auto& [name, id] : box_ids_) {
@@ -143,8 +146,8 @@ void Simulator::crashBox(const CrashEvent& crash) {
   Box& target = *entry(id).box;
   const SimTime up_at = loop_.now() + crash.down_for;
   // Overlapping crashes: the box stays down until the later up-time.
-  std::optional<SimTime>& down_until = entry(id).down_until;
-  down_until = down_until ? std::max(*down_until, up_at) : up_at;
+  SimTime& down_until = entry(id).down_until;
+  down_until = std::max(down_until, up_at);
   if (fault_plan_ != nullptr) ++fault_plan_->counters().crashes;
   if (obs::MetricsRegistry* m = obs::metrics()) {
     m->counter("fault.crashes").add();
@@ -161,9 +164,9 @@ void Simulator::crashBox(const CrashEvent& crash) {
     // Overlapping crashes restart the box once, at the latest up-time: a
     // box still down belongs to a later crash's restart, and a box already
     // up was restarted by a crash ending at the same instant.
-    std::optional<SimTime>& down = entry(id).down_until;
-    if (!down || loop_.now() < *down) return;
-    down.reset();
+    SimTime& down = entry(id).down_until;
+    if (down == kUp || loop_.now() < down) return;
+    down = kUp;
     if (obs::TraceRecorder* rec = obs::recorder()) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::mark;
@@ -303,7 +306,10 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     const SimDuration latency = timing_.sampleNetwork(rng_);
     FaultDecision fate;  // default: deliver one copy, on time
     if (fault_plan_ != nullptr) {
-      fate = fault_plan_->decide(sender.name(), to, loop_.now());
+      // The sender's own plan decides; the installed one still counts it.
+      FaultPlan& plan = *entry(from).fault_plan;
+      if (&plan != fault_plan_) ++fault_plan_->counters().considered;
+      fate = plan.decide(loop_.now());
     }
     if (obs::MetricsRegistry* m = obs::metrics();
         m != nullptr && fault_plan_ != nullptr) {

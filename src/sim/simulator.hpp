@@ -26,7 +26,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -128,13 +127,20 @@ class Simulator {
   [[nodiscard]] obs::ConvergenceProbes& probes() noexcept { return probes_; }
 
   // ------------------------------------------------------- fault injection
-  // Install a fault plan (docs/FAULTS.md). Switches every registered box
-  // into stabilization mode, schedules the plan's crashes, and starts the
-  // per-box refresh tick that re-asserts unconverged goals. The plan must
-  // outlive the simulator (or be detached with installFaultPlan(nullptr)).
-  // Install after adding boxes and before running.
+  // Install a fault plan (docs/FAULTS.md). Switches every box, registered
+  // now or later, into stabilization mode, makes the plan decide for its
+  // signals, schedules the plan's crashes, and starts the per-box refresh
+  // tick that re-asserts unconverged goals. The installed plan also keeps
+  // the crash, dead-box-drop and considered counters and the refresh
+  // cadence. The plan must outlive the simulator (or be detached with
+  // installFaultPlan(nullptr)). Install before running.
   void installFaultPlan(FaultPlan* plan);
-  [[nodiscard]] FaultPlan* faultPlan() const noexcept { return fault_plan_; }
+  // Let `plan` (non-null) decide for box `id`'s signals instead of the
+  // installed plan; a later installFaultPlan resets every box. Decisions
+  // happen only while a plan is installed. `plan` must outlive its use.
+  void setBoxFaultPlan(BoxId id, FaultPlan* plan) {
+    entry(id).fault_plan = plan;
+  }
 
   // True while `name` is crashed (between a CrashEvent and its restart).
   [[nodiscard]] bool boxDown(const std::string& name) const noexcept;
@@ -158,20 +164,23 @@ class Simulator {
       onSignalDelivered;
 
  private:
-  // One row of the box table: the box and the three facts the timing and
+  // `down_until` of a box that is up: no instant precedes it.
+  static constexpr SimTime kUp{SimDuration::min()};
+  // One row of the box table: the box and the four facts the timing and
   // fault models keep about it.
   struct BoxEntry {
     std::unique_ptr<Box> box;
     SimTime busy_until;  // serial server: next instant the box is free
-    std::optional<SimTime> down_until;  // set from a crash to its restart
-    bool refresh_armed = false;         // a refresh tick is pending
+    SimTime down_until = kUp;  // from a crash to its restart: the up-time
+    FaultPlan* fault_plan = nullptr;  // decides this box's signals; not owned
+    bool refresh_armed = false;       // a refresh tick is pending
   };
 
   void registerBox(std::unique_ptr<Box> box);
   [[nodiscard]] BoxEntry& entry(BoxId id) { return boxes_[id.value() - 1]; }
   [[nodiscard]] BoxId idOf(const std::string& name) const;
   [[nodiscard]] bool isDown(const BoxEntry& e) const noexcept {
-    return e.down_until && loop_.now() < *e.down_until;
+    return loop_.now() < e.down_until;
   }
   // True when `e` is crashed: whatever was about to reach the box — a
   // queued stimulus, a meta-signal, a timer, a tunnel signal — is lost, and
@@ -234,7 +243,7 @@ class Simulator {
   std::uint64_t signals_delivered_ = 0;
   obs::ConvergenceProbes probes_;
   HotMetrics hot_;
-  FaultPlan* fault_plan_ = nullptr;  // not owned
+  FaultPlan* fault_plan_ = nullptr;  // the installed plan; not owned
   // Globals this simulator installed, cleared on destruction so a stale
   // pointer never outlives the run that owns it.
   obs::TraceRecorder* attached_trace_ = nullptr;

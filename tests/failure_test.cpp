@@ -187,6 +187,32 @@ TEST(CrashRestart, DeadBoxDropsCountTimersAndQueuedStimuliOnce) {
   EXPECT_EQ(drops->value(), plan.counters().dead_box_drops);
 }
 
+// A box that counts its restarts.
+class RestartCountingBox : public Box {
+ public:
+  using Box::Box;
+  int restarts = 0;
+
+ protected:
+  void onCrashRestart() override { ++restarts; }
+};
+
+TEST(CrashRestart, ZeroLengthOutageStillRestartsOnce) {
+  // A crash with no outage is never "down", yet the box still loses its
+  // volatile state and restarts, exactly once.
+  Simulator sim(TimingModel::paperDefaults(), 43);
+  auto& box = sim.addBox<RestartCountingBox>("Z");
+  FaultPlan plan(1);
+  plan.addCrash(CrashEvent{"Z", SimTime{} + 100_ms, SimDuration{0}});
+  sim.installFaultPlan(&plan);
+  sim.runFor(100_ms);
+  EXPECT_FALSE(sim.boxDown("Z"));
+  sim.runFor(1_s);
+  EXPECT_EQ(plan.counters().crashes, 1u);
+  EXPECT_EQ(box.restarts, 1);
+  EXPECT_FALSE(sim.boxDown("Z"));
+}
+
 // Relay with one flowlink joining its two statically configured channels.
 class RelayBox : public Box {
  public:

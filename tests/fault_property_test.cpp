@@ -276,11 +276,21 @@ TEST(SimFaultPlan, FixedSeedsReplayByteIdentically) {
       << "same (sim seed, fault seed) must replay the exact same trace";
 }
 
-TEST(SimFaultPlan, TunnelOverrideConfinesFaultsToOneDirection) {
+TEST(SimFaultPlan, WindowOpensAtThePlansStart) {
+  FaultSpec spec;
+  spec.drop_rate = 1.0;
+  spec.active_for = 2_s;
+  FaultPlan plan(5, spec, SimTime{40_s});
+  EXPECT_TRUE(plan.decide(SimTime{40_s + 500_ms}).drop);
+  EXPECT_FALSE(plan.decide(SimTime{42_s}).drop);
+  EXPECT_EQ(plan.counters().considered, 2u);
+}
+
+TEST(SimFaultPlan, BoxPlanConfinesFaultsToOneDirection) {
   Simulator sim(TimingModel::paperDefaults(), 42);
   auto& media = sim.mediaNetwork();
-  sim.addBox<UserDeviceBox>("A", media, sim.loop(),
-                            MediaAddress::parse("10.0.0.1", 5000));
+  auto& a = sim.addBox<UserDeviceBox>("A", media, sim.loop(),
+                                      MediaAddress::parse("10.0.0.1", 5000));
   sim.addBox<UserDeviceBox>("B", media, sim.loop(),
                             MediaAddress::parse("10.0.0.2", 5000));
   FaultSpec quiet;  // default: no faults anywhere
@@ -288,15 +298,17 @@ TEST(SimFaultPlan, TunnelOverrideConfinesFaultsToOneDirection) {
   FaultSpec lossy;
   lossy.drop_rate = 1.0;
   lossy.active_for = 600_ms;
-  plan.tunnelOverride("A", "B", lossy);
+  FaultPlan a_plan(3, lossy);
   sim.installFaultPlan(&plan);
+  // Only what A sends is lossy; B -> A stays with the quiet installed plan.
+  sim.setBoxFaultPlan(a.id(), &a_plan);
   sim.inject("A",
              [](Box& box) { static_cast<UserDeviceBox&>(box).placeCall("B"); });
   sim.runFor(600_ms);
-  EXPECT_GT(plan.counters().dropped, 0u) << "override direction saw no drops";
+  EXPECT_GT(a_plan.counters().dropped, 0u) << "A's plan saw no drops";
+  EXPECT_EQ(plan.counters().dropped, 0u) << "the installed plan dropped";
   // After the injection window the dropped opens are re-asserted.
   sim.runFor(10_s);
-  auto& a = static_cast<UserDeviceBox&>(sim.box("A"));
   EXPECT_TRUE(a.inCall());
 }
 

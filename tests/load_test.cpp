@@ -143,6 +143,36 @@ TEST(ShardDeterminism, HoldsUnderPerCallFaultPlans) {
   EXPECT_EQ(a.convergedCount(), workload.calls);
 }
 
+TEST(ShardDeterminism, HoldsWithFaultsOnAndNoFaultyCall) {
+  // A fault fraction so small that no call draws a plan of its own. The
+  // runtime still installs its quiet plan on every shard, which puts every
+  // box in stabilization mode; with no faulty call its window never opens,
+  // at any shard count.
+  const WorkloadSpec workload = smallWorkload(42, /*fault_fraction=*/1e-9);
+  for (const CallSpec& call : WorkloadGenerator(workload).generate()) {
+    ASSERT_FALSE(call.faulty) << "call " << call.id;
+  }
+
+  LoadConfig one;
+  one.shards = 1;
+  ShardedRuntime a(one);
+  a.run(workload);
+  LoadConfig four;
+  four.shards = 4;
+  ShardedRuntime b(four);
+  b.run(workload);
+
+  EXPECT_EQ(a.convergedCount(), workload.calls);
+  EXPECT_EQ(a.cleanTeardownCount(), workload.calls);
+  expectSameOutcomes(a, b);
+  EXPECT_EQ(a.metricsJson(), b.metricsJson());
+
+  // Stabilization mode is on: the rollup is not the fault-free run's.
+  ShardedRuntime clean(one);
+  clean.run(smallWorkload(42));
+  EXPECT_NE(a.metricsJson(), clean.metricsJson());
+}
+
 // --------------------------------------------- rollup transparency pins
 //
 // Recorded digests of the full metrics rollup for fixed seeds. The

@@ -107,6 +107,8 @@ TEST_F(ForwardingScenario, CallerHangupFoldsChain) {
   ASSERT_TRUE(b.inCall());
   sim_.inject("A", [](Box& bx) { static_cast<UserDeviceBox&>(bx).hangUp(); });
   sim_.runFor(2_s);
+  EXPECT_FALSE(a.inCall());
+  EXPECT_FALSE(a.media().sendingNow());
   EXPECT_FALSE(b.inCall());
   EXPECT_FALSE(b.media().sendingNow());
 }

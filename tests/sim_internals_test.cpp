@@ -113,7 +113,7 @@ TEST(SimInternals, DuplicateBoxNameThrows) {
 
 TEST(SimInternals, UnknownBoxLookupThrows) {
   Simulator sim;
-  EXPECT_THROW(sim.box("ghost"), std::logic_error);
+  EXPECT_THROW((void)sim.box("ghost"), std::logic_error);
 }
 
 // A box that exposes the channel helpers and logs what reaches it, in order.
