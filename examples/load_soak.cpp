@@ -146,11 +146,17 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runtime.shardStats().size(); ++i) {
     const auto& s = runtime.shardStats()[i];
     std::printf(
-        "  shard %zu: %zu calls, %llu events, %llu signals, peak queue %zu, "
-        "%zu converged, %zu probe failures\n",
+        "  shard %zu: %zu calls, %llu events (%.1f/call), %llu signals, "
+        "peak queue %zu, %zu converged, %zu probe failures, "
+        "%llu boxes retired, %llu retired drops\n",
         i, s.calls, static_cast<unsigned long long>(s.events_executed),
+        s.calls > 0 ? static_cast<double>(s.events_executed) /
+                          static_cast<double>(s.calls)
+                    : 0.0,
         static_cast<unsigned long long>(s.signals_delivered), s.peak_pending,
-        s.probes_converged, s.probes_failed);
+        s.probes_converged, s.probes_failed,
+        static_cast<unsigned long long>(s.boxes_retired),
+        static_cast<unsigned long long>(s.retired_drops));
   }
 
   const auto& latency = runtime.setupLatency();

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <stdexcept>
 #include <thread>
 
@@ -18,16 +19,18 @@ namespace cmc::load {
 
 namespace {
 
-// One call's live state inside a shard. Boxes are owned by the shard's
-// Simulator and never removed, so the raw pointers stay valid for the run.
+// One call's live state inside a shard; its outcome lives in
+// ShardState::outcomes. The boxes are owned by the shard's Simulator. A leak-free audit retires them
+// and nulls these pointers; a leaking call keeps both, so its boxes stay
+// live and visible.
 struct CallRuntime {
-  CallSpec spec;
   LoadEndpointBox* left = nullptr;
   LoadEndpointBox* right = nullptr;
   LoadRelayBox* relay = nullptr;
   obs::ConvergenceProbes::Id probe;  // the call's setup probe, once armed
-  CallOutcome outcome;
-  std::unique_ptr<FaultPlan> faults;  // the call's own plan, if faulty
+  // The call's own plan, if faulty: made at arrival, freed with the boxes
+  // that decide with it.
+  std::unique_ptr<FaultPlan> faults;
 };
 
 bool leakFree(const Box* box) {
@@ -40,7 +43,7 @@ struct ShardedRuntime::ShardState {
   std::size_t index = 0;
   std::vector<CallSpec> calls;  // arrival order
   obs::MetricsRegistry metrics;
-  std::vector<CallOutcome> outcomes;
+  std::vector<CallOutcome> outcomes;  // one per call, arrival order
   std::vector<obs::TraceEvent> events;
   ShardStats stats;
   std::string error;
@@ -217,9 +220,9 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     // no faulty call, because it switches boxes into stabilization mode,
     // and whether a call runs in that mode must not depend on where it
     // landed. Its window closes at the horizon of the whole workload, not
-    // of this shard's slice: refresh-tick chains live while it is open, and
-    // if their lifetime varied by shard composition, a box could get a goal
-    // refresh at different instants under different shard counts.
+    // of this shard's slice: a live box's refresh-tick chain lasts while it
+    // is open, and if that lifetime varied by shard composition, a box could
+    // get a goal refresh at different instants under different shard counts.
     const FaultSpec quiet{
         .active_for = workload.fault_spec.active_for,
         .refresh_interval = workload.fault_spec.refresh_interval};
@@ -228,104 +231,134 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     const bool faults_on = workload.fault_fraction > 0.0;
     if (faults_on) sim.installFaultPlan(&installed);
 
-    // Phases under shard.run: scheduling the call set, draining the event
-    // loop, finalizing outcomes.
-    std::deque<CallRuntime> live;
+    // Phases under shard.run: scheduling the first arrival, draining the
+    // event loop, finalizing outcomes. Each lifecycle event pushes the
+    // next: an arrival pushes its call's teardown and the next call's
+    // arrival, a teardown pushes its audit. The queue so holds the calls in
+    // flight, not the calls still to come. A call's own events keep their
+    // order; only same-instant events of different calls move, and those
+    // share no state the rollup reads.
+    const std::vector<CallSpec>& specs = shard.calls;
+    std::vector<CallRuntime> calls(specs.size());
+    shard.outcomes.resize(specs.size());
+    std::size_t boxes_retired = 0;
+
+    const auto audit = [&](std::size_t i) {
+      CallRuntime& call = calls[i];
+      CallOutcome& outcome = shard.outcomes[i];
+      // Taken, not read: the probe keeps results only for calls whose
+      // outcome is still open.
+      const auto latency = sim.probes().takeLatencyUs(outcome.spec.probeName());
+      outcome.converged = latency.has_value();
+      outcome.setup_latency_us = latency.value_or(-1);
+      outcome.clean_teardown =
+          leakFree(call.left) && leakFree(call.right) && leakFree(call.relay);
+      if (call.faults) {
+        const FaultPlan::Counters& c = call.faults->counters();
+        outcome.faults_injected = c.dropped + c.duplicated + c.reordered;
+      }
+      // A leaking call keeps its boxes, and the plan they decide with, so
+      // the leak stays visible. A leak-free one can emit nothing more.
+      if (!outcome.clean_teardown) return;
+      for (Box* box :
+           std::initializer_list<Box*>{call.left, call.right, call.relay}) {
+        if (box == nullptr) continue;
+        sim.retireBox(box->id());
+        ++boxes_retired;
+      }
+      call.left = call.right = nullptr;
+      call.relay = nullptr;
+      call.faults.reset();
+    };
+
+    const auto tearDown = [&](std::size_t i) {
+      CallRuntime& call = calls[i];
+      // Final verdict for this call's probe (it may be resting right now,
+      // or past its watchdog deadline), then retire it: once torn down the
+      // predicate can never hold again.
+      sim.probes().check(call.probe, sim.nowUs());
+      sim.probes().disarm(call.probe);
+      shard.metrics.counter("load.call_teardowns").add(1);
+      shard.metrics.gauge("load.armed_probes").add(-1);
+      sim.inject(specs[i].leftName(), [](Box& box) {
+        static_cast<LoadEndpointBox&>(box).hangUp();
+      });
+      sim.loop().schedule(kTeardownGrace, [&audit, i]() { audit(i); });
+    };
+
+    std::function<void(std::size_t)> arrive = [&](std::size_t i) {
+      const CallSpec& spec = specs[i];
+      CallRuntime& call = calls[i];
+      shard.outcomes[i].spec = spec;
+      shard.outcomes[i].shard = shard.index;
+      // Live lifecycle metrics, written unconditionally (sampler or not) so
+      // the rollup stays byte-identical either way. The gauge is
+      // shard-local (excluded from the rollup); the counters are additive
+      // and shard-count invariant — each call arrives exactly once.
+      shard.metrics.counter("load.call_arrivals").add(1);
+      shard.metrics.gauge("load.armed_probes").add(1);
+      if (faults_on && spec.faulty) {
+        // Seeded per call, its window opening at the call's arrival: the
+        // call's faults depend on nothing else in its shard.
+        call.faults = std::make_unique<FaultPlan>(
+            spec.seed, workload.fault_spec, spec.arrival);
+      }
+      auto& left = sim.addBox<LoadEndpointBox>(spec.leftName(), spec.left,
+                                               PathEnd::left);
+      auto& right = sim.addBox<LoadEndpointBox>(spec.rightName(), spec.right,
+                                                PathEnd::right);
+      call.left = &left;
+      call.right = &right;
+      if (call.faults) {
+        sim.setBoxFaultPlan(left.id(), call.faults.get());
+        sim.setBoxFaultPlan(right.id(), call.faults.get());
+      }
+      std::string target = spec.rightName();
+      // The probe reads this call's boxes and nothing else, so only their
+      // stimuli re-check it.
+      obs::ConvergenceProbes::Watch watch{left.id().value(),
+                                          right.id().value()};
+      if (spec.flowlinks > 0) {
+        auto& relay =
+            sim.addBox<LoadRelayBox>(spec.relayName(), spec.rightName());
+        call.relay = &relay;
+        if (call.faults) sim.setBoxFaultPlan(relay.id(), call.faults.get());
+        target = spec.relayName();
+        watch.push_back(relay.id().value());
+      }
+      sim.inject(spec.leftName(), [target](Box& box) {
+        static_cast<LoadEndpointBox&>(box).dial(target);
+      });
+      const std::int64_t deadline =
+          config_.setup_deadline_us > 0
+              ? sim.nowUs() + config_.setup_deadline_us
+              : 0;
+      call.probe = sim.probes().arm(
+          spec.probeName(), "call_setup", sim.nowUs(),
+          [&left, &right, relay = call.relay]() {
+            return pathAtRest(left, right, relay);
+          },
+          deadline, std::move(watch));
+
+      sim.loop().scheduleAt(spec.arrival + kSetupGrace + spec.hold,
+                            [&tearDown, i]() { tearDown(i); });
+      if (i + 1 < specs.size()) {
+        sim.loop().scheduleAt(specs[i + 1].arrival,
+                              [&arrive, i]() { arrive(i + 1); });
+      }
+    };
+
     {
       CMC_PROF_SCOPE("shard.schedule");
-      for (const CallSpec& call : shard.calls) {
-        CallRuntime& runtime = live.emplace_back();
-        runtime.spec = call;
-        if (faults_on && call.faulty) {
-          // Seeded per call, its window opening at the call's arrival: the
-          // call's faults depend on nothing else in its shard.
-          runtime.faults = std::make_unique<FaultPlan>(
-              call.seed, workload.fault_spec, call.arrival);
-        }
-      }
-      for (CallRuntime& call : live) {
-        call.outcome.spec = call.spec;
-        call.outcome.shard = shard.index;
-        const std::string probe = call.spec.probeName();
-
-        sim.loop().scheduleAt(call.spec.arrival, [this, &sim, &shard, &call,
-                                                  probe]() {
-          // Live lifecycle metrics, written unconditionally (sampler or not)
-          // so the rollup stays byte-identical either way. The gauge is
-          // shard-local (excluded from the rollup); the counters are additive
-          // and shard-count invariant — each call arrives exactly once.
-          shard.metrics.counter("load.call_arrivals").add(1);
-          shard.metrics.gauge("load.armed_probes").add(1);
-          auto& left = sim.addBox<LoadEndpointBox>(
-              call.spec.leftName(), call.spec.left, PathEnd::left);
-          auto& right = sim.addBox<LoadEndpointBox>(
-              call.spec.rightName(), call.spec.right, PathEnd::right);
-          call.left = &left;
-          call.right = &right;
-          if (call.faults) {
-            sim.setBoxFaultPlan(left.id(), call.faults.get());
-            sim.setBoxFaultPlan(right.id(), call.faults.get());
-          }
-          std::string target = call.spec.rightName();
-          // The probe reads this call's boxes and nothing else, so only
-          // their stimuli re-check it.
-          obs::ConvergenceProbes::Watch watch{left.id().value(),
-                                              right.id().value()};
-          if (call.spec.flowlinks > 0) {
-            auto& relay = sim.addBox<LoadRelayBox>(call.spec.relayName(),
-                                                   call.spec.rightName());
-            call.relay = &relay;
-            if (call.faults) sim.setBoxFaultPlan(relay.id(), call.faults.get());
-            target = call.spec.relayName();
-            watch.push_back(relay.id().value());
-          }
-          sim.inject(call.spec.leftName(), [target](Box& box) {
-            static_cast<LoadEndpointBox&>(box).dial(target);
-          });
-          const std::int64_t deadline =
-              config_.setup_deadline_us > 0
-                  ? sim.nowUs() + config_.setup_deadline_us
-                  : 0;
-          call.probe = sim.probes().arm(
-              probe, "call_setup", sim.nowUs(),
-              [&left, &right, relay = call.relay]() {
-                return pathAtRest(left, right, relay);
-              },
-              deadline, std::move(watch));
-        });
-
-        const SimTime teardown_at =
-            call.spec.arrival + kSetupGrace + call.spec.hold;
-        sim.loop().scheduleAt(teardown_at, [&sim, &shard, &call]() {
-          // Final verdict for this call's probe (it may be resting right now,
-          // or past its watchdog deadline), then retire it: once torn down
-          // the predicate can never hold again.
-          sim.probes().check(call.probe, sim.nowUs());
-          sim.probes().disarm(call.probe);
-          shard.metrics.counter("load.call_teardowns").add(1);
-          shard.metrics.gauge("load.armed_probes").add(-1);
-          sim.inject(call.spec.leftName(), [](Box& box) {
-            static_cast<LoadEndpointBox&>(box).hangUp();
-          });
-        });
-
-        sim.loop().scheduleAt(
-            teardown_at + kTeardownGrace, [&sim, &call, probe]() {
-              // Taken, not read: the probe keeps results only for calls
-              // whose outcome is still open.
-              const auto latency = sim.probes().takeLatencyUs(probe);
-              call.outcome.converged = latency.has_value();
-              call.outcome.setup_latency_us = latency.value_or(-1);
-              call.outcome.clean_teardown = leakFree(call.left) &&
-                                            leakFree(call.right) &&
-                                            leakFree(call.relay);
-            });
+      if (!specs.empty()) {
+        sim.loop().scheduleAt(specs.front().arrival,
+                              [&arrive]() { arrive(0); });
       }
     }
 
-    // All lifecycle events are pre-scheduled; grants of virtual time keep
-    // flowing until the shard drains (retry chains stop at teardown, refresh
-    // ticks stop at the fault horizon, so it always does).
+    // Grants of virtual time keep flowing until the shard drains (retry
+    // chains stop at teardown, refresh ticks at a box's retirement or the
+    // fault horizon, so it always does).
     bool idle = false;
     {
       CMC_PROF_SCOPE("shard.drain");
@@ -336,26 +369,18 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     if (!idle) throw std::runtime_error("shard event loop failed to drain");
     CMC_PROF_SCOPE("shard.finalize");
 
-    // Per-call fault totals (drops + dups + reorders seen by each call).
-    std::uint64_t faults_total = 0;
-    for (CallRuntime& call : live) {
-      if (call.faults) {
-        const FaultPlan::Counters& c = call.faults->counters();
-        call.outcome.faults_injected = c.dropped + c.duplicated + c.reordered;
-        faults_total += call.outcome.faults_injected;
-      }
-      shard.outcomes.push_back(call.outcome);
-    }
-
     // Leave behind additive load counters (all shard-count invariant; see
-    // the determinism contract in the header).
+    // the determinism contract in the header). Each call's fault total
+    // (drops + dups + reorders) was read at its audit.
     std::size_t converged = 0;
     std::size_t clean = 0;
+    std::uint64_t faults_total = 0;
     for (const CallOutcome& outcome : shard.outcomes) {
       if (outcome.converged) ++converged;
       if (outcome.clean_teardown) ++clean;
+      faults_total += outcome.faults_injected;
     }
-    shard.metrics.counter("load.calls").add(shard.calls.size());
+    shard.metrics.counter("load.calls").add(specs.size());
     shard.metrics.counter("load.converged").add(converged);
     shard.metrics.counter("load.clean_teardowns").add(clean);
     shard.metrics.counter("load.faults_injected").add(faults_total);
@@ -363,6 +388,8 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     shard.stats.calls = shard.calls.size();
     shard.stats.events_executed = sim.loop().executed();
     shard.stats.peak_pending = sim.loop().peakPending();
+    shard.stats.boxes_retired = boxes_retired;
+    shard.stats.retired_drops = sim.retiredDrops();
     shard.stats.signals_delivered = sim.signalsDelivered();
     shard.stats.probes_converged = sim.probes().convergedCount();
     shard.stats.probes_failed = sim.probes().failedCount();

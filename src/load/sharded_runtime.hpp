@@ -38,10 +38,16 @@
 //
 // Call lifecycle inside a shard (all in the shard's virtual time):
 //   arrival            spawn boxes, dial, arm "call_setup" probe watching
-//                      the call's own boxes (L, R, and F with a relay)
-//   + kSetupGrace+hold check and disarm that one probe, caller hangs up
+//                      the call's own boxes (L, R, and F with a relay);
+//                      schedule this call's teardown and the next arrival
+//   + kSetupGrace+hold check and disarm that one probe, caller hangs up,
+//                      schedule the audit
 //   + kTeardownGrace   take the probe's latency, leak audit: every box
-//                      back to 0 slots / 0 goals
+//                      back to 0 slots / 0 goals. A leak-free call's boxes
+//                      are retired (their refresh ticks end with them) and
+//                      its fault plan freed; a leaking call keeps both.
+// Each event schedules the next, so a shard's queue, box table and fault
+// plans hold the calls in flight, not every call placed.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +107,8 @@ struct CallOutcome {
   bool converged = false;       // reached its §V rest state before hang-up
   bool clean_teardown = false;  // leak audit passed after hang-up
   std::int64_t setup_latency_us = -1;  // arrival → rest state (-1 if never)
-  std::uint64_t faults_injected = 0;   // drops+dups+reorders on this call
+  // Drops + dups + reorders on this call, counted up to its leak audit.
+  std::uint64_t faults_injected = 0;
 };
 
 struct ShardStats {
@@ -116,6 +123,10 @@ struct ShardStats {
   // call still settling, independent of how many other calls are in flight.
   std::uint64_t probe_evaluations = 0;
   std::uint64_t flight_dumps = 0;
+  // Boxes retired at leak-free audits, and events that still arrived for a
+  // retired box (Simulator::retiredDrops). Neither enters the rollup.
+  std::uint64_t boxes_retired = 0;
+  std::uint64_t retired_drops = 0;
   std::uint64_t trace_dropped = 0;  // ring overflow (capture_traces runs)
   std::int64_t thread_wall_ns = 0;  // this shard thread's own lifetime
 };

@@ -66,6 +66,29 @@ BoxId Simulator::idOf(const std::string& name) const {
 
 Box& Simulator::box(const std::string& name) { return *entry(idOf(name)).box; }
 
+void Simulator::retireBox(BoxId id) {
+  BoxEntry& row = entry(id);
+  if (row.box == nullptr) throw std::logic_error("box already retired");
+  if (row.box->slotCount() != 0 || row.box->goalCount() != 0) {
+    throw std::logic_error("retiring box " + row.box->name() +
+                           " while it holds slots or goals");
+  }
+  box_ids_.erase(row.box->name());
+  row.box.reset();
+}
+
+Box* Simulator::reach(BoxId id) {
+  Box* box = entry(id).box.get();
+  if (box == nullptr) ++retired_drops_;
+  return box;
+}
+
+const std::string& Simulator::nameOf(BoxId id) {
+  static const std::string kRetired;
+  const Box* box = entry(id).box.get();
+  return box != nullptr ? box->name() : kRetired;
+}
+
 void Simulator::registerBox(std::unique_ptr<Box> box) {
   const BoxId id = box->id();
   if (!box_ids_.emplace(box->name(), id).second) {
@@ -95,8 +118,9 @@ ChannelId Simulator::connect(const std::string& a, const std::string& b,
 void Simulator::inject(const std::string& box_name, std::function<void(Box&)> fn) {
   const BoxId id = idOf(box_name);
   loop_.schedule(SimDuration{0}, [this, id, fn = std::move(fn)]() mutable {
-    Box& target = *entry(id).box;
-    stimulate(id, [&target, fn = std::move(fn)]() { fn(target); });
+    Box* target = reach(id);
+    if (target == nullptr) return;
+    stimulate(id, [target, fn = std::move(fn)]() { fn(*target); });
   });
 }
 
@@ -143,7 +167,6 @@ void Simulator::crashBox(const CrashEvent& crash) {
   auto it = box_ids_.find(crash.box);
   if (it == box_ids_.end()) return;
   const BoxId id = it->second;
-  Box& target = *entry(id).box;
   const SimTime up_at = loop_.now() + crash.down_for;
   // Overlapping crashes: the box stays down until the later up-time.
   SimTime& down_until = entry(id).down_until;
@@ -160,21 +183,23 @@ void Simulator::crashBox(const CrashEvent& crash) {
     ev.v0 = crash.down_for.count();
     rec->record(std::move(ev));
   }
-  loop_.scheduleAt(up_at, [this, &target, id]() {
+  loop_.scheduleAt(up_at, [this, id]() {
     // Overlapping crashes restart the box once, at the latest up-time: a
     // box still down belongs to a later crash's restart, and a box already
     // up was restarted by a crash ending at the same instant.
     SimTime& down = entry(id).down_until;
     if (down == kUp || loop_.now() < down) return;
     down = kUp;
+    Box* target = reach(id);
+    if (target == nullptr) return;
     if (obs::TraceRecorder* rec = obs::recorder()) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::mark;
       ev.name = "restart";
-      ev.actor = target.name();
+      ev.actor = target->name();
       rec->record(std::move(ev));
     }
-    stimulate(id, [&target]() { target.crashRestart(); });
+    stimulate(id, [target]() { target->crashRestart(); });
     scheduleRefreshTick(id);
   });
 }
@@ -192,6 +217,9 @@ void Simulator::refreshTick(BoxId id) {
   BoxEntry& e = entry(id);
   e.refresh_armed = false;
   if (fault_plan_ == nullptr) return;
+  // A retired row's tick ends here. The tick is the simulator's own, not
+  // an event addressed to the box, so ending it drops nothing.
+  if (e.box == nullptr) return;
   if (isDown(e)) return;  // the restart handler re-arms
   Box& target = *e.box;
   if (target.needsRefresh()) {
@@ -226,9 +254,11 @@ void Simulator::stimulate(BoxId id, StimulusFn fn, obs::TraceContext cause) {
           .count();
   loop_.scheduleAt(done, [this, id, start_us, cause,
                           fn = std::move(fn)]() mutable {
+    Box* target = reach(id);
+    if (target == nullptr) return;
     // A stimulus queued before a crash dies with the box's volatile state.
     if (droppedAtDeadBox(entry(id))) return;
-    Box& box = *entry(id).box;
+    Box& box = *target;
     obs::TraceRecorder* rec = obs::recorder();
     // Span adoption: the stimulus becomes a child of the span that stamped
     // the triggering signal; a causeless stimulus roots a fresh trace.
@@ -291,13 +321,12 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
   const obs::TraceContext cause = obs::currentContext();
 
   for (auto& item : out.tunnel) {
-    const std::string& to = entry(item.peer).box->name();
     if (obs::TraceRecorder* trace = obs::recorder()) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::signalSend;
       ev.name.assign(toString(kindOf(item.signal)));
       ev.actor = sender.name();
-      ev.aux = to;
+      ev.aux = nameOf(item.peer);
       ev.id = item.slot.value();
       ev.v0 = static_cast<std::int64_t>(item.channel.value());
       ev.v1 = item.tunnel;
@@ -326,7 +355,7 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
         ev.kind = obs::EventKind::mark;
         ev.name = "fault_drop";
         ev.actor = sender.name();
-        ev.aux = to;
+        ev.aux = nameOf(item.peer);
         ev.id = item.slot.value();
         trace->record(std::move(ev));
       }
@@ -359,15 +388,17 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     meta.ctx = cause;  // in-band provenance, mirrors the net frame encoding
     loop_.schedule(timing_.sampleNetwork(rng_),
                    [this, from, to, channel, meta = std::move(meta)]() {
+                     Box* target = reach(to);
+                     if (target == nullptr) return;
                      // Lost only once neither end holds the channel.
-                     if (!entry(to).box->hasChannel(channel) &&
-                         !entry(from).box->hasChannel(channel)) {
+                     const Box* sender = entry(from).box.get();
+                     if (!target->hasChannel(channel) &&
+                         (sender == nullptr || !sender->hasChannel(channel))) {
                        return;
                      }
                      if (droppedAtDeadBox(entry(to))) return;
-                     Box& target = *entry(to).box;
-                     stimulate(to, [&target, channel, meta]() {
-                       target.deliverMeta(channel, meta);
+                     stimulate(to, [target, channel, meta]() {
+                       target->deliverMeta(channel, meta);
                      }, meta.ctx);
                    });
   }
@@ -377,11 +408,12 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     // (e.g. an openslot retry descends from the open that went unanswered).
     loop_.schedule(timer.delay, [this, from, cause,
                                  tag = std::move(timer.tag)]() {
+      Box* target = reach(from);
+      if (target == nullptr) return;
       // Timers are volatile: a crash forgets them (crashRestart re-arms
       // what its re-attached goals still need).
       if (droppedAtDeadBox(entry(from))) return;
-      Box& target = *entry(from).box;
-      stimulate(from, [&target, tag]() { target.fireTimer(tag); }, cause);
+      stimulate(from, [target, tag]() { target->fireTimer(tag); }, cause);
     });
   }
 
@@ -403,9 +435,12 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     loop_.schedule(timing_.sampleNetwork(rng_),
                    [this, id, tunnels, from, to, cause]() {
       // The caller let go of its end before the setup arrived.
-      if (!entry(from).box->hasChannel(id)) return;
-      entry(to).box->addChannelEnd(id, tunnels, /*initiator=*/false, "", from,
-                                   entry(from).box->name());
+      const Box* caller = entry(from).box.get();
+      if (caller == nullptr || !caller->hasChannel(id)) return;
+      Box* callee = reach(to);
+      if (callee == nullptr) return;
+      callee->addChannelEnd(id, tunnels, /*initiator=*/false, "", from,
+                            caller->name());
       // Materialization mutates the callee's state (slots appear, goals may
       // attach in the incoming-channel hook) outside any stimulus, so
       // re-evaluate the callee's probes here: a quiescence predicate that
@@ -420,12 +455,14 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
 
   for (const auto& [channel, to] : out.teardowns) {
     // A far end that never materialized, or already let go, is not told.
-    if (!entry(to).box->hasChannel(channel)) continue;
+    const Box* peer = entry(to).box.get();
+    if (peer == nullptr || !peer->hasChannel(channel)) continue;
     loop_.schedule(timing_.sampleNetwork(rng_), [this, channel, to, cause]() {
-      Box& target = *entry(to).box;
-      if (!target.hasChannel(channel)) return;  // it let go meanwhile
-      stimulate(to, [&target, channel]() {
-        target.deliverMeta(channel, MetaSignal{MetaKind::teardown, "", ""});
+      Box* target = reach(to);
+      if (target == nullptr) return;
+      if (!target->hasChannel(channel)) return;  // it let go meanwhile
+      stimulate(to, [target, channel]() {
+        target->deliverMeta(channel, MetaSignal{MetaKind::teardown, "", ""});
       }, cause);
     });
   }
@@ -435,14 +472,16 @@ void Simulator::deliverTunnelSignal(BoxId to, ChannelId channel,
                                     std::uint32_t tunnel, Signal signal,
                                     obs::TraceContext ctx) {
   CMC_PROF_SCOPE("sim.deliver_tunnel");
-  Box& target = *entry(to).box;
+  Box* to_box = reach(to);
+  if (to_box == nullptr) return;
+  Box& target = *to_box;
   // The destination end is gone: the signal is lost in the channel.
   const std::optional<SlotId> slot = target.slotAt(channel, tunnel);
   if (!slot) return;
   // The destination is crashed: the signal reaches a dead transport and is
   // lost, exactly like a drop fault.
   if (droppedAtDeadBox(entry(to))) return;
-  const std::string& from_name = entry(*target.peerOf(channel)).box->name();
+  const std::string& from_name = nameOf(*target.peerOf(channel));
   ++signals_delivered_;
   if (HotMetrics* hm = hotMetrics()) {
     const SignalKind kind = kindOf(signal);

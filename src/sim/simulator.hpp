@@ -69,6 +69,19 @@ class Simulator {
 
   [[nodiscard]] Box& box(const std::string& name);
 
+  // Free box `id` once it holds no slot and no goal (otherwise throws
+  // std::logic_error). Its name is forgotten, so name lookups throw and
+  // channel requests to it fail; its row stays, holding no box. Ids are
+  // never reused, so an event still addressed to the row cannot reach a
+  // newer box: it is dropped and counted in retiredDrops(). The row's
+  // refresh tick ends.
+  void retireBox(BoxId id);
+  // Events that arrived for a retired box: stimuli, tunnel signals,
+  // meta-signals, timers, channel setups and teardowns, restarts.
+  [[nodiscard]] std::uint64_t retiredDrops() const noexcept {
+    return retired_drops_;
+  }
+
   // Statically connect two boxes with a signaling channel of `tunnels`
   // tunnels (both ends exist immediately; `a` is the initiator side).
   ChannelId connect(const std::string& a, const std::string& b,
@@ -167,9 +180,10 @@ class Simulator {
   // `down_until` of a box that is up: no instant precedes it.
   static constexpr SimTime kUp{SimDuration::min()};
   // One row of the box table: the box and the four facts the timing and
-  // fault models keep about it.
+  // fault models keep about it. A retired row keeps its slot and frees its
+  // box.
   struct BoxEntry {
-    std::unique_ptr<Box> box;
+    std::unique_ptr<Box> box;  // null once retired
     SimTime busy_until;  // serial server: next instant the box is free
     SimTime down_until = kUp;  // from a crash to its restart: the up-time
     FaultPlan* fault_plan = nullptr;  // decides this box's signals; not owned
@@ -178,6 +192,12 @@ class Simulator {
 
   void registerBox(std::unique_ptr<Box> box);
   [[nodiscard]] BoxEntry& entry(BoxId id) { return boxes_[id.value() - 1]; }
+  // The box an event for row `id` reaches: every handler resolves its
+  // destination here. Null when the row is retired; the event is then
+  // dropped and counted in retiredDrops().
+  [[nodiscard]] Box* reach(BoxId id);
+  // Box `id`'s name for traces and the delivery hook; empty once retired.
+  [[nodiscard]] const std::string& nameOf(BoxId id);
   [[nodiscard]] BoxId idOf(const std::string& name) const;
   [[nodiscard]] bool isDown(const BoxEntry& e) const noexcept {
     return loop_.now() < e.down_until;
@@ -241,6 +261,7 @@ class Simulator {
   std::vector<BoxEntry> boxes_;
   std::map<std::string, BoxId> box_ids_;
   std::uint64_t signals_delivered_ = 0;
+  std::uint64_t retired_drops_ = 0;
   obs::ConvergenceProbes probes_;
   HotMetrics hot_;
   FaultPlan* fault_plan_ = nullptr;  // the installed plan; not owned

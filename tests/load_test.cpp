@@ -12,9 +12,12 @@
 //     clock, and a probe blowing its deadline dumps the flight recorder of
 //     the shard that armed it, not a sibling's;
 //   * conformance — traces captured under load satisfy the Fig. 5/10 wire
-//     oracle (tests/conformance.hpp) on every tunnel.
+//     oracle (tests/conformance.hpp) on every tunnel;
+//   * live work — events per call and the queue's peak do not grow with
+//     the call count, and no event reaches a box retired at its audit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -444,6 +447,94 @@ TEST(Conformance, CapturedLoadTracesSatisfyTheWireOracle) {
     }
   }
   EXPECT_GT(signals_checked, 100u);
+}
+
+// ------------------------------------------------------------ live work
+//
+// A shard's work follows the calls in flight, not the calls ever placed: a
+// leak-free audit retires the call's boxes (their refresh ticks end with
+// them), and each lifecycle event schedules the next instead of the whole
+// call set being queued up front.
+
+struct ShardTotals {
+  std::uint64_t events = 0;
+  std::size_t peak_pending = 0;
+  std::uint64_t boxes_retired = 0;
+  std::uint64_t retired_drops = 0;
+};
+
+ShardTotals runTotals(const WorkloadSpec& workload, std::size_t shards) {
+  LoadConfig config;
+  config.shards = shards;
+  ShardedRuntime runtime(config);
+  runtime.run(workload);
+  EXPECT_EQ(runtime.convergedCount(), workload.calls);
+  EXPECT_EQ(runtime.cleanTeardownCount(), workload.calls);
+  ShardTotals totals;
+  for (const ShardStats& stats : runtime.shardStats()) {
+    totals.events += stats.events_executed;
+    totals.peak_pending = std::max(totals.peak_pending, stats.peak_pending);
+    totals.boxes_retired += stats.boxes_retired;
+    totals.retired_drops += stats.retired_drops;
+  }
+  return totals;
+}
+
+WorkloadSpec soakShape(std::size_t calls, double rate, double faults) {
+  WorkloadSpec workload;
+  workload.master_seed = 7;
+  workload.calls = calls;
+  workload.arrivals_per_s = rate;
+  workload.flowlink_fraction = 0.5;
+  workload.fault_fraction = faults;
+  return workload;
+}
+
+TEST(LiveWork, EventsPerCallDoNotGrowWithCallCount) {
+  // The faulty shape. Every box ticks from its arrival until its audit,
+  // or until the workload's fault window closes, whichever is first. So
+  // the calls of the last ~3 s tick less, and the runs are sized for that
+  // tail to stay small: 4,000 calls span 8 s, 16,000 span 32 s. Before
+  // retirement every box ticked to the end of the window, and events per
+  // call grew with the span.
+  const auto per_call = [](std::size_t calls) {
+    const ShardTotals totals = runTotals(soakShape(calls, 500.0, 0.25), 1);
+    return static_cast<double>(totals.events) / static_cast<double>(calls);
+  };
+  const double small = per_call(4'000);
+  const double large = per_call(16'000);
+  EXPECT_LE(large, small * 1.10) << small << " vs " << large;
+  EXPECT_GE(large, small * 0.90) << small << " vs " << large;
+}
+
+TEST(LiveWork, PeakQueueFollowsCallsInFlight) {
+  // At 100 calls/s about 525 calls are in flight at any size; the queue
+  // holds their pending events, not every call still to come.
+  const std::size_t small = runTotals(soakShape(1'000, 100.0, 0.0), 1)
+                                .peak_pending;
+  const std::size_t large = runTotals(soakShape(4'000, 100.0, 0.0), 1)
+                                .peak_pending;
+  EXPECT_LE(static_cast<double>(large), static_cast<double>(small) * 1.10)
+      << small << " vs " << large;
+  EXPECT_GE(static_cast<double>(large), static_cast<double>(small) * 0.90)
+      << small << " vs " << large;
+}
+
+TEST(LiveWork, NoEventReachesARetiredBox) {
+  for (const double faults : {0.0, 0.3}) {
+    const WorkloadSpec workload = smallWorkload(42, faults);
+    std::uint64_t boxes = 0;
+    for (const CallSpec& call : WorkloadGenerator(workload).generate()) {
+      boxes += 2 + call.flowlinks;
+    }
+    for (const std::size_t shards : {1u, 8u}) {
+      const ShardTotals totals = runTotals(workload, shards);
+      EXPECT_EQ(totals.boxes_retired, boxes)
+          << "faults " << faults << ", " << shards << " shards";
+      EXPECT_EQ(totals.retired_drops, 0u)
+          << "faults " << faults << ", " << shards << " shards";
+    }
+  }
 }
 
 // ------------------------------------------------------------ live telemetry

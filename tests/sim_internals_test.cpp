@@ -1,7 +1,7 @@
 // Tests for simulator internals: serial-server queueing (the paper's boxes
 // process one stimulus at a time at cost c), network jitter, the delivery
-// hook, injection ordering, and the channel lifecycle the simulator carries
-// between the two ends of a channel.
+// hook, injection ordering, the channel lifecycle the simulator carries
+// between the two ends of a channel, and retired box rows.
 #include <gtest/gtest.h>
 
 #include "endpoints/user_device.hpp"
@@ -123,6 +123,7 @@ class WiredBox : public Box {
   using Box::destroyChannel;
   using Box::requestChannel;
   using Box::sendMeta;
+  using Box::setTimer;
 
   void deliverTunnel(SlotId slot, const Signal& signal) override {
     log.push_back("signal:" + std::string(toString(kindOf(signal))));
@@ -237,6 +238,86 @@ TEST(SimChannelLifecycle, MetaReachesAReceiverThatDroppedItsEnd) {
   sim.runFor(1_s);
   EXPECT_EQ(b.log, (std::vector<std::string>{"down", "meta:hello"}));
   EXPECT_EQ(a.log, (std::vector<std::string>{"down"}));
+}
+
+// ------------------------------------------------------------ retired rows
+
+TEST(SimRetiredRows, EventsAddressedToARetiredBoxAreDroppedAndCounted) {
+  // At 0 B drops its end and arms a 100 ms timer; A sets an open goal and
+  // sends a meta. Both stimuli complete at 20 ms, so the open and the meta
+  // arrive at B at 54 ms and B's timer fires at 120 ms. B, holding nothing
+  // by then, is retired at 30 ms: all three are dropped and counted.
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  auto& a = sim.addBox<WiredBox>("A");
+  auto& b = sim.addBox<WiredBox>("B");
+  const ChannelId ch = sim.connect("A", "B");
+  sim.inject("B", [&](Box&) {
+    b.destroyChannel(ch);
+    b.setTimer(100_ms, "late");
+  });
+  sim.inject("A", [&](Box&) {
+    a.setGoal(a.slotsOf(ch).at(0), opener());
+    a.sendMeta(ch, MetaSignal{MetaKind::custom, "hello", ""});
+  });
+  sim.runFor(30_ms);
+  const BoxId b_id = b.id();
+  sim.retireBox(b_id);
+  EXPECT_EQ(sim.retiredDrops(), 0u);
+  EXPECT_TRUE(sim.run());
+  EXPECT_EQ(sim.retiredDrops(), 3u);  // the open, the meta, the timer
+  EXPECT_EQ(sim.signalsDelivered(), 0u);
+  EXPECT_FALSE(a.hasChannel(ch));  // B's teardown still reached A
+  EXPECT_EQ(a.log, (std::vector<std::string>{"down"}));
+}
+
+TEST(SimRetiredRows, NameIsForgottenAndIdsAreNeverReused) {
+  Simulator sim;
+  const BoxId first = sim.addBox<Box>("x").id();
+  sim.addBox<Box>("y");
+  sim.retireBox(first);
+  EXPECT_THROW((void)sim.box("x"), std::logic_error);
+  EXPECT_THROW(sim.inject("x", [](Box&) {}), std::logic_error);
+  EXPECT_THROW(sim.retireBox(first), std::logic_error);  // already retired
+  // The name is free again, but the new box gets a fresh id: an event
+  // still addressed to the old row can never reach it.
+  Box& again = sim.addBox<Box>("x");
+  EXPECT_EQ(again.id().value(), 3u);
+  EXPECT_EQ(&sim.box("x"), &again);
+}
+
+TEST(SimRetiredRows, RefreshTickEndsAtRetirementAndTheLoopDrains) {
+  // A plan whose window never closes keeps every box's refresh tick alive,
+  // so the loop never drains while the box lives.
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  FaultSpec spec;
+  spec.active_for = SimDuration{0};
+  FaultPlan plan(5, spec);
+  sim.installFaultPlan(&plan);
+  const BoxId id = sim.addBox<Box>("ticker").id();
+  EXPECT_FALSE(sim.run(2_s));
+  sim.retireBox(id);
+  EXPECT_TRUE(sim.run(2_s));
+  EXPECT_EQ(sim.retiredDrops(), 0u);  // ending the tick drops nothing
+  sim.installFaultPlan(nullptr);
+}
+
+TEST(SimRetiredRows, RetiringABoxThatHoldsASlotOrGoalThrows) {
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  auto& a = sim.addBox<WiredBox>("A");
+  sim.addBox<WiredBox>("B");
+  const ChannelId ch = sim.connect("A", "B");
+  EXPECT_THROW(sim.retireBox(a.id()), std::logic_error);  // a slot
+  sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(ch).at(0), opener()); });
+  sim.runFor(30_ms);
+  ASSERT_EQ(a.goalCount(), 1u);
+  EXPECT_THROW(sim.retireBox(a.id()), std::logic_error);  // slot and goal
+  EXPECT_EQ(&sim.box("A"), &a);  // a refused retirement changes nothing
+  sim.inject("A", [&](Box&) { a.destroyChannel(ch); });
+  sim.runFor(30_ms);
+  ASSERT_EQ(a.slotCount(), 0u);
+  ASSERT_EQ(a.goalCount(), 0u);
+  sim.retireBox(a.id());
+  EXPECT_THROW((void)sim.box("A"), std::logic_error);
 }
 
 }  // namespace
