@@ -41,7 +41,7 @@ bool leakFree(const Box* box) {
 
 struct ShardedRuntime::ShardState {
   std::size_t index = 0;
-  std::vector<CallSpec> calls;  // arrival order
+  std::vector<std::size_t> calls;  // indices into run()'s calls, arrival order
   obs::MetricsRegistry metrics;
   std::vector<CallOutcome> outcomes;  // one per call, arrival order
   std::vector<obs::TraceEvent> events;
@@ -85,14 +85,9 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
     state->index = i;
     shards.push_back(std::move(state));
   }
-  for (const CallSpec& call : calls) {
-    shards[call.id % config_.shards]->calls.push_back(call);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    shards[calls[i].id % config_.shards]->calls.push_back(i);
   }
-  // Workload-wide fault-activity horizon: the last instant any call's
-  // arrival-relative fault window can still be open. Every shard's
-  // installed plan closes its window there, so refresh-tick lifetimes are
-  // shard-count invariant.
-  const SimTime fault_horizon = faultHorizon(calls, workload);
 
   if (config_.profile) {
     shard_profiles_.reserve(config_.shards);
@@ -119,9 +114,9 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
   std::vector<std::thread> workers;
   workers.reserve(config_.shards);
   for (auto& shard : shards) {
-    workers.emplace_back([this, &shard, &workload, fault_horizon]() {
+    workers.emplace_back([this, &shard, &calls, &workload]() {
       try {
-        runShard(*shard, workload, fault_horizon);
+        runShard(*shard, calls, workload);
       } catch (const std::exception& e) {
         shard->error = e.what();
       }
@@ -184,8 +179,9 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
   }
 }
 
-void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
-                              SimTime fault_horizon) {
+void ShardedRuntime::runShard(ShardState& shard,
+                              const std::vector<CallSpec>& all_calls,
+                              const WorkloadSpec& workload) {
   const std::int64_t thread_start_ns = obs::prof::nowNs();
   // Per-shard observability, visible to this thread only. Cleared before
   // the artifacts die (end of this function).
@@ -219,15 +215,13 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     // their own plans. It is installed on every shard, even one that drew
     // no faulty call, because it switches boxes into stabilization mode,
     // and whether a call runs in that mode must not depend on where it
-    // landed. Its window closes at the horizon of the whole workload, not
-    // of this shard's slice: a live box's refresh-tick chain lasts while it
-    // is open, and if that lifetime varied by shard composition, a box could
-    // get a goal refresh at different instants under different shard counts.
+    // landed. Its window is closed before time starts, so a clean box ticks
+    // only while it needs repair, and a faulty box while its own call's
+    // window is open: a tick's lifetime depends on its call alone.
     const FaultSpec quiet{
         .active_for = workload.fault_spec.active_for,
         .refresh_interval = workload.fault_spec.refresh_interval};
-    FaultPlan installed(/*seed=*/0, quiet,
-                        SimTime{fault_horizon.sinceStart() - quiet.active_for});
+    FaultPlan installed(/*seed=*/0, quiet, SimTime{-quiet.active_for});
     const bool faults_on = workload.fault_fraction > 0.0;
     if (faults_on) sim.installFaultPlan(&installed);
 
@@ -238,9 +232,12 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     // flight, not the calls still to come. A call's own events keep their
     // order; only same-instant events of different calls move, and those
     // share no state the rollup reads.
-    const std::vector<CallSpec>& specs = shard.calls;
-    std::vector<CallRuntime> calls(specs.size());
-    shard.outcomes.resize(specs.size());
+    const auto specOf = [&](std::size_t i) -> const CallSpec& {
+      return all_calls[shard.calls[i]];
+    };
+    const std::size_t count = shard.calls.size();
+    std::vector<CallRuntime> calls(count);
+    shard.outcomes.resize(count);
     std::size_t boxes_retired = 0;
 
     const auto audit = [&](std::size_t i) {
@@ -280,14 +277,14 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
       sim.probes().disarm(call.probe);
       shard.metrics.counter("load.call_teardowns").add(1);
       shard.metrics.gauge("load.armed_probes").add(-1);
-      sim.inject(specs[i].leftName(), [](Box& box) {
+      sim.inject(specOf(i).leftName(), [](Box& box) {
         static_cast<LoadEndpointBox&>(box).hangUp();
       });
       sim.loop().schedule(kTeardownGrace, [&audit, i]() { audit(i); });
     };
 
     std::function<void(std::size_t)> arrive = [&](std::size_t i) {
-      const CallSpec& spec = specs[i];
+      const CallSpec& spec = specOf(i);
       CallRuntime& call = calls[i];
       shard.outcomes[i].spec = spec;
       shard.outcomes[i].shard = shard.index;
@@ -342,23 +339,23 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
 
       sim.loop().scheduleAt(spec.arrival + kSetupGrace + spec.hold,
                             [&tearDown, i]() { tearDown(i); });
-      if (i + 1 < specs.size()) {
-        sim.loop().scheduleAt(specs[i + 1].arrival,
+      if (i + 1 < count) {
+        sim.loop().scheduleAt(specOf(i + 1).arrival,
                               [&arrive, i]() { arrive(i + 1); });
       }
     };
 
     {
       CMC_PROF_SCOPE("shard.schedule");
-      if (!specs.empty()) {
-        sim.loop().scheduleAt(specs.front().arrival,
+      if (count > 0) {
+        sim.loop().scheduleAt(specOf(0).arrival,
                               [&arrive]() { arrive(0); });
       }
     }
 
     // Grants of virtual time keep flowing until the shard drains (retry
-    // chains stop at teardown, refresh ticks at a box's retirement or the
-    // fault horizon, so it always does).
+    // chains stop at teardown, refresh ticks once their box is repaired and
+    // its call's window closed, or at its retirement, so it always does).
     bool idle = false;
     {
       CMC_PROF_SCOPE("shard.drain");
@@ -380,12 +377,12 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
       if (outcome.clean_teardown) ++clean;
       faults_total += outcome.faults_injected;
     }
-    shard.metrics.counter("load.calls").add(specs.size());
+    shard.metrics.counter("load.calls").add(count);
     shard.metrics.counter("load.converged").add(converged);
     shard.metrics.counter("load.clean_teardowns").add(clean);
     shard.metrics.counter("load.faults_injected").add(faults_total);
 
-    shard.stats.calls = shard.calls.size();
+    shard.stats.calls = count;
     shard.stats.events_executed = sim.loop().executed();
     shard.stats.peak_pending = sim.loop().peakPending();
     shard.stats.boxes_retired = boxes_retired;

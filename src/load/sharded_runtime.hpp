@@ -24,8 +24,9 @@
 //     Rng;
 //   * a faulty call's boxes decide with the call's own seeded plan, its
 //     window opening at the call's arrival; every other box decides with
-//     a shard's installed plan, which injects nothing and whose window
-//     closes at a workload-wide horizon;
+//     a shard's installed plan, which injects nothing and whose window is
+//     closed before time starts. A box's refresh tick lives while its own
+//     plan is open or it needs repair, so it depends on its call alone;
 //   * observability is installed per shard thread via the thread-local
 //     overrides (obs::setThreadRecorder / setThreadMetrics /
 //     setThreadFlightRecorder), so shards never write into each other's
@@ -144,9 +145,8 @@ class ShardedRuntime {
   // fresh one per experiment.
   void run(const WorkloadSpec& workload);
   // Run an explicit call set (callers that pre-filter or hand-build calls).
-  // `workload` still supplies the fault shape and fraction. The fault
-  // horizon is computed over `calls` — correct when they ARE the whole
-  // workload.
+  // `workload` still supplies the fault shape and fraction. Shards read
+  // `calls` in place.
   void run(const std::vector<CallSpec>& calls, const WorkloadSpec& workload);
 
   // ---------------------------------------------------------------- results
@@ -216,8 +216,8 @@ class ShardedRuntime {
  private:
   struct ShardState;
 
-  void runShard(ShardState& shard, const WorkloadSpec& workload,
-                SimTime fault_horizon);
+  void runShard(ShardState& shard, const std::vector<CallSpec>& calls,
+                const WorkloadSpec& workload);
 
   LoadConfig config_;
   std::unique_ptr<LiveTelemetry> live_;

@@ -18,17 +18,6 @@ const std::vector<CallType>& callTypes() {
   return kTypes;
 }
 
-SimTime faultHorizon(const std::vector<CallSpec>& calls,
-                     const WorkloadSpec& spec) {
-  SimTime horizon;
-  for (const CallSpec& call : calls) {
-    if (!call.faulty) continue;
-    const SimTime end = call.arrival + spec.fault_spec.active_for;
-    if (horizon < end) horizon = end;
-  }
-  return horizon;
-}
-
 std::vector<CallSpec> WorkloadGenerator::generate() const {
   const auto& types = callTypes();
   std::vector<CallSpec> calls;

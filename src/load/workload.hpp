@@ -87,14 +87,6 @@ struct CallSpec {
   [[nodiscard]] std::string prefix() const { return "c" + std::to_string(id); }
 };
 
-// Workload-wide fault-activity horizon: the last instant any call's
-// arrival-relative fault window can still be open. Every shard's installed
-// plan must close its window at the horizon of the FULL call set, not of
-// its own slice, so refresh-tick lifetimes stay invariant under any
-// placement of calls across shards.
-[[nodiscard]] SimTime faultHorizon(const std::vector<CallSpec>& calls,
-                                   const WorkloadSpec& spec);
-
 class WorkloadGenerator {
  public:
   explicit WorkloadGenerator(WorkloadSpec spec) : spec_(std::move(spec)) {}

@@ -44,9 +44,9 @@ struct FaultSpec {
   // Injection window: faults fire only in the first `active_for` after the
   // plan's start. Zero means "never stop" (for pure-churn experiments).
   SimDuration active_for{5'000'000};
-  // Cadence of the stabilization refresh tick the simulator runs on every
-  // box while a plan is installed (goal/flowlink re-assertion; see
-  // Box::refreshGoals).
+  // Cadence of the stabilization refresh tick (goal/flowlink re-assertion;
+  // see Box::refreshGoals) of each box this plan decides for. The tick
+  // lives while the plan is active or the box needs repair.
   SimDuration refresh_interval{300'000};
 };
 

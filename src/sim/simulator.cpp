@@ -206,10 +206,10 @@ void Simulator::crashBox(const CrashEvent& crash) {
 
 void Simulator::scheduleRefreshTick(BoxId id) {
   if (fault_plan_ == nullptr) return;
-  bool& armed = entry(id).refresh_armed;
-  if (armed) return;
-  armed = true;
-  loop_.schedule(fault_plan_->spec().refresh_interval,
+  BoxEntry& e = entry(id);
+  if (e.refresh_armed) return;
+  e.refresh_armed = true;
+  loop_.schedule(e.fault_plan->spec().refresh_interval,
                  [this, id]() { refreshTick(id); });
 }
 
@@ -225,10 +225,12 @@ void Simulator::refreshTick(BoxId id) {
   if (target.needsRefresh()) {
     stimulate(id, [&target]() { target.refreshGoals(); });
   }
-  // Keep ticking while faults may still hit this box; once injection is
-  // over, stimulus completions re-arm the tick whenever a box is left
-  // unconverged, so a converged path stops ticking and the loop can drain.
-  if (fault_plan_->activeAt(loop_.now() + fault_plan_->spec().refresh_interval) ||
+  // Keep ticking while the box's own plan may still hit it; once its
+  // window is over, stimulus completions re-arm the tick whenever the box
+  // is left unconverged, so a converged box stops ticking and the loop can
+  // drain.
+  const FaultPlan& plan = *e.fault_plan;
+  if (plan.activeAt(loop_.now() + plan.spec().refresh_interval) ||
       target.needsRefresh()) {
     scheduleRefreshTick(id);
   }
@@ -481,7 +483,6 @@ void Simulator::deliverTunnelSignal(BoxId to, ChannelId channel,
   // The destination is crashed: the signal reaches a dead transport and is
   // lost, exactly like a drop fault.
   if (droppedAtDeadBox(entry(to))) return;
-  const std::string& from_name = nameOf(*target.peerOf(channel));
   ++signals_delivered_;
   if (HotMetrics* hm = hotMetrics()) {
     const SignalKind kind = kindOf(signal);
@@ -492,12 +493,14 @@ void Simulator::deliverTunnelSignal(BoxId to, ChannelId channel,
     }
     counter->add();
   }
+  // The sender's name costs a channel lookup, so it is looked up only for
+  // a trace or the delivery hook.
   if (obs::TraceRecorder* trace = obs::recorder()) {
     obs::TraceEvent ev;
     ev.kind = obs::EventKind::signalRecv;
     ev.name.assign(toString(kindOf(signal)));
     ev.actor = target.name();
-    ev.aux = from_name;
+    ev.aux = nameOf(*target.peerOf(channel));
     ev.id = slot->value();
     ev.v0 = static_cast<std::int64_t>(channel.value());
     ev.v1 = tunnel;
@@ -509,7 +512,8 @@ void Simulator::deliverTunnelSignal(BoxId to, ChannelId channel,
     trace->record(std::move(ev));
   }
   if (onSignalDelivered) {
-    onSignalDelivered(from_name, target.name(), signal, loop_.now());
+    onSignalDelivered(nameOf(*target.peerOf(channel)), target.name(), signal,
+                      loop_.now());
   }
   stimulate(to, [&target, slot = *slot, signal = std::move(signal)]() {
     target.deliverTunnel(slot, signal);

@@ -143,14 +143,16 @@ class Simulator {
   // Install a fault plan (docs/FAULTS.md). Switches every box, registered
   // now or later, into stabilization mode, makes the plan decide for its
   // signals, schedules the plan's crashes, and starts the per-box refresh
-  // tick that re-asserts unconverged goals. The installed plan also keeps
-  // the crash, dead-box-drop and considered counters and the refresh
-  // cadence. The plan must outlive the simulator (or be detached with
+  // tick that re-asserts unconverged goals. A box's tick lives while the
+  // plan deciding for it is open or the box needs repair. The installed
+  // plan also keeps the crash, dead-box-drop and considered counters. The
+  // plan must outlive the simulator (or be detached with
   // installFaultPlan(nullptr)). Install before running.
   void installFaultPlan(FaultPlan* plan);
-  // Let `plan` (non-null) decide for box `id`'s signals instead of the
-  // installed plan; a later installFaultPlan resets every box. Decisions
-  // happen only while a plan is installed. `plan` must outlive its use.
+  // Let `plan` (non-null) decide for box `id`'s signals, and set its
+  // refresh cadence and window, instead of the installed plan; a later
+  // installFaultPlan resets every box. Decisions and ticks happen only
+  // while a plan is installed. `plan` must outlive its use.
   void setBoxFaultPlan(BoxId id, FaultPlan* plan) {
     entry(id).fault_plan = plan;
   }
@@ -186,7 +188,7 @@ class Simulator {
     std::unique_ptr<Box> box;  // null once retired
     SimTime busy_until;  // serial server: next instant the box is free
     SimTime down_until = kUp;  // from a crash to its restart: the up-time
-    FaultPlan* fault_plan = nullptr;  // decides this box's signals; not owned
+    FaultPlan* fault_plan = nullptr;  // decides its signals and ticks; not owned
     bool refresh_armed = false;       // a refresh tick is pending
   };
 
@@ -220,8 +222,8 @@ class Simulator {
   // stimuli, and schedule the restart (Box::crashRestart) at the end of
   // the outage.
   void crashBox(const CrashEvent& crash);
-  // Arm (if not already armed) one refresh tick for box `id`, firing
-  // refresh_interval from now.
+  // Arm (if not already armed) one refresh tick for box `id`, firing its
+  // own plan's refresh_interval from now.
   void scheduleRefreshTick(BoxId id);
   void refreshTick(BoxId id);
   void drain(Box& box);

@@ -186,7 +186,10 @@ TEST(ShardDeterminism, HoldsWithFaultsOnAndNoFaultyCall) {
 // self-consistent" change. Recorded at the introduction of the hot-path
 // memory model and re-recorded once, when the per-box busy counters and the
 // duplicate load.call_setup_us histogram left the rollup (every other byte
-// unchanged); a mismatch means behavior changed, not just performance.
+// unchanged). The faulty pin was re-recorded once more when clean calls'
+// boxes stopped refresh-ticking through other calls' fault windows (fewer
+// goal.refreshes, sim.stimuli and sim.signal.* counts); a mismatch means
+// behavior changed, not just performance.
 
 std::uint64_t rollupDigest(const WorkloadSpec& workload, std::size_t shards,
                            std::size_t* bytes_out) {
@@ -212,7 +215,7 @@ TEST(RollupPins, FaultyEightShardRunMatchesRecordedDigest) {
   const std::uint64_t digest =
       rollupDigest(smallWorkload(42, /*fault_fraction=*/0.3), 8, &bytes);
   EXPECT_EQ(bytes, 755u);
-  EXPECT_EQ(digest, 0x42e01a1db36d7a45ULL);
+  EXPECT_EQ(digest, 0xe5a2216abe973e66ULL);
 }
 
 // The metric namespace has a fixed size: which names a rollup holds
@@ -491,12 +494,11 @@ WorkloadSpec soakShape(std::size_t calls, double rate, double faults) {
 }
 
 TEST(LiveWork, EventsPerCallDoNotGrowWithCallCount) {
-  // The faulty shape. Every box ticks from its arrival until its audit,
-  // or until the workload's fault window closes, whichever is first. So
-  // the calls of the last ~3 s tick less, and the runs are sized for that
-  // tail to stay small: 4,000 calls span 8 s, 16,000 span 32 s. Before
-  // retirement every box ticked to the end of the window, and events per
-  // call grew with the span.
+  // The faulty shape: 4,000 calls span 8 s, 16,000 span 32 s. A box
+  // ticks while its own call's fault window is open or it needs repair,
+  // and its ticks end at its audit at the latest. Before retirement every
+  // box ticked to the end of the workload's window, and events per call
+  // grew with the span.
   const auto per_call = [](std::size_t calls) {
     const ShardTotals totals = runTotals(soakShape(calls, 500.0, 0.25), 1);
     return static_cast<double>(totals.events) / static_cast<double>(calls);
@@ -505,6 +507,22 @@ TEST(LiveWork, EventsPerCallDoNotGrowWithCallCount) {
   const double large = per_call(16'000);
   EXPECT_LE(large, small * 1.10) << small << " vs " << large;
   EXPECT_GE(large, small * 0.90) << small << " vs " << large;
+}
+
+TEST(LiveWork, CleanCallsInAFaultyWorkloadDoNotTick) {
+  // Same call mix and seed, with and without a quarter of the calls
+  // faulty. A box ticks only while its own call's fault window is open or
+  // it needs repair, so the clean three quarters cost what they cost in
+  // the clean run, and only the faulty quarter pays for repair. When every
+  // box ticked until the last faulty call's window closed, the faulty
+  // shape cost 2.09x the clean one at this size.
+  const auto per_call = [](double faults) {
+    const ShardTotals totals = runTotals(soakShape(2'000, 500.0, faults), 1);
+    return static_cast<double>(totals.events) / 2'000.0;
+  };
+  const double clean = per_call(0.0);
+  const double faulty = per_call(0.25);
+  EXPECT_LE(faulty, clean * 1.6) << clean << " vs " << faulty;
 }
 
 TEST(LiveWork, PeakQueueFollowsCallsInFlight) {

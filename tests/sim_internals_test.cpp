@@ -1,7 +1,8 @@
 // Tests for simulator internals: serial-server queueing (the paper's boxes
 // process one stimulus at a time at cost c), network jitter, the delivery
 // hook, injection ordering, the channel lifecycle the simulator carries
-// between the two ends of a channel, and retired box rows.
+// between the two ends of a channel, refresh-tick lifetimes, and retired box
+// rows.
 #include <gtest/gtest.h>
 
 #include "endpoints/user_device.hpp"
@@ -299,6 +300,76 @@ TEST(SimRetiredRows, RefreshTickEndsAtRetirementAndTheLoopDrains) {
   EXPECT_TRUE(sim.run(2_s));
   EXPECT_EQ(sim.retiredDrops(), 0u);  // ending the tick drops nothing
   sim.installFaultPlan(nullptr);
+}
+
+// ------------------------------------------------------------ refresh ticks
+
+// A box's refresh tick lives while the plan deciding for it is open or the
+// box needs repair, whatever the installed plan's window. Here the installed
+// plan stays open for 10 s; a box's own plan is either closed at 100 ms or
+// open for 2 s. Ticks fire every 300 ms from registration.
+TEST(SimRefreshTicks, ABoxTicksOnlyWhileItsOwnPlanIsOpenOrItNeedsRepair) {
+  FaultSpec quiet{0.0, 0.0, 0.0};
+  quiet.active_for = 10_s;
+  FaultSpec brief = quiet;
+  brief.active_for = 100_ms;
+  FaultSpec two_seconds = quiet;
+  two_seconds.active_for = 2_s;
+
+  {
+    // Converged, own window closed: the first tick (300 ms) is the last.
+    Simulator sim(TimingModel::paperDefaults(), 1);
+    FaultPlan installed(1, quiet);
+    FaultPlan own(2, brief);
+    sim.installFaultPlan(&installed);
+    const BoxId id = sim.addBox<Box>("settled").id();
+    sim.setBoxFaultPlan(id, &own);
+    EXPECT_TRUE(sim.run(1_s));
+    EXPECT_EQ(sim.now(), SimTime{} + 300_ms);
+    sim.installFaultPlan(nullptr);
+  }
+  {
+    // Converged, own window open until 2 s: the tick at 1.8 s sees the
+    // window closed by the next one and is the last.
+    Simulator sim(TimingModel::paperDefaults(), 1);
+    FaultPlan installed(1, quiet);
+    FaultPlan own(2, two_seconds);
+    sim.installFaultPlan(&installed);
+    const BoxId id = sim.addBox<Box>("exposed").id();
+    sim.setBoxFaultPlan(id, &own);
+    EXPECT_FALSE(sim.run(1_s));
+    EXPECT_TRUE(sim.run(5_s));
+    EXPECT_EQ(sim.now(), SimTime{} + 1800_ms);
+    sim.installFaultPlan(nullptr);
+  }
+  {
+    // Own window closed, but A's open goes unanswered until B takes an
+    // open goal at 3 s: A keeps ticking until the path converges.
+    Simulator sim(TimingModel::paperDefaults(), 1);
+    obs::MetricsRegistry reg;
+    sim.attachMetrics(&reg);
+    FaultPlan installed(1, quiet);
+    FaultPlan own(2, brief);
+    sim.installFaultPlan(&installed);
+    auto& a = sim.addBox<WiredBox>("A");
+    auto& b = sim.addBox<WiredBox>("B");
+    sim.setBoxFaultPlan(a.id(), &own);
+    sim.setBoxFaultPlan(b.id(), &own);
+    const ChannelId ch = sim.connect("A", "B");
+    sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(ch).at(0), opener()); });
+    sim.runFor(3_s);
+    EXPECT_TRUE(a.needsRefresh());
+    EXPECT_GT(sim.loop().pending(), 0u);  // A's tick is armed
+    const std::uint64_t stimuli = reg.counter("sim.stimuli").value();
+    EXPECT_GE(stimuli, 10u);  // the goal, then a refresh every 300 ms
+    sim.inject("B", [&](Box&) { b.setGoal(b.slotsOf(ch).at(0), opener()); });
+    EXPECT_TRUE(sim.run(5_s));
+    EXPECT_FALSE(a.needsRefresh());
+    EXPECT_FALSE(b.needsRefresh());
+    EXPECT_LT(sim.now(), SimTime{} + 4_s);  // long before the installed
+                                            // plan closes at 10 s
+    sim.installFaultPlan(nullptr);
+  }
 }
 
 TEST(SimRetiredRows, RetiringABoxThatHoldsASlotOrGoalThrows) {
