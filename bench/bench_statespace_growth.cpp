@@ -5,6 +5,8 @@
 // which is why paths with two flowlinks were out of reach (projected 900 GB
 // / 300 hours). This bench measures the same growth factors on our checker:
 // the multiplicative blow-up per flowlink is the reproduced shape.
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdio>
 #include <thread>
@@ -62,9 +64,9 @@ int main() {
 
   // --- parallel explorer scaling on the largest configuration -------------
   // openSlot/openSlot with one flowlink is the biggest model of the suite;
-  // run it at 1/2/8 workers. Counts and verdicts must be identical at every
-  // thread count (the parallel explorer visits the same reachable graph);
-  // wall-clock speedup tracks the machine's real core count.
+  // run it at 1/2/4/8 workers. Counts and verdicts must be identical at
+  // every thread count (the parallel explorer visits the same reachable
+  // graph); wall-clock speedup tracks the machine's real core count.
   std::printf("\n  parallel explorer scaling, openSlot/openSlot + 1 flowlink "
               "(hardware threads: %u)\n",
               std::thread::hardware_concurrency());
@@ -74,7 +76,9 @@ int main() {
   std::size_t baseline_states = 0, baseline_transitions = 0;
   bool counts_ok = true;
   double best_speedup = 1.0;
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+  double peak_rss_per_state = 0;
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     ExploreLimits plimits = limits;
     plimits.modify_budget = 1;  // E1's full budget: the real largest model
     plimits.threads = threads;
@@ -84,6 +88,12 @@ int main() {
       baseline_seconds = graph.stats.seconds;
       baseline_states = graph.states();
       baseline_transitions = graph.transitions;
+      // The process's high-water mark so far: the growth table above ran
+      // only models far smaller than this one.
+      rusage usage{};
+      getrusage(RUSAGE_SELF, &usage);
+      peak_rss_per_state = static_cast<double>(usage.ru_maxrss) * 1024.0 /
+                           static_cast<double>(graph.states());
     } else {
       counts_ok = counts_ok && graph.states() == baseline_states &&
                   graph.transitions == baseline_transitions;
@@ -97,6 +107,8 @@ int main() {
     bench::jsonLine("EXPLORE_STATS[statespace_growth:openSlot/openSlot/1]",
                     graph.stats.snapshot().json());
   }
+  std::printf("  peak RSS per state, 1 thread: %.0f B/state\n",
+              peak_rss_per_state);
   bench::verdict(counts_ok,
                  "identical state/transition counts at every thread count");
   if (std::thread::hardware_concurrency() >= 4) {

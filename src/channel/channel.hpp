@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <ostream>
 #include <variant>
 
@@ -21,6 +20,7 @@
 #include "obs/context.hpp"
 #include "protocol/signal.hpp"
 #include "util/ids.hpp"
+#include "util/small_vec.hpp"
 
 namespace cmc {
 
@@ -84,7 +84,7 @@ class ChannelState {
   [[nodiscard]] ChannelMessage pop(Side toward) {
     auto& q = queueToward(toward);
     ChannelMessage m = std::move(q.front());
-    q.pop_front();
+    q.erase(q.begin());
     return m;
   }
 
@@ -97,13 +97,11 @@ class ChannelState {
   // how loss/duplication looks to the receiving slot on a FIFO transport.
   void dropHead(Side toward) {
     auto& q = queueToward(toward);
-    if (!q.empty()) q.pop_front();
+    if (!q.empty()) q.erase(q.begin());
   }
   void duplicateHead(Side toward) {
     auto& q = queueToward(toward);
-    if (q.empty()) return;
-    ChannelMessage copy = q.front();
-    q.push_front(std::move(copy));
+    if (!q.empty()) q.insert(q.begin(), q.front());
   }
 
   [[nodiscard]] bool empty() const noexcept {
@@ -113,16 +111,23 @@ class ChannelState {
   void canonicalize(ByteWriter& w) const;
 
  private:
-  [[nodiscard]] std::deque<ChannelMessage>& queueToward(Side s) noexcept {
+  // One direction's FIFO, oldest message first. Queues in a path are short
+  // (the model checker's budgets bound them), so the first two messages live
+  // inside the channel and copying a channel, as the explorer does for
+  // every successor state, does not touch the heap; a longer queue spills.
+  // Pop and push-front shift the few elements in place.
+  using Queue = SmallVec<ChannelMessage, 2>;
+
+  [[nodiscard]] Queue& queueToward(Side s) noexcept {
     return queues_[static_cast<std::size_t>(s)];
   }
-  [[nodiscard]] const std::deque<ChannelMessage>& queueToward(Side s) const noexcept {
+  [[nodiscard]] const Queue& queueToward(Side s) const noexcept {
     return queues_[static_cast<std::size_t>(s)];
   }
 
   ChannelId id_;
   std::uint32_t tunnel_count_ = 1;
-  std::deque<ChannelMessage> queues_[2];  // indexed by the Side they travel toward
+  Queue queues_[2];  // indexed by the Side they travel toward
 };
 
 }  // namespace cmc

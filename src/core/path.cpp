@@ -131,8 +131,8 @@ bool PathSystem::mediaEnabled(PathEnd sender) const noexcept {
          !s.lastSelectorSent()->isNoMedia();
 }
 
-std::vector<PathAction> PathSystem::enabledActions() const {
-  std::vector<PathAction> actions;
+void PathSystem::enabledActions(std::vector<PathAction>& actions) const {
+  actions.clear();
   for (std::uint32_t ch = 0; ch < channels_.size(); ++ch) {
     for (Side towards : {Side::A, Side::B}) {
       if (channels_[ch].hasMessageToward(towards)) {
@@ -202,7 +202,6 @@ std::vector<PathAction> PathSystem::enabledActions() const {
       }
     }
   }
-  return actions;
 }
 
 void PathSystem::apply(const PathAction& action) {

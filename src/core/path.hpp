@@ -123,7 +123,10 @@ class PathSystem {
   [[nodiscard]] bool mediaEnabled(PathEnd sender) const noexcept;
 
   // --- Actions ------------------------------------------------------------
-  [[nodiscard]] std::vector<PathAction> enabledActions() const;
+  // Replaces the contents of `actions` with every enabled action, in a fixed
+  // order. The caller owns the vector, so the explorer reuses one per worker
+  // instead of allocating a list per state.
+  void enabledActions(std::vector<PathAction>& actions) const;
   // Applies an action. Throws std::logic_error on a disabled action.
   void apply(const PathAction& action);
 

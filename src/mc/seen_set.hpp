@@ -9,6 +9,15 @@
 // that canonical bytes are retained for the lifetime of the exploration
 // (reported as `bytesRetained()`, the largest share of a run's memory).
 //
+// Layout: each shard copies the bytes of every new state into a chunked
+// arena (kChunkBytes per chunk; a longer encoding gets a chunk of its own)
+// and finds them again through an open-addressing index of {fingerprint,
+// bytes, length, index} slots with linear probing. Chunks never move, so a
+// slot's byte pointer stays valid as the index grows. A state costs its
+// bytes plus one 24-byte slot at a load factor of 3/8 to 3/4, with no
+// per-state allocation. The caller keeps ownership of the bytes it passes;
+// insert copies them only when the state is new.
+//
 // Concurrency: the table is lock-striped into shards addressed by
 // fingerprint, so parallel BFS workers inserting unrelated states almost
 // never contend. Index assignment is a single atomic counter bounded by
@@ -18,8 +27,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace cmc {
@@ -28,6 +39,8 @@ class SeenSet {
  public:
   // Returned as Outcome::index when the state budget is exhausted.
   static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+  // Arena chunk size. Encodings longer than this get a chunk of their own.
+  static constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
 
   explicit SeenSet(std::uint32_t max_states, std::size_t shard_count = 64)
       : max_states_(max_states), shards_(shard_count) {}
@@ -43,17 +56,23 @@ class SeenSet {
   // (a dedup hit). If the fingerprint exists but the bytes differ, that is
   // a genuine hash collision: the state is still inserted under its own
   // index and the collision counter advances.
-  Outcome insert(std::uint64_t fingerprint, std::vector<std::uint8_t>&& bytes) {
+  Outcome insert(std::uint64_t fingerprint, std::span<const std::uint8_t> bytes) {
     Shard& shard = shards_[fingerprint % shards_.size()];
     std::lock_guard<std::mutex> lock(shard.mu);
-    std::vector<Entry>& bucket = shard.map[fingerprint];
-    for (const Entry& entry : bucket) {
-      if (entry.bytes == bytes) {
+    if ((shard.used + 1) * 4 > shard.slots.size() * 3) shard.grow();
+    const std::size_t mask = shard.slots.size() - 1;
+    bool collided = false;
+    std::size_t at = shard.home(fingerprint);
+    for (;; at = (at + 1) & mask) {
+      const Slot& slot = shard.slots[at];
+      if (slot.index == kNoIndex) break;
+      if (slot.fingerprint != fingerprint) continue;
+      if (slot.holds(bytes)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        return Outcome{entry.index, false, false};
+        return Outcome{slot.index, false, false};
       }
+      collided = true;
     }
-    const bool collided = !bucket.empty();
     std::uint32_t index = next_.load(std::memory_order_relaxed);
     do {
       if (index >= max_states_) return Outcome{kNoIndex, false, collided};
@@ -61,7 +80,9 @@ class SeenSet {
                                           std::memory_order_relaxed));
     bytes_retained_.fetch_add(bytes.size(), std::memory_order_relaxed);
     if (collided) collisions_.fetch_add(1, std::memory_order_relaxed);
-    bucket.push_back(Entry{std::move(bytes), index});
+    shard.slots[at] = Slot{fingerprint, shard.store(bytes),
+                           static_cast<std::uint32_t>(bytes.size()), index};
+    ++shard.used;
     return Outcome{index, true, collided};
   }
 
@@ -83,13 +104,68 @@ class SeenSet {
   }
 
  private:
-  struct Entry {
-    std::vector<std::uint8_t> bytes;
-    std::uint32_t index;
+  struct Slot {
+    std::uint64_t fingerprint = 0;
+    const std::uint8_t* bytes = nullptr;  // into the shard's arena
+    std::uint32_t length = 0;
+    std::uint32_t index = kNoIndex;  // kNoIndex marks an empty slot
+
+    [[nodiscard]] bool holds(std::span<const std::uint8_t> other) const noexcept {
+      return length == other.size() &&
+             (length == 0 || std::memcmp(bytes, other.data(), length) == 0);
+    }
   };
+
   struct Shard {
     std::mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<Entry>> map;
+    // Guarded by mu: the index (a power-of-two slot count, or empty before
+    // the first insert) and the arena its slots point into.
+    std::vector<Slot> slots;
+    std::size_t used = 0;
+    unsigned shift = 64;  // 64 - log2(slots.size())
+    std::vector<std::unique_ptr<std::uint8_t[]>> chunks;
+    std::uint8_t* cursor = nullptr;  // free bytes of the current chunk
+    std::size_t left = 0;
+
+    // Fibonacci hashing on the whole fingerprint: the low bits already
+    // picked the shard, so they cannot pick the slot too.
+    [[nodiscard]] std::size_t home(std::uint64_t fingerprint) const noexcept {
+      return static_cast<std::size_t>((fingerprint * 0x9E3779B97F4A7C15ULL) >>
+                                      shift);
+    }
+
+    void grow() {
+      std::vector<Slot> old = std::move(slots);
+      slots.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+      shift = old.empty() ? 64 - 4 : shift - 1;
+      const std::size_t mask = slots.size() - 1;
+      for (const Slot& slot : old) {
+        if (slot.index == kNoIndex) continue;
+        std::size_t at = home(slot.fingerprint);
+        while (slots[at].index != kNoIndex) at = (at + 1) & mask;
+        slots[at] = slot;
+      }
+    }
+
+    // Copies `bytes` into the arena and returns where they now live.
+    const std::uint8_t* store(std::span<const std::uint8_t> bytes) {
+      if (bytes.empty()) return nullptr;
+      if (bytes.size() > kChunkBytes) {
+        chunks.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(bytes.size()));
+        std::memcpy(chunks.back().get(), bytes.data(), bytes.size());
+        return chunks.back().get();
+      }
+      if (left < bytes.size()) {
+        chunks.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(kChunkBytes));
+        cursor = chunks.back().get();
+        left = kChunkBytes;
+      }
+      std::uint8_t* out = cursor;
+      std::memcpy(out, bytes.data(), bytes.size());
+      cursor += bytes.size();
+      left -= bytes.size();
+      return out;
+    }
   };
 
   std::uint32_t max_states_;

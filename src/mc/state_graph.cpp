@@ -46,12 +46,13 @@ StateBits bitsOf(const PathSystem& system, bool terminal) {
   return bits;
 }
 
-// Per-state output of one expansion: bits plus successor indices in action
-// order. Produced by workers, committed to the result single-threaded.
+// Per-state output of one expansion: bits plus how many successor indices
+// it appended to its worker's `targets`. Produced by workers, committed to
+// the result single-threaded.
 struct Expansion {
   std::uint32_t index = 0;
   StateBits bits{};
-  std::vector<std::uint32_t> targets;
+  std::uint32_t target_count = 0;
 };
 
 // A freshly discovered state. Its system stays here, in the batch of the
@@ -63,63 +64,80 @@ struct Discovery {
   std::optional<PathSystem> system;
 };
 
-struct WorkerBatch {
+// One worker's output for the current level, and the scratch it reuses for
+// every state it expands: the enabled-action list, the successor system
+// (copy-assigned from the expanded state, so its buffers are reused) and
+// the canonical encoding. Only a successor the seen-set reports as new is
+// copied out into a Discovery.
+struct Worker {
   std::vector<Expansion> expansions;
+  std::vector<std::uint32_t> targets;  // every expansion's successors, in order
   std::vector<Discovery> discoveries;
+  std::vector<PathAction> actions;
+  std::optional<PathSystem> successor;
+  ByteWriter canonical;
 };
 
 // One BFS level awaiting expansion: the previous level's discoveries, left
 // in the per-worker vectors that found them. No merge step copies or sorts
-// them: each system is built once, by apply(), and freed once, when
-// expanded.
+// them: each system is copied once out of its finder's scratch, and freed
+// once, when expanded.
 using Level = std::vector<std::vector<Discovery>>;
 
 // Expand one state: record its bits and successor edges, park each new
 // successor in `out`, and free the state's system.
 void expandState(Discovery& state, SeenSet& seen,
                  std::uint64_t fingerprint_mask,
-                 std::atomic<bool>& out_of_budget, WorkerBatch& out) {
+                 std::atomic<bool>& out_of_budget, Worker& out) {
   // Profiling sites here record only on threads with an installed table:
   // the single-thread deterministic path profiles fully; parallel workers
   // (no thread-local table) record nothing and race on nothing.
   CMC_PROF_SCOPE("mc.expand_state");
   const std::uint32_t index = state.index;
   const PathSystem& system = *state.system;
-  const std::vector<PathAction> actions = system.enabledActions();
+  system.enabledActions(out.actions);
   Expansion expansion;
   expansion.index = index;
-  expansion.bits = bitsOf(system, actions.empty());
+  expansion.bits = bitsOf(system, out.actions.empty());
+  const std::size_t first_target = out.targets.size();
   if (expansion.bits.terminal) {
-    expansion.targets.push_back(index);  // stutter
+    out.targets.push_back(index);  // stutter
   } else {
-    for (const PathAction& action : actions) {
-      PathSystem successor = system;
+    for (const PathAction& action : out.actions) {
+      if (out.successor) {
+        *out.successor = system;
+      } else {
+        out.successor.emplace(system);
+      }
+      PathSystem& successor = *out.successor;
       successor.apply(action);
-      ByteWriter w;
       {
         CMC_PROF_SCOPE("mc.canonicalize");
-        successor.canonicalize(w);
+        out.canonical.clear();
+        successor.canonicalize(out.canonical);
       }
-      std::vector<std::uint8_t> bytes = w.take();
+      const std::vector<std::uint8_t>& bytes = out.canonical.bytes();
       std::uint64_t fp;
       {
         CMC_PROF_SCOPE("mc.fingerprint");
         fp = fnv1a(bytes) & fingerprint_mask;
       }
-      const SeenSet::Outcome got = seen.insert(fp, std::move(bytes));
+      const SeenSet::Outcome got = seen.insert(fp, bytes);
       if (got.index == SeenSet::kNoIndex) {
         out_of_budget.store(true, std::memory_order_relaxed);
         break;  // keep the edges recorded so far for this state
       }
       if (got.inserted) {
         out.discoveries.push_back(
-            Discovery{got.index, index, action, std::move(successor)});
+            Discovery{got.index, index, action, successor});
       }
-      expansion.targets.push_back(got.index);
+      out.targets.push_back(got.index);
     }
   }
+  expansion.target_count =
+      static_cast<std::uint32_t>(out.targets.size() - first_target);
   state.system.reset();
-  out.expansions.push_back(std::move(expansion));
+  out.expansions.push_back(expansion);
 }
 
 // Expand level states until every part's cursor runs off its end (or the
@@ -131,7 +149,7 @@ void expandState(Discovery& state, SeenSet& seen,
 void expandLevel(Level& level, std::vector<std::atomic<std::size_t>>& cursors,
                  std::size_t first, SeenSet& seen,
                  std::uint64_t fingerprint_mask,
-                 std::atomic<bool>& out_of_budget, WorkerBatch& out) {
+                 std::atomic<bool>& out_of_budget, Worker& out) {
   for (std::size_t k = 0; k < level.size(); ++k) {
     const std::size_t p = (first + k) % level.size();
     for (;;) {
@@ -140,6 +158,35 @@ void expandLevel(Level& level, std::vector<std::atomic<std::size_t>>& cursors,
       if (slot >= level[p].size()) break;
       if (out_of_budget.load(std::memory_order_relaxed)) return;
       expandState(level[p][slot], seen, fingerprint_mask, out_of_budget, out);
+    }
+  }
+}
+
+// Append the level's edge rows to the result's CSR arrays. A level's states
+// hold the consecutive indices [lo, lo + size): every index the level has
+// was handed out while the previous level expanded. Expansions arrive in
+// any order across workers; a state the budget left unexpanded gets an
+// empty row.
+void commitEdges(std::vector<Worker>& workers, std::size_t level_size,
+                 ExploreResult& result) {
+  std::vector<std::uint64_t>& offsets = result.edge_offsets;
+  const std::size_t lo = offsets.size() - 1;
+  offsets.resize(lo + level_size + 1, 0);
+  for (const Worker& w : workers) {
+    for (const Expansion& e : w.expansions) {
+      offsets[e.index + 1] = e.target_count;
+    }
+  }
+  for (std::size_t i = lo + 1; i < offsets.size(); ++i) {
+    offsets[i] += offsets[i - 1];
+  }
+  result.edge_targets.resize(offsets.back());
+  for (const Worker& w : workers) {
+    const std::uint32_t* from = w.targets.data();
+    for (const Expansion& e : w.expansions) {
+      std::copy_n(from, e.target_count,
+                  result.edge_targets.begin() + offsets[e.index]);
+      from += e.target_count;
     }
   }
 }
@@ -203,18 +250,16 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
   {
     ByteWriter w;
     initial.canonicalize(w);
-    std::vector<std::uint8_t> bytes = w.take();
-    const std::uint64_t fp = fnv1a(bytes) & limits.fingerprint_mask;
-    seen.insert(fp, std::move(bytes));
+    seen.insert(fnv1a(w.bytes()) & limits.fingerprint_mask, w.bytes());
   }
   result.bits.push_back(StateBits{});
-  result.edges.emplace_back();
   result.parent.push_back(0);
   result.parent_action.emplace_back();
 
   ExploreStats& stats = result.stats;
   stats.threads = thread_count;
   std::atomic<bool> out_of_budget{false};
+  std::vector<Worker> workers(thread_count);
   Level level(1);
   level[0].push_back(Discovery{0, 0, PathAction{}, initial});
   std::size_t level_size = 1;
@@ -225,24 +270,23 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
 
     const auto expand_start = Clock::now();
     std::vector<std::atomic<std::size_t>> cursors(level.size());
-    std::vector<WorkerBatch> batches(thread_count);
     {
       CMC_PROF_SCOPE("mc.expand");
       if (thread_count == 1) {
         // Deterministic fallback: level slots in order, indices assigned in
         // FIFO discovery order — identical to the historical explorer.
         expandLevel(level, cursors, 0, seen, limits.fingerprint_mask,
-                    out_of_budget, batches[0]);
+                    out_of_budget, workers[0]);
       } else {
-        std::vector<std::thread> workers;
-        workers.reserve(thread_count);
+        std::vector<std::thread> threads;
+        threads.reserve(thread_count);
         for (std::size_t t = 0; t < thread_count; ++t) {
-          workers.emplace_back([&, t] {
+          threads.emplace_back([&, t] {
             expandLevel(level, cursors, t, seen, limits.fingerprint_mask,
-                        out_of_budget, batches[t]);
+                        out_of_budget, workers[t]);
           });
         }
-        for (std::thread& worker : workers) worker.join();
+        for (std::thread& thread : threads) thread.join();
       }
     }
     stats.expand_seconds += elapsed(expand_start);
@@ -251,27 +295,32 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
     CMC_PROF_SCOPE("mc.merge");
     const std::uint32_t total = seen.size();
     result.bits.resize(total);  // value-init: expanded=false until committed
-    result.edges.resize(total);
     result.parent.resize(total, 0);
     result.parent_action.resize(total);
+    commitEdges(workers, level_size, result);
     level.clear();
     level_size = 0;
-    for (WorkerBatch& batch : batches) {
-      for (const Discovery& d : batch.discoveries) {
+    for (Worker& w : workers) {
+      for (const Discovery& d : w.discoveries) {
         result.parent[d.index] = d.parent;
         result.parent_action[d.index] = d.action;
       }
-      for (Expansion& e : batch.expansions) {
+      for (const Expansion& e : w.expansions) {
         result.bits[e.index] = e.bits;
-        stats.transitions += e.targets.size();
+        stats.transitions += e.target_count;
         if (e.bits.terminal) ++stats.terminals;
-        result.edges[e.index] = std::move(e.targets);
       }
-      level_size += batch.discoveries.size();
-      level.push_back(std::move(batch.discoveries));
+      w.expansions.clear();
+      w.targets.clear();
+      level_size += w.discoveries.size();
+      level.push_back(std::move(w.discoveries));
+      w.discoveries.clear();  // moved-from: make it valid and empty
     }
     stats.merge_seconds += elapsed(merge_start);
   }
+  // States discovered but never expanded (a truncated run) have no edges.
+  result.edge_offsets.resize(result.bits.size() + 1,
+                             result.edge_offsets.back());
 
   stats.states = result.bits.size();
   stats.dedup_hits = seen.hits();

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,9 +92,12 @@ struct ExploreLimits {
 
 struct ExploreResult {
   std::vector<StateBits> bits;
-  // Adjacency: edges[i] lists successor state indices (terminal self-loops
-  // included).
-  std::vector<std::vector<std::uint32_t>> edges;
+  // Adjacency in compressed sparse rows: the successors of state v
+  // (terminal self-loops included) are edge_targets[edge_offsets[v] ..
+  // edge_offsets[v + 1]). edge_offsets has states() + 1 entries. Read it
+  // through successors().
+  std::vector<std::uint64_t> edge_offsets{0};
+  std::vector<std::uint32_t> edge_targets;
   // Parent pointers for counterexample reconstruction: the action that
   // first reached each state from its parent (state 0 keeps a default
   // action that traceTo never reads).
@@ -107,6 +111,13 @@ struct ExploreResult {
   std::size_t bytes_canonical = 0;
 
   [[nodiscard]] std::size_t states() const noexcept { return bits.size(); }
+
+  [[nodiscard]] std::span<const std::uint32_t> successors(
+      std::uint32_t state) const noexcept {
+    return std::span(edge_targets)
+        .subspan(edge_offsets[state],
+                 edge_offsets[state + 1] - edge_offsets[state]);
+  }
 
   // Path of actions from the initial state to `state`, each rendered with
   // PathAction::toString.

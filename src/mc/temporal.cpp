@@ -38,8 +38,9 @@ void forEachScc(const ExploreResult& graph, const StatePredicate& B,
     while (!frames.empty()) {
       Frame& frame = frames.top();
       const std::uint32_t v = frame.v;
-      if (frame.edge < graph.edges[v].size()) {
-        const std::uint32_t w = graph.edges[v][frame.edge++];
+      const std::span<const std::uint32_t> out = graph.successors(v);
+      if (frame.edge < out.size()) {
+        const std::uint32_t w = out[frame.edge++];
         if (B(graph.bits[w])) continue;  // edge leaves the subgraph
         if (index[w] == kUnvisited) {
           index[w] = lowlink[w] = next_index++;
@@ -63,7 +64,7 @@ void forEachScc(const ExploreResult& graph, const StatePredicate& B,
         }
         bool has_cycle = component.size() > 1;
         if (!has_cycle) {
-          for (std::uint32_t succ : graph.edges[v]) {
+          for (std::uint32_t succ : graph.successors(v)) {
             if (succ == v) {
               has_cycle = true;
               break;

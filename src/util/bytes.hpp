@@ -43,6 +43,9 @@ class ByteWriter {
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  // Empties the buffer but keeps its capacity, so a writer reused for one
+  // encoding after another stops allocating once it has grown.
+  void clear() noexcept { buf_.clear(); }
 
  private:
   std::vector<std::uint8_t> buf_;

@@ -102,6 +102,22 @@ class SmallVec {
     data_[size_].~T();
   }
 
+  // Inserts `v` before `pos`, shifting the tail up one place.
+  iterator insert(const_iterator pos, T v) {
+    const std::size_t at = static_cast<std::size_t>(pos - data_);
+    emplace_back(std::move(v));
+    std::rotate(data_ + at, end() - 1, end());
+    return data_ + at;
+  }
+
+  // Removes the element at `pos`, shifting the tail down one place.
+  iterator erase(const_iterator pos) {
+    T* at = data_ + (pos - data_);
+    std::move(at + 1, end(), at);
+    pop_back();
+    return at;
+  }
+
   void clear() noexcept {
     for (std::size_t i = 0; i < size_; ++i) data_[i].~T();
     size_ = 0;

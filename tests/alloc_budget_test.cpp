@@ -16,12 +16,20 @@
 // heap churn — a bigger capture than the event-node inline capacity, a
 // string built per delivery, a descriptor clone — this test fails before
 // the throughput regression reaches a release.
+//
+// The explorer has its own gate, per expanded state:
+//
+//   site                 before     budget
+//   mc.expand_state      44.8       <= 10 allocs per expanded state (self)
+//   mc.canonicalize      9.2        0 per call: only the reused buffer grows
+//   mc.fingerprint       0          0
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "load/sharded_runtime.hpp"
 #include "load/workload.hpp"
+#include "mc/state_graph.hpp"
 #include "obs/profiler.hpp"
 #include "sim/fault.hpp"
 
@@ -32,6 +40,22 @@ struct SiteBudget {
   const char* site;
   double max_allocs_per_op;
 };
+
+struct SiteTotals {
+  std::uint64_t calls = 0;
+  std::uint64_t allocs = 0;
+};
+
+SiteTotals siteTotals(const obs::ProfileReport& report, const char* site) {
+  SiteTotals totals;
+  for (const auto& node : report.nodes()) {
+    if (node.site == site) {
+      totals.calls += node.calls;
+      totals.allocs += node.allocs;
+    }
+  }
+  return totals;
+}
 
 // One profiled single-shard run, sized to amortize warm-up growth (slab,
 // metric registries, channel-end maps) across enough signals that
@@ -61,14 +85,7 @@ TEST(AllocBudget, HotPathSitesStayWithinBudget) {
   };
 
   for (const SiteBudget& budget : budgets) {
-    std::uint64_t calls = 0;
-    std::uint64_t allocs = 0;
-    for (const auto& node : report.nodes()) {
-      if (node.site == budget.site) {
-        calls += node.calls;
-        allocs += node.allocs;
-      }
-    }
+    const auto [calls, allocs] = siteTotals(report, budget.site);
     ASSERT_GT(calls, 0u) << "site " << budget.site
                          << " never hit — did the workload change?";
     const double per_op = static_cast<double>(allocs) /
@@ -84,12 +101,7 @@ TEST(AllocBudget, DeliveryVolumeIsRepresentative) {
   // Guard the gate itself: if a workload tweak quietly shrinks the number
   // of delivered signals, the budget above would be testing noise. Require
   // a minimum volume so per-op averages are meaningful.
-  const obs::ProfileReport report = profiledRun();
-  std::uint64_t deliveries = 0;
-  for (const auto& node : report.nodes()) {
-    if (node.site == "sim.deliver_tunnel") deliveries += node.calls;
-  }
-  EXPECT_GE(deliveries, 1000u);
+  EXPECT_GE(siteTotals(profiledRun(), "sim.deliver_tunnel").calls, 1000u);
 }
 
 TEST(AllocBudget, FaultDecisionsAllocateNothing) {
@@ -113,18 +125,49 @@ TEST(AllocBudget, FaultDecisionsAllocateNothing) {
   }
   obs::setThreadProfiler(nullptr);
 
-  const obs::ProfileReport report = table.report();
-  std::uint64_t calls = 0;
-  std::uint64_t allocs = 0;
-  for (const auto& node : report.nodes()) {
-    if (node.site == "fault.decide") {
-      calls += node.calls;
-      allocs += node.allocs;
-    }
-  }
+  const auto [calls, allocs] = siteTotals(table.report(), "fault.decide");
   ASSERT_EQ(calls, 1u);
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(plan.counters().considered, 2000u);
+}
+
+TEST(AllocBudget, ExplorerExpansionStaysWithinBudget) {
+  // The closeSlot/openSlot model with one flowlink (114,132 states), on the
+  // one thread that records profiles. Expanding a state copies the state
+  // into a reused scratch system, canonicalizes into a reused buffer and
+  // copies out only the successors that are new.
+  ExploreLimits limits;
+  limits.chaos_budget = 1;
+  limits.modify_budget = 1;
+  limits.threads = 1;
+  obs::ProfileTable table;
+  obs::setThreadProfiler(&table);
+  const ExploreResult graph =
+      explorePath(GoalKind::closeSlot, GoalKind::openSlot, 1, limits);
+  obs::setThreadProfiler(nullptr);
+  ASSERT_FALSE(graph.truncated);
+  ASSERT_EQ(graph.states(), 114'132u);
+
+  const obs::ProfileReport report = table.report();
+  const SiteTotals expand = siteTotals(report, "mc.expand_state");
+  const SiteTotals canonicalize = siteTotals(report, "mc.canonicalize");
+  const SiteTotals fingerprint = siteTotals(report, "mc.fingerprint");
+  // Enough volume that the per-state averages are not noise.
+  ASSERT_EQ(expand.calls, graph.states());
+  ASSERT_GE(canonicalize.calls, 100'000u);
+  ASSERT_EQ(fingerprint.calls, canonicalize.calls);
+
+  const double per_state = static_cast<double>(expand.allocs) /
+                           static_cast<double>(expand.calls);
+  EXPECT_LE(per_state, 10.0)
+      << expand.allocs << " allocs over " << expand.calls
+      << " expanded states at mc.expand_state (self)";
+  // The reused buffer doubles up to the longest encoding once per run; a
+  // per-call allocation would add one per successor.
+  EXPECT_LE(canonicalize.allocs, 32u)
+      << canonicalize.allocs << " allocs over " << canonicalize.calls
+      << " canonicalizations";
+  EXPECT_EQ(fingerprint.allocs, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Unit tests for src/channel: FIFO channel semantics, tunnels, meta-signals.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "channel/channel.hpp"
 
 namespace cmc {
@@ -116,6 +119,69 @@ TEST_F(ChannelFixture, CanonicalizeOrderSensitive) {
   a.canonicalize(wa);
   b.canonicalize(wb);
   EXPECT_NE(fnv1a(wa.bytes()), fnv1a(wb.bytes()));
+}
+
+std::vector<std::uint8_t> canonicalBytes(const ChannelState& ch) {
+  ByteWriter w;
+  ch.canonicalize(w);
+  return w.bytes();
+}
+
+std::uint32_t tunnelOf(const ChannelMessage& m) {
+  return std::get<TunnelSignal>(m).tunnel;
+}
+
+// Five messages spill the queue past its inline capacity; the head
+// operations and pops still see them in FIFO order.
+TEST_F(ChannelFixture, FifoAcrossTheInlineSpill) {
+  for (std::uint32_t t = 0; t < 5; ++t) {
+    ch_.push(Side::B, TunnelSignal{t, CloseSignal{}});
+  }
+  EXPECT_EQ(ch_.depthToward(Side::B), 5u);
+  ch_.duplicateHead(Side::B);  // 0 0 1 2 3 4
+  EXPECT_EQ(ch_.depthToward(Side::B), 6u);
+  EXPECT_EQ(tunnelOf(ch_.pop(Side::B)), 0u);
+  ch_.dropHead(Side::B);  // 1 2 3 4
+  ch_.push(Side::B, TunnelSignal{5, CloseSignal{}});
+  std::vector<std::uint32_t> order;
+  while (ch_.hasMessageToward(Side::B)) order.push_back(tunnelOf(ch_.pop(Side::B)));
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 3, 4, 5}));
+  EXPECT_TRUE(ch_.empty());
+}
+
+TEST_F(ChannelFixture, CopiesKeepCanonicalBytes) {
+  ChannelState spilled{ChannelId{2}, 1};
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    spilled.push(Side::A, TunnelSignal{t, CloseAckSignal{}});
+  }
+  ch_.push(Side::B, MetaSignal{MetaKind::available, "", ""});  // inline
+  for (const ChannelState* source : {&spilled, &ch_}) {
+    const ChannelState constructed(*source);
+    EXPECT_EQ(canonicalBytes(constructed), canonicalBytes(*source));
+    ChannelState assigned_over_spilled = spilled;
+    assigned_over_spilled = *source;
+    EXPECT_EQ(canonicalBytes(assigned_over_spilled), canonicalBytes(*source));
+    ChannelState assigned_over_empty;
+    assigned_over_empty = *source;
+    EXPECT_EQ(canonicalBytes(assigned_over_empty), canonicalBytes(*source));
+  }
+}
+
+// The canonical encoding every explored state's bytes are built from,
+// recorded from the deque-backed channel: tunnel count, then per direction
+// (toward A, toward B) a depth and the messages oldest first.
+TEST_F(ChannelFixture, CanonicalBytesMatchRecordedEncoding) {
+  ChannelState ch{ChannelId{7}, 2};
+  ch.push(Side::B, TunnelSignal{0, CloseSignal{}});
+  ch.push(Side::B, TunnelSignal{1, CloseAckSignal{}});
+  ch.push(Side::A, MetaSignal{MetaKind::custom, "paid", "5"});
+  const std::string recorded(
+      "\x02\x00\x00\x00\x01\x00\x00\x00\x01\x04\x04\x00\x00\x00\x70\x61"
+      "\x69\x64\x01\x00\x00\x00\x35\x02\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x02\x00\x01\x00\x00\x00\x03",
+      39);
+  const std::vector<std::uint8_t> bytes = canonicalBytes(ch);
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), recorded);
 }
 
 }  // namespace

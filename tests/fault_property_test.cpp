@@ -105,8 +105,9 @@ TEST_P(FaultRandomWalk, SelfStabilizesAfterInjectionCeases) {
   // Random walk with a drop bias: when fault actions are enabled, pick one
   // at least 25% of the time, so well over 20% of in-flight signals get
   // dropped or duplicated while the budget lasts.
+  std::vector<PathAction> actions;
   for (int step = 0; step < 400; ++step) {
-    const auto actions = path.enabledActions();
+    path.enabledActions(actions);
     if (actions.empty()) break;
     std::vector<PathAction> faults;
     for (const auto& a : actions) {

@@ -122,15 +122,11 @@ ExploreResult linearGraph(const CallReplay& replay, std::size_t loop_to,
   ExploreResult graph;
   const std::size_t n = replay.states.size();
   graph.bits.reserve(n);
-  graph.edges.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     graph.bits.push_back(toBits(replay.states[i], i + 1 == n && !has_loop));
-    if (i + 1 < n) {
-      graph.edges[i] = {static_cast<std::uint32_t>(i + 1)};
-    } else {
-      graph.edges[i] = {
-          static_cast<std::uint32_t>(has_loop ? loop_to : i)};
-    }
+    const std::size_t next = i + 1 < n ? i + 1 : has_loop ? loop_to : i;
+    graph.edge_targets.push_back(static_cast<std::uint32_t>(next));
+    graph.edge_offsets.push_back(graph.edge_targets.size());
   }
   graph.stats.transitions = n;
   graph.stats.terminals = has_loop ? 0 : 1;

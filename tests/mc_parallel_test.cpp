@@ -99,7 +99,8 @@ TEST(ParallelExplore, SingleThreadIsFullyDeterministic) {
   ASSERT_EQ(a.states(), b.states());
   EXPECT_EQ(a.parent, b.parent);
   EXPECT_EQ(a.parent_action, b.parent_action);
-  EXPECT_EQ(a.edges, b.edges);
+  EXPECT_EQ(a.edge_offsets, b.edge_offsets);
+  EXPECT_EQ(a.edge_targets, b.edge_targets);
 }
 
 // ----------------------------------------------- stats under concurrency

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 
 #include "mc/seen_set.hpp"
@@ -50,8 +51,8 @@ TEST(Explore, TerminalsHaveSelfLoops) {
   for (std::uint32_t s = 0; s < graph.states(); ++s) {
     if (!graph.bits[s].terminal) continue;
     found_terminal = true;
-    EXPECT_EQ(graph.edges[s].size(), 1u);
-    EXPECT_EQ(graph.edges[s][0], s);
+    ASSERT_EQ(graph.successors(s).size(), 1u);
+    EXPECT_EQ(graph.successors(s)[0], s);
   }
   EXPECT_TRUE(found_terminal);
 }
@@ -75,7 +76,7 @@ TEST(Explore, TruncatedStatesAreMarkedUnexpanded) {
     ++unexpanded;
     // Unexpanded states must contribute nothing the verifiers could read:
     // no outgoing edges, and no predicate bits.
-    EXPECT_TRUE(graph.edges[s].empty());
+    EXPECT_TRUE(graph.successors(s).empty());
     EXPECT_FALSE(graph.bits[s].terminal);
   }
   EXPECT_GT(unexpanded, 0u);
@@ -102,16 +103,16 @@ TEST(CollisionSafety, SeenSetKeepsCollidingStatesDistinct) {
   // Two different canonical encodings forced onto the same fingerprint.
   std::vector<std::uint8_t> a{1, 2, 3};
   std::vector<std::uint8_t> b{4, 5, 6, 7};
-  auto first = seen.insert(42, std::vector<std::uint8_t>(a));
+  auto first = seen.insert(42, a);
   EXPECT_TRUE(first.inserted);
   EXPECT_FALSE(first.collided);
-  auto second = seen.insert(42, std::vector<std::uint8_t>(b));
+  auto second = seen.insert(42, b);
   EXPECT_TRUE(second.inserted);
   EXPECT_TRUE(second.collided);
   EXPECT_NE(first.index, second.index);
   EXPECT_EQ(seen.collisions(), 1u);
   // Re-inserting either encoding is a dedup hit on its own index.
-  auto again = seen.insert(42, std::vector<std::uint8_t>(a));
+  auto again = seen.insert(42, a);
   EXPECT_FALSE(again.inserted);
   EXPECT_EQ(again.index, first.index);
   EXPECT_EQ(seen.hits(), 1u);
@@ -121,12 +122,60 @@ TEST(CollisionSafety, SeenSetKeepsCollidingStatesDistinct) {
 
 TEST(CollisionSafety, SeenSetEnforcesStateBudget) {
   SeenSet seen(/*max_states=*/2);
-  EXPECT_TRUE(seen.insert(1, {1}).inserted);
-  EXPECT_TRUE(seen.insert(2, {2}).inserted);
-  auto over = seen.insert(3, {3});
+  const std::uint8_t one[] = {1}, two[] = {2}, three[] = {3};
+  EXPECT_TRUE(seen.insert(1, one).inserted);
+  EXPECT_TRUE(seen.insert(2, two).inserted);
+  auto over = seen.insert(3, three);
   EXPECT_FALSE(over.inserted);
   EXPECT_EQ(over.index, SeenSet::kNoIndex);
   EXPECT_EQ(seen.size(), 2u);
+}
+
+TEST(CollisionSafety, SeenSetKeepsIndicesAcrossGrowth) {
+  // Enough distinct encodings to grow every shard's index several times,
+  // under an 8-bit fingerprint so hundreds of encodings share each one.
+  // Among them are an empty encoding and one longer than an arena chunk.
+  constexpr std::uint64_t kMask = 0xFF;
+  std::vector<std::vector<std::uint8_t>> encodings;
+  encodings.emplace_back();
+  encodings.emplace_back(SeenSet::kChunkBytes + 1, std::uint8_t{0xA5});
+  for (std::uint32_t i = 0; i < 50'000; ++i) {
+    std::vector<std::uint8_t>& e = encodings.emplace_back();
+    for (std::uint32_t copy = 0; copy <= i % 7; ++copy) {
+      for (int b = 0; b < 4; ++b) e.push_back(static_cast<std::uint8_t>(i >> (8 * b)));
+    }
+  }
+
+  SeenSet seen(/*max_states=*/100'000);
+  std::vector<std::uint32_t> index;
+  std::set<std::uint64_t> taken;
+  std::size_t collisions = 0;
+  std::size_t bytes = 0;
+  for (const auto& e : encodings) {
+    const std::uint64_t fp = fnv1a(e) & kMask;
+    const auto got = seen.insert(fp, e);
+    ASSERT_TRUE(got.inserted);
+    EXPECT_EQ(got.collided, taken.count(fp) == 1);
+    collisions += taken.count(fp);
+    taken.insert(fp);
+    bytes += e.size();
+    index.push_back(got.index);
+  }
+  EXPECT_EQ(seen.size(), encodings.size());
+  EXPECT_EQ(seen.collisions(), collisions);
+  EXPECT_EQ(seen.bytesRetained(), bytes);
+  EXPECT_EQ(seen.hits(), 0u);
+
+  for (std::size_t i = 0; i < encodings.size(); ++i) {
+    const auto again = seen.insert(fnv1a(encodings[i]) & kMask, encodings[i]);
+    EXPECT_FALSE(again.inserted);
+    EXPECT_FALSE(again.collided);
+    EXPECT_EQ(again.index, index[i]) << "encoding " << i;
+  }
+  EXPECT_EQ(seen.hits(), encodings.size());
+  EXPECT_EQ(seen.size(), encodings.size());
+  EXPECT_EQ(seen.collisions(), collisions);
+  EXPECT_EQ(seen.bytesRetained(), bytes);
 }
 
 TEST(CollisionSafety, MaskedFingerprintsDoNotMergeStates) {

@@ -52,8 +52,9 @@ TEST_P(PathRandomWalk, RandomInterleavingDrainsToSpecifiedState) {
   // Random walk: up to 400 random actions (attaches included, so the walk
   // ends with goals engaged with overwhelming probability; force-attach
   // afterwards regardless).
+  std::vector<PathAction> actions;
   for (int step = 0; step < 400; ++step) {
-    const auto actions = path.enabledActions();
+    path.enabledActions(actions);
     if (actions.empty()) break;
     path.apply(actions[rng.below(actions.size())]);
   }

@@ -309,7 +309,8 @@ TEST(PathFingerprint, CopyIsIndependent) {
 
 TEST(PathActions, EnabledActionsMatchQueues) {
   auto path = makePath(K::openSlot, K::openSlot, 0);
-  auto actions = path.enabledActions();
+  std::vector<PathAction> actions;
+  path.enabledActions(actions);
   // Two opens in flight -> two deliver actions.
   ASSERT_EQ(actions.size(), 2u);
   for (const auto& a : actions) EXPECT_EQ(a.kind, PathAction::Kind::deliver);
@@ -317,7 +318,8 @@ TEST(PathActions, EnabledActionsMatchQueues) {
 
 TEST(PathActions, ApplyDeliverStepsSystem) {
   auto path = makePath(K::openSlot, K::holdSlot, 0);
-  auto actions = path.enabledActions();
+  std::vector<PathAction> actions;
+  path.enabledActions(actions);
   ASSERT_EQ(actions.size(), 1u);
   path.apply(actions[0]);
   // Hold end accepted: oack + select are now in flight leftward.
@@ -328,7 +330,8 @@ TEST(PathActions, DeferredAttachExposesAttachActions) {
   PathSystem path(PathSystem::makeGoal(K::openSlot, PathEnd::left),
                   PathSystem::makeGoal(K::openSlot, PathEnd::right), 1,
                   /*defer_attach=*/true);
-  auto actions = path.enabledActions();
+  std::vector<PathAction> actions;
+  path.enabledActions(actions);
   std::size_t attaches = 0;
   for (const auto& a : actions) {
     if (a.kind == PathAction::Kind::attach) ++attaches;
@@ -344,7 +347,8 @@ TEST(PathActions, ChaosBudgetExposesChaosActions) {
                   PathSystem::makeGoal(K::openSlot, PathEnd::right), 0,
                   /*defer_attach=*/true);
   path.setChaosBudget(2);
-  auto actions = path.enabledActions();
+  std::vector<PathAction> actions;
+  path.enabledActions(actions);
   std::size_t chaos = 0;
   for (const auto& a : actions) {
     if (a.kind == PathAction::Kind::chaos) ++chaos;
@@ -388,7 +392,8 @@ TEST(PathActions, ModifyBudgetExposesModifyActions) {
   auto path = makePath(K::openSlot, K::openSlot, 0);
   path.run();
   path.setModifyBudget(1);
-  auto actions = path.enabledActions();
+  std::vector<PathAction> actions;
+  path.enabledActions(actions);
   std::size_t modifies = 0;
   for (const auto& a : actions) {
     if (a.kind == PathAction::Kind::modifyMute) ++modifies;

@@ -147,6 +147,18 @@ TEST(SmallVec, PopBackAndFrontBack) {
   EXPECT_EQ(v.size(), 2u);
 }
 
+TEST(SmallVec, InsertAndEraseShiftAcrossTheSpill) {
+  SmallVec<std::string, 2> v{"b", "c"};
+  v.insert(v.begin(), v.front());  // an element of v itself, spilling
+  EXPECT_FALSE(v.isInline());
+  EXPECT_EQ(v, (SmallVec<std::string, 2>{"b", "b", "c"}));
+  v.insert(v.end(), "d");
+  v.erase(v.begin());
+  EXPECT_EQ(v, (SmallVec<std::string, 2>{"b", "c", "d"}));
+  v.erase(v.begin() + 1);
+  EXPECT_EQ(v, (SmallVec<std::string, 2>{"b", "d"}));
+}
+
 TEST(SmallVec, NonTrivialElementsDestroyed) {
   // shared_ptr use counts observe destruction across spill and clear.
   auto p = std::make_shared<int>(42);
