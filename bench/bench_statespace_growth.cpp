@@ -75,7 +75,7 @@ int main() {
   double baseline_seconds = 0;
   std::size_t baseline_states = 0, baseline_transitions = 0;
   bool counts_ok = true;
-  double best_speedup = 1.0;
+  double speedup_at_8 = 0.0;
   double peak_rss_per_state = 0;
   for (std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
@@ -100,7 +100,7 @@ int main() {
     }
     const double speedup =
         graph.stats.seconds > 0 ? baseline_seconds / graph.stats.seconds : 0.0;
-    best_speedup = std::max(best_speedup, speedup);
+    if (threads == 8) speedup_at_8 = speedup;
     std::printf("  %-8zu %12zu %12zu %10.0f %9.2f %7.2fx\n", threads,
                 graph.states(), graph.transitions,
                 graph.stats.statesPerSecond(), graph.stats.seconds, speedup);
@@ -112,7 +112,7 @@ int main() {
   bench::verdict(counts_ok,
                  "identical state/transition counts at every thread count");
   if (std::thread::hardware_concurrency() >= 4) {
-    bench::verdict(best_speedup >= 2.0,
+    bench::verdict(speedup_at_8 >= 2.0,
                    ">=2x speedup at 8 workers over the sequential explorer");
   } else {
     bench::note("speedup verdict skipped: fewer than 4 hardware threads");

@@ -116,11 +116,11 @@ void expandState(Discovery& state, SeenSet& seen,
         out.canonical.clear();
         successor.canonicalize(out.canonical);
       }
-      const std::vector<std::uint8_t>& bytes = out.canonical.bytes();
+      const std::span<const std::uint8_t> bytes = out.canonical.bytes();
       std::uint64_t fp;
       {
         CMC_PROF_SCOPE("mc.fingerprint");
-        fp = fnv1a(bytes) & fingerprint_mask;
+        fp = stateHash(bytes) & fingerprint_mask;
       }
       const SeenSet::Outcome got = seen.insert(fp, bytes);
       if (got.index == SeenSet::kNoIndex) {
@@ -250,7 +250,7 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
   {
     ByteWriter w;
     initial.canonicalize(w);
-    seen.insert(fnv1a(w.bytes()) & limits.fingerprint_mask, w.bytes());
+    seen.insert(stateHash(w.bytes()) & limits.fingerprint_mask, w.bytes());
   }
   result.bits.push_back(StateBits{});
   result.parent.push_back(0);

@@ -35,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,7 +64,7 @@ namespace cmc::net {
 
 // Write every byte to a connected socket; false when the connection is gone.
 [[nodiscard]] inline bool sendAll(int fd,
-                                  const std::vector<std::uint8_t>& bytes) {
+                                  std::span<const std::uint8_t> bytes) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n =
@@ -189,13 +190,13 @@ class FramedConn {
   // Frame `body` and send it. Thread-safe: sends are serialized, so two
   // senders cannot interleave bytes. Returns false when the connection is
   // gone.
-  bool sendFrame(const std::vector<std::uint8_t>& body) {
+  bool sendFrame(std::span<const std::uint8_t> body) {
     return sendBytes(encodeRawFrame(body));
   }
 
   // Send raw bytes as-is (pre-framed, torn, or garbage — the protocol-abuse
   // tests speak malformed wire through this).
-  bool sendBytes(const std::vector<std::uint8_t>& bytes) {
+  bool sendBytes(std::span<const std::uint8_t> bytes) {
     std::lock_guard<std::mutex> lock(send_mutex_);
     return fd_ >= 0 && sendAll(fd_, bytes);
   }

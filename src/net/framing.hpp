@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "channel/channel.hpp"
@@ -45,7 +46,7 @@ namespace cmc::net {
 }
 
 [[nodiscard]] inline std::vector<std::uint8_t> encodeRawFrame(
-    const std::vector<std::uint8_t>& body) {
+    std::span<const std::uint8_t> body) {
   return encodeRawFrame(body.data(), body.size());
 }
 

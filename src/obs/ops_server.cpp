@@ -159,7 +159,7 @@ std::optional<OpsClient::Response> OpsClient::request(const std::string& verb,
   return readResponse();
 }
 
-bool OpsClient::sendRaw(const std::vector<std::uint8_t>& bytes) {
+bool OpsClient::sendRaw(std::span<const std::uint8_t> bytes) {
   if (!conn_) return false;
   if (!conn_->sendBytes(bytes)) {
     conn_->close();

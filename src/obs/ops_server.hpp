@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,7 +108,7 @@ class OpsClient {
   // ------------------------------------------------------------ test hooks
   // Write raw bytes to the socket (pre-framed or garbage) and read back one
   // framed response, if any. Lets tests speak malformed protocol.
-  bool sendRaw(const std::vector<std::uint8_t>& bytes);
+  bool sendRaw(std::span<const std::uint8_t> bytes);
   [[nodiscard]] std::optional<Response> readResponse();
 
  private:

@@ -124,7 +124,7 @@ TEST_F(ChannelFixture, CanonicalizeOrderSensitive) {
 std::vector<std::uint8_t> canonicalBytes(const ChannelState& ch) {
   ByteWriter w;
   ch.canonicalize(w);
-  return w.bytes();
+  return w.take();
 }
 
 std::uint32_t tunnelOf(const ChannelMessage& m) {

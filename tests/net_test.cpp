@@ -38,6 +38,20 @@ TEST(Framing, RoundTripSingleMessage) {
   EXPECT_FALSE(decoder.error());
 }
 
+TEST(Framing, TunnelSignalFrameMatchesRecordedBytes) {
+  // [length u32][FNV-1a checksum u32][body], recorded before the writer
+  // copied whole words: the wire format must not move by a byte.
+  const ChannelMessage m = TunnelSignal{2, OpenSignal{Medium::audio, desc(4)}};
+  const std::vector<std::uint8_t> recorded = {
+    0x19, 0x00, 0x00, 0x00, 0xa0, 0x08, 0x93, 0xad, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x0a, 0x88, 0x13, 0x01, 0x00, 0x02, 0x00,
+  };
+  const auto frame = encodeFrame(m);
+  EXPECT_EQ(frame, recorded);
+  EXPECT_EQ(frameChecksum(frame.data() + 8, frame.size() - 8), 0xad9308a0u);
+}
+
 TEST(Framing, ByteAtATime) {
   ChannelMessage m = MetaSignal{MetaKind::custom, "paid", "x"};
   auto frame = encodeFrame(m);

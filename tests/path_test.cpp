@@ -305,6 +305,93 @@ TEST(PathFingerprint, CopyIsIndependent) {
   EXPECT_EQ(p1.fingerprint(), p2.fingerprint());
 }
 
+// The explorer's reference model, openSlot/openSlot with one flowlink, set
+// up as explorePath sets it up (deferred attach, chaos and modify budget 1).
+PathSystem referenceInitial() {
+  PathSystem path(PathSystem::makeGoal(K::openSlot, PathEnd::left),
+                  PathSystem::makeGoal(K::openSlot, PathEnd::right), 1,
+                  /*defer_attach=*/true);
+  path.setChaosBudget(1);
+  path.setModifyBudget(1);
+  return path;
+}
+
+std::vector<std::uint8_t> canonicalBytes(const PathSystem& path) {
+  ByteWriter w;
+  path.canonicalize(w);
+  return w.take();
+}
+
+// Canonical bytes recorded before the writer copied whole words: the
+// encoding the explorer dedups on must not move by a byte.
+TEST(PathFingerprint, InitialCanonicalBytesMatchRecordedEncoding) {
+  const PathSystem path = referenceInitial();
+  const std::vector<std::uint8_t> recorded = {
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17, 0x00,
+    0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05,
+    0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00,
+    0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00,
+    0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  EXPECT_EQ(canonicalBytes(path), recorded);
+  EXPECT_EQ(path.fingerprint(), stateHash(recorded));
+}
+
+TEST(PathFingerprint, ScriptedCanonicalBytesMatchRecordedEncoding) {
+  // Twelve steps that attach every party, spend the chaos and modify
+  // budgets and deliver in both directions on both channels.
+  PathSystem path = referenceInitial();
+  std::vector<PathAction> actions;
+  for (std::size_t step = 0; step < 12; ++step) {
+    path.enabledActions(actions);
+    ASSERT_FALSE(actions.empty()) << "step " << step;
+    path.apply(actions[(step * 7) % actions.size()]);
+  }
+  const std::vector<std::uint8_t> recorded = {
+    0x01, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17,
+    0x01, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00,
+    0x05, 0x00, 0x02, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01,
+    0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x01,
+    0x00, 0x01, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x0a, 0x70, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x10, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x01, 0x02, 0x00,
+    0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x01, 0x00,
+    0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x20, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x01,
+    0x00, 0x01, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x0a, 0x70, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x01, 0x01, 0x00,
+    0x01, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00,
+    0x0a, 0x71, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x01, 0x0d, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17,
+    0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+    0x01, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x10, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00,
+  };
+  EXPECT_EQ(canonicalBytes(path), recorded);
+  EXPECT_EQ(path.fingerprint(), stateHash(recorded));
+}
+
 // ------------------------------------------------------------ enabled actions
 
 TEST(PathActions, EnabledActionsMatchQueues) {

@@ -49,7 +49,7 @@ TEST(SignalSerialization, GarbageFailsCleanly) {
 TEST(SignalSerialization, TruncatedOpenFails) {
   ByteWriter w;
   serialize(Signal{OpenSignal{Medium::audio, desc(1)}}, w);
-  auto bytes = w.bytes();
+  auto bytes = w.take();
   bytes.resize(bytes.size() / 2);
   ByteReader r{bytes.data(), bytes.size()};
   EXPECT_EQ(deserializeSignal(r), std::nullopt);

@@ -155,6 +155,48 @@ TEST(Bytes, TruncatedStringFails) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Bytes, WriterLayoutIsLittleEndian) {
+  // The writer's output is both the wire format and the explorer's
+  // canonical encoding, so its byte layout is pinned exactly, then read
+  // back.
+  ByteWriter w;
+  w.u8(0xA5);
+  w.u16(0xBEEF);
+  w.u32(0xDEADBEEFu);
+  w.u64(0x0123456789ABCDEFull);
+  w.boolean(true);
+  w.boolean(false);
+  w.str("sip");
+  w.str("");
+  w.u16(1);
+  w.u64(~std::uint64_t{0});
+  w.u32(0x80000001u);
+  const std::vector<std::uint8_t> recorded = {
+    0xa5, 0xef, 0xbe, 0xef, 0xbe, 0xad, 0xde, 0xef, 0xcd, 0xab, 0x89, 0x67,
+    0x45, 0x23, 0x01, 0x01, 0x00, 0x03, 0x00, 0x00, 0x00, 0x73, 0x69, 0x70,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0x01, 0x00, 0x00, 0x80,
+  };
+  const std::vector<std::uint8_t> written = w.take();
+  EXPECT_EQ(written, recorded);
+  EXPECT_EQ(w.size(), 0u);
+
+  ByteReader r{written};
+  EXPECT_EQ(r.u8(), 0xA5u);
+  EXPECT_EQ(r.u16(), 0xBEEFu);
+  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
+  EXPECT_TRUE(r.boolean());
+  EXPECT_FALSE(r.boolean());
+  EXPECT_EQ(r.str(), "sip");
+  EXPECT_EQ(r.str(), "");
+  EXPECT_EQ(r.u16(), 1u);
+  EXPECT_EQ(r.u64(), ~std::uint64_t{0});
+  EXPECT_EQ(r.u32(), 0x80000001u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.atEnd());
+}
+
 TEST(Bytes, Fnv1aStableAndOrderSensitive) {
   ByteWriter a, b;
   a.u8(1);
@@ -163,6 +205,50 @@ TEST(Bytes, Fnv1aStableAndOrderSensitive) {
   b.u8(1);
   EXPECT_NE(fnv1a(a.bytes()), fnv1a(b.bytes()));
   EXPECT_EQ(fnv1a(a.bytes()), fnv1a(a.bytes()));
+}
+
+TEST(StateHash, DeterministicAndOrderSensitive) {
+  ByteWriter a, b;
+  a.u64(1);
+  a.u64(2);
+  b.u64(2);
+  b.u64(1);
+  EXPECT_EQ(stateHash(a.bytes()), stateHash(a.bytes()));
+  EXPECT_NE(stateHash(a.bytes()), stateHash(b.bytes()));
+  const std::vector<std::uint8_t> copy(a.bytes().begin(), a.bytes().end());
+  EXPECT_EQ(stateHash(copy), stateHash(a.bytes()));
+}
+
+TEST(StateHash, ZeroBuffersOfEachLengthDiffer) {
+  // Covers the padded short path (<16), whole 16-byte steps and the
+  // overlapping final step: zero padding must not alias a longer input.
+  const std::vector<std::uint8_t> zeros(40, 0);
+  std::set<std::uint64_t> seen;
+  for (std::size_t len = 0; len <= zeros.size(); ++len) {
+    EXPECT_TRUE(seen.insert(stateHash({zeros.data(), len})).second) << "length " << len;
+  }
+}
+
+TEST(StateHash, EverySingleBitFlipChangesTheHash) {
+  // 272 bytes is the size of a typical explorer state encoding; the other
+  // lengths put input bytes in the padded short step and in an overlapping
+  // final step.
+  for (const std::size_t length : {1, 15, 16, 17, 40, 272}) {
+    std::vector<std::uint8_t> bytes(length);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    const std::uint64_t base = stateHash(bytes);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_NE(stateHash(bytes), base)
+            << "length " << length << " byte " << i << " bit " << bit;
+        bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    }
+    EXPECT_EQ(stateHash(bytes), base);
+  }
 }
 
 TEST(SimTime, ArithmeticAndComparison) {
