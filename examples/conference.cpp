@@ -112,10 +112,7 @@ int main() {
   matrix(sim, devices, names);
 
   const char* trace_path = "conference_trace.json";
-  {
-    std::ofstream out(trace_path);
-    trace.exportChromeTrace(out);
-  }
+  std::ofstream(trace_path) << trace.chromeTraceJson();
   std::printf("\ntrace: %s (%llu events, %llu dropped) — load in Perfetto "
               "or chrome://tracing\n",
               trace_path,

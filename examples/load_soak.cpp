@@ -27,10 +27,10 @@
 // --profile installs a per-shard hot-path profiler (docs/OBSERVABILITY.md
 // §Profiling) and prints a PROF JSON attribution line (ns/op and allocs/op
 // per site, coverage vs. shard thread time). --profile-dir additionally
-// writes profile.json / profile.collapsed (flamegraph.pl) /
-// profile.speedscope.json there, and enables the `profile` ops verb when
-// combined with --ops-port. Profiling is additive-only: the "metrics:"
-// rollup line stays byte-identical with it on or off.
+// writes profile.json / profile.collapsed (flamegraph.pl, speedscope)
+// there, and enables the `profile` ops verb when combined with --ops-port.
+// Profiling is additive-only: the "metrics:" rollup line stays
+// byte-identical with it on or off.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
     std::printf("PROF %s\n",
                 runtime.profileReport().attributionJson(thread_wall_ns).c_str());
     if (!config.profile_dir.empty()) {
-      std::printf("profile exports: %s/profile.{json,collapsed,speedscope.json}\n",
+      std::printf("profile exports: %s/profile.{json,collapsed}\n",
                   config.profile_dir.c_str());
     }
   }

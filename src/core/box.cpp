@@ -16,12 +16,7 @@ namespace {
 void traceGoal(obs::EventKind kind, const std::string& box, GoalKind goal,
                SlotId slot) {
   if (obs::TraceRecorder* rec = obs::recorder()) {
-    obs::TraceEvent ev;
-    ev.kind = kind;
-    ev.name.assign(toString(goal));
-    ev.actor = box;
-    ev.id = slot.value();
-    rec->record(std::move(ev));
+    rec->record(kind, toString(goal), box, {}, slot.value());
   }
   if (obs::MetricsRegistry* m = obs::metrics()) {
     switch (kind) {

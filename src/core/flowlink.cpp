@@ -13,27 +13,17 @@ namespace {
 // utd bookkeeping changed for `slot` (v0 = new flag, v1 = closing mode).
 inline void traceUtd(SlotId slot, bool now_utd, bool closing_mode) {
   if (obs::TraceRecorder* rec = obs::recorder()) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::flowlinkUpdate;
-    ev.name = now_utd ? "utd_set" : "utd_invalidated";
-    ev.actor.assign(obs::currentActor());
-    ev.id = slot.value();
-    ev.v0 = now_utd ? 1 : 0;
-    ev.v1 = closing_mode ? 1 : 0;
-    rec->record(std::move(ev));
+    rec->record(obs::EventKind::flowlinkUpdate,
+                now_utd ? "utd_set" : "utd_invalidated", obs::currentActor(),
+                {}, slot.value(), now_utd ? 1 : 0, closing_mode ? 1 : 0);
   }
 }
 
 // The flowlink pushed the other side's cached descriptor out on `slot`.
 inline void traceRefresh(SlotId slot, std::string_view via) {
   if (obs::TraceRecorder* rec = obs::recorder()) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::flowlinkUpdate;
-    ev.name.assign(via);
-    ev.actor.assign(obs::currentActor());
-    ev.aux = "forward_descriptor";
-    ev.id = slot.value();
-    rec->record(std::move(ev));
+    rec->record(obs::EventKind::flowlinkUpdate, via, obs::currentActor(),
+                "forward_descriptor", slot.value());
   }
   if (obs::MetricsRegistry* m = obs::metrics()) {
     m->counter("flowlink.descriptor_forwards").add();

@@ -67,8 +67,9 @@ void LiveTelemetry::attach(std::vector<const obs::MetricsRegistry*> shards) {
     attached_ = true;
     registries_ = std::move(shards);
     shard_series_.clear();
+    // shardsText() reads only each shard's latest snapshot and window.
     for (std::size_t i = 0; i < registries_.size(); ++i) {
-      shard_series_.emplace_back(kSeriesCapacity);
+      shard_series_.emplace_back(1);
     }
   }
   sampler_ = std::thread([this]() { samplerLoop(); });
@@ -76,21 +77,14 @@ void LiveTelemetry::attach(std::vector<const obs::MetricsRegistry*> shards) {
 
 void LiveTelemetry::attachProfiles(
     std::vector<const obs::ProfileTable*> profiles) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    profiles_ = std::move(profiles);
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  profiles_ = std::move(profiles);
   if (flight_ != nullptr) {
     // The breach hook dumps with the hub lock held, so the source reads the
     // live tables directly (their counters are relaxed atomics) and never
     // touches hub state.
-    std::vector<const obs::ProfileTable*> tables;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tables = profiles_;
-    }
     flight_->setProfileSource(
-        [tables]() { return obs::mergeTables(tables).json(); });
+        [tables = profiles_]() { return obs::mergeTables(tables).json(); });
   }
 }
 

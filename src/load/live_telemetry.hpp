@@ -5,10 +5,11 @@
 // plane must therefore be strictly *read-only*: one sampler thread takes
 // periodic MetricsSnapshots of every shard registry (relaxed atomic reads;
 // shard threads never block on it), merges them into a fleet view, pushes
-// the result into bounded per-shard + merged SnapshotSeries, and evaluates
-// the configured SLO watchdogs against each closed window. Turning the
-// sampler on or off cannot change what the run computes — tests/load_test
-// and the ops-smoke CI job assert the rollup is byte-identical either way.
+// the result into a bounded merged SnapshotSeries (plus one latest window
+// per shard), and evaluates the configured SLO watchdogs against each
+// closed window. Turning the sampler on or off cannot change what the run
+// computes — tests/load_test and the ops-smoke CI job assert the rollup is
+// byte-identical either way.
 //
 // The hub optionally serves that state over an OpsServer (framed TCP on
 // loopback), so `cmc_top`, curl-less scripts, and tests can watch a soak
@@ -21,8 +22,8 @@
 //   health   text/plain        ok|degraded|starting + one line per SLO rule
 //   flight   text/plain        on-demand flight dump of the merged view
 //   profile  application/json  merged hot-path profile (args: "json" |
-//                              "collapsed" | "speedscope"; error when the
-//                              run was not profiled)
+//                              "collapsed"; error when the run was not
+//                              profiled)
 //
 // On an SLO breach-entry the hub flips health to degraded and dumps its own
 // flight recorder (prefix "slo", whose metrics section is the latest merged
@@ -80,7 +81,7 @@ class LiveTelemetry {
     std::function<void(const TelemetryTick&)> on_sample;
   };
 
-  // Windows each series keeps: 1 min at the default 250 ms period.
+  // Windows the merged series keeps: 1 min at the default 250 ms period.
   static constexpr std::size_t kSeriesCapacity = 240;
 
   explicit LiveTelemetry(Config config);

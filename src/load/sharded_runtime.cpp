@@ -168,8 +168,6 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
           << profile_report_.json();
       std::ofstream(base + ".collapsed", std::ios::trunc)
           << profile_report_.collapsed();
-      std::ofstream(base + ".speedscope.json", std::ios::trunc)
-          << profile_report_.speedscope("load_soak");
     }
   }
 

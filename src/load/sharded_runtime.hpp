@@ -95,9 +95,8 @@ struct LoadConfig : LiveTelemetry::Config {
   // additive observability: the rollup and outcomes stay byte-identical
   // with profiling on or off (tested), only the profile tables differ.
   bool profile = false;
-  // Write merged profile exports (profile.json / profile.collapsed /
-  // profile.speedscope.json) into this directory after the run; non-empty
-  // implies `profile`.
+  // Write merged profile exports (profile.json / profile.collapsed) into
+  // this directory after the run; non-empty implies `profile`.
   std::string profile_dir;
 };
 

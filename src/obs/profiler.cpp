@@ -95,6 +95,22 @@ void canonicalize(std::vector<ProfileNode>& nodes) {
   nodes = std::move(out);
 }
 
+// One sample into a node's calls, total, min/max and histogram.
+void observe(prof::Node* node, std::int64_t v) noexcept {
+  // Single-writer: plain load/store pairs are exact; atomics only make the
+  // concurrent report() reader tear-free.
+  const std::uint64_t calls = node->calls.load(std::memory_order_relaxed);
+  node->total_ns.fetch_add(v, std::memory_order_relaxed);
+  if (calls == 0 || v < node->min_ns.load(std::memory_order_relaxed)) {
+    node->min_ns.store(v, std::memory_order_relaxed);
+  }
+  if (calls == 0 || v > node->max_ns.load(std::memory_order_relaxed)) {
+    node->max_ns.store(v, std::memory_order_relaxed);
+  }
+  node->buckets[Histogram::bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+  node->calls.store(calls + 1, std::memory_order_relaxed);
+}
+
 void appendU64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
@@ -120,15 +136,16 @@ ProfileTable::ProfileTable(std::string name) : name_(std::move(name)) {
   root_.site = "root";
 }
 
-prof::Node* ProfileTable::enter(const char* site, prof::Node* parent) {
+prof::Node* ProfileTable::child(prof::Node* parent, const char* site,
+                                bool is_value) {
   if (parent == nullptr) parent = &root_;
   // Fast path: same string literal, pointer identity. Fallback: content
   // comparison, so the same site named from two translation units still
   // lands on one node.
-  for (prof::Node* child : parent->children) {
-    if (!child->is_value &&
-        (child->site == site || std::strcmp(child->site, site) == 0)) {
-      return child;
+  for (prof::Node* node : parent->children) {
+    if (node->is_value == is_value &&
+        (node->site == site || std::strcmp(node->site, site) == 0)) {
+      return node;
     }
   }
   std::lock_guard<std::mutex> lock(structure_mutex_);
@@ -136,60 +153,24 @@ prof::Node* ProfileTable::enter(const char* site, prof::Node* parent) {
   prof::Node* node = &nodes_.back();
   node->site = site;
   node->parent = parent;
+  node->is_value = is_value;
   parent->children.push_back(node);
   return node;
 }
 
+prof::Node* ProfileTable::enter(const char* site, prof::Node* parent) {
+  return child(parent, site, false);
+}
+
 void ProfileTable::leave(prof::Node* node, std::int64_t dt_ns,
                          std::int64_t child_ns) noexcept {
-  const std::uint64_t calls = node->calls.load(std::memory_order_relaxed);
-  std::int64_t self = dt_ns - child_ns;
-  if (self < 0) self = 0;
-  // Single-writer: plain load/store pairs are exact; atomics only make the
-  // concurrent report() reader tear-free.
-  node->total_ns.fetch_add(dt_ns, std::memory_order_relaxed);
-  node->self_ns.fetch_add(self, std::memory_order_relaxed);
-  if (calls == 0 || dt_ns < node->min_ns.load(std::memory_order_relaxed)) {
-    node->min_ns.store(dt_ns, std::memory_order_relaxed);
-  }
-  if (calls == 0 || dt_ns > node->max_ns.load(std::memory_order_relaxed)) {
-    node->max_ns.store(dt_ns, std::memory_order_relaxed);
-  }
-  node->buckets[Histogram::bucketOf(dt_ns)].fetch_add(
-      1, std::memory_order_relaxed);
-  node->calls.store(calls + 1, std::memory_order_relaxed);
+  node->self_ns.fetch_add(std::max<std::int64_t>(dt_ns - child_ns, 0),
+                          std::memory_order_relaxed);
+  observe(node, dt_ns);
 }
 
 void ProfileTable::value(const char* site, std::int64_t v) {
-  prof::Node* parent = prof::tls.node;
-  if (parent == nullptr) parent = &root_;
-  prof::Node* node = nullptr;
-  for (prof::Node* child : parent->children) {
-    if (child->is_value &&
-        (child->site == site || std::strcmp(child->site, site) == 0)) {
-      node = child;
-      break;
-    }
-  }
-  if (node == nullptr) {
-    std::lock_guard<std::mutex> lock(structure_mutex_);
-    nodes_.emplace_back();
-    node = &nodes_.back();
-    node->site = site;
-    node->parent = parent;
-    node->is_value = true;
-    parent->children.push_back(node);
-  }
-  const std::uint64_t calls = node->calls.load(std::memory_order_relaxed);
-  node->total_ns.fetch_add(v, std::memory_order_relaxed);
-  if (calls == 0 || v < node->min_ns.load(std::memory_order_relaxed)) {
-    node->min_ns.store(v, std::memory_order_relaxed);
-  }
-  if (calls == 0 || v > node->max_ns.load(std::memory_order_relaxed)) {
-    node->max_ns.store(v, std::memory_order_relaxed);
-  }
-  node->buckets[Histogram::bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-  node->calls.store(calls + 1, std::memory_order_relaxed);
+  observe(child(prof::tls.node, site, true), v);
 }
 
 void ProfileTable::recordAlloc(prof::Node* node, std::size_t bytes) noexcept {
@@ -374,68 +355,6 @@ std::string ProfileReport::collapsed() const {
   return out;
 }
 
-std::string ProfileReport::speedscope(const std::string& name) const {
-  // speedscope "sampled" profile: one weighted stack per span node,
-  // weight = self time. https://www.speedscope.app/file-format-schema.json
-  std::vector<std::string> frames;
-  std::map<std::string, std::size_t> frame_index;
-  std::vector<std::vector<std::size_t>> stacks;
-  std::vector<std::int64_t> weights;
-  std::vector<std::vector<std::size_t>> stack_of(nodes_.size());
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    const ProfileNode& n = nodes_[i];
-    if (n.is_value) continue;
-    auto it = frame_index.find(n.site);
-    std::size_t frame;
-    if (it == frame_index.end()) {
-      frame = frames.size();
-      frame_index.emplace(n.site, frame);
-      frames.push_back(n.site);
-    } else {
-      frame = it->second;
-    }
-    const std::size_t parent = static_cast<std::size_t>(n.parent);
-    stack_of[i] = stack_of[parent];
-    stack_of[i].push_back(frame);
-    if (n.self_ns <= 0) continue;
-    stacks.push_back(stack_of[i]);
-    weights.push_back(n.self_ns);
-  }
-  std::int64_t end_value = 0;
-  for (std::int64_t w : weights) end_value += w;
-
-  std::string out =
-      "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\","
-      "\"shared\":{\"frames\":[";
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (i) out += ',';
-    out += "{\"name\":\"";
-    appendJsonEscaped(out, frames[i]);
-    out += "\"}";
-  }
-  out += "]},\"profiles\":[{\"type\":\"sampled\",\"name\":\"";
-  appendJsonEscaped(out, name);
-  out += "\",\"unit\":\"nanoseconds\",\"startValue\":0,\"endValue\":";
-  appendI64(out, end_value);
-  out += ",\"samples\":[";
-  for (std::size_t s = 0; s < stacks.size(); ++s) {
-    if (s) out += ',';
-    out += '[';
-    for (std::size_t f = 0; f < stacks[s].size(); ++f) {
-      if (f) out += ',';
-      appendU64(out, stacks[s][f]);
-    }
-    out += ']';
-  }
-  out += "],\"weights\":[";
-  for (std::size_t w = 0; w < weights.size(); ++w) {
-    if (w) out += ',';
-    appendI64(out, weights[w]);
-  }
-  out += "]}],\"exporter\":\"cmc-profiler\",\"activeProfileIndex\":0}";
-  return out;
-}
-
 std::string ProfileReport::attributionJson(std::int64_t wall_ns) const {
   struct SiteAgg {
     std::uint64_t calls = 0;
@@ -528,7 +447,6 @@ std::string profileResponse(const ProfileReport& report,
                             const std::string& args) {
   if (args.empty() || args == "json") return report.json();
   if (args == "collapsed") return report.collapsed();
-  if (args == "speedscope") return report.speedscope("cmc");
   throw std::runtime_error("unknown profile sub-verb: " + args);
 }
 

@@ -27,8 +27,8 @@
 // under the structural mutex, so the live-telemetry sampler can serve the
 // `profile` ops verb mid-run. Reports merge deterministically in rank
 // order (children sorted by site name), mirroring the metrics rollup, and
-// export as deterministic JSON, collapsed-stack text (flamegraph.pl), and
-// speedscope JSON.
+// export as deterministic JSON and collapsed-stack text (flamegraph.pl and
+// speedscope both open it).
 #pragma once
 
 #include <atomic>
@@ -93,11 +93,9 @@ class ProfileReport {
 
   // Deterministic flat-array JSON (histograms emitted sparse).
   [[nodiscard]] std::string json() const;
-  // flamegraph.pl collapsed stacks: "root;a;b <self_ns>" per span node
-  // with nonzero self time.
+  // Collapsed stacks: "a;b <self_ns>" per span node with nonzero self
+  // time, no frame for the synthetic root.
   [[nodiscard]] std::string collapsed() const;
-  // speedscope "sampled" profile, one weighted stack per span node.
-  [[nodiscard]] std::string speedscope(const std::string& name) const;
   // Per-site rollup for bench PROF lines: ns/op + allocs/op per site plus
   // a coverage ratio (depth-1 span time / wall_ns, capped at 1).
   [[nodiscard]] std::string attributionJson(std::int64_t wall_ns) const;
@@ -158,7 +156,8 @@ class ProfileTable {
   }
 
   // Hot-path hooks, called by ProfScope / CMC_PROF_VALUE / the allocation
-  // hook. enter() finds or creates the child of `parent` for `site`.
+  // hook. enter() finds or creates the span child of `parent` for `site`;
+  // value() does the same for a value child of the current node.
   prof::Node* enter(const char* site, prof::Node* parent);
   void leave(prof::Node* node, std::int64_t dt_ns,
              std::int64_t child_ns) noexcept;
@@ -172,6 +171,10 @@ class ProfileTable {
   [[nodiscard]] ProfileReport report() const;
 
  private:
+  // The (site, kind) child of `parent` (root when null), created on first
+  // visit.
+  prof::Node* child(prof::Node* parent, const char* site, bool is_value);
+
   std::string name_;
   std::int64_t overhead_ns_ = 0;
   prof::Node root_;
@@ -194,8 +197,8 @@ void setThreadProfiler(ProfileTable* table) noexcept;
 
 // Payload for the read-only `profile` ops verb, shared between
 // LiveTelemetry and tests: args "" / "json" -> report JSON, "collapsed" ->
-// collapsed stacks, "speedscope" -> speedscope JSON; anything else throws
-// (the ops server turns that into an error response).
+// collapsed stacks; anything else throws (the ops server turns that into
+// an error response).
 [[nodiscard]] std::string profileResponse(const ProfileReport& report,
                                           const std::string& args);
 

@@ -137,10 +137,6 @@ void TraceRecorder::clear() {
   next_id_.store(1, std::memory_order_relaxed);
 }
 
-void TraceRecorder::exportChromeTrace(std::ostream& os) const {
-  os << chromeTraceJson();
-}
-
 std::string TraceRecorder::chromeTraceJson() const {
   const std::vector<TraceEvent> events = snapshot();
   std::uint64_t drops;

@@ -15,12 +15,12 @@
 // Timestamps come from an injectable time source (the Simulator installs
 // its virtual clock); without one, events are stamped with a monotonic
 // wall-clock offset. Exports: Chrome trace-event JSON (load in Perfetto or
-// chrome://tracing) via exportChromeTrace(). The export is a pure function
+// chrome://tracing) via chromeTraceJson(). The export is a pure function
 // of the buffered events, so identical runs yield byte-identical traces.
 // Causal propagation (opt-in on top of recording, see obs/context.hpp):
 // with setPropagation(true), the recorder also allocates trace and span
 // ids, events adopt the thread-local TraceContext of the stimulus that
-// produced them, and exportChromeTrace() emits Perfetto flow arrows for
+// produced them, and chromeTraceJson() emits Perfetto flow arrows for
 // every cross-actor parent->child link. With propagation off, all id
 // fields stay zero and the export is byte-identical to the pre-causal
 // format.
@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,10 +79,12 @@ class TraceRecorder {
   // wall-clock offset from recorder construction.
   void setTimeSource(std::function<std::int64_t()> now_us);
 
-  // Stamp and buffer one event. Thread-safe.
+  // Stamp and buffer one event. Thread-safe. Only events that carry their
+  // own timestamp or causal ids (box spans, signal receives) are built as a
+  // TraceEvent; every other site records through the overload below.
   void record(TraceEvent event);
 
-  // Convenience for instants.
+  // One instant, stamped now.
   void record(EventKind kind, std::string_view name, std::string_view actor,
               std::string_view aux = {}, std::uint64_t id = 0,
               std::int64_t v0 = 0, std::int64_t v1 = 0);
@@ -117,7 +118,6 @@ class TraceRecorder {
 
   // Chrome trace-event JSON: {"traceEvents":[...]} with one "thread" per
   // actor (first-appearance order) and a metadata record of drop counts.
-  void exportChromeTrace(std::ostream& os) const;
   [[nodiscard]] std::string chromeTraceJson() const;
 
  private:

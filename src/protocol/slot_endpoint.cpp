@@ -37,13 +37,8 @@ namespace {
 inline void traceTransition(SlotId id, ProtocolState from, ProtocolState to) {
   if (from == to) return;
   if (obs::TraceRecorder* rec = obs::recorder()) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::slotTransition;
-    ev.name.assign(toString(to));
-    ev.actor.assign(obs::currentActor());
-    ev.aux.assign(toString(from));
-    ev.id = id.value();
-    rec->record(std::move(ev));
+    rec->record(obs::EventKind::slotTransition, toString(to),
+                obs::currentActor(), toString(from), id.value());
   }
 }
 

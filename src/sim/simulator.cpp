@@ -141,11 +141,8 @@ void Simulator::installFaultPlan(FaultPlan* plan) {
     loop_.scheduleAt(crash.at, [this, crash]() { crashBox(crash); });
   }
   if (obs::TraceRecorder* rec = obs::recorder()) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::mark;
-    ev.name = "fault_plan_installed";
-    ev.v0 = static_cast<std::int64_t>(plan->seed());
-    rec->record(std::move(ev));
+    rec->record(obs::EventKind::mark, "fault_plan_installed", {}, {}, 0,
+                static_cast<std::int64_t>(plan->seed()));
   }
 }
 
@@ -176,12 +173,8 @@ void Simulator::crashBox(const CrashEvent& crash) {
     m->counter("fault.crashes").add();
   }
   if (obs::TraceRecorder* rec = obs::recorder()) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::mark;
-    ev.name = "crash";
-    ev.actor = crash.box;
-    ev.v0 = crash.down_for.count();
-    rec->record(std::move(ev));
+    rec->record(obs::EventKind::mark, "crash", crash.box, {}, 0,
+                crash.down_for.count());
   }
   loop_.scheduleAt(up_at, [this, id]() {
     // Overlapping crashes restart the box once, at the latest up-time: a
@@ -193,11 +186,7 @@ void Simulator::crashBox(const CrashEvent& crash) {
     Box* target = reach(id);
     if (target == nullptr) return;
     if (obs::TraceRecorder* rec = obs::recorder()) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::mark;
-      ev.name = "restart";
-      ev.actor = target->name();
-      rec->record(std::move(ev));
+      rec->record(obs::EventKind::mark, "restart", target->name());
     }
     stimulate(id, [target]() { target->crashRestart(); });
     scheduleRefreshTick(id);
@@ -324,15 +313,10 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
 
   for (auto& item : out.tunnel) {
     if (obs::TraceRecorder* trace = obs::recorder()) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::signalSend;
-      ev.name.assign(toString(kindOf(item.signal)));
-      ev.actor = sender.name();
-      ev.aux = nameOf(item.peer);
-      ev.id = item.slot.value();
-      ev.v0 = static_cast<std::int64_t>(item.channel.value());
-      ev.v1 = item.tunnel;
-      trace->record(std::move(ev));
+      trace->record(obs::EventKind::signalSend, toString(kindOf(item.signal)),
+                    sender.name(), nameOf(item.peer), item.slot.value(),
+                    static_cast<std::int64_t>(item.channel.value()),
+                    item.tunnel);
     }
     const SimDuration latency = timing_.sampleNetwork(rng_);
     FaultDecision fate;  // default: deliver one copy, on time
@@ -353,13 +337,8 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     }
     if (fate.drop) {
       if (obs::TraceRecorder* trace = obs::recorder()) {
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::mark;
-        ev.name = "fault_drop";
-        ev.actor = sender.name();
-        ev.aux = nameOf(item.peer);
-        ev.id = item.slot.value();
-        trace->record(std::move(ev));
+        trace->record(obs::EventKind::mark, "fault_drop", sender.name(),
+                      nameOf(item.peer), item.slot.value());
       }
       continue;
     }

@@ -247,6 +247,9 @@ class LoopbackPair : public ::testing::Test {
     listener_->start([this](int fd) { accepted_.set_value(fd); });
     client_ = TcpSignalingPeer::connect("127.0.0.1", listener_->port());
     ASSERT_NE(client_, nullptr);
+    ASSERT_EQ(accepted_fd.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "the listener accepted no connection";
     server_ = std::make_unique<TcpSignalingPeer>(accepted_fd.get());
   }
 
@@ -280,6 +283,8 @@ TEST_F(LoopbackPair, DeliversInFifoOrder) {
 
 TEST_F(LoopbackPair, BidirectionalTraffic) {
   std::promise<ChannelMessage> to_server, to_client;
+  auto server_got = to_server.get_future();
+  auto client_got = to_client.get_future();
   server_->start([&](const ChannelMessage& m) { to_server.set_value(m); });
   client_->start([&](const ChannelMessage& m) { to_client.set_value(m); });
 
@@ -287,8 +292,12 @@ TEST_F(LoopbackPair, BidirectionalTraffic) {
   ChannelMessage from_server = MetaSignal{MetaKind::custom, "hi", ""};
   ASSERT_TRUE(client_->send(from_client));
   ASSERT_TRUE(server_->send(from_server));
-  EXPECT_EQ(to_server.get_future().get(), from_client);
-  EXPECT_EQ(to_client.get_future().get(), from_server);
+  ASSERT_EQ(server_got.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  ASSERT_EQ(client_got.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_EQ(server_got.get(), from_client);
+  EXPECT_EQ(client_got.get(), from_server);
 }
 
 TEST_F(LoopbackPair, DropAndCorruptHooksLoseExactlyOneFrame) {

@@ -253,12 +253,6 @@ TEST_F(ProfilerTest, ExportsAreWellFormed) {
   }
   EXPECT_TRUE(saw_nested) << collapsed;
 
-  const std::string speedscope = report.speedscope("unit");
-  EXPECT_NE(speedscope.find("speedscope.app/file-format-schema.json"),
-            std::string::npos);
-  EXPECT_NE(speedscope.find("\"type\":\"sampled\""), std::string::npos);
-  EXPECT_NE(speedscope.find("\"unit\":\"nanoseconds\""), std::string::npos);
-
   const std::string attribution = report.attributionJson(1'000'000);
   EXPECT_NE(attribution.find("\"coverage\":"), std::string::npos);
   EXPECT_NE(attribution.find("\"ns_per_call\":"), std::string::npos);
@@ -268,8 +262,6 @@ TEST_F(ProfilerTest, ExportsAreWellFormed) {
   EXPECT_EQ(obs::profileResponse(report, ""), json);
   EXPECT_EQ(obs::profileResponse(report, "json"), json);
   EXPECT_EQ(obs::profileResponse(report, "collapsed"), collapsed);
-  EXPECT_EQ(obs::profileResponse(report, "speedscope"),
-            report.speedscope("cmc"));
   EXPECT_THROW((void)obs::profileResponse(report, "bogus"),
                std::runtime_error);
 }
@@ -354,7 +346,7 @@ TEST_F(ProfilerTest, ProfiledLoadRunAttributesShardSites) {
   EXPECT_NE(findNode(report, "loop.queue_depth"), nullptr);
 }
 
-TEST_F(ProfilerTest, ProfileDirWritesAllThreeExports) {
+TEST_F(ProfilerTest, ProfileDirWritesJsonAndCollapsed) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "cmc_profiler_test_exports";
   std::filesystem::remove_all(dir);
@@ -371,12 +363,13 @@ TEST_F(ProfilerTest, ProfileDirWritesAllThreeExports) {
   runtime.run(workload);
   EXPECT_TRUE(runtime.profiled());
 
-  for (const char* name :
-       {"profile.json", "profile.collapsed", "profile.speedscope.json"}) {
+  for (const char* name : {"profile.json", "profile.collapsed"}) {
     const std::filesystem::path file = dir / name;
     ASSERT_TRUE(std::filesystem::exists(file)) << file;
     EXPECT_GT(std::filesystem::file_size(file), 0u) << file;
   }
+  // speedscope opens profile.collapsed; no separate export is written.
+  EXPECT_FALSE(std::filesystem::exists(dir / "profile.speedscope.json"));
   std::ifstream json(dir / "profile.json");
   std::string body((std::istreambuf_iterator<char>(json)),
                    std::istreambuf_iterator<char>());
@@ -439,11 +432,6 @@ TEST_F(ProfilerTest, ProfileVerbServesMergedReportEndToEnd) {
   ASSERT_TRUE(collapsed.has_value());
   EXPECT_TRUE(collapsed->ok);
   EXPECT_NE(collapsed->body.find("shard.run"), std::string::npos);
-
-  auto speedscope = client->request("profile", "speedscope");
-  ASSERT_TRUE(speedscope.has_value());
-  EXPECT_TRUE(speedscope->ok);
-  EXPECT_NE(speedscope->body.find("speedscope.app"), std::string::npos);
 
   // Unknown sub-verb: error response, connection and listener survive.
   auto bad = client->request("profile", "flamethrower");
