@@ -121,7 +121,11 @@ double nsPerStimulus(Mode mode, int reps, std::uint64_t stimuli_per_call) {
 
 // Cost of visiting one disabled profiling site: the ctor loads the
 // thread-local table pointer, sees nullptr, and skips everything else.
-double offSiteVisitNs() {
+// Both timed loops live here, never inlined into the caller, and the bench
+// is built with -falign-loops=64 (bench/CMakeLists.txt): each loop then
+// starts on a 64-byte boundary, so their difference is the site's cost and
+// not an artifact of where the caller's code placed them.
+[[gnu::noinline]] double offSiteVisitNs() {
   using clock = std::chrono::steady_clock;
   obs::setThreadProfiler(nullptr);
   constexpr int kIters = 1 << 22;

@@ -15,6 +15,8 @@
 // view instead (paper, the daughter's fast-forward scenario).
 #pragma once
 
+#include <map>
+
 #include "core/box.hpp"
 
 namespace cmc {
@@ -111,7 +113,7 @@ class CollabTvBox : public Box {
   void onChannelDown(ChannelId channel) override {
     if (channel == movie_channel_) {
       movie_channel_ = ChannelId{};
-      movie_slots_.clear();
+      movie_slots_ = {};
     }
     for (auto it = peers_.begin(); it != peers_.end();) {
       if (it->second == channel) {
@@ -140,7 +142,7 @@ class CollabTvBox : public Box {
   std::string movie_;
   double split_position_ = 0;
   ChannelId movie_channel_;
-  std::vector<SlotId> movie_slots_;
+  SlotIds movie_slots_;
   std::map<std::string, ChannelId> peers_;
 };
 

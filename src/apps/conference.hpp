@@ -98,7 +98,7 @@ class ConferenceServerBox : public Box {
   void onChannelDown(ChannelId channel) override {
     if (channel == bridge_channel_) {
       bridge_channel_ = ChannelId{};
-      bridge_slots_.clear();
+      bridge_slots_ = {};
       return;
     }
     for (auto it = parties_.begin(); it != parties_.end(); ++it) {
@@ -157,7 +157,7 @@ class ConferenceServerBox : public Box {
   std::uint32_t max_parties_;
   DescriptorFactory ids_;
   ChannelId bridge_channel_;
-  std::vector<SlotId> bridge_slots_;
+  SlotIds bridge_slots_;
   bool bridge_requested_ = false;
   std::size_t next_leg_ = 0;
   std::map<std::string, Party> parties_;

@@ -30,25 +30,74 @@ void traceGoal(obs::EventKind kind, const std::string& box, GoalKind goal,
   }
 }
 
+// Row lookups over a box's rows, for const and mutable boxes alike. Slot
+// rows are in SlotId order; the others are short, so they are scanned.
+template <typename Rows>
+auto* slotRowIn(Rows& rows, SlotId slot) {
+  auto it = std::lower_bound(
+      rows.begin(), rows.end(), slot,
+      [](const auto& row, SlotId id) { return row.slot.id() < id; });
+  return it != rows.end() && it->slot.id() == slot ? &*it : nullptr;
+}
+
+template <typename Rows>
+auto& slotIn(Rows& rows, SlotId slot) {
+  auto* row = slotRowIn(rows, slot);
+  if (row == nullptr) throw std::logic_error("unknown slot");
+  return row->slot;
+}
+
+template <typename Rows>
+auto* endIn(Rows& rows, ChannelId channel) {
+  auto it = std::find_if(rows.begin(), rows.end(),
+                         [channel](const auto& end) { return end.id == channel; });
+  return it != rows.end() ? &*it : nullptr;
+}
+
+// The goal row controlling `slot`: its single-slot goal or its flowlink.
+template <typename Rows>
+auto* goalIn(Rows& rows, SlotId slot) {
+  auto it = std::find_if(rows.begin(), rows.end(), [slot](const auto& row) {
+    return row.a == slot || row.b == slot;
+  });
+  return it != rows.end() ? &*it : nullptr;
+}
+
+template <typename Rows>
+auto* singleGoalIn(Rows& rows, SlotId slot) {
+  auto* row = goalIn(rows, slot);
+  return row != nullptr ? std::get_if<EndpointGoal>(&row->goal) : nullptr;
+}
+
+// Runs `fn(goal)` when `goal` is an open or hold goal; a close goal has no
+// media to modify.
+template <typename Fn>
+void withMediaGoal(EndpointGoal& goal, Fn&& fn) {
+  std::visit(
+      [&](auto& g) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(g)>, CloseSlotGoal>) {
+          fn(g);
+        }
+      },
+      goal);
+}
+
 }  // namespace
 
 Box::Box(BoxId id, std::string name) : id_(id), name_(std::move(name)) {}
 
-std::vector<SlotId> Box::addChannelEnd(ChannelId channel, std::uint32_t tunnels,
-                                       bool initiator, const std::string& tag,
-                                       BoxId peer, const std::string& peer_name) {
-  ChannelEnd end;
-  end.id = channel;
-  end.initiator = initiator;
-  end.peer = peer;
+SlotIds Box::addChannelEnd(ChannelId channel, std::uint32_t tunnels,
+                           bool initiator, const std::string& tag, BoxId peer,
+                           const std::string& peer_name) {
+  SlotIds created;
   for (std::uint32_t t = 0; t < tunnels; ++t) {
     const SlotId slot = slot_ids_.next();
-    auto [it, inserted] = slots_.emplace(slot, SlotEndpoint{slot, initiator});
-    it->second.setStabilizing(stabilization_enabled_);
-    end.slots.push_back(slot);
+    created.push_back(slot);
+    SlotRow& row =
+        slots_.emplace_back(SlotRow{SlotEndpoint{slot, initiator}, channel, t});
+    row.slot.setStabilizing(stabilization_enabled_);
   }
-  std::vector<SlotId> created = end.slots;
-  channels_.emplace(channel, std::move(end));
+  ends_.push_back(EndRow{channel, peer, created});
   if (!initiator) {
     onIncomingChannel(channel, peer_name);
   } else {
@@ -58,148 +107,131 @@ std::vector<SlotId> Box::addChannelEnd(ChannelId channel, std::uint32_t tunnels,
 }
 
 void Box::removeChannel(ChannelId channel) {
-  auto it = channels_.find(channel);
-  if (it == channels_.end()) return;
-  for (SlotId slot : it->second.slots) {
+  const EndRow* end = endIn(ends_, channel);
+  if (end == nullptr) return;
+  for (SlotId slot : end->slots) {
     detachSlot(slot);
-    slots_.erase(slot);
+    slots_.erase(slotRowIn(slots_, slot));
   }
-  channels_.erase(it);
+  ends_.erase(end);
   onChannelDown(channel);
 }
 
 bool Box::hasChannel(ChannelId channel) const noexcept {
-  return channels_.count(channel) != 0;
+  return endIn(ends_, channel) != nullptr;
 }
 
-std::vector<SlotId> Box::slotsOf(ChannelId channel) const {
-  auto it = channels_.find(channel);
-  if (it == channels_.end()) return {};
-  return it->second.slots;
+SlotIds Box::slotsOf(ChannelId channel) const {
+  const EndRow* end = endIn(ends_, channel);
+  return end != nullptr ? end->slots : SlotIds{};
 }
 
-ChannelId Box::channelOf(SlotId slot) const {
-  for (const auto& [id, end] : channels_) {
-    if (std::find(end.slots.begin(), end.slots.end(), slot) != end.slots.end()) {
-      return id;
-    }
-  }
-  return ChannelId{};
+ChannelId Box::channelOf(SlotId slot) const noexcept {
+  const SlotRow* row = slotRowIn(slots_, slot);
+  return row != nullptr ? row->channel : ChannelId{};
 }
 
 std::optional<SlotId> Box::slotAt(ChannelId channel,
-                                  std::uint32_t tunnel) const {
-  auto it = channels_.find(channel);
-  if (it == channels_.end() || tunnel >= it->second.slots.size()) {
-    return std::nullopt;
-  }
-  return it->second.slots[tunnel];
+                                  std::uint32_t tunnel) const noexcept {
+  const EndRow* end = endIn(ends_, channel);
+  if (end == nullptr || tunnel >= end->slots.size()) return std::nullopt;
+  return end->slots[tunnel];
 }
 
-std::optional<BoxId> Box::peerOf(ChannelId channel) const {
-  auto it = channels_.find(channel);
-  if (it == channels_.end()) return std::nullopt;
-  return it->second.peer;
+std::optional<BoxId> Box::peerOf(ChannelId channel) const noexcept {
+  const EndRow* end = endIn(ends_, channel);
+  if (end == nullptr) return std::nullopt;
+  return end->peer;
 }
 
 void Box::setGoal(SlotId slot, EndpointGoal goal) {
   detachSlot(slot);
-  auto [it, inserted] = single_goals_.emplace(slot, std::move(goal));
-  traceGoal(obs::EventKind::goalPosted, name_, kindOf(it->second), slot);
+  SlotEndpoint& endpoint = slotIn(slots_, slot);
+  EndpointGoal& bound = std::get<EndpointGoal>(
+      goals_.emplace_back(GoalRow{slot, SlotId{}, std::move(goal)}).goal);
+  traceGoal(obs::EventKind::goalPosted, name_, kindOf(bound), slot);
   Outbox out;
-  attach(it->second, slotRef(slot), out);
+  attach(bound, endpoint, out);
   flushOutbox(std::move(out));
   maybeRequestRetryTimer();
 }
 
 void Box::linkSlots(SlotId a, SlotId b) {
-  if (auto it = link_of_.find(a); it != link_of_.end()) {
-    LinkEntry* entry = it->second;
-    if ((entry->a == a && entry->b == b) || (entry->a == b && entry->b == a)) {
-      return;  // same annotation: the same goal object keeps control
-    }
+  if (const GoalRow* row = goalIn(goals_, a);
+      row != nullptr &&
+      ((row->a == a && row->b == b) || (row->a == b && row->b == a))) {
+    return;  // same annotation: the same goal object keeps control
   }
   detachSlot(a);
   detachSlot(b);
-  auto entry = std::make_unique<LinkEntry>();
-  entry->a = a;
-  entry->b = b;
-  LinkEntry* raw = entry.get();
-  links_.push_back(std::move(entry));
-  link_of_[a] = raw;
-  link_of_[b] = raw;
+  SlotEndpoint& slot_a = slotIn(slots_, a);
+  SlotEndpoint& slot_b = slotIn(slots_, b);
+  FlowLink& link =
+      std::get<FlowLink>(goals_.emplace_back(GoalRow{a, b, FlowLink{}}).goal);
   traceGoal(obs::EventKind::goalPosted, name_, GoalKind::flowLink, a);
   Outbox out;
-  raw->link.attach(slotRef(a), slotRef(b), out);
+  link.attach(slot_a, slot_b, out);
   flushOutbox(std::move(out));
 }
 
 void Box::clearGoal(SlotId slot) { detachSlot(slot); }
 
 std::optional<GoalKind> Box::goalKind(SlotId slot) const {
-  if (auto it = single_goals_.find(slot); it != single_goals_.end()) {
-    return kindOf(it->second);
+  const GoalRow* row = goalIn(goals_, slot);
+  if (row == nullptr) return std::nullopt;
+  if (const auto* goal = std::get_if<EndpointGoal>(&row->goal)) {
+    return kindOf(*goal);
   }
-  if (link_of_.count(slot) != 0) return GoalKind::flowLink;
-  return std::nullopt;
+  return GoalKind::flowLink;
 }
 
 void Box::fireRetries() {
   retry_timer_outstanding_ = false;
-  for (auto& [slot, goal] : single_goals_) {
-    if (retryPending(goal)) {
-      Outbox out;
-      retry(goal, slotRef(slot), out);
-      if (!out.empty()) {
-        if (obs::MetricsRegistry* m = obs::metrics()) {
-          m->counter("goal.openslot_retries").add();
-        }
-      }
-      flushOutbox(std::move(out));
-    }
+  for (SlotRow& row : slots_) {
+    EndpointGoal* goal = singleGoalIn(goals_, row.slot.id());
+    if (goal == nullptr || !retryPending(*goal)) continue;
+    Outbox out;
+    retry(*goal, row.slot, out);
+    flushOutbox(std::move(out), "goal.openslot_retries");
   }
   maybeRequestRetryTimer();
 }
 
 void Box::enableStabilization(bool on) {
   stabilization_enabled_ = on;
-  for (auto& [id, slot] : slots_) slot.setStabilizing(on);
+  for (SlotRow& row : slots_) row.slot.setStabilizing(on);
 }
 
 void Box::refreshGoals() {
-  for (auto& [slot_id, goal] : single_goals_) {
-    if (converged(goal, slotRef(slot_id))) continue;
+  // Single-slot goals in SlotId order (the slot rows'), then flowlinks in
+  // creation order, as crashRestart and fireRetries do.
+  for (SlotRow& row : slots_) {
+    EndpointGoal* goal = singleGoalIn(goals_, row.slot.id());
+    if (goal == nullptr || converged(*goal, row.slot)) continue;
     Outbox out;
-    refresh(goal, slotRef(slot_id), out);
-    if (!out.empty()) {
-      if (obs::MetricsRegistry* m = obs::metrics()) {
-        m->counter("goal.refreshes").add();
-      }
-    }
-    flushOutbox(std::move(out));
+    refresh(*goal, row.slot, out);
+    flushOutbox(std::move(out), "goal.refreshes");
   }
-  for (auto& entry : links_) {
-    if (entry->link.converged(slotRef(entry->a), slotRef(entry->b))) continue;
+  for (GoalRow& row : goals_) {
+    auto* link = std::get_if<FlowLink>(&row.goal);
+    if (link == nullptr) continue;
+    SlotEndpoint& a = slotIn(slots_, row.a);
+    SlotEndpoint& b = slotIn(slots_, row.b);
+    if (link->converged(a, b)) continue;
     Outbox out;
-    entry->link.stabilize(slotRef(entry->a), slotRef(entry->b), out);
-    if (!out.empty()) {
-      if (obs::MetricsRegistry* m = obs::metrics()) {
-        m->counter("goal.refreshes").add();
-      }
-    }
-    flushOutbox(std::move(out));
+    link->stabilize(a, b, out);
+    flushOutbox(std::move(out), "goal.refreshes");
   }
   maybeRequestRetryTimer();
 }
 
 bool Box::needsRefresh() const {
-  for (const auto& [slot_id, goal] : single_goals_) {
-    if (!converged(goal, slot(slot_id))) return true;
-  }
-  for (const auto& entry : links_) {
-    if (!entry->link.converged(slot(entry->a), slot(entry->b))) return true;
-  }
-  return false;
+  return std::any_of(goals_.begin(), goals_.end(), [this](const GoalRow& row) {
+    if (const auto* goal = std::get_if<EndpointGoal>(&row.goal)) {
+      return !converged(*goal, slot(row.a));
+    }
+    return !std::get<FlowLink>(row.goal).converged(slot(row.a), slot(row.b));
+  });
 }
 
 void Box::crashRestart() {
@@ -207,21 +239,22 @@ void Box::crashRestart() {
   // protocol endpoint state. Channel wiring and goal annotations survive
   // (configuration, not run-state).
   output_ = Output{};
-  for (auto& [channel, end] : channels_) {
-    for (SlotId slot_id : end.slots) {
-      SlotEndpoint fresh{slot_id, end.initiator};
-      fresh.setStabilizing(stabilization_enabled_);
-      slots_[slot_id] = fresh;
-    }
+  for (SlotRow& row : slots_) {
+    row.slot = SlotEndpoint{row.slot.id(), row.slot.channelInitiator()};
+    row.slot.setStabilizing(stabilization_enabled_);
   }
-  for (auto& [slot_id, goal] : single_goals_) {
+  for (SlotRow& row : slots_) {
+    EndpointGoal* goal = singleGoalIn(goals_, row.slot.id());
+    if (goal == nullptr) continue;
     Outbox out;
-    attach(goal, slotRef(slot_id), out);
+    attach(*goal, row.slot, out);
     flushOutbox(std::move(out));
   }
-  for (auto& entry : links_) {
+  for (GoalRow& row : goals_) {
+    auto* link = std::get_if<FlowLink>(&row.goal);
+    if (link == nullptr) continue;
     Outbox out;
-    entry->link.attach(slotRef(entry->a), slotRef(entry->b), out);
+    link->attach(slotIn(slots_, row.a), slotIn(slots_, row.b), out);
     flushOutbox(std::move(out));
   }
   if (stabilization_enabled_) {
@@ -229,12 +262,10 @@ void Box::crashRestart() {
     // no reason to ever signal first (it is converged from its own view).
     // Probe every still-closed goal-bound slot with a close so both ends
     // fall back to closed and re-converge from there.
-    for (auto& [slot_id, slot] : slots_) {
-      if (slot.state() != ProtocolState::closed) continue;
-      if (single_goals_.count(slot_id) == 0 && link_of_.count(slot_id) == 0) {
-        continue;
-      }
-      queueTunnel(slot_id, slot.probeClose());
+    for (SlotRow& row : slots_) {
+      if (row.slot.state() != ProtocolState::closed) continue;
+      if (goalIn(goals_, row.slot.id()) == nullptr) continue;
+      queueTunnel(row.slot.id(), row.slot.probeClose());
     }
   }
   if (obs::MetricsRegistry* m = obs::metrics()) {
@@ -245,21 +276,19 @@ void Box::crashRestart() {
 }
 
 bool Box::hasPendingRetries() const {
-  for (const auto& [slot, goal] : single_goals_) {
-    if (retryPending(goal)) return true;
-  }
-  return false;
+  return std::any_of(goals_.begin(), goals_.end(), [](const GoalRow& row) {
+    const auto* goal = std::get_if<EndpointGoal>(&row.goal);
+    return goal != nullptr && retryPending(*goal);
+  });
 }
 
-const SlotEndpoint& Box::slot(SlotId slot) const {
-  auto it = slots_.find(slot);
-  if (it == slots_.end()) throw std::logic_error("unknown slot");
-  return it->second;
-}
+const SlotEndpoint& Box::slot(SlotId slot) const { return slotIn(slots_, slot); }
 
 bool Box::goalSatisfied(SlotId slot) const {
-  if (auto it = single_goals_.find(slot); it != single_goals_.end()) {
-    switch (kindOf(it->second)) {
+  const GoalRow* row = goalIn(goals_, slot);
+  if (row == nullptr) return false;
+  if (const auto* goal = std::get_if<EndpointGoal>(&row->goal)) {
+    switch (kindOf(*goal)) {
       case GoalKind::openSlot:
       case GoalKind::holdSlot:
         return slotState(slot) == ProtocolState::flowing;
@@ -270,33 +299,32 @@ bool Box::goalSatisfied(SlotId slot) const {
     }
     return false;
   }
-  if (auto it = link_of_.find(slot); it != link_of_.end()) {
-    return FlowLink::matched(this->slot(it->second->a), this->slot(it->second->b));
-  }
-  return false;
+  return FlowLink::matched(this->slot(row->a), this->slot(row->b));
 }
 
 ProtocolState Box::slotState(SlotId slot) const { return this->slot(slot).state(); }
 
 void Box::deliverTunnel(SlotId slot, const Signal& signal) {
-  auto it = slots_.find(slot);
-  if (it == slots_.end()) return;  // raced with channel teardown
+  SlotRow* row = slotRowIn(slots_, slot);
+  if (row == nullptr) return;  // raced with channel teardown
   // Goal-achieved edges (posted goal first reaching its target state) are
   // only detectable across the delivery; evaluate the predicate on both
   // sides when observability is on.
   const bool observing =
       obs::recorder() != nullptr || obs::metrics() != nullptr;
   const bool satisfied_before = observing && goalSatisfied(slot);
-  const DeliverResult result = it->second.deliver(signal);
+  const DeliverResult result = row->slot.deliver(signal);
   if (result.autoReply) {
     queueTunnel(slot, *result.autoReply);
   }
-  dispatch(slot, result.event, signal);
+  dispatch(row->slot, result.event, signal);
   if (observing && !satisfied_before && goalSatisfied(slot)) {
     if (auto kind = goalKind(slot)) {
       traceGoal(obs::EventKind::goalAchieved, name_, *kind, slot);
     }
   }
+  // The hook may add or remove channels, which moves rows: `row` is not
+  // used past this point.
   onSlotActivity(slot);
   maybeRequestRetryTimer();
 }
@@ -324,41 +352,31 @@ Box::Output Box::drainOutput() {
 }
 
 void Box::setSlotMute(SlotId slot, bool mute_in, bool mute_out) {
-  auto it = single_goals_.find(slot);
-  if (it == single_goals_.end()) return;
+  EndpointGoal* goal = singleGoalIn(goals_, slot);
+  if (goal == nullptr) return;
   Outbox out;
-  setMute(it->second, mute_in, mute_out, slotRef(slot), out);
+  setMute(*goal, mute_in, mute_out, slotIn(slots_, slot), out);
   flushOutbox(std::move(out));
 }
 
 void Box::setSlotAddress(SlotId slot, MediaAddress addr) {
-  auto it = single_goals_.find(slot);
-  if (it == single_goals_.end()) return;
+  EndpointGoal* goal = singleGoalIn(goals_, slot);
+  if (goal == nullptr) return;
   Outbox out;
-  std::visit(
-      [&](auto& goal) {
-        using T = std::decay_t<decltype(goal)>;
-        if constexpr (!std::is_same_v<T, CloseSlotGoal>) {
-          goal.setAddress(addr, slotRef(slot), out);
-        }
-      },
-      it->second);
+  withMediaGoal(*goal, [&](auto& g) {
+    g.setAddress(addr, slotIn(slots_, slot), out);
+  });
   flushOutbox(std::move(out));
 }
 
 bool Box::reselectSlotCodec(SlotId slot, Codec codec) {
-  auto it = single_goals_.find(slot);
-  if (it == single_goals_.end()) return false;
+  EndpointGoal* goal = singleGoalIn(goals_, slot);
+  if (goal == nullptr) return false;
   Outbox out;
   bool ok = false;
-  std::visit(
-      [&](auto& goal) {
-        using T = std::decay_t<decltype(goal)>;
-        if constexpr (!std::is_same_v<T, CloseSlotGoal>) {
-          ok = goal.reselect(codec, slotRef(slot), out);
-        }
-      },
-      it->second);
+  withMediaGoal(*goal, [&](auto& g) {
+    ok = g.reselect(codec, slotIn(slots_, slot), out);
+  });
   flushOutbox(std::move(out));
   return ok;
 }
@@ -386,64 +404,50 @@ void Box::setTimer(SimDuration delay, std::string tag) {
   output_.timers.push_back(TimerRequest{delay, std::move(tag)});
 }
 
-SlotEndpoint& Box::slotRef(SlotId slot) {
-  auto it = slots_.find(slot);
-  if (it == slots_.end()) throw std::logic_error("unknown slot");
-  return it->second;
-}
-
 void Box::queueTunnel(SlotId slot, Signal signal) {
-  // The same lookup as channelOf, keeping the tunnel index it finds.
-  for (const auto& [id, end] : channels_) {
-    auto it = std::find(end.slots.begin(), end.slots.end(), slot);
-    if (it == end.slots.end()) continue;
-    const auto tunnel = static_cast<std::uint32_t>(it - end.slots.begin());
-    output_.tunnel.push_back(
-        TunnelOut{slot, id, tunnel, end.peer, std::move(signal)});
-    return;
-  }
-  throw std::logic_error("slot on no channel at box " + name_);
+  const SlotRow* row = slotRowIn(slots_, slot);
+  const EndRow* end = row != nullptr ? endIn(ends_, row->channel) : nullptr;
+  if (end == nullptr) throw std::logic_error("slot on no channel at box " + name_);
+  output_.tunnel.push_back(
+      TunnelOut{slot, row->channel, row->tunnel, end->peer, std::move(signal)});
 }
 
-void Box::dispatch(SlotId slot, SlotEvent event, const Signal& signal) {
-  if (auto it = single_goals_.find(slot); it != single_goals_.end()) {
-    Outbox out;
-    onEvent(it->second, slotRef(slot), event, out);
-    flushOutbox(std::move(out));
+void Box::dispatch(SlotEndpoint& endpoint, SlotEvent event,
+                   const Signal& signal) {
+  const SlotId slot = endpoint.id();
+  GoalRow* row = goalIn(goals_, slot);
+  if (row == nullptr) {
+    // No goal bound: the slot absorbs the signal (protocol state still
+    // advanced, auto-replies already queued). Feature code typically binds
+    // a goal the moment it creates or learns of a slot.
+    log::debug("box", name_, ": signal on unbound ", slot);
     return;
   }
-  if (auto it = link_of_.find(slot); it != link_of_.end()) {
-    LinkEntry* entry = it->second;
-    const SlotId other = entry->a == slot ? entry->b : entry->a;
-    Outbox out;
-    entry->link.onEvent(slotRef(slot), slotRef(other), event, signal, out);
-    flushOutbox(std::move(out));
-    return;
+  Outbox out;
+  if (auto* goal = std::get_if<EndpointGoal>(&row->goal)) {
+    onEvent(*goal, endpoint, event, out);
+  } else {
+    const SlotId other = row->a == slot ? row->b : row->a;
+    std::get<FlowLink>(row->goal)
+        .onEvent(endpoint, slotIn(slots_, other), event, signal, out);
   }
-  // No goal bound: the slot absorbs the signal (protocol state still
-  // advanced, auto-replies already queued). Feature code typically binds a
-  // goal the moment it creates or learns of a slot.
-  log::debug("box", name_, ": signal on unbound ", slot);
+  flushOutbox(std::move(out));
 }
 
-void Box::flushOutbox(Outbox&& out) {
+void Box::flushOutbox(Outbox&& out, const char* counter) {
+  if (counter != nullptr && !out.empty()) {
+    if (obs::MetricsRegistry* m = obs::metrics()) m->counter(counter).add();
+  }
   for (auto& item : out.take()) queueTunnel(item.slot, std::move(item.signal));
 }
 
 void Box::detachSlot(SlotId slot) {
-  if (auto sit = single_goals_.find(slot); sit != single_goals_.end()) {
-    traceGoal(obs::EventKind::goalCancelled, name_, kindOf(sit->second), slot);
-    single_goals_.erase(sit);
-  }
-  auto it = link_of_.find(slot);
-  if (it == link_of_.end()) return;
-  LinkEntry* entry = it->second;
-  traceGoal(obs::EventKind::goalCancelled, name_, GoalKind::flowLink, slot);
-  link_of_.erase(entry->a);
-  link_of_.erase(entry->b);
-  links_.erase(std::remove_if(links_.begin(), links_.end(),
-                              [entry](const auto& p) { return p.get() == entry; }),
-               links_.end());
+  const GoalRow* row = goalIn(goals_, slot);
+  if (row == nullptr) return;
+  const auto* goal = std::get_if<EndpointGoal>(&row->goal);
+  traceGoal(obs::EventKind::goalCancelled, name_,
+            goal != nullptr ? kindOf(*goal) : GoalKind::flowLink, slot);
+  goals_.erase(row);
 }
 
 void Box::maybeRequestRetryTimer() {

@@ -1,12 +1,14 @@
 // Box: a peer module involved in media control (paper Sections III-A, VII).
 //
-// A box owns the slots of every signaling channel that ends at it, a Maps
-// object associating slots with goal objects, and whatever application
-// logic the feature needs. The paper's implementation structure is
-// preserved: the Box sees meta-signals and drives goals; Slot objects see
-// every tunnel signal and maintain protocol state; Goal objects read all
-// signals of their slots and write all signals to them, found through Maps
-// (goalReceive).
+// A box owns the slots of every signaling channel that ends at it, the
+// paper's Maps object tying each slot to the one goal that controls it, and
+// whatever application logic the feature needs. Both live in three flat
+// rows, inline in the Box (docs/DESIGN.md §4.5): its channel ends, its slots
+// in SlotId order, and its goals, single-slot goals and flowlinks alike, in
+// creation order. The paper's implementation structure is preserved: the
+// Box sees meta-signals and drives goals; Slot objects see every tunnel
+// signal and maintain protocol state; Goal objects read all signals of
+// their slots and write all signals to them (goalReceive).
 //
 // Box performs no I/O. Every entry point (deliverTunnel, deliverMeta,
 // fireTimer, ...) appends to an Output that the hosting runtime drains:
@@ -19,15 +21,16 @@
 // goal primitives.
 #pragma once
 
-#include <map>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "channel/meta.hpp"
 #include "core/goal.hpp"
 #include "core/intent.hpp"
+#include "util/small_vec.hpp"
 #include "util/time.hpp"
 
 namespace cmc {
@@ -40,6 +43,9 @@ struct ChannelRequest {
   std::uint32_t tunnels = 1;
   std::string tag;  // echoed back in onChannelUp so the box can correlate
 };
+
+// The slot ids of one channel end, one per tunnel, by value.
+using SlotIds = SmallVec<SlotId, 2>;
 
 class Box {
  public:
@@ -58,22 +64,23 @@ class Box {
   // on the side that created the channel (wins open/open races). `peer` is
   // the box at the far end: the end records it, and every output on the
   // channel is addressed to it. `peer_name` is passed to onIncomingChannel.
-  std::vector<SlotId> addChannelEnd(ChannelId channel, std::uint32_t tunnels,
-                                    bool initiator, const std::string& tag,
-                                    BoxId peer, const std::string& peer_name);
+  SlotIds addChannelEnd(ChannelId channel, std::uint32_t tunnels,
+                        bool initiator, const std::string& tag, BoxId peer,
+                        const std::string& peer_name);
   // Called by the runtime when the channel is gone (local destroy or remote
   // teardown). Drops its slots and any goals over them.
   void removeChannel(ChannelId channel);
 
   [[nodiscard]] bool hasChannel(ChannelId channel) const noexcept;
-  [[nodiscard]] std::vector<SlotId> slotsOf(ChannelId channel) const;
-  [[nodiscard]] ChannelId channelOf(SlotId slot) const;
+  // Empty (invalid) when this box holds no such channel end (slot).
+  [[nodiscard]] SlotIds slotsOf(ChannelId channel) const;
+  [[nodiscard]] ChannelId channelOf(SlotId slot) const noexcept;
   // The delivery side of an end: the slot that is tunnel `tunnel` of
   // `channel`, and the box at the channel's far end. Empty when this box
   // holds no such end (never materialized, torn down, tunnel out of range).
   [[nodiscard]] std::optional<SlotId> slotAt(ChannelId channel,
-                                             std::uint32_t tunnel) const;
-  [[nodiscard]] std::optional<BoxId> peerOf(ChannelId channel) const;
+                                             std::uint32_t tunnel) const noexcept;
+  [[nodiscard]] std::optional<BoxId> peerOf(ChannelId channel) const noexcept;
 
   // ------------------------------------------------- goal management (Maps)
   // Bind a single-slot goal to a slot, detaching whatever controlled it.
@@ -124,9 +131,7 @@ class Box {
   // torn down, every box that served it must be back to zero slots and zero
   // goals (single goals + flowlinks). The load runtime checks this per call.
   [[nodiscard]] std::size_t slotCount() const noexcept { return slots_.size(); }
-  [[nodiscard]] std::size_t goalCount() const noexcept {
-    return single_goals_.size() + links_.size();
-  }
+  [[nodiscard]] std::size_t goalCount() const noexcept { return goals_.size(); }
 
   // ------------------------------------------------- runtime entry points
   // Virtual so that bench_ablation's naive-forwarding box (the paper's
@@ -210,37 +215,45 @@ class Box {
   void setTimer(SimDuration delay, std::string tag);
 
  private:
-  // This box's end of a channel: one slot per tunnel, and the far end's box.
-  struct ChannelEnd {
+  // This box's end of a channel; its slots record which side initiated it.
+  struct EndRow {
     ChannelId id;
-    bool initiator = false;
     BoxId peer;
-    std::vector<SlotId> slots;
+    SlotIds slots;
   };
 
-  // One flowlink controlling two slots.
-  struct LinkEntry {
+  // One slot; appending keeps SlotId order, as new slots take the largest ids.
+  struct SlotRow {
+    SlotEndpoint slot;
+    ChannelId channel;
+    std::uint32_t tunnel = 0;  // index of the slot within its channel
+  };
+
+  // One goal: a single-slot goal on `a` (`b` invalid), or a flowlink over
+  // its slots in the (a, b) order it was attached in. Goals are not kept in
+  // the slot rows: a relay's slots hold no single goal, and an endpoint's
+  // spare slot row would carry empty goal storage.
+  struct GoalRow {
     SlotId a;
     SlotId b;
-    FlowLink link;
+    std::variant<EndpointGoal, FlowLink> goal;
   };
 
-  [[nodiscard]] SlotEndpoint& slotRef(SlotId slot);
   // Queue `signal` on `slot`, addressed from the slot's channel end.
   void queueTunnel(SlotId slot, Signal signal);
-  void dispatch(SlotId slot, SlotEvent event, const Signal& signal);
-  void flushOutbox(Outbox&& out);
+  void dispatch(SlotEndpoint& endpoint, SlotEvent event, const Signal& signal);
+  // Queue `out`, bumping a non-null `counter` once if it holds anything.
+  void flushOutbox(Outbox&& out, const char* counter = nullptr);
   void detachSlot(SlotId slot);
   void maybeRequestRetryTimer();
 
   BoxId id_;
   std::string name_;
   IdAllocator<SlotId> slot_ids_;
-  std::map<SlotId, SlotEndpoint> slots_;
-  std::map<ChannelId, ChannelEnd> channels_;
-  std::map<SlotId, EndpointGoal> single_goals_;
-  std::vector<std::unique_ptr<LinkEntry>> links_;
-  std::map<SlotId, LinkEntry*> link_of_;
+  // Ends and goals in creation order; capacities fit a relay's wiring.
+  SmallVec<EndRow, 2> ends_;
+  SmallVec<SlotRow, 2> slots_;
+  SmallVec<GoalRow, 1> goals_;
   Output output_;
   bool retry_timer_outstanding_ = false;
   bool stabilization_enabled_ = false;

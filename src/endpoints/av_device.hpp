@@ -10,6 +10,9 @@
 // negotiation.
 #pragma once
 
+#include <map>
+#include <memory>
+
 #include "core/box.hpp"
 #include "endpoints/media_sync.hpp"
 

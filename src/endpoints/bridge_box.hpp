@@ -14,6 +14,7 @@
 #pragma once
 
 #include <charconv>
+#include <map>
 #include <sstream>
 
 #include "core/box.hpp"

@@ -14,6 +14,8 @@
 #pragma once
 
 #include <charconv>
+#include <map>
+#include <memory>
 
 #include "core/box.hpp"
 #include "endpoints/media_sync.hpp"

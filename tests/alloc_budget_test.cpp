@@ -23,10 +23,20 @@
 //   mc.expand_state      44.8       <= 10 allocs per expanded state (self)
 //   mc.canonicalize      9.2        0 per call: only the reused buffer grows
 //   mc.fingerprint       0          0
+//
+// And a box's own wiring (channel ends, slots, goals, flowlinks), per
+// box lifecycle:
+//
+//   box                  before     budget
+//   endpoint box         6          0
+//   relay box            14         0
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
+#include "core/path.hpp"
+#include "load/call_boxes.hpp"
 #include "load/sharded_runtime.hpp"
 #include "load/workload.hpp"
 #include "mc/state_graph.hpp"
@@ -129,6 +139,89 @@ TEST(AllocBudget, FaultDecisionsAllocateNothing) {
   ASSERT_EQ(calls, 1u);
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(plan.counters().considered, 2000u);
+}
+
+TEST(AllocBudget, BoxWiringAllocatesNothing) {
+  // The wiring lifecycle of a call's boxes: add the ends (the boxes' own
+  // hooks look up their slots, then set the goal or link the slots), look
+  // the slots up, and remove the channels. Two things in it are not
+  // wiring, and are measured alone and subtracted: the endpoint's goal
+  // payload (makeGoal builds a MediaIntent even for a closeSlot goal), and
+  // the relay's queued output, its far leg's channel request and the
+  // teardown that folds that leg. The closeSlot goal attaches to a closed
+  // slot without a signal, so the endpoint queues nothing.
+  load::LoadEndpointBox endpoint(BoxId{1}, "L", GoalKind::closeSlot,
+                                 PathEnd::left);
+  load::LoadRelayBox relay(BoxId{2}, "M", "R");
+  const ChannelId call{1};
+  const ChannelId in{2};
+  const ChannelId out{3};
+  std::optional<SlotId> endpoint_slot;
+  ChannelId endpoint_channel;
+  std::optional<GoalKind> endpoint_goal;
+  std::optional<GoalKind> relay_goal;
+  bool relay_linked = false;
+
+  obs::ProfileTable table;
+  obs::setThreadProfiler(&table);
+  {
+    CMC_PROF_SCOPE("box.wiring.endpoint");
+    endpoint.addChannelEnd(call, 1, /*initiator=*/true, "call", BoxId{2}, "M");
+    endpoint_slot = endpoint.slotAt(call, 0);
+    endpoint_channel = endpoint.channelOf(*endpoint_slot);
+    endpoint_goal = endpoint.goalKind(*endpoint_slot);
+    endpoint.removeChannel(call);
+  }
+  {
+    CMC_PROF_SCOPE("box.wiring.relay");
+    relay.addChannelEnd(in, 1, /*initiator=*/false, "", BoxId{1}, "L");
+    relay.addChannelEnd(out, 1, /*initiator=*/true, "out", BoxId{3}, "R");
+    relay_linked = relay.linked();
+    relay_goal = relay.goalKind(relay.outSlot());
+    relay.removeChannel(in);  // folds the far leg too
+  }
+  {
+    CMC_PROF_SCOPE("box.goal_payload");
+    (void)PathSystem::makeGoal(GoalKind::closeSlot, PathEnd::left);
+  }
+  {
+    CMC_PROF_SCOPE("box.queued_output");
+    Box::Output queued;
+    queued.channelRequests.push_back(ChannelRequest{"R", 1, "out"});
+    queued.teardowns.push_back(Box::Teardown{out, BoxId{3}});
+  }
+  obs::setThreadProfiler(nullptr);
+
+  ASSERT_TRUE(endpoint_slot.has_value());
+  EXPECT_EQ(endpoint_channel, call);
+  EXPECT_EQ(endpoint_goal, GoalKind::closeSlot);
+  EXPECT_TRUE(relay_linked);
+  EXPECT_EQ(relay_goal, GoalKind::flowLink);
+  EXPECT_EQ(endpoint.slotCount() + endpoint.goalCount(), 0u);
+  EXPECT_EQ(relay.slotCount() + relay.goalCount(), 0u);
+  EXPECT_FALSE(relay.hasChannel(out));
+  EXPECT_TRUE(endpoint.drainOutput().empty());
+  const Box::Output queued = relay.drainOutput();
+  EXPECT_EQ(queued.channelRequests.size(), 1u);
+  EXPECT_EQ(queued.teardowns.size(), 1u);
+  EXPECT_TRUE(queued.tunnel.empty() && queued.meta.empty() &&
+              queued.timers.empty());
+
+  const obs::ProfileReport report = table.report();
+  const SiteTotals ep = siteTotals(report, "box.wiring.endpoint");
+  const SiteTotals rl = siteTotals(report, "box.wiring.relay");
+  const SiteTotals goal = siteTotals(report, "box.goal_payload");
+  const SiteTotals output = siteTotals(report, "box.queued_output");
+  ASSERT_EQ(ep.calls, 1u);
+  ASSERT_EQ(rl.calls, 1u);
+  ASSERT_GE(ep.allocs, goal.allocs);
+  ASSERT_GE(rl.allocs, output.allocs);
+  EXPECT_EQ(ep.allocs - goal.allocs, 0u)
+      << "endpoint box wiring allocations (" << ep.allocs << " in all, "
+      << goal.allocs << " of them the goal's payload)";
+  EXPECT_EQ(rl.allocs - output.allocs, 0u)
+      << "relay box wiring allocations (" << rl.allocs << " in all, "
+      << output.allocs << " of them queued output)";
 }
 
 TEST(AllocBudget, ExplorerExpansionStaysWithinBudget) {

@@ -1,7 +1,11 @@
 // Unit tests for the Box runtime (paper Section VII): channel-end wiring,
-// the Maps object (goal bindings), output draining, retry pacing, and
-// teardown behavior — driven directly, without the simulator.
+// the rows that bind slots to their goals (the paper's Maps object), the
+// order in which refresh and crash passes walk them, output draining, retry
+// pacing, and teardown behavior — driven directly, without the simulator.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "core/box.hpp"
 
@@ -200,6 +204,98 @@ TEST(BoxHelpers, MetaAndTeardownOnAChannelNotHeldQueueNothing) {
   // The end is gone: a second teardown or a late meta has nowhere to go.
   box.sendMeta(ChannelId{1}, MetaSignal{MetaKind::custom, "late", ""});
   box.destroyChannel(ChannelId{1});
+  EXPECT_TRUE(box.drainOutput().empty());
+}
+
+// (slot, signal kind) of each queued tunnel signal, in queue order.
+std::vector<std::pair<SlotId, SignalKind>> sent(const Box::Output& out) {
+  std::vector<std::pair<SlotId, SignalKind>> order;
+  for (const auto& t : out.tunnel) order.emplace_back(t.slot, kindOf(t.signal));
+  return order;
+}
+
+TEST_F(BoxFixture, RefreshAndCrashPassesKeepTheirOrder) {
+  // One single goal on the highest slot, and two flowlinks, the second made
+  // over lower slot ids (and reversed) than the first.
+  box_.enableStabilization(true);
+  std::vector<SlotId> s;
+  for (std::uint64_t c = 1; c <= 5; ++c) {
+    s.push_back(box_.addChannelEnd(ChannelId{c}, 1, true, "", BoxId{2}, "p")[0]);
+  }
+  box_.linkSlots(s[2], s[3]);
+  box_.linkSlots(s[1], s[0]);
+  box_.setGoal(s[4], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
+  (void)box_.drainOutput();
+
+  // Restart: the goal re-attaches (open), the links re-attach over closed
+  // slots (nothing to say), then every closed goal-bound slot is probed in
+  // SlotId order.
+  box_.crashRestart();
+  using K = SignalKind;
+  const std::vector<std::pair<SlotId, SignalKind>> crash{
+      {s[4], K::open}, {s[0], K::close}, {s[1], K::close},
+      {s[2], K::close}, {s[3], K::close}};
+  EXPECT_EQ(sent(box_.drainOutput()), crash);
+
+  // Refresh: single goals first, then each link in creation order, each
+  // re-sending its stuck closes in its own (a, b) order.
+  box_.refreshGoals();
+  const std::vector<std::pair<SlotId, SignalKind>> refresh{
+      {s[4], K::open}, {s[2], K::close}, {s[3], K::close},
+      {s[1], K::close}, {s[0], K::close}};
+  EXPECT_EQ(sent(box_.drainOutput()), refresh);
+}
+
+// Destroys another channel the first time one of its slots sees activity.
+class FoldingBox : public Box {
+ public:
+  using Box::Box;
+  ChannelId fold;
+
+ protected:
+  void onSlotActivity(SlotId) override {
+    if (fold.valid()) destroyChannel(std::exchange(fold, ChannelId{}));
+  }
+};
+
+TEST(BoxHooks, SlotActivityMayRemoveRowsMidDelivery) {
+  FoldingBox box{BoxId{1}, "box"};
+  const SlotId gone = box.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "x")[0];
+  const auto held = box.addChannelEnd(ChannelId{2}, 2, false, "", BoxId{3}, "y");
+  const SlotId linked = box.addChannelEnd(ChannelId{3}, 1, true, "", BoxId{4}, "z")[0];
+  box.linkSlots(gone, linked);
+  box.setGoal(held[1], HoldSlotGoal{phone(), DescriptorFactory{1}});
+  (void)box.drainOutput();
+
+  // The delivery's own outputs are queued before the hook erases the rows
+  // (and the end) ahead of the delivering slot's.
+  box.fold = ChannelId{1};
+  box.deliverTunnel(held[1], OpenSignal{Medium::audio, remote(1)});
+  const auto out = box.drainOutput();
+  ASSERT_EQ(out.tunnel.size(), 2u);  // oack + select
+  for (const auto& t : out.tunnel) {
+    EXPECT_EQ(t.slot, held[1]);
+    EXPECT_EQ(t.channel, ChannelId{2});
+    EXPECT_EQ(t.tunnel, 1u);
+    EXPECT_EQ(t.peer, BoxId{3});
+  }
+  ASSERT_EQ(out.teardowns.size(), 1u);
+  EXPECT_EQ(out.teardowns[0].channel, ChannelId{1});
+
+  EXPECT_FALSE(box.hasChannel(ChannelId{1}));
+  EXPECT_THROW((void)box.slot(gone), std::logic_error);
+  EXPECT_EQ(box.goalKind(linked), std::nullopt);
+  EXPECT_EQ(box.slotCount(), 3u);
+  EXPECT_EQ(box.goalCount(), 1u);
+  EXPECT_EQ(box.slotState(held[1]), ProtocolState::flowing);
+  EXPECT_EQ(box.goalKind(held[1]), GoalKind::holdSlot);
+  EXPECT_EQ(box.slotAt(ChannelId{2}, 1), held[1]);
+  EXPECT_EQ(box.channelOf(linked), ChannelId{3});
+
+  // Later deliveries find the moved rows.
+  box.deliverTunnel(held[0], OpenSignal{Medium::audio, remote(2)});
+  EXPECT_EQ(box.slotState(held[0]), ProtocolState::opened);
+  box.deliverTunnel(gone, CloseSignal{});
   EXPECT_TRUE(box.drainOutput().empty());
 }
 

@@ -165,7 +165,7 @@ TEST(SimChannelLifecycle, SignalQueuedBeforeDestroyStillReachesThePeer) {
   const ChannelId ch = sim.connect("A", "B");
   b.log.clear();  // "incoming", from connect
   sim.inject("A", [&](Box&) {
-    a.setGoal(a.slotsOf(ch).at(0), opener());
+    a.setGoal(a.slotsOf(ch).front(), opener());
     a.destroyChannel(ch);
   });
   sim.runFor(1_s);
@@ -211,7 +211,7 @@ TEST(SimChannelLifecycle, SignalToATornDownEndIsLostBeforeTheDeadBoxCheck) {
   plan.addCrash(CrashEvent{"B", SimTime{} + 30_ms, 1_s});
   sim.installFaultPlan(&plan);
   sim.inject("B", [&](Box&) { b.destroyChannel(ch); });
-  sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(ch).at(0), opener()); });
+  sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(ch).front(), opener()); });
   sim.runFor(2_s);
   EXPECT_EQ(plan.counters().crashes, 1u);
   EXPECT_EQ(sim.signalsDelivered(), 0u);
@@ -257,7 +257,7 @@ TEST(SimRetiredRows, EventsAddressedToARetiredBoxAreDroppedAndCounted) {
     b.setTimer(100_ms, "late");
   });
   sim.inject("A", [&](Box&) {
-    a.setGoal(a.slotsOf(ch).at(0), opener());
+    a.setGoal(a.slotsOf(ch).front(), opener());
     a.sendMeta(ch, MetaSignal{MetaKind::custom, "hello", ""});
   });
   sim.runFor(30_ms);
@@ -356,13 +356,13 @@ TEST(SimRefreshTicks, ABoxTicksOnlyWhileItsOwnPlanIsOpenOrItNeedsRepair) {
     sim.setBoxFaultPlan(a.id(), &own);
     sim.setBoxFaultPlan(b.id(), &own);
     const ChannelId ch = sim.connect("A", "B");
-    sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(ch).at(0), opener()); });
+    sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(ch).front(), opener()); });
     sim.runFor(3_s);
     EXPECT_TRUE(a.needsRefresh());
     EXPECT_GT(sim.loop().pending(), 0u);  // A's tick is armed
     const std::uint64_t stimuli = reg.counter("sim.stimuli").value();
     EXPECT_GE(stimuli, 10u);  // the goal, then a refresh every 300 ms
-    sim.inject("B", [&](Box&) { b.setGoal(b.slotsOf(ch).at(0), opener()); });
+    sim.inject("B", [&](Box&) { b.setGoal(b.slotsOf(ch).front(), opener()); });
     EXPECT_TRUE(sim.run(5_s));
     EXPECT_FALSE(a.needsRefresh());
     EXPECT_FALSE(b.needsRefresh());
@@ -378,7 +378,7 @@ TEST(SimRetiredRows, RetiringABoxThatHoldsASlotOrGoalThrows) {
   sim.addBox<WiredBox>("B");
   const ChannelId ch = sim.connect("A", "B");
   EXPECT_THROW(sim.retireBox(a.id()), std::logic_error);  // a slot
-  sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(ch).at(0), opener()); });
+  sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(ch).front(), opener()); });
   sim.runFor(30_ms);
   ASSERT_EQ(a.goalCount(), 1u);
   EXPECT_THROW(sim.retireBox(a.id()), std::logic_error);  // slot and goal
