@@ -393,6 +393,11 @@ void Box::requestChannel(std::string target, std::uint32_t tunnels,
       ChannelRequest{std::move(target), tunnels, std::move(tag)});
 }
 
+void Box::requestChannel(BoxId target, std::uint32_t tunnels, std::string tag) {
+  output_.channelRequests.push_back(
+      ChannelRequest{{}, tunnels, std::move(tag), target});
+}
+
 void Box::destroyChannel(ChannelId channel) {
   auto peer = peerOf(channel);
   if (!peer) return;

@@ -36,12 +36,14 @@
 namespace cmc {
 
 // A request to the runtime to create a new signaling channel from this box
-// toward the box addressed by `target` (configuration/routing is outside
-// the paper's scope; the runtime resolves names).
+// toward another box (configuration/routing is outside the paper's scope).
+// Features address the far box by name, which the runtime resolves; a
+// runtime that created both boxes may address it by id instead.
 struct ChannelRequest {
-  std::string target;
+  std::string target;  // by name, when `target_id` is invalid
   std::uint32_t tunnels = 1;
   std::string tag;  // echoed back in onChannelUp so the box can correlate
+  BoxId target_id{};  // by id, when valid
 };
 
 // The slot ids of one channel end, one per tunnel, by value.
@@ -211,6 +213,7 @@ class Box {
   // queue nothing.
   void sendMeta(ChannelId channel, MetaSignal meta);
   void requestChannel(std::string target, std::uint32_t tunnels, std::string tag);
+  void requestChannel(BoxId target, std::uint32_t tunnels, std::string tag);
   void destroyChannel(ChannelId channel);
   void setTimer(SimDuration delay, std::string tag);
 

@@ -62,14 +62,17 @@ PathSystem::PathSystem(EndpointGoal left, EndpointGoal right,
 
 EndpointGoal PathSystem::makeGoal(GoalKind kind, PathEnd end, Medium medium) {
   const auto e = static_cast<std::uint64_t>(end);
-  MediaIntent intent = MediaIntent::endpoint(
-      MediaAddress::parse(end == PathEnd::left ? "10.0.0.1" : "10.0.1.1",
-                          static_cast<std::uint16_t>(6000 + e)),
-      {Codec::g711u, Codec::g726});
+  // Only open and hold goals carry media, so only they build an intent.
+  const auto intent = [end, e]() {
+    return MediaIntent::endpoint(
+        MediaAddress::parse(end == PathEnd::left ? "10.0.0.1" : "10.0.1.1",
+                            static_cast<std::uint16_t>(6000 + e)),
+        {Codec::g711u, Codec::g726});
+  };
   DescriptorFactory ids{e};
   switch (kind) {
-    case GoalKind::openSlot: return OpenSlotGoal{medium, std::move(intent), ids};
-    case GoalKind::holdSlot: return HoldSlotGoal{std::move(intent), ids};
+    case GoalKind::openSlot: return OpenSlotGoal{medium, intent(), ids};
+    case GoalKind::holdSlot: return HoldSlotGoal{intent(), ids};
     case GoalKind::closeSlot: return CloseSlotGoal{};
     case GoalKind::flowLink: break;
   }

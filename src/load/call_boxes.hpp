@@ -32,9 +32,10 @@ class LoadEndpointBox : public Box {
   LoadEndpointBox(BoxId id, std::string name, GoalKind kind, PathEnd end)
       : Box(id, std::move(name)), kind_(kind), end_(end) {}
 
-  // Caller side: request the call's channel toward `target` (the peer
-  // endpoint, or the relay for 1-flowlink calls).
-  void dial(const std::string& target) { requestChannel(target, 1, "call"); }
+  // Caller side: request the call's channel toward box `target` (the peer
+  // endpoint, or the relay for 1-flowlink calls). The runtime created both,
+  // so it addresses the peer by id.
+  void dial(BoxId target) { requestChannel(target, 1, "call"); }
 
   // Caller-side teardown; the runtime propagates the teardown meta to the
   // other end (and the relay folds its far leg in onChannelDown).
@@ -90,8 +91,9 @@ class LoadEndpointBox : public Box {
 // folds the other, propagating teardown along the path.
 class LoadRelayBox : public Box {
  public:
-  LoadRelayBox(BoxId id, std::string name, std::string right_target)
-      : Box(id, std::move(name)), right_target_(std::move(right_target)) {}
+  // `right` is the far endpoint's box, which the second leg dials by id.
+  LoadRelayBox(BoxId id, std::string name, BoxId right)
+      : Box(id, std::move(name)), right_(right) {}
 
   // Both legs up and the flowlink attached.
   [[nodiscard]] bool linked() const noexcept {
@@ -106,7 +108,7 @@ class LoadRelayBox : public Box {
     const auto slots = slotsOf(channel);
     if (slots.empty()) return;
     in_slot_ = slots.front();
-    requestChannel(right_target_, 1, "out");
+    requestChannel(right_, 1, "out");
   }
 
   void onChannelUp(ChannelId channel, const std::string& tag) override {
@@ -136,7 +138,7 @@ class LoadRelayBox : public Box {
   }
 
  private:
-  std::string right_target_;
+  BoxId right_;
   SlotId in_slot_{};
   SlotId out_slot_{};
 };

@@ -275,7 +275,7 @@ void ShardedRuntime::runShard(ShardState& shard,
       sim.probes().disarm(call.probe);
       shard.metrics.counter("load.call_teardowns").add(1);
       shard.metrics.gauge("load.armed_probes").add(-1);
-      sim.inject(specOf(i).leftName(), [](Box& box) {
+      sim.inject(call.left->id(), [](Box& box) {
         static_cast<LoadEndpointBox&>(box).hangUp();
       });
       sim.loop().schedule(kTeardownGrace, [&audit, i]() { audit(i); });
@@ -308,20 +308,19 @@ void ShardedRuntime::runShard(ShardState& shard,
         sim.setBoxFaultPlan(left.id(), call.faults.get());
         sim.setBoxFaultPlan(right.id(), call.faults.get());
       }
-      std::string target = spec.rightName();
+      BoxId target = right.id();
       // The probe reads this call's boxes and nothing else, so only their
       // stimuli re-check it.
       obs::ConvergenceProbes::Watch watch{left.id().value(),
                                           right.id().value()};
       if (spec.flowlinks > 0) {
-        auto& relay =
-            sim.addBox<LoadRelayBox>(spec.relayName(), spec.rightName());
+        auto& relay = sim.addBox<LoadRelayBox>(spec.relayName(), right.id());
         call.relay = &relay;
         if (call.faults) sim.setBoxFaultPlan(relay.id(), call.faults.get());
-        target = spec.relayName();
+        target = relay.id();
         watch.push_back(relay.id().value());
       }
-      sim.inject(spec.leftName(), [target](Box& box) {
+      sim.inject(left.id(), [target](Box& box) {
         static_cast<LoadEndpointBox&>(box).dial(target);
       });
       const std::int64_t deadline =

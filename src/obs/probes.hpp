@@ -37,9 +37,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "util/small_vec.hpp"
@@ -169,7 +169,8 @@ class ConvergenceProbes {
   std::size_t armed_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t evaluations_ = 0;
-  std::map<std::string, std::int64_t> results_;
+  // Latencies by measurement name; looked up and taken, never iterated.
+  std::unordered_map<std::string, std::int64_t> results_;
   std::vector<std::string> failed_;
   FailureHandler on_failure_;
   std::size_t converged_ = 0;

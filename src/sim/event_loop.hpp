@@ -5,17 +5,25 @@
 // time only advances when the loop runs — there is no wall-clock coupling,
 // so a simulated hour of signaling finishes in milliseconds of CPU.
 //
-// Storage is a slab + free list: event nodes are pooled per loop and the
-// priority queue orders slab indices, so steady-state scheduling performs
-// no heap allocation — a node is recycled the moment its handler starts.
-// Handlers are InlineFn, not std::function: captures up to kHandlerCapacity
-// bytes (every simulator hot-path lambda) live inside the node itself
-// (DESIGN.md §4.5). Delivery is batched: one wakeup drains the whole run of
-// equal-timestamp events, so a burst of same-tunnel signals costs one
-// queue-depth sample and one batch record, not one per signal.
+// Storage (DESIGN.md §4.5): the priority queue is a 4-ary heap of small
+// entries that carry their own (when, seq) key and the index of the event's
+// node, so ordering never touches a node. Nodes hold only the handler and
+// live in fixed-size chunks that never move: a handler is built directly in
+// its node when scheduled, runs there, and is destroyed there, so an event
+// costs no handler relocation and steady-state scheduling performs no heap
+// allocation. A node returns to the free list once its handler has run;
+// events the handler schedules meanwhile take other nodes, and the next
+// event's node is prefetched while the current handler runs. Handlers are
+// InlineFn, not std::function: captures up to kHandlerCapacity bytes (every
+// simulator hot-path lambda) live inside the node itself. Delivery is
+// batched: one wakeup drains the whole run of equal-timestamp events, so a
+// burst of same-tunnel signals costs one queue-depth sample and one batch
+// record, not one per signal.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -27,11 +35,14 @@ namespace cmc {
 
 class EventLoop {
  public:
-  // Sized for the largest hot-path capture (delivery lambda: Signal +
-  // trace context + destination box, channel and tunnel). Bigger captures
-  // still work — they take the one-allocation fallback inside InlineFn.
+  // Sized for the largest hot-path capture (a stimulus: the box's id, its
+  // start time, the causal context and a delivery body holding a Signal).
+  // Bigger captures still work — they take the one-allocation fallback
+  // inside InlineFn.
   static constexpr std::size_t kHandlerCapacity = 192;
   using Handler = InlineFn<kHandlerCapacity>;
+  // Event nodes per storage chunk.
+  static constexpr std::uint32_t kChunkNodes = 256;
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
@@ -40,12 +51,12 @@ class EventLoop {
   // long as it fits kHandlerCapacity.
   template <typename F>
   void schedule(SimDuration delay, F&& handler) {
-    push(now_ + delay, Handler(std::forward<F>(handler)));
+    push(now_ + delay, std::forward<F>(handler));
   }
 
   template <typename F>
   void scheduleAt(SimTime when, F&& handler) {
-    push(when < now_ ? now_ : when, Handler(std::forward<F>(handler)));
+    push(when < now_ ? now_ : when, std::forward<F>(handler));
   }
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
@@ -77,71 +88,99 @@ class EventLoop {
   bool runUntilIdle(SimDuration horizon = std::chrono::seconds(600)) {
     const SimTime limit = now_ + horizon;
     while (!heap_.empty()) {
-      if (slab_[heap_.front()].when > limit) return false;
-      drainBatch(slab_[heap_.front()].when);
+      if (heap_.front().when > limit) return false;
+      drainBatch(heap_.front().when);
     }
     return true;
   }
 
   // Run events up to and including `until`, leaving later events queued.
   void runUntil(SimTime until) {
-    while (!heap_.empty() && slab_[heap_.front()].when <= until) {
-      drainBatch(slab_[heap_.front()].when);
+    while (!heap_.empty() && heap_.front().when <= until) {
+      drainBatch(heap_.front().when);
     }
     if (now_ < until) now_ = until;
   }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
+  // Children per heap entry. A 4-ary heap is half as deep as a binary one,
+  // and an entry's four children are 96 contiguous bytes; it measured
+  // faster than 2-ary (DESIGN.md §4.5).
+  static constexpr std::size_t kArity = 4;
 
-  struct Node {
+  // One queued event: its key and its node.
+  struct Entry {
     SimTime when;
-    std::uint64_t seq = 0;
-    Handler handler;
-    std::uint32_t next_free = kNil;
+    std::uint64_t seq;
+    std::uint32_t node;
   };
 
   // (when, seq) strict ordering: earlier time first, FIFO within a time.
-  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const noexcept {
-    const Node& na = slab_[a];
-    const Node& nb = slab_[b];
-    if (na.when != nb.when) return na.when < nb.when;
-    return na.seq < nb.seq;
+  [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
   }
 
-  void push(SimTime when, Handler handler) {
-    std::uint32_t idx;
-    if (free_head_ != kNil) {
-      idx = free_head_;
-      free_head_ = slab_[idx].next_free;
-    } else {
-      idx = static_cast<std::uint32_t>(slab_.size());
-      slab_.emplace_back();
+  [[nodiscard]] Handler& node(std::uint32_t idx) noexcept {
+    return chunks_[idx / kChunkNodes][idx % kChunkNodes];
+  }
+
+  // A free node: the most recently released one, else a fresh one (a new
+  // chunk when the last is full; existing chunks stay where they are).
+  std::uint32_t acquire() {
+    if (!free_.empty()) {
+      const std::uint32_t idx = free_.back();
+      free_.pop_back();
+      return idx;
     }
-    Node& node = slab_[idx];
-    node.when = when;
-    node.seq = next_seq_++;
-    node.handler = std::move(handler);
-    heap_.push_back(idx);
-    siftUp(heap_.size() - 1);
+    if (nodes_ == chunks_.size() * kChunkNodes) {
+      chunks_.push_back(std::make_unique<Handler[]>(kChunkNodes));
+      // Room to release every node without allocating (stepOne releases
+      // from a destructor).
+      free_.reserve(chunks_.size() * kChunkNodes);
+    }
+    return nodes_++;
   }
 
-  // Pop the top node, recycle it, run its handler. The handler is moved out
-  // first: it may schedule new events, which can reuse the freed node or
-  // grow the slab.
+  template <typename F>
+  void push(SimTime when, F&& handler) {
+    const std::uint32_t idx = acquire();
+    node(idx).emplace(std::forward<F>(handler));
+    heap_.emplace_back();
+    siftUp(heap_.size() - 1, Entry{when, next_seq_++, idx});
+  }
+
+  // Pop the top entry and run its handler in its node. The node is
+  // released only after the handler returns (or throws), so whatever the
+  // handler schedules lands in other nodes and its own captures stay put.
   void stepOne() {
-    const std::uint32_t idx = heap_.front();
+    const Entry top = heap_.front();
     popTop();
-    Node& node = slab_[idx];
-    now_ = node.when;
-    Handler handler = std::move(node.handler);
-    node.handler.reset();
-    node.next_free = free_head_;
-    free_head_ = idx;
+    prefetchTop();
+    now_ = top.when;
     ++executed_;
+    struct Release {
+      EventLoop& loop;
+      std::uint32_t idx;
+      ~Release() {
+        loop.node(idx).reset();
+        loop.free_.push_back(idx);
+      }
+    } release{*this, top.node};
     {
       CMC_PROF_SCOPE("loop.dispatch");
-      handler();
+      node(top.node)();
+    }
+  }
+
+  // Start loading the next event's node while this one runs. With many
+  // calls in flight the nodes are scattered, and a node the handler reads
+  // cold costs a cache miss per line.
+  void prefetchTop() noexcept {
+    if (heap_.empty()) return;
+    const auto* bytes = reinterpret_cast<const char*>(&node(heap_.front().node));
+    for (std::size_t at = 0; at < sizeof(Handler); at += 64) {
+      __builtin_prefetch(bytes + at);
     }
   }
 
@@ -153,45 +192,50 @@ class EventLoop {
     if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
     CMC_PROF_VALUE("loop.queue_depth", static_cast<std::int64_t>(heap_.size()));
     std::int64_t batch = 0;
-    while (!heap_.empty() && slab_[heap_.front()].when == when) {
+    while (!heap_.empty() && heap_.front().when == when) {
       stepOne();
       ++batch;
     }
     CMC_PROF_VALUE("loop.batch", batch);
   }
 
+  // Both sifts move a hole instead of swapping: each level copies one
+  // entry, and the moving entry is written once, where it stops.
+  void siftUp(std::size_t hole, const Entry& entry) {
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / kArity;
+      if (!before(entry, heap_[parent])) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = entry;
+  }
+
   void popTop() {
-    heap_.front() = heap_.back();
+    const Entry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) siftDown(0);
-  }
-
-  void siftUp(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!before(heap_[i], heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
-    }
-  }
-
-  void siftDown(std::size_t i) {
+    if (heap_.empty()) return;
     const std::size_t n = heap_.size();
+    std::size_t hole = 0;
     for (;;) {
-      std::size_t best = i;
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = 2 * i + 2;
-      if (l < n && before(heap_[l], heap_[best])) best = l;
-      if (r < n && before(heap_[r], heap_[best])) best = r;
-      if (best == i) return;
-      std::swap(heap_[i], heap_[best]);
-      i = best;
+      const std::size_t first = hole * kArity + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + kArity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (before(heap_[c], heap_[best])) best = c;
+      }
+      if (!before(heap_[best], last)) break;
+      heap_[hole] = heap_[best];
+      hole = best;
     }
+    heap_[hole] = last;
   }
 
-  std::vector<Node> slab_;            // pooled event nodes, recycled in place
-  std::vector<std::uint32_t> heap_;   // binary heap of slab indices
-  std::uint32_t free_head_ = kNil;    // head of the free-node chain
+  std::vector<std::unique_ptr<Handler[]>> chunks_;  // event nodes; never move
+  std::vector<std::uint32_t> free_;  // released nodes, reused last-in first
+  std::vector<Entry> heap_;          // kArity-ary min-heap on (when, seq)
+  std::uint32_t nodes_ = 0;          // nodes handed out so far
   SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -89,6 +91,22 @@ const std::string& Simulator::nameOf(BoxId id) {
   return box != nullptr ? box->name() : kRetired;
 }
 
+BoxId Simulator::route(const ChannelRequest& request) const {
+  if (request.target_id.valid()) {
+    const BoxId to = request.target_id;
+    if (to.value() >= 1 && to.value() <= boxes_.size() &&
+        boxes_[to.value() - 1].box != nullptr) {
+      return to;
+    }
+    log::warn("sim", "channel request to retired box ", to);
+    return BoxId{};
+  }
+  auto it = box_ids_.find(request.target);
+  if (it != box_ids_.end()) return it->second;
+  log::warn("sim", "channel request to unknown box ", request.target);
+  return BoxId{};
+}
+
 void Simulator::registerBox(std::unique_ptr<Box> box) {
   const BoxId id = box->id();
   if (!box_ids_.emplace(box->name(), id).second) {
@@ -116,7 +134,10 @@ ChannelId Simulator::connect(const std::string& a, const std::string& b,
 }
 
 void Simulator::inject(const std::string& box_name, std::function<void(Box&)> fn) {
-  const BoxId id = idOf(box_name);
+  inject(idOf(box_name), std::move(fn));
+}
+
+void Simulator::inject(BoxId id, std::function<void(Box&)> fn) {
   loop_.schedule(SimDuration{0}, [this, id, fn = std::move(fn)]() mutable {
     Box* target = reach(id);
     if (target == nullptr) return;
@@ -133,7 +154,10 @@ void Simulator::installFaultPlan(FaultPlan* plan) {
   for (BoxEntry& row : boxes_) row.fault_plan = plan;
   if (plan == nullptr) return;
   // Name order, so same-instant refresh ticks fire in box-name order.
-  for (const auto& [name, id] : box_ids_) {
+  std::vector<std::pair<std::string_view, BoxId>> by_name(box_ids_.begin(),
+                                                          box_ids_.end());
+  std::sort(by_name.begin(), by_name.end());
+  for (const auto& [name, id] : by_name) {
     entry(id).box->enableStabilization(true);
     scheduleRefreshTick(id);
   }
@@ -225,7 +249,8 @@ void Simulator::refreshTick(BoxId id) {
   }
 }
 
-void Simulator::stimulate(BoxId id, StimulusFn fn, obs::TraceContext cause) {
+template <typename Fn>
+void Simulator::stimulate(BoxId id, Fn&& fn, obs::TraceContext cause) {
   // Serialize on the box: processing starts when the box frees up and takes
   // c; outputs appear at completion.
   SimTime& busy = entry(id).busy_until;
@@ -243,53 +268,62 @@ void Simulator::stimulate(BoxId id, StimulusFn fn, obs::TraceContext cause) {
   const std::int64_t start_us =
       std::chrono::duration_cast<std::chrono::microseconds>(start.sinceStart())
           .count();
+  // The body is captured as it is, so it is built once, in the event node.
+  using Body = std::decay_t<Fn>;
   loop_.scheduleAt(done, [this, id, start_us, cause,
-                          fn = std::move(fn)]() mutable {
-    Box* target = reach(id);
-    if (target == nullptr) return;
-    // A stimulus queued before a crash dies with the box's volatile state.
-    if (droppedAtDeadBox(entry(id))) return;
-    Box& box = *target;
-    obs::TraceRecorder* rec = obs::recorder();
-    // Span adoption: the stimulus becomes a child of the span that stamped
-    // the triggering signal; a causeless stimulus roots a fresh trace.
-    // Each delivery gets its own span id, so fault-injected duplicates and
-    // retransmits show up as distinct spans under one trace.
-    obs::TraceContext self{};
-    if (rec != nullptr && rec->propagationEnabled()) {
-      self.trace = cause.trace != 0 ? cause.trace : rec->newId();
-      self.span = rec->newId();
-    }
-    {
-      // Value-type instrumentation inside (SlotEndpoint transitions,
-      // flowlink updates) attributes events to this box via the scope, and
-      // to this stimulus's span via the context scope.
-      obs::ActorScope scope(box.name());
-      obs::ContextScope ctx_scope(self);
-      CMC_PROF_SCOPE("sim.stimulus");
-      fn();
-      drain(box);
-    }
-    if (rec != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::boxSpan;
-      ev.name = "stimulus";
-      ev.actor = box.name();
-      ev.ts_us = start_us;
-      const std::int64_t dur = nowUs() - start_us;
-      ev.dur_us = dur > 0 ? dur : 1;  // zero-width spans vanish in viewers
-      ev.trace_id = self.trace;
-      ev.span_id = self.span;
-      ev.parent_span = cause.span;
-      rec->record(std::move(ev));
-    }
-    // Liveness under faults: any stimulus that leaves the box unconverged
-    // (a lost answer, a stale signal) re-arms its refresh tick.
-    if (fault_plan_ != nullptr && box.needsRefresh()) {
-      scheduleRefreshTick(id);
-    }
-    if (!probes_.empty()) probes_.checkBox(id.value(), nowUs());
+                          body = std::forward<Fn>(fn)]() mutable {
+    runStimulus(id, start_us, cause, &body,
+                [](void* b) { (*static_cast<Body*>(b))(); });
   });
+}
+
+void Simulator::runStimulus(BoxId id, std::int64_t start_us,
+                            obs::TraceContext cause, void* body,
+                            void (*run)(void*)) {
+  Box* target = reach(id);
+  if (target == nullptr) return;
+  // A stimulus queued before a crash dies with the box's volatile state.
+  if (droppedAtDeadBox(entry(id))) return;
+  Box& box = *target;
+  obs::TraceRecorder* rec = obs::recorder();
+  // Span adoption: the stimulus becomes a child of the span that stamped
+  // the triggering signal; a causeless stimulus roots a fresh trace.
+  // Each delivery gets its own span id, so fault-injected duplicates and
+  // retransmits show up as distinct spans under one trace.
+  obs::TraceContext self{};
+  if (rec != nullptr && rec->propagationEnabled()) {
+    self.trace = cause.trace != 0 ? cause.trace : rec->newId();
+    self.span = rec->newId();
+  }
+  {
+    // Value-type instrumentation inside (SlotEndpoint transitions,
+    // flowlink updates) attributes events to this box via the scope, and
+    // to this stimulus's span via the context scope.
+    obs::ActorScope scope(box.name());
+    obs::ContextScope ctx_scope(self);
+    CMC_PROF_SCOPE("sim.stimulus");
+    run(body);
+    drain(box);
+  }
+  if (rec != nullptr) {
+    obs::TraceEvent ev;
+    ev.kind = obs::EventKind::boxSpan;
+    ev.name = "stimulus";
+    ev.actor = box.name();
+    ev.ts_us = start_us;
+    const std::int64_t dur = nowUs() - start_us;
+    ev.dur_us = dur > 0 ? dur : 1;  // zero-width spans vanish in viewers
+    ev.trace_id = self.trace;
+    ev.span_id = self.span;
+    ev.parent_span = cause.span;
+    rec->record(std::move(ev));
+  }
+  // Liveness under faults: any stimulus that leaves the box unconverged
+  // (a lost answer, a stale signal) re-arms its refresh tick.
+  if (fault_plan_ != nullptr && box.needsRefresh()) {
+    scheduleRefreshTick(id);
+  }
+  if (!probes_.empty()) probes_.checkBox(id.value(), nowUs());
 }
 
 void Simulator::drain(Box& box) {
@@ -399,16 +433,12 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
   }
 
   for (auto& request : out.channelRequests) {
-    auto target_it = box_ids_.find(request.target);
-    if (target_it == box_ids_.end()) {
-      log::warn("sim", "channel request to unknown box ", request.target);
-      continue;
-    }
-    const BoxId to = target_it->second;
+    const BoxId to = route(request);
+    if (!to.valid()) continue;
     const ChannelId id{next_channel_id_++};
     const std::uint32_t tunnels = request.tunnels;
     sender.addChannelEnd(id, tunnels, /*initiator=*/true, request.tag, to,
-                         request.target);
+                         nameOf(to));
     // The far end materializes one network latency later (setup meta). The
     // transport-level end registration is synchronous so that signals in
     // flight right behind the setup find the slots; the callee's feature

@@ -11,23 +11,26 @@
 // latency law.
 //
 // The simulator also resolves ChannelRequests (configuration/routing being
-// outside the paper's scope, boxes address each other by name) and paces
-// openslot retries through box timers.
+// outside the paper's scope, feature boxes address each other by name; a
+// host that created both boxes, like the load runtime, addresses them by
+// BoxId and never looks a box up by name) and paces openslot retries
+// through box timers.
 //
-// A channel is recorded once, at its two ends: each box's ChannelEnd holds
+// A channel is recorded once, at its two ends: each box's end row holds
 // its slots and the far end's BoxId, and every output a box queues is
 // already addressed from it. The simulator is the carrier between the two
 // ends. It keeps no channel or route table, only the next channel id; an
 // in-flight event holds BoxIds and resolves the destination's own end on
-// arrival.
+// arrival. Each event's handler, a stimulus body included, is built once,
+// in its event-loop node, and runs there (sim/event_loop.hpp).
 #pragma once
 
 #include <array>
 #include <functional>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/box.hpp"
@@ -37,7 +40,6 @@
 #include "sim/event_loop.hpp"
 #include "sim/fault.hpp"
 #include "sim/timing.hpp"
-#include "util/inline_fn.hpp"
 
 namespace cmc::obs {
 class TraceRecorder;
@@ -56,7 +58,7 @@ class Simulator {
   ~Simulator();
 
   // Construct and register a box. The box's name must be unique; boxes
-  // address channel requests to each other by name.
+  // address channel requests to each other by name or by id.
   template <typename B, typename... Args>
   B& addBox(Args&&... args) {
     // Ids are handed out 1, 2, 3...: box `id` is row id - 1 of boxes_.
@@ -87,8 +89,11 @@ class Simulator {
   ChannelId connect(const std::string& a, const std::string& b,
                     std::uint32_t tunnels = 1);
 
-  // Run `fn` on a named box as a user stimulus (charges processing cost c).
+  // Run `fn` on a box as a user stimulus (charges processing cost c). By
+  // name, an unknown box throws; by id, a retired box drops the stimulus and
+  // counts it in retiredDrops().
   void inject(const std::string& box_name, std::function<void(Box&)> fn);
+  void inject(BoxId id, std::function<void(Box&)> fn);
 
   // Advance the simulation until idle (or the horizon). Returns true if the
   // event queue drained.
@@ -201,6 +206,9 @@ class Simulator {
   // Box `id`'s name for traces and the delivery hook; empty once retired.
   [[nodiscard]] const std::string& nameOf(BoxId id);
   [[nodiscard]] BoxId idOf(const std::string& name) const;
+  // The live box a channel request addresses, by id or by name; invalid
+  // (and logged) when there is none, and the request is dropped.
+  [[nodiscard]] BoxId route(const ChannelRequest& request) const;
   [[nodiscard]] bool isDown(const BoxEntry& e) const noexcept {
     return loop_.now() < e.down_until;
   }
@@ -208,16 +216,21 @@ class Simulator {
   // queued stimulus, a meta-signal, a timer, a tunnel signal — is lost, and
   // counted once in both the plan's and the registry's dead_box_drops.
   bool droppedAtDeadBox(const BoxEntry& e);
-  // A stimulus body. Inline capacity covers the hot case (a Signal plus a
-  // slot and box reference) so queuing a stimulus allocates nothing; bigger
-  // closures from cold paths spill to the heap inside InlineFn.
-  using StimulusFn = InlineFn<120>;
   // Run `fn` as a stimulus on box `id` now: serialize on the box (busy
   // time), charge c, then execute and drain outputs. `cause` is the causal
   // parent (the context stamped on the signal/timer that triggered this
   // stimulus); empty for roots — user injections, refresh ticks, restarts —
-  // which start a fresh trace when propagation is enabled.
-  void stimulate(BoxId id, StimulusFn fn, obs::TraceContext cause = {});
+  // which start a fresh trace when propagation is enabled. The body is
+  // captured by the completion event itself, so it is built once, in the
+  // event's node (the hot case, a Signal plus a slot and box reference,
+  // fits EventLoop::kHandlerCapacity).
+  template <typename Fn>
+  void stimulate(BoxId id, Fn&& fn, obs::TraceContext cause = {});
+  // The completion of a stimulus: run `run(body)` on box `id` under its
+  // actor, context and profiler scopes, drain its outputs, record its span
+  // and re-check its probes. Dropped when the box is retired or down.
+  void runStimulus(BoxId id, std::int64_t start_us, obs::TraceContext cause,
+                   void* body, void (*run)(void*));
   // Execute a scheduled CrashEvent: mark the box down, drop its queued
   // stimuli, and schedule the restart (Box::crashRestart) at the end of
   // the outage.
@@ -259,9 +272,10 @@ class Simulator {
   Rng rng_;
   std::uint64_t next_channel_id_ = 1;
   // The box table: boxes_[id - 1] is the box with that id. The name index
-  // serves only callers that address boxes by name.
+  // serves only callers that address boxes by name (apps, tests, fault
+  // plans); the load runtime addresses its boxes by id.
   std::vector<BoxEntry> boxes_;
-  std::map<std::string, BoxId> box_ids_;
+  std::unordered_map<std::string, BoxId> box_ids_;
   std::uint64_t signals_delivered_ = 0;
   std::uint64_t retired_drops_ = 0;
   obs::ConvergenceProbes probes_;

@@ -31,18 +31,7 @@ class InlineFn {
                 !std::is_same_v<std::decay_t<F>, InlineFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): function-like
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= Capacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &inlineOps<Fn>;
-    } else {
-      // Oversized capture: one heap allocation, same as std::function. The
-      // buffer holds only the pointer.
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &heapOps<Fn>;
-    }
+    construct(std::forward<F>(f));
   }
 
   InlineFn(InlineFn&& other) noexcept {
@@ -83,7 +72,32 @@ class InlineFn {
     }
   }
 
+  // Replace the callable with one built from `f` in place: no temporary
+  // InlineFn and no relocation (the event loop builds handlers this way,
+  // straight into their event nodes).
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    construct(std::forward<F>(f));
+  }
+
  private:
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= Capacity &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &inlineOps<Fn>;
+    } else {
+      // Oversized capture: one heap allocation, same as std::function. The
+      // buffer holds only the pointer.
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = &heapOps<Fn>;
+    }
+  }
+
   struct Ops {
     void (*invoke)(void*);
     // Move-construct into dst from src, then destroy src's object.

@@ -30,6 +30,7 @@
 //   box                  before     budget
 //   endpoint box         6          0
 //   relay box            14         0
+//   closeSlot goal       2          0   (the goal payload makeGoal builds)
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -144,15 +145,14 @@ TEST(AllocBudget, FaultDecisionsAllocateNothing) {
 TEST(AllocBudget, BoxWiringAllocatesNothing) {
   // The wiring lifecycle of a call's boxes: add the ends (the boxes' own
   // hooks look up their slots, then set the goal or link the slots), look
-  // the slots up, and remove the channels. Two things in it are not
-  // wiring, and are measured alone and subtracted: the endpoint's goal
-  // payload (makeGoal builds a MediaIntent even for a closeSlot goal), and
-  // the relay's queued output, its far leg's channel request and the
-  // teardown that folds that leg. The closeSlot goal attaches to a closed
-  // slot without a signal, so the endpoint queues nothing.
+  // the slots up, and remove the channels. The relay's queued output, its
+  // far leg's channel request and the teardown that folds that leg, is not
+  // wiring: it is measured alone and subtracted. The closeSlot goal carries
+  // no media intent and attaches to a closed slot without a signal, so the
+  // endpoint allocates nothing at all and queues nothing.
   load::LoadEndpointBox endpoint(BoxId{1}, "L", GoalKind::closeSlot,
                                  PathEnd::left);
-  load::LoadRelayBox relay(BoxId{2}, "M", "R");
+  load::LoadRelayBox relay(BoxId{2}, "M", BoxId{3});
   const ChannelId call{1};
   const ChannelId in{2};
   const ChannelId out{3};
@@ -187,7 +187,7 @@ TEST(AllocBudget, BoxWiringAllocatesNothing) {
   {
     CMC_PROF_SCOPE("box.queued_output");
     Box::Output queued;
-    queued.channelRequests.push_back(ChannelRequest{"R", 1, "out"});
+    queued.channelRequests.push_back(ChannelRequest{{}, 1, "out", BoxId{3}});
     queued.teardowns.push_back(Box::Teardown{out, BoxId{3}});
   }
   obs::setThreadProfiler(nullptr);
@@ -214,11 +214,10 @@ TEST(AllocBudget, BoxWiringAllocatesNothing) {
   const SiteTotals output = siteTotals(report, "box.queued_output");
   ASSERT_EQ(ep.calls, 1u);
   ASSERT_EQ(rl.calls, 1u);
-  ASSERT_GE(ep.allocs, goal.allocs);
+  ASSERT_EQ(goal.calls, 1u);
   ASSERT_GE(rl.allocs, output.allocs);
-  EXPECT_EQ(ep.allocs - goal.allocs, 0u)
-      << "endpoint box wiring allocations (" << ep.allocs << " in all, "
-      << goal.allocs << " of them the goal's payload)";
+  EXPECT_EQ(goal.allocs, 0u) << "closeSlot goal payload allocations";
+  EXPECT_EQ(ep.allocs, 0u) << "endpoint box wiring allocations";
   EXPECT_EQ(rl.allocs - output.allocs, 0u)
       << "relay box wiring allocations (" << rl.allocs << " in all, "
       << output.allocs << " of them queued output)";

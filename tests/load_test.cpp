@@ -373,12 +373,12 @@ TEST(ProbeIndex, WatchedAndUnwatchedProbesRecordIdenticalLatencies) {
         auto& right =
             sim.addBox<LoadEndpointBox>("R", type.right, PathEnd::right);
         LoadRelayBox* relay = nullptr;
-        std::string target = "R";
+        BoxId target = right.id();
         obs::ConvergenceProbes::Watch watch{left.id().value(),
                                             right.id().value()};
         if (flowlinks > 0) {
-          relay = &sim.addBox<LoadRelayBox>("F", "R");
-          target = "F";
+          relay = &sim.addBox<LoadRelayBox>("F", right.id());
+          target = relay->id();
           watch.push_back(relay->id().value());
         }
         if (faulty) sim.installFaultPlan(&plan);

@@ -1,13 +1,20 @@
 // Tests for simulator internals: serial-server queueing (the paper's boxes
 // process one stimulus at a time at cost c), network jitter, the delivery
 // hook, injection ordering, the channel lifecycle the simulator carries
-// between the two ends of a channel, refresh-tick lifetimes, and retired box
-// rows.
+// between the two ends of a channel, channel requests by name and by id,
+// refresh-tick lifetimes and order, and retired box rows.
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "endpoints/user_device.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
+#include "util/log.hpp"
 
 namespace cmc {
 namespace {
@@ -239,6 +246,98 @@ TEST(SimChannelLifecycle, MetaReachesAReceiverThatDroppedItsEnd) {
   sim.runFor(1_s);
   EXPECT_EQ(b.log, (std::vector<std::string>{"down", "meta:hello"}));
   EXPECT_EQ(a.log, (std::vector<std::string>{"down"}));
+}
+
+// ------------------------------------------------------------ routing
+
+// One call from A to B, its channel requested by name or by id: both ends
+// take an open goal once the channel is up. Returns the exported trace.
+std::string tracedCall(bool by_id) {
+  obs::TraceRecorder rec;
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  sim.attachTrace(&rec);
+  auto& a = sim.addBox<WiredBox>("A");
+  auto& b = sim.addBox<WiredBox>("B");
+  sim.inject("A", [&](Box&) {
+    if (by_id) {
+      a.requestChannel(b.id(), 1, "call");
+    } else {
+      a.requestChannel("B", 1, "call");
+    }
+  });
+  sim.runFor(100_ms);  // the far end materializes at 54 ms
+  EXPECT_TRUE(a.requested.valid());
+  EXPECT_TRUE(b.hasChannel(a.requested));
+  sim.inject("A", [&](Box&) { a.setGoal(a.slotsOf(a.requested).front(), opener()); });
+  sim.inject("B", [&](Box&) { b.setGoal(b.slotsOf(a.requested).front(), opener()); });
+  EXPECT_TRUE(sim.run());
+  EXPECT_TRUE(a.isFlowing(a.slotsOf(a.requested).front()));
+  EXPECT_EQ(b.log.front(), "incoming");
+  return rec.chromeTraceJson();
+}
+
+TEST(SimRouting, RequestsByIdAndByNameTraceAlike) {
+  const std::string by_name = tracedCall(/*by_id=*/false);
+  const std::string by_id = tracedCall(/*by_id=*/true);
+  EXPECT_NE(by_name.find("\"recv open\""), std::string::npos);
+  EXPECT_EQ(by_id, by_name);
+}
+
+TEST(SimRouting, ARequestByIdToARetiredBoxIsDroppedAndLogged) {
+  // Like a request to an unknown name: the sender gets no end, the request
+  // is logged, and nothing reached the retired row, so nothing is counted.
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  auto& a = sim.addBox<WiredBox>("A");
+  const BoxId gone = sim.addBox<WiredBox>("B").id();
+  sim.retireBox(gone);
+  std::ostringstream sink;
+  log::setSink(&sink);
+  log::setLevel(log::Level::warn);
+  sim.inject("A", [&](Box&) { a.requestChannel(gone, 1, "call"); });
+  sim.inject("A", [&](Box&) { a.requestChannel("B", 1, "call"); });
+  EXPECT_TRUE(sim.run());
+  log::setLevel(log::Level::none);
+  log::setSink(nullptr);
+  EXPECT_FALSE(a.requested.valid());
+  EXPECT_EQ(a.slotCount(), 0u);
+  EXPECT_EQ(sim.retiredDrops(), 0u);
+  const std::string out = sink.str();
+  EXPECT_NE(out.find("channel request to retired box box:2"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("channel request to unknown box B"), std::string::npos)
+      << out;
+}
+
+TEST(SimRouting, SameInstantRefreshTicksFireInBoxNameOrder) {
+  // Boxes registered as b, a, c, each with an open goal its peer never
+  // answers, so each needs repair at the first refresh tick (300 ms). The
+  // ticks are armed when the plan is installed, in box-name order, so the
+  // three repair stimuli start at the same instant and complete a, b, c.
+  obs::TraceRecorder rec;
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  sim.attachTrace(&rec);
+  std::vector<std::pair<WiredBox*, ChannelId>> openers;
+  for (const char* name : {"b", "a", "c"}) {
+    auto& box = sim.addBox<WiredBox>(name);
+    sim.addBox<WiredBox>(std::string("peer-") + name);
+    openers.emplace_back(&box, sim.connect(name, std::string("peer-") + name));
+  }
+  FaultPlan plan(1, FaultSpec{0.0, 0.0, 0.0});
+  sim.installFaultPlan(&plan);
+  for (auto [box, ch] : openers) {
+    sim.inject(box->name(), [box = box, ch = ch](Box&) {
+      box->setGoal(box->slotsOf(ch).front(), opener());
+    });
+  }
+  sim.runFor(400_ms);
+  std::vector<std::string> repaired;
+  for (const obs::TraceEvent& ev : rec.snapshot()) {
+    if (ev.kind == obs::EventKind::boxSpan && ev.ts_us == 300'000) {
+      repaired.push_back(ev.actor);
+    }
+  }
+  EXPECT_EQ(repaired, (std::vector<std::string>{"a", "b", "c"}));
+  sim.installFaultPlan(nullptr);
 }
 
 // ------------------------------------------------------------ retired rows

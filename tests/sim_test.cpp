@@ -1,6 +1,15 @@
 // Tests for the discrete-event simulator, timing model, and Box runtime.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <memory>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "endpoints/user_device.hpp"
 #include "media/network.hpp"
 #include "sim/simulator.hpp"
@@ -80,6 +89,106 @@ TEST(EventLoopTest, RunUntilLeavesLaterEvents) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(loop.pending(), 1u);
   EXPECT_EQ(loop.now().millis(), 20.0);
+}
+
+TEST(EventLoopTest, HandlerSchedulingPastAChunkKeepsItsCaptures) {
+  // A handler runs in its own node, and the node is released only after it
+  // returns. Scheduling more events than one node chunk holds, from inside
+  // the handler, adds chunks but moves no node: the handler's captures are
+  // still intact afterwards (under asan, a moved or reused node would be a
+  // use-after-free).
+  EventLoop loop;
+  constexpr std::uint32_t kScheduled = 3 * EventLoop::kChunkNodes + 7;
+  std::array<std::uint64_t, 16> pattern{};
+  for (std::size_t i = 0; i < pattern.size(); ++i) pattern[i] = 0x9e37 * (i + 1);
+  const std::string label(64, 'q');  // past the small-string buffer
+  std::uint32_t ran = 0;
+  bool intact = false;
+  loop.schedule(1_ms, [&loop, &ran, &intact, pattern, label,
+                       expected = pattern]() {
+    for (std::uint32_t i = 0; i < kScheduled; ++i) {
+      loop.schedule(SimDuration{i % 5}, [&ran] { ++ran; });
+    }
+    intact = pattern == expected && label == std::string(64, 'q');
+  });
+  EXPECT_TRUE(loop.runUntilIdle());
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(ran, kScheduled);
+  EXPECT_EQ(loop.executed(), kScheduled + 1);
+}
+
+TEST(EventLoopTest, OversizedCaptureRunsFromTheHeapAndIsFreed) {
+  EventLoop loop;
+  auto token = std::make_shared<int>(0);
+  std::array<char, EventLoop::kHandlerCapacity + 64> big{};
+  big.back() = 'z';
+  const auto handler = [token, big]() { *token = big.back(); };
+  static_assert(sizeof(handler) > EventLoop::kHandlerCapacity);
+  loop.schedule(1_ms, handler);
+  EXPECT_EQ(token.use_count(), 3);  // here, `handler` and the queued copy
+  EXPECT_TRUE(loop.runUntilIdle());
+  EXPECT_EQ(*token, 'z');
+  EXPECT_EQ(token.use_count(), 2);  // the queued copy is gone
+}
+
+TEST(EventLoopTest, PopOrderMatchesAReferenceQueue) {
+  // 24,000 events over 512 instants (≈47 per instant), and every third
+  // event schedules a follow-up from inside its handler, 0-4 us later (0:
+  // the same instant, behind everything already queued for it). The loop
+  // must pop in exactly the (when, seq) order of a reference queue fed the
+  // same schedule.
+  constexpr std::uint32_t kInitial = 24'000;
+  const auto followUp = [](std::uint32_t id) -> std::optional<SimDuration> {
+    if (id % 3 != 0) return std::nullopt;
+    return SimDuration{(id * 7919u) % 5};
+  };
+  std::mt19937_64 rng(0x5eed);
+  std::vector<SimDuration> initial(kInitial);
+  for (SimDuration& at : initial) at = SimDuration{rng() % 512};
+
+  // Reference: a multimap keyed by (when, seq).
+  std::vector<std::uint32_t> expected;
+  {
+    std::multimap<std::pair<SimTime, std::uint64_t>, std::uint32_t> queue;
+    std::uint64_t seq = 0;
+    std::uint32_t next_id = 0;
+    for (const SimDuration at : initial) {
+      queue.emplace(std::make_pair(SimTime{} + at, seq++), next_id++);
+    }
+    while (!queue.empty()) {
+      const auto [key, id] = *queue.begin();
+      queue.erase(queue.begin());
+      expected.push_back(id);
+      if (const auto delay = followUp(id)) {
+        queue.emplace(std::make_pair(key.first + *delay, seq++), next_id++);
+      }
+    }
+  }
+
+  EventLoop loop;
+  std::vector<std::uint32_t> order;
+  std::uint32_t next_id = 0;
+  struct Event {
+    EventLoop* loop;
+    std::vector<std::uint32_t>* order;
+    std::uint32_t* next_id;
+    std::optional<SimDuration> (*follow)(std::uint32_t);
+    std::uint32_t id;
+    void operator()() const {
+      order->push_back(id);
+      if (const auto delay = follow(id)) {
+        loop->schedule(*delay, Event{loop, order, next_id, follow, (*next_id)++});
+      }
+    }
+  };
+  for (const SimDuration at : initial) {
+    loop.schedule(at, Event{&loop, &order, &next_id, +followUp, next_id++});
+  }
+  EXPECT_EQ(loop.pending(), kInitial);
+  EXPECT_TRUE(loop.runUntilIdle());
+  EXPECT_GE(loop.peakPending(), kInitial);
+  ASSERT_EQ(order.size(), expected.size());
+  EXPECT_EQ(order, expected);
 }
 
 TEST(TimingModelTest, PaperDefaults) {
