@@ -11,6 +11,14 @@ namespace cmc {
 
 namespace {
 
+// Goal counters, resolved once per registry on each thread.
+thread_local obs::CounterHandle t_goals_posted{"goal.posted"};
+thread_local obs::CounterHandle t_goals_achieved{"goal.achieved"};
+thread_local obs::CounterHandle t_goals_cancelled{"goal.cancelled"};
+thread_local obs::CounterHandle t_goal_refreshes{"goal.refreshes"};
+thread_local obs::CounterHandle t_openslot_retries{"goal.openslot_retries"};
+thread_local obs::CounterHandle t_crash_restarts{"box.crash_restarts"};
+
 // Goal lifecycle event (posted/achieved/cancelled). One relaxed load each
 // for the recorder and the registry when observability is off.
 void traceGoal(obs::EventKind kind, const std::string& box, GoalKind goal,
@@ -20,10 +28,10 @@ void traceGoal(obs::EventKind kind, const std::string& box, GoalKind goal,
   }
   if (obs::MetricsRegistry* m = obs::metrics()) {
     switch (kind) {
-      case obs::EventKind::goalPosted: m->counter("goal.posted").add(); break;
-      case obs::EventKind::goalAchieved: m->counter("goal.achieved").add(); break;
+      case obs::EventKind::goalPosted: t_goals_posted.in(*m).add(); break;
+      case obs::EventKind::goalAchieved: t_goals_achieved.in(*m).add(); break;
       case obs::EventKind::goalCancelled:
-        m->counter("goal.cancelled").add();
+        t_goals_cancelled.in(*m).add();
         break;
       default: break;
     }
@@ -192,7 +200,7 @@ void Box::fireRetries() {
     if (goal == nullptr || !retryPending(*goal)) continue;
     Outbox out;
     retry(*goal, row.slot, out);
-    flushOutbox(std::move(out), "goal.openslot_retries");
+    flushOutbox(std::move(out), &t_openslot_retries);
   }
   maybeRequestRetryTimer();
 }
@@ -210,7 +218,7 @@ void Box::refreshGoals() {
     if (goal == nullptr || converged(*goal, row.slot)) continue;
     Outbox out;
     refresh(*goal, row.slot, out);
-    flushOutbox(std::move(out), "goal.refreshes");
+    flushOutbox(std::move(out), &t_goal_refreshes);
   }
   for (GoalRow& row : goals_) {
     auto* link = std::get_if<FlowLink>(&row.goal);
@@ -220,7 +228,7 @@ void Box::refreshGoals() {
     if (link->converged(a, b)) continue;
     Outbox out;
     link->stabilize(a, b, out);
-    flushOutbox(std::move(out), "goal.refreshes");
+    flushOutbox(std::move(out), &t_goal_refreshes);
   }
   maybeRequestRetryTimer();
 }
@@ -268,9 +276,7 @@ void Box::crashRestart() {
       queueTunnel(row.slot.id(), row.slot.probeClose());
     }
   }
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("box.crash_restarts").add();
-  }
+  if (obs::Counter* restarts = t_crash_restarts.get()) restarts->add();
   maybeRequestRetryTimer();
   onCrashRestart();
 }
@@ -439,9 +445,9 @@ void Box::dispatch(SlotEndpoint& endpoint, SlotEvent event,
   flushOutbox(std::move(out));
 }
 
-void Box::flushOutbox(Outbox&& out, const char* counter) {
+void Box::flushOutbox(Outbox&& out, obs::CounterHandle* counter) {
   if (counter != nullptr && !out.empty()) {
-    if (obs::MetricsRegistry* m = obs::metrics()) m->counter(counter).add();
+    if (obs::Counter* c = counter->get()) c->add();
   }
   for (auto& item : out.take()) queueTunnel(item.slot, std::move(item.signal));
 }

@@ -33,6 +33,13 @@
 #include "util/small_vec.hpp"
 #include "util/time.hpp"
 
+namespace cmc::obs {
+class Counter;
+template <typename Metric>
+class MetricHandle;
+using CounterHandle = MetricHandle<Counter>;
+}  // namespace cmc::obs
+
 namespace cmc {
 
 // A request to the runtime to create a new signaling channel from this box
@@ -246,7 +253,7 @@ class Box {
   void queueTunnel(SlotId slot, Signal signal);
   void dispatch(SlotEndpoint& endpoint, SlotEvent event, const Signal& signal);
   // Queue `out`, bumping a non-null `counter` once if it holds anything.
-  void flushOutbox(Outbox&& out, const char* counter = nullptr);
+  void flushOutbox(Outbox&& out, obs::CounterHandle* counter = nullptr);
   void detachSlot(SlotId slot);
   void maybeRequestRetryTimer();
 

@@ -25,9 +25,8 @@ inline void traceRefresh(SlotId slot, std::string_view via) {
     rec->record(obs::EventKind::flowlinkUpdate, via, obs::currentActor(),
                 "forward_descriptor", slot.value());
   }
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("flowlink.descriptor_forwards").add();
-  }
+  thread_local obs::CounterHandle forwards{"flowlink.descriptor_forwards"};
+  if (obs::Counter* c = forwards.get()) c->add();
 }
 
 }  // namespace

@@ -237,13 +237,16 @@ void ShardedRuntime::runShard(ShardState& shard,
     std::vector<CallRuntime> calls(count);
     shard.outcomes.resize(count);
     std::size_t boxes_retired = 0;
+    // Per-call lifecycle metrics, each created at its first use.
+    obs::CounterHandle arrivals{"load.call_arrivals"};
+    obs::CounterHandle teardowns{"load.call_teardowns"};
+    obs::GaugeHandle armed_probes{"load.armed_probes"};
 
     const auto audit = [&](std::size_t i) {
       CallRuntime& call = calls[i];
       CallOutcome& outcome = shard.outcomes[i];
-      // Taken, not read: the probe keeps results only for calls whose
-      // outcome is still open.
-      const auto latency = sim.probes().takeLatencyUs(outcome.spec.probeName());
+      // Taken, not read: a converged probe holds its slot until then.
+      const auto latency = sim.probes().takeLatencyUs(call.probe);
       outcome.converged = latency.has_value();
       outcome.setup_latency_us = latency.value_or(-1);
       outcome.clean_teardown =
@@ -273,8 +276,8 @@ void ShardedRuntime::runShard(ShardState& shard,
       // predicate can never hold again.
       sim.probes().check(call.probe, sim.nowUs());
       sim.probes().disarm(call.probe);
-      shard.metrics.counter("load.call_teardowns").add(1);
-      shard.metrics.gauge("load.armed_probes").add(-1);
+      teardowns.in(shard.metrics).add(1);
+      armed_probes.in(shard.metrics).add(-1);
       sim.inject(call.left->id(), [](Box& box) {
         static_cast<LoadEndpointBox&>(box).hangUp();
       });
@@ -290,8 +293,8 @@ void ShardedRuntime::runShard(ShardState& shard,
       // the rollup stays byte-identical either way. The gauge is
       // shard-local (excluded from the rollup); the counters are additive
       // and shard-count invariant — each call arrives exactly once.
-      shard.metrics.counter("load.call_arrivals").add(1);
-      shard.metrics.gauge("load.armed_probes").add(1);
+      arrivals.in(shard.metrics).add(1);
+      armed_probes.in(shard.metrics).add(1);
       if (faults_on && spec.faulty) {
         // Seeded per call, its window opening at the call's arrival: the
         // call's faults depend on nothing else in its shard.

@@ -24,6 +24,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace cmc::obs {
 
@@ -148,7 +149,7 @@ class MetricsRegistry {
   MetricsRegistry() noexcept;
 
   // Lookup-or-create; returned references stay valid for the registry's
-  // lifetime, so call sites may cache them.
+  // lifetime, so hot call sites cache them in a MetricHandle (below).
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
   [[nodiscard]] Histogram& histogram(std::string_view name);
@@ -156,7 +157,7 @@ class MetricsRegistry {
   [[nodiscard]] const Counter* findCounter(std::string_view name) const;
   [[nodiscard]] const Histogram* findHistogram(std::string_view name) const;
 
-  // Process-unique, never reused: a cache of handles keyed by registry
+  // Process-unique, never reused: a MetricHandle keyed by registry
   // pointer checks it, because a new registry may reuse a dead one's
   // address.
   [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
@@ -180,6 +181,56 @@ class MetricsRegistry {
 [[nodiscard]] MetricsRegistry* metrics() noexcept;
 void setMetrics(MetricsRegistry* registry) noexcept;
 void setThreadMetrics(MetricsRegistry* registry) noexcept;
+
+// A metric named once and looked up once per registry: the one way a hot
+// path caches a handle. in(r) resolves the name in `r` only when `r` (or
+// its serial, should a new registry reuse a dead one's address) differs
+// from the registry it last served; otherwise it is a pointer compare.
+// The metric is created at first use, so an untaken path leaves no
+// metric behind. A handle is not thread-safe: per-thread call sites keep
+// theirs `thread_local` (the constructor is constexpr, so such a handle
+// needs no guard), and an object owned by one thread keeps its own.
+// `name` must outlive the handle.
+template <typename Metric>
+class MetricHandle {
+ public:
+  constexpr explicit MetricHandle(std::string_view name) noexcept
+      : name_(name) {}
+
+  [[nodiscard]] Metric& in(MetricsRegistry& registry) {
+    if (&registry != registry_ || registry.serial() != serial_) {
+      resolve(registry);
+    }
+    return *metric_;
+  }
+  // The metric in the current registry (metrics()); nullptr when off.
+  [[nodiscard]] Metric* get() {
+    MetricsRegistry* registry = metrics();
+    return registry != nullptr ? &in(*registry) : nullptr;
+  }
+
+ private:
+  void resolve(MetricsRegistry& registry) {
+    if constexpr (std::is_same_v<Metric, Counter>) {
+      metric_ = &registry.counter(name_);
+    } else if constexpr (std::is_same_v<Metric, Gauge>) {
+      metric_ = &registry.gauge(name_);
+    } else {
+      metric_ = &registry.histogram(name_);
+    }
+    registry_ = &registry;
+    serial_ = registry.serial();
+  }
+
+  std::string_view name_;
+  MetricsRegistry* registry_ = nullptr;
+  std::uint64_t serial_ = 0;
+  Metric* metric_ = nullptr;
+};
+
+using CounterHandle = MetricHandle<Counter>;
+using GaugeHandle = MetricHandle<Gauge>;
+using HistogramHandle = MetricHandle<Histogram>;
 
 // Append `s` as the body of a JSON string: quotes, backslashes and control
 // bytes escaped. Every obs exporter writes names through this one escaper,

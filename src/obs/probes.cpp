@@ -9,7 +9,7 @@
 namespace cmc::obs {
 
 ConvergenceProbes::Id ConvergenceProbes::arm(std::string name,
-                                             std::string bucket,
+                                             std::string_view bucket,
                                              std::int64_t now_us,
                                              Predicate quiescent,
                                              std::int64_t deadline_us,
@@ -24,7 +24,7 @@ ConvergenceProbes::Id ConvergenceProbes::arm(std::string name,
   }
   Probe& probe = probes_[slot];
   probe.name = std::move(name);
-  probe.bucket = std::move(bucket);
+  probe.bucket = bucketOf(bucket);
   probe.start_us = now_us;
   probe.deadline_us = deadline_us;
   probe.quiescent = std::move(quiescent);
@@ -104,23 +104,31 @@ std::size_t ConvergenceProbes::evaluateDue(std::int64_t now_us) {
   return fired;
 }
 
+std::uint32_t ConvergenceProbes::bucketOf(std::string_view bucket) {
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    if (buckets_[i].name == bucket) return static_cast<std::uint32_t>(i);
+  }
+  buckets_.emplace_back(bucket);
+  return static_cast<std::uint32_t>(buckets_.size() - 1);
+}
+
 void ConvergenceProbes::converge(std::uint32_t slot, std::int64_t now_us) {
   Probe& probe = probes_[slot];
   const std::int64_t latency = now_us - probe.start_us;
+  Bucket& bucket = buckets_[probe.bucket];
   // Recorded as it happens, so a live sampler sees per-window setup
   // latency mid-run. Written unconditionally (sampler or not): per-call
   // latencies are deterministic, so this keeps the rollup byte-identical
   // whether or not anyone is watching.
-  if (MetricsRegistry* m = metrics()) {
-    m->histogram("probe." + probe.bucket + "_us").observe(latency);
-  }
+  if (Histogram* h = bucket.histogram.get()) h->observe(latency);
   if (TraceRecorder* rec = recorder()) {
     rec->record(EventKind::mark, "probe_converged:" + probe.name, /*actor=*/{},
-                probe.bucket, /*id=*/0, /*v0=*/latency);
+                bucket.name, /*id=*/0, /*v0=*/latency);
   }
-  results_.insert_or_assign(std::move(probe.name), latency);
-  ++converged_;
-  retire(slot);
+  unlink(slot);
+  // The slot keeps the name and the latency until the result is taken.
+  probe.latency_us = latency;
+  probe.converged_at = ++converged_;
 }
 
 void ConvergenceProbes::fail(std::uint32_t slot, std::int64_t now_us) {
@@ -132,9 +140,11 @@ void ConvergenceProbes::fail(std::uint32_t slot, std::int64_t now_us) {
   failed_.push_back(name);
   if (TraceRecorder* rec = recorder()) {
     rec->record(EventKind::mark, "probe_failed:" + name, /*actor=*/{},
-                probe.bucket, /*id=*/0, /*v0=*/now_us - probe.start_us);
+                buckets_[probe.bucket].name, /*id=*/0,
+                /*v0=*/now_us - probe.start_us);
   }
-  retire(slot);
+  unlink(slot);
+  release(slot);
   if (FlightRecorder* fr = flightRecorder()) {
     fr->dump("probe_timeout:" + name);
   }
@@ -148,7 +158,7 @@ ConvergenceProbes::Link& ConvergenceProbes::linkOf(std::uint32_t slot,
   return *link;
 }
 
-void ConvergenceProbes::retire(std::uint32_t slot) {
+void ConvergenceProbes::unlink(std::uint32_t slot) {
   Probe& probe = probes_[slot];
   for (const Link& link : probe.watch) {
     std::uint32_t* at = &heads_[link.box];
@@ -161,30 +171,42 @@ void ConvergenceProbes::retire(std::uint32_t slot) {
     probes_[moved].unwatched_at = probe.unwatched_at;
     unwatched_.pop_back();
   }
-  probe = Probe{};
-  free_.push_back(slot);
+  probe.watch.clear();
+  probe.quiescent = nullptr;  // frees what the predicate captured
   --armed_;
+}
+
+void ConvergenceProbes::release(std::uint32_t slot) {
+  probes_[slot] = Probe{};
+  free_.push_back(slot);
 }
 
 bool ConvergenceProbes::disarm(Id id) {
   if (!live(id.slot, id.seq)) return false;
-  retire(id.slot);
+  unlink(id.slot);
+  release(id.slot);
   return true;
 }
 
 std::optional<std::int64_t> ConvergenceProbes::latencyUs(
-    const std::string& name) const {
-  auto it = results_.find(name);
-  if (it == results_.end()) return std::nullopt;
-  return it->second;
+    std::string_view name) const {
+  const Probe* latest = nullptr;
+  for (const Probe& probe : probes_) {
+    if (probe.converged_at == 0 || probe.name != name) continue;
+    if (latest == nullptr || probe.converged_at > latest->converged_at) {
+      latest = &probe;
+    }
+  }
+  if (latest == nullptr) return std::nullopt;
+  return latest->latency_us;
 }
 
-std::optional<std::int64_t> ConvergenceProbes::takeLatencyUs(
-    const std::string& name) {
-  auto it = results_.find(name);
-  if (it == results_.end()) return std::nullopt;
-  const std::int64_t latency = it->second;
-  results_.erase(it);
+std::optional<std::int64_t> ConvergenceProbes::takeLatencyUs(Id id) {
+  if (!holds(id.slot, id.seq) || probes_[id.slot].converged_at == 0) {
+    return std::nullopt;
+  }
+  const std::int64_t latency = probes_[id.slot].latency_us;
+  release(id.slot);
   return latency;
 }
 

@@ -10,6 +10,12 @@
 // `now - armed_at` into the registry histogram "probe.<bucket>_us" (when a
 // metrics registry is installed) and disarms.
 //
+// A converged probe keeps its latency in its own slot until a host takes
+// it by Id (takeLatencyUs), which frees the slot for reuse; latencyUs(name)
+// reads a result without taking it. Nothing on the check, converge or take
+// path looks anything up by string: each bucket's histogram name is built
+// once, when the bucket is first armed.
+//
 // When the predicate is evaluated depends on the probe's watch set, the ids
 // of the boxes whose state it reads. The hosting Simulator calls
 // checkBox(box) after each completed stimulus of `box` (and when a channel
@@ -36,12 +42,14 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/small_vec.hpp"
 
 namespace cmc::obs {
@@ -55,8 +63,9 @@ class ConvergenceProbes {
   // means "any box". A call path has at most three boxes, kept inline.
   using Watch = SmallVec<std::uint64_t, 3>;
 
-  // Handle to one armed probe. Stale handles (the probe converged, failed
-  // or was disarmed) are safe: operations on them do nothing.
+  // Handle to one probe. Stale handles (the probe failed, was disarmed, or
+  // its result was taken) are safe: operations on them do nothing. A
+  // converged probe's handle still takes its result.
   struct Id {
     std::uint32_t slot = 0;
     std::uint64_t seq = 0;  // arm order, never reused; 0 = no probe
@@ -69,7 +78,7 @@ class ConvergenceProbes {
   // turns the probe into a watchdog: if it has not converged by that
   // virtual instant, the next check marks it failed, disarms it, and
   // triggers the installed flight recorder (obs/flight_recorder.hpp).
-  Id arm(std::string name, std::string bucket, std::int64_t now_us,
+  Id arm(std::string name, std::string_view bucket, std::int64_t now_us,
          Predicate quiescent, std::int64_t deadline_us = 0, Watch watch = {});
 
   // Both checks evaluate their probes in arm order: satisfied ones record
@@ -84,8 +93,9 @@ class ConvergenceProbes {
   std::size_t check(Id id, std::int64_t now_us);
 
   // Drop an armed probe without recording a result either way; O(watch).
-  // Returns true if it was armed. Call-churn hosts disarm a call's setup
-  // probe at teardown: once the call's boxes close, its quiescence
+  // Returns true if it was armed. A converged probe is not armed, so its
+  // result stays to be taken. Call-churn hosts check, disarm, then take a
+  // call's setup probe: once the call's boxes close, its quiescence
   // predicate can never hold.
   bool disarm(Id id);
 
@@ -108,11 +118,15 @@ class ConvergenceProbes {
     return evaluations_;
   }
 
-  // Latency of a named measurement, once converged.
-  [[nodiscard]] std::optional<std::int64_t> latencyUs(const std::string& name) const;
-  // The same, removing the result: hosts that read each latency once keep
-  // the result table bounded by the measurements not yet read.
-  std::optional<std::int64_t> takeLatencyUs(const std::string& name);
+  // Latency of a named measurement, once converged and until taken (the
+  // latest to converge, if several share the name). It scans the slots:
+  // for tests and benches, not for a per-call path.
+  [[nodiscard]] std::optional<std::int64_t> latencyUs(std::string_view name) const;
+  // Probe `id`'s latency, removing the result and freeing its slot; nothing
+  // for a probe still armed, failed, disarmed or already taken. Hosts that
+  // read each latency once keep the slot table bounded by the probes armed
+  // or not yet read.
+  std::optional<std::int64_t> takeLatencyUs(Id id);
 
  private:
   // One watched box, threaded into that box's list of watchers.
@@ -120,15 +134,30 @@ class ConvergenceProbes {
     std::uint64_t box;
     std::uint32_t next;  // slot + 1 of the box's next watcher; 0 = end
   };
+  // A slot is free (seq 0), armed, or converged: a converged slot keeps
+  // its name and latency, and nothing else, until the result is taken.
   struct Probe {
     std::string name;
-    std::string bucket;
     std::int64_t start_us = 0;
     std::int64_t deadline_us = 0;  // 0 = no watchdog
+    std::int64_t latency_us = 0;   // set at convergence
     Predicate quiescent;
     SmallVec<Link, 3> watch;         // empty = unwatched
     std::uint64_t seq = 0;           // 0 = free slot
+    std::uint64_t converged_at = 0;  // convergence order; 0 = not converged
+    std::uint32_t bucket = 0;        // index in buckets_
     std::uint32_t unwatched_at = 0;  // index in unwatched_ (empty watch)
+  };
+  // A bucket and its histogram, named once. A deque, so the handle's view
+  // of `metric` never moves.
+  struct Bucket {
+    explicit Bucket(std::string_view bucket)
+        : name(bucket), metric("probe." + name + "_us"), histogram(metric) {}
+    Bucket(const Bucket&) = delete;
+    Bucket& operator=(const Bucket&) = delete;
+    std::string name;
+    std::string metric;
+    HistogramHandle histogram;
   };
   struct Deadline {
     std::int64_t at_us;
@@ -145,18 +174,26 @@ class ConvergenceProbes {
     std::uint32_t slot;
   };
 
-  [[nodiscard]] bool live(std::uint32_t slot, std::uint64_t seq) const noexcept {
+  [[nodiscard]] bool holds(std::uint32_t slot, std::uint64_t seq) const noexcept {
     return slot < probes_.size() && seq != 0 && probes_[slot].seq == seq;
+  }
+  [[nodiscard]] bool live(std::uint32_t slot, std::uint64_t seq) const noexcept {
+    return holds(slot, seq) && probes_[slot].converged_at == 0;
   }
   void queue(std::uint32_t slot) { due_.push_back({probes_[slot].seq, slot}); }
   [[nodiscard]] Link& linkOf(std::uint32_t slot, std::uint64_t box) noexcept;
   // Queue the probes past their deadline, then evaluate everything queued.
   std::size_t evaluateDue(std::int64_t now_us);
+  std::uint32_t bucketOf(std::string_view bucket);
   void converge(std::uint32_t slot, std::int64_t now_us);
   void fail(std::uint32_t slot, std::int64_t now_us);
-  void retire(std::uint32_t slot);
+  // Unlink an armed probe from its watch lists and the armed count.
+  void unlink(std::uint32_t slot);
+  // Clear a slot and put it on the free list.
+  void release(std::uint32_t slot);
 
   std::vector<Probe> probes_;  // slot table; free slots are reused
+  std::deque<Bucket> buckets_;  // few: scanned at arm
   std::vector<std::uint32_t> free_;
   // Box id -> slot + 1 of its first watcher (0 = none). Box ids are the
   // Simulator's dense BoxId values, so this is four bytes per box.
@@ -169,8 +206,6 @@ class ConvergenceProbes {
   std::size_t armed_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t evaluations_ = 0;
-  // Latencies by measurement name; looked up and taken, never iterated.
-  std::unordered_map<std::string, std::int64_t> results_;
   std::vector<std::string> failed_;
   FailureHandler on_failure_;
   std::size_t converged_ = 0;

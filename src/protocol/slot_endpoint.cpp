@@ -43,9 +43,8 @@ inline void traceTransition(SlotId id, ProtocolState from, ProtocolState to) {
 }
 
 inline void countCacheRefresh() {
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("slot.descriptor_cache_refreshes").add();
-  }
+  thread_local obs::CounterHandle refreshes{"slot.descriptor_cache_refreshes"};
+  if (obs::Counter* c = refreshes.get()) c->add();
 }
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "obs/flight_recorder.hpp"
@@ -11,6 +12,33 @@
 #include "util/log.hpp"
 
 namespace cmc {
+
+namespace {
+
+// Metric handles of the per-stimulus and fault paths, per thread.
+thread_local obs::CounterHandle t_stimuli{"sim.stimuli"};
+thread_local obs::GaugeHandle t_queue_depth{"sim.queue_depth"};
+thread_local obs::CounterHandle t_busy_us{"sim.busy_us"};
+// "sim.signal.<kind>" by SignalKind, each resolved at the first delivery of
+// that kind, so the registry holds only the kinds that occurred.
+thread_local obs::CounterHandle t_signals[] = {
+    obs::CounterHandle{"sim.signal.open"},
+    obs::CounterHandle{"sim.signal.oack"},
+    obs::CounterHandle{"sim.signal.close"},
+    obs::CounterHandle{"sim.signal.closeack"},
+    obs::CounterHandle{"sim.signal.describe"},
+    obs::CounterHandle{"sim.signal.select"},
+};
+static_assert(std::extent_v<decltype(t_signals)> ==
+              static_cast<std::size_t>(SignalKind::select) + 1);
+thread_local obs::CounterHandle t_faults_injected{"fault.injected"};
+thread_local obs::CounterHandle t_faults_dropped{"fault.dropped"};
+thread_local obs::CounterHandle t_faults_duplicated{"fault.duplicated"};
+thread_local obs::CounterHandle t_faults_delayed{"fault.delayed"};
+thread_local obs::CounterHandle t_dead_box_drops{"fault.dead_box_drops"};
+thread_local obs::CounterHandle t_crashes{"fault.crashes"};
+
+}  // namespace
 
 Simulator::Simulator(TimingModel timing, std::uint64_t seed)
     : timing_(timing), rng_(seed) {}
@@ -60,10 +88,16 @@ void Simulator::useSimTimeForLogs() {
   owns_log_time_ = true;
 }
 
+BoxId Simulator::findBox(std::string_view name) const {
+  return box_names_.find(name, [this](BoxId id) -> std::string_view {
+    return boxes_[id.value() - 1].box->name();
+  });
+}
+
 BoxId Simulator::idOf(const std::string& name) const {
-  auto it = box_ids_.find(name);
-  if (it == box_ids_.end()) throw std::logic_error("unknown box: " + name);
-  return it->second;
+  const BoxId id = findBox(name);
+  if (!id.valid()) throw std::logic_error("unknown box: " + name);
+  return id;
 }
 
 Box& Simulator::box(const std::string& name) { return *entry(idOf(name)).box; }
@@ -75,7 +109,7 @@ void Simulator::retireBox(BoxId id) {
     throw std::logic_error("retiring box " + row.box->name() +
                            " while it holds slots or goals");
   }
-  box_ids_.erase(row.box->name());
+  box_names_.erase(row.box->name(), id);
   row.box.reset();
 }
 
@@ -101,21 +135,24 @@ BoxId Simulator::route(const ChannelRequest& request) const {
     log::warn("sim", "channel request to retired box ", to);
     return BoxId{};
   }
-  auto it = box_ids_.find(request.target);
-  if (it != box_ids_.end()) return it->second;
-  log::warn("sim", "channel request to unknown box ", request.target);
-  return BoxId{};
+  const BoxId to = findBox(request.target);
+  if (!to.valid()) {
+    log::warn("sim", "channel request to unknown box ", request.target);
+  }
+  return to;
 }
 
 void Simulator::registerBox(std::unique_ptr<Box> box) {
   const BoxId id = box->id();
-  if (!box_ids_.emplace(box->name(), id).second) {
+  if (findBox(box->name()).valid()) {
     throw std::logic_error("duplicate box: " + box->name());
   }
   if (fault_plan_ != nullptr) box->enableStabilization(true);
   BoxEntry& row = boxes_.emplace_back();
   row.box = std::move(box);
   row.fault_plan = fault_plan_;
+  // Indexed once its row exists: the index reads the name from the row.
+  box_names_.insert(row.box->name(), id);
   if (fault_plan_ != nullptr) scheduleRefreshTick(id);
 }
 
@@ -154,8 +191,10 @@ void Simulator::installFaultPlan(FaultPlan* plan) {
   for (BoxEntry& row : boxes_) row.fault_plan = plan;
   if (plan == nullptr) return;
   // Name order, so same-instant refresh ticks fire in box-name order.
-  std::vector<std::pair<std::string_view, BoxId>> by_name(box_ids_.begin(),
-                                                          box_ids_.end());
+  std::vector<std::pair<std::string_view, BoxId>> by_name;
+  for (const BoxEntry& row : boxes_) {
+    if (row.box != nullptr) by_name.emplace_back(row.box->name(), row.box->id());
+  }
   std::sort(by_name.begin(), by_name.end());
   for (const auto& [name, id] : by_name) {
     entry(id).box->enableStabilization(true);
@@ -171,31 +210,26 @@ void Simulator::installFaultPlan(FaultPlan* plan) {
 }
 
 bool Simulator::boxDown(const std::string& name) const noexcept {
-  auto it = box_ids_.find(name);
-  return it != box_ids_.end() && isDown(boxes_[it->second.value() - 1]);
+  const BoxId id = findBox(name);
+  return id.valid() && isDown(boxes_[id.value() - 1]);
 }
 
 bool Simulator::droppedAtDeadBox(const BoxEntry& e) {
   if (!isDown(e)) return false;
   if (fault_plan_ != nullptr) ++fault_plan_->counters().dead_box_drops;
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("fault.dead_box_drops").add();
-  }
+  if (obs::Counter* drops = t_dead_box_drops.get()) drops->add();
   return true;
 }
 
 void Simulator::crashBox(const CrashEvent& crash) {
-  auto it = box_ids_.find(crash.box);
-  if (it == box_ids_.end()) return;
-  const BoxId id = it->second;
+  const BoxId id = findBox(crash.box);
+  if (!id.valid()) return;
   const SimTime up_at = loop_.now() + crash.down_for;
   // Overlapping crashes: the box stays down until the later up-time.
   SimTime& down_until = entry(id).down_until;
   down_until = std::max(down_until, up_at);
   if (fault_plan_ != nullptr) ++fault_plan_->counters().crashes;
-  if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("fault.crashes").add();
-  }
+  if (obs::Counter* crashes = t_crashes.get()) crashes->add();
   if (obs::TraceRecorder* rec = obs::recorder()) {
     rec->record(obs::EventKind::mark, "crash", crash.box, {}, 0,
                 crash.down_for.count());
@@ -257,13 +291,13 @@ void Simulator::stimulate(BoxId id, Fn&& fn, obs::TraceContext cause) {
   const SimTime start = loop_.now() < busy ? busy : loop_.now();
   const SimTime done = start + timing_.processing;
   busy = done;
-  if (HotMetrics* hm = hotMetrics()) {
-    hm->stimuli->add();
-    hm->queue_depth->set(static_cast<std::int64_t>(loop_.pending()));
+  if (obs::MetricsRegistry* m = obs::metrics()) {
+    t_stimuli.in(*m).add();
+    t_queue_depth.in(*m).set(static_cast<std::int64_t>(loop_.pending()));
     const auto busy_us = std::chrono::duration_cast<std::chrono::microseconds>(
                              done - start)
                              .count();
-    hm->busy_us->add(static_cast<std::uint64_t>(busy_us));
+    t_busy_us.in(*m).add(static_cast<std::uint64_t>(busy_us));
   }
   const std::int64_t start_us =
       std::chrono::duration_cast<std::chrono::microseconds>(start.sinceStart())
@@ -363,11 +397,11 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     if (obs::MetricsRegistry* m = obs::metrics();
         m != nullptr && fault_plan_ != nullptr) {
       if (fate.drop || fate.copies > 1 || fate.extra.count() > 0) {
-        m->counter("fault.injected").add();
+        t_faults_injected.in(*m).add();
       }
-      if (fate.drop) m->counter("fault.dropped").add();
-      if (fate.copies > 1) m->counter("fault.duplicated").add();
-      if (fate.extra.count() > 0) m->counter("fault.delayed").add();
+      if (fate.drop) t_faults_dropped.in(*m).add();
+      if (fate.copies > 1) t_faults_duplicated.in(*m).add();
+      if (fate.extra.count() > 0) t_faults_delayed.in(*m).add();
     }
     if (fate.drop) {
       if (obs::TraceRecorder* trace = obs::recorder()) {
@@ -493,14 +527,8 @@ void Simulator::deliverTunnelSignal(BoxId to, ChannelId channel,
   // lost, exactly like a drop fault.
   if (droppedAtDeadBox(entry(to))) return;
   ++signals_delivered_;
-  if (HotMetrics* hm = hotMetrics()) {
-    const SignalKind kind = kindOf(signal);
-    obs::Counter*& counter = hm->signals[static_cast<std::size_t>(kind)];
-    if (counter == nullptr) {
-      counter = &hm->registry->counter("sim.signal." +
-                                       std::string(toString(kind)));
-    }
-    counter->add();
+  if (obs::MetricsRegistry* m = obs::metrics()) {
+    t_signals[static_cast<std::size_t>(kindOf(signal))].in(*m).add();
   }
   // The sender's name costs a channel lookup, so it is looked up only for
   // a trace or the delivery hook.
@@ -527,20 +555,6 @@ void Simulator::deliverTunnelSignal(BoxId to, ChannelId channel,
   stimulate(to, [&target, slot = *slot, signal = std::move(signal)]() {
     target.deliverTunnel(slot, signal);
   }, ctx);
-}
-
-Simulator::HotMetrics* Simulator::hotMetrics() {
-  obs::MetricsRegistry* m = obs::metrics();
-  if (m == nullptr) return nullptr;
-  if (m != hot_.registry || m->serial() != hot_.serial) {
-    hot_ = HotMetrics{};
-    hot_.registry = m;
-    hot_.serial = m->serial();
-    hot_.stimuli = &m->counter("sim.stimuli");
-    hot_.queue_depth = &m->gauge("sim.queue_depth");
-    hot_.busy_us = &m->counter("sim.busy_us");
-  }
-  return &hot_;
 }
 
 }  // namespace cmc

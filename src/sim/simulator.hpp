@@ -14,7 +14,9 @@
 // outside the paper's scope, feature boxes address each other by name; a
 // host that created both boxes, like the load runtime, addresses them by
 // BoxId and never looks a box up by name) and paces openslot retries
-// through box timers.
+// through box timers. Names resolve through a flat index of (hash tag,
+// BoxId) slots that reads each name from its box (sim/name_index.hpp), so
+// registering and retiring a box allocates no string node.
 //
 // A channel is recorded once, at its two ends: each box's end row holds
 // its slots and the far end's BoxId, and every output a box queues is
@@ -25,12 +27,11 @@
 // in its event-loop node, and runs there (sim/event_loop.hpp).
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/box.hpp"
@@ -39,14 +40,13 @@
 #include "obs/probes.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/fault.hpp"
+#include "sim/name_index.hpp"
 #include "sim/timing.hpp"
 
 namespace cmc::obs {
 class TraceRecorder;
 class MetricsRegistry;
 class FlightRecorder;
-class Counter;
-class Gauge;
 }  // namespace cmc::obs
 
 namespace cmc {
@@ -205,6 +205,9 @@ class Simulator {
   [[nodiscard]] Box* reach(BoxId id);
   // Box `id`'s name for traces and the delivery hook; empty once retired.
   [[nodiscard]] const std::string& nameOf(BoxId id);
+  // The live box named `name`: findBox returns an invalid id when there is
+  // none, idOf throws.
+  [[nodiscard]] BoxId findBox(std::string_view name) const;
   [[nodiscard]] BoxId idOf(const std::string& name) const;
   // The live box a channel request addresses, by id or by name; invalid
   // (and logged) when there is none, and the request is dropped.
@@ -250,22 +253,6 @@ class Simulator {
   void deliverTunnelSignal(BoxId to, ChannelId channel, std::uint32_t tunnel,
                            Signal signal, obs::TraceContext ctx);
 
-  // Metric handles the per-stimulus path charges, resolved once per
-  // registry. obs::metrics() can switch (thread overrides, attachMetrics),
-  // so the cache is keyed by the registry's pointer and serial.
-  struct HotMetrics {
-    obs::MetricsRegistry* registry = nullptr;
-    std::uint64_t serial = 0;
-    obs::Counter* stimuli = nullptr;
-    obs::Gauge* queue_depth = nullptr;
-    obs::Counter* busy_us = nullptr;
-    // "sim.signal.<kind>" per SignalKind, resolved at the first delivery of
-    // that kind, so the registry holds only the kinds that occurred.
-    std::array<obs::Counter*, 6> signals{};
-  };
-  // The current registry's handles, or nullptr when metrics are off.
-  [[nodiscard]] HotMetrics* hotMetrics();
-
   EventLoop loop_;
   MediaNetwork media_net_{loop_};  // before boxes_: endpoints detach on box death
   TimingModel timing_;
@@ -273,13 +260,13 @@ class Simulator {
   std::uint64_t next_channel_id_ = 1;
   // The box table: boxes_[id - 1] is the box with that id. The name index
   // serves only callers that address boxes by name (apps, tests, fault
-  // plans); the load runtime addresses its boxes by id.
+  // plans); the load runtime addresses its boxes by id. It holds no
+  // strings: its slots read their names from the box rows.
   std::vector<BoxEntry> boxes_;
-  std::unordered_map<std::string, BoxId> box_ids_;
+  BoxNameIndex box_names_;
   std::uint64_t signals_delivered_ = 0;
   std::uint64_t retired_drops_ = 0;
   obs::ConvergenceProbes probes_;
-  HotMetrics hot_;
   FaultPlan* fault_plan_ = nullptr;  // the installed plan; not owned
   // Globals this simulator installed, cleared on destruction so a stale
   // pointer never outlives the run that owns it.

@@ -215,6 +215,52 @@ TEST(ObsMetricsTest, SimulatorFollowsRegistrySwitches) {
   sim.attachMetrics(nullptr);
 }
 
+// A MetricHandle resolves against whatever obs::metrics() returns: a
+// thread's override, the global registry, or a registry rebuilt at a dead
+// one's address (a new serial).
+TEST(ObsMetricsTest, HandleFollowsThreadRegistrySwitches) {
+  obs::CounterHandle handle{"test.handle"};
+  EXPECT_EQ(handle.get(), nullptr);  // metrics off
+  obs::MetricsRegistry global;
+  obs::setMetrics(&global);
+  handle.get()->add();
+  obs::MetricsRegistry shard;
+  obs::setThreadMetrics(&shard);
+  handle.get()->add(2);
+  EXPECT_EQ(global.findCounter("test.handle")->value(), 1u);
+  EXPECT_EQ(shard.findCounter("test.handle")->value(), 2u);
+
+  // Another thread with its own override and its own handle cache.
+  std::thread other([]() {
+    thread_local obs::CounterHandle cached{"test.handle"};
+    obs::MetricsRegistry own;
+    obs::setThreadMetrics(&own);
+    cached.get()->add(5);
+    EXPECT_EQ(own.findCounter("test.handle")->value(), 5u);
+    obs::setThreadMetrics(nullptr);
+  });
+  other.join();
+  EXPECT_EQ(shard.findCounter("test.handle")->value(), 2u);
+
+  std::optional<obs::MetricsRegistry> rebuilt;
+  rebuilt.emplace();
+  obs::setThreadMetrics(&*rebuilt);
+  handle.get()->add();
+  const obs::MetricsRegistry* address = &*rebuilt;
+  rebuilt.reset();
+  rebuilt.emplace();  // same address, new serial
+  ASSERT_EQ(&*rebuilt, address);
+  EXPECT_EQ(rebuilt->findCounter("test.handle"), nullptr);
+  handle.in(*rebuilt).add(3);
+  ASSERT_NE(rebuilt->findCounter("test.handle"), nullptr);
+  EXPECT_EQ(rebuilt->findCounter("test.handle")->value(), 3u);
+
+  obs::setThreadMetrics(nullptr);
+  handle.get()->add();
+  EXPECT_EQ(global.findCounter("test.handle")->value(), 2u);
+  obs::setMetrics(nullptr);
+}
+
 TEST(ObsMetricsTest, GaugeAddIsExactUnderContention) {
   // Regression: add() used to be a load/set pair, losing concurrent deltas.
   obs::Gauge gauge;
@@ -359,6 +405,87 @@ TEST(ObsProbesTest, FailureHandlerMayCheckAgain) {
   // The work list survived the nesting: later checks still evaluate.
   probes.arm("late", "late", 60, []() { return true; }, 0, {3});
   EXPECT_EQ(probes.checkBox(3, 70), 1u);
+}
+
+// A converged probe holds its latency in its own slot until a host takes
+// it by Id; only the take frees the slot.
+TEST(ObsProbesTest, TakeByIdReturnsNothingForStaleUnconvergedOrTakenIds) {
+  obs::ConvergenceProbes probes;
+  bool ready = false;
+  const auto id = probes.arm("p", "b", 10, [&]() { return ready; }, 0, {1});
+  EXPECT_FALSE(probes.takeLatencyUs(id).has_value());  // not converged
+  EXPECT_FALSE(probes.takeLatencyUs(obs::ConvergenceProbes::Id{}).has_value());
+  EXPECT_FALSE(
+      probes.takeLatencyUs(obs::ConvergenceProbes::Id{id.slot, id.seq + 1})
+          .has_value());  // stale seq
+  EXPECT_FALSE(
+      probes.takeLatencyUs(obs::ConvergenceProbes::Id{id.slot + 5, id.seq})
+          .has_value());  // no such slot
+  ready = true;
+  EXPECT_EQ(probes.checkBox(1, 35), 1u);
+  EXPECT_EQ(probes.takeLatencyUs(id), std::optional<std::int64_t>(25));
+  EXPECT_FALSE(probes.takeLatencyUs(id).has_value());  // already taken
+  EXPECT_FALSE(probes.latencyUs("p").has_value());
+  // A disarmed probe, and a failed one, leave no result either.
+  const auto dropped = probes.arm("d", "b", 0, []() { return false; });
+  EXPECT_TRUE(probes.disarm(dropped));
+  EXPECT_FALSE(probes.takeLatencyUs(dropped).has_value());
+  const auto late = probes.arm("late", "b", 0, []() { return false; }, 50);
+  probes.checkBox(2, 60);
+  EXPECT_EQ(probes.failed(), (std::vector<std::string>{"late"}));
+  EXPECT_FALSE(probes.takeLatencyUs(late).has_value());
+}
+
+TEST(ObsProbesTest, ResultSurvivesCheckDisarmTake) {
+  // The load runtime's order at a call's teardown: a final check, a
+  // disarm, and later the audit's take.
+  obs::ConvergenceProbes probes;
+  const auto id = probes.arm("call", "call_setup", 100, []() { return true; },
+                             /*deadline_us=*/1'000, {4, 5});
+  EXPECT_EQ(probes.check(id, 140), 1u);
+  EXPECT_FALSE(probes.disarm(id));  // converged: not armed, result kept
+  EXPECT_EQ(probes.armedCount(), 0u);
+  probes.checkBox(4, 2'000);  // past the deadline: nothing to fail
+  EXPECT_EQ(probes.failedCount(), 0u);
+  EXPECT_EQ(probes.latencyUs("call"), std::optional<std::int64_t>(40));
+  EXPECT_EQ(probes.takeLatencyUs(id), std::optional<std::int64_t>(40));
+}
+
+TEST(ObsProbesTest, SlotIsReusedOnlyAfterTheTake) {
+  obs::ConvergenceProbes probes;
+  const auto first = probes.arm("first", "b", 0, []() { return true; }, 0, {1});
+  probes.checkBox(1, 7);
+  // Converged but untaken: the next probe gets a fresh slot.
+  const auto second = probes.arm("second", "b", 7, []() { return false; });
+  EXPECT_NE(second.slot, first.slot);
+  EXPECT_EQ(probes.takeLatencyUs(first), std::optional<std::int64_t>(7));
+  const auto third = probes.arm("third", "b", 8, []() { return false; });
+  EXPECT_EQ(third.slot, first.slot);
+  EXPECT_NE(third.seq, first.seq);
+  // The old handle does not reach the slot's new probe.
+  EXPECT_FALSE(probes.disarm(first));
+  EXPECT_EQ(probes.armedCount(), 2u);
+}
+
+TEST(ObsProbesTest, LatencyByNameFindsUntakenResults) {
+  obs::ConvergenceProbes probes;
+  const auto a = probes.arm("a", "b", 0, []() { return true; }, 0, {1});
+  const auto b1 = probes.arm("b", "b", 0, []() { return true; }, 0, {2});
+  probes.checkBox(1, 3);
+  probes.checkBox(2, 5);
+  // A second "b" converges later: the name reads the latest result.
+  const auto b2 = probes.arm("b", "b", 5, []() { return true; }, 0, {3});
+  probes.checkBox(3, 12);
+  EXPECT_EQ(probes.latencyUs("a"), std::optional<std::int64_t>(3));
+  EXPECT_EQ(probes.latencyUs("b"), std::optional<std::int64_t>(7));
+  EXPECT_EQ(probes.convergedCount(), 3u);
+  // Reading by name takes nothing; taking one "b" leaves the other.
+  EXPECT_EQ(probes.takeLatencyUs(b2), std::optional<std::int64_t>(7));
+  EXPECT_EQ(probes.latencyUs("b"), std::optional<std::int64_t>(5));
+  EXPECT_EQ(probes.takeLatencyUs(a), std::optional<std::int64_t>(3));
+  EXPECT_FALSE(probes.latencyUs("a").has_value());
+  EXPECT_EQ(probes.takeLatencyUs(b1), std::optional<std::int64_t>(5));
+  EXPECT_FALSE(probes.latencyUs("b").has_value());
 }
 
 // The probe index: a probe armed with a watch set is evaluated only after

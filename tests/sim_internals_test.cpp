@@ -308,13 +308,13 @@ TEST(SimRouting, ARequestByIdToARetiredBoxIsDroppedAndLogged) {
       << out;
 }
 
-TEST(SimRouting, SameInstantRefreshTicksFireInBoxNameOrder) {
-  // Boxes registered as b, a, c, each with an open goal its peer never
-  // answers, so each needs repair at the first refresh tick (300 ms). The
-  // ticks are armed when the plan is installed, in box-name order, so the
-  // three repair stimuli start at the same instant and complete a, b, c.
+// Boxes registered as b, a, c, each with an open goal its peer never
+// answers, so each needs repair at the first refresh tick (300 ms). The
+// ticks are armed when the plan is installed, in box-name order, so the
+// three repair stimuli start at the same instant and complete a, b, c.
+// Returns the boxes whose repair stimulus started at 300 ms, in order.
+std::vector<std::string> sameInstantRepairs(Simulator& sim) {
   obs::TraceRecorder rec;
-  Simulator sim(TimingModel::paperDefaults(), 1);
   sim.attachTrace(&rec);
   std::vector<std::pair<WiredBox*, ChannelId>> openers;
   for (const char* name : {"b", "a", "c"}) {
@@ -336,8 +336,14 @@ TEST(SimRouting, SameInstantRefreshTicksFireInBoxNameOrder) {
       repaired.push_back(ev.actor);
     }
   }
-  EXPECT_EQ(repaired, (std::vector<std::string>{"a", "b", "c"}));
   sim.installFaultPlan(nullptr);
+  sim.attachTrace(nullptr);
+  return repaired;
+}
+
+TEST(SimRouting, SameInstantRefreshTicksFireInBoxNameOrder) {
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  EXPECT_EQ(sameInstantRepairs(sim), (std::vector<std::string>{"a", "b", "c"}));
 }
 
 // ------------------------------------------------------------ retired rows
@@ -488,6 +494,77 @@ TEST(SimRetiredRows, RetiringABoxThatHoldsASlotOrGoalThrows) {
   ASSERT_EQ(a.goalCount(), 0u);
   sim.retireBox(a.id());
   EXPECT_THROW((void)sim.box("A"), std::logic_error);
+}
+
+// ------------------------------------------------------------- name index
+
+// The name index holds (hash tag, id) slots and reads names from the box
+// rows; a retired name leaves a tombstone. Churn it through many rebuilds:
+// `total` boxes, each retired `lag` registrations later unless its index is
+// a multiple of `keep_every`.
+struct Churned {
+  std::vector<std::pair<std::string, BoxId>> live;
+  std::vector<std::string> retired;
+};
+
+Churned churn(Simulator& sim, std::size_t total, std::size_t keep_every) {
+  constexpr std::size_t lag = 7;
+  Churned out;
+  std::vector<BoxId> ids;
+  const auto name = [](std::size_t i) { return "churn-" + std::to_string(i); };
+  for (std::size_t i = 0; i < total + lag; ++i) {
+    if (i < total) ids.push_back(sim.addBox<Box>(name(i)).id());
+    if (i < lag) continue;
+    const std::size_t old = i - lag;
+    if (old % keep_every == 0) {
+      out.live.emplace_back(name(old), ids[old]);
+    } else {
+      sim.retireBox(ids[old]);
+      out.retired.push_back(name(old));
+    }
+  }
+  return out;
+}
+
+TEST(SimNameIndex, ChurnedIndexResolvesLiveNamesOnly) {
+  Simulator sim;
+  const Churned c = churn(sim, 60'000, 3);
+  ASSERT_EQ(c.live.size(), 20'000u);
+  for (const auto& [name, id] : c.live) {
+    ASSERT_EQ(sim.box(name).id(), id) << name;
+  }
+  for (const std::string& name : c.retired) {
+    ASSERT_THROW((void)sim.box(name), std::logic_error) << name;
+  }
+  // A retired name registers again, under a fresh id.
+  const std::string& reused = c.retired.front();
+  Box& again = sim.addBox<Box>(reused);
+  EXPECT_EQ(again.id().value(), 60'001u);
+  EXPECT_EQ(&sim.box(reused), &again);
+  // Live names stay taken, across every rebuild that dropped tombstones.
+  for (std::size_t i = 0; i < c.live.size(); i += 997) {
+    EXPECT_THROW(sim.addBox<Box>(c.live[i].first), std::logic_error);
+  }
+  EXPECT_THROW(sim.addBox<Box>(reused), std::logic_error);
+  // A failed registration leaves no row behind.
+  EXPECT_EQ(sim.addBox<Box>("fresh").id().value(), 60'002u);
+  // Retire the churned boxes: their names are forgotten and free again,
+  // and the boxes registered since still resolve.
+  sim.retireBox(again.id());
+  for (const auto& [name, id] : c.live) sim.retireBox(id);
+  for (const auto& [name, id] : c.live) {
+    ASSERT_THROW((void)sim.box(name), std::logic_error) << name;
+  }
+  Box& last = sim.addBox<Box>(c.live.back().first);
+  EXPECT_EQ(&sim.box(c.live.back().first), &last);
+  EXPECT_EQ(sim.box("fresh").id().value(), 60'002u);
+}
+
+TEST(SimNameIndex, SameInstantRefreshTicksFireInBoxNameOrderOnAChurnedTable) {
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  const Churned c = churn(sim, 50'000, 1'000);
+  ASSERT_EQ(c.live.size(), 50u);
+  EXPECT_EQ(sameInstantRepairs(sim), (std::vector<std::string>{"a", "b", "c"}));
 }
 
 }  // namespace
