@@ -52,7 +52,7 @@ int main() {
   sim.runFor(4_s);  // includes the talk-time expiry -> collecting
   sim.inject("PBX", [](Box& bx) { static_cast<PbxBox&>(bx).switchTo("B"); });
   sim.runFor(2_s);
-  if (pc.state() != PrepaidCardBox::State::collecting) {
+  if (pc.currentState() != "collecting") {
     bench::verdict(false, "setup failed");
     return 1;
   }

@@ -53,7 +53,7 @@ Result runScenario(TimingModel timing, std::uint64_t seed) {
   sim.runFor(3_s);  // prepaid timer fires -> collecting
   sim.inject("PBX", [](Box& b) { static_cast<PbxBox&>(b).switchTo("B"); });
   sim.runFor(2_s);
-  if (pc.state() != PrepaidCardBox::State::collecting) return {-1, -1};
+  if (pc.currentState() != "collecting") return {-1, -1};
 
   // The Fig. 13 moment: both servers change state concurrently.
   const SimTime start = sim.now();

@@ -81,8 +81,7 @@ int main() {
   sim.runFor(1_s);
   clear();
   sim.runFor(1_s);
-  check(pc.state() == PrepaidCardBox::State::collecting,
-        "PC switched to collecting");
+  check(pc.currentState() == "collecting", "PC switched to collecting");
   check(c.media().hears(v.media().id()) && v.media().hears(c.media().id()),
         "C <-> V media flows BOTH ways (Fig. 2: V lost C's audio)");
   check(!a.media().hears(c.media().id()), "A no longer hears C");
@@ -98,12 +97,12 @@ int main() {
         "C -> V audio UNAFFECTED by the PBX switch (Fig. 2: it was cut)");
 
   std::printf("\n  Snapshot 4 (V verifies funds; PC reconnects C toward A):\n");
-  for (int i = 0; i < 15 && pc.state() != PrepaidCardBox::State::talking; ++i) {
+  for (int i = 0; i < 15 && pc.currentState() != "talking"; ++i) {
     sim.runFor(1_s);  // wait for V's audio-signaling authorization
   }
   clear();
   sim.runFor(1_s);
-  check(pc.state() == PrepaidCardBox::State::talking, "PC back in talking");
+  check(pc.currentState() == "talking", "PC back in talking");
   check(a.media().hears(b.media().id()) && b.media().hears(a.media().id()),
         "A still talks to B: proximity confers priority");
   check(!a.media().hears(c.media().id()) && !c.media().hears(a.media().id()),

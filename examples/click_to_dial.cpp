@@ -18,19 +18,6 @@ namespace {
 using namespace cmc;
 using namespace cmc::literals;
 
-const char* stateName(ClickToDialBox::State s) {
-  switch (s) {
-    case ClickToDialBox::State::start: return "start";
-    case ClickToDialBox::State::oneCall: return "oneCall";
-    case ClickToDialBox::State::twoCalls: return "twoCalls";
-    case ClickToDialBox::State::busyTone: return "busyTone";
-    case ClickToDialBox::State::ringback: return "ringback";
-    case ClickToDialBox::State::connected: return "connected";
-    case ClickToDialBox::State::done: return "done";
-  }
-  return "?";
-}
-
 void run(bool callee_answers) {
   Simulator sim(TimingModel::paperDefaults(), 11);
   auto& user1 = sim.addBox<UserDeviceBox>("user1", sim.mediaNetwork(),
@@ -52,7 +39,7 @@ void run(bool callee_answers) {
   });
   sim.runFor(2_s);
   std::printf("  CTD state: %-10s user1 hears ringback tone: %d\n",
-              stateName(ctd.state()), user1.media().hears(tone.toneId()));
+              ctd.currentState().c_str(), user1.media().hears(tone.toneId()));
 
   if (callee_answers) {
     std::printf("  user 2 answers...\n");
@@ -67,7 +54,7 @@ void run(bool callee_answers) {
   user1.media().resetStats();
   user2.media().resetStats();
   sim.runFor(1_s);
-  std::printf("  CTD state: %-10s\n", stateName(ctd.state()));
+  std::printf("  CTD state: %-10s\n", ctd.currentState().c_str());
   std::printf("  user1 <-> user2 media: %d/%d   user1 hears tone: %d\n",
               user1.media().hears(user2.media().id()),
               user2.media().hears(user1.media().id()),

@@ -74,9 +74,7 @@ int main() {
   std::printf("== prepaid talk time expires: PC connects C to the voice "
               "resource V (snapshot 2) ==\n");
   sim.runFor(6_s);
-  std::printf("   PC state: %s\n",
-              pc.state() == PrepaidCardBox::State::collecting ? "collecting"
-                                                              : "talking");
+  std::printf("   PC state: %s\n", pc.currentState().c_str());
   mediaReport(sim, a, b, c, v);
 
   std::printf("== meanwhile A switches back to B (snapshot 3) ==\n");
@@ -85,13 +83,12 @@ int main() {
 
   std::printf("== V verifies the funds over audio signaling; PC reconnects C "
               "toward A (snapshot 4) ==\n");
-  for (int i = 0; i < 10 && pc.state() != PrepaidCardBox::State::talking; ++i) {
+  for (int i = 0; i < 10 && pc.currentState() != "talking"; ++i) {
     sim.runFor(1_s);
   }
   std::printf("   PC state: %s — but the PBX still links A to B: proximity "
               "confers priority\n",
-              pc.state() == PrepaidCardBox::State::talking ? "talking"
-                                                           : "collecting");
+              pc.currentState().c_str());
   mediaReport(sim, a, b, c, v);
 
   std::printf("== finally A switches back to the prepaid call ==\n");

@@ -1,4 +1,4 @@
-// ClickToDialBox: the paper's Fig. 6 example, state for state.
+// ClickToDialBox: the paper's Fig. 6 example, as its state table.
 //
 //   start ----click----> oneCall    openSlot(1a, audio)
 //   oneCall --flowing--> twoCalls   openSlot(1a), openSlot(2a)
@@ -13,126 +13,71 @@
 // role (footnote 3). The final transition destroys the tone channel and
 // flowlinks two already-flowing slots; the flowlink implementation then
 // reconfigures addresses and codecs so user 1 and user 2 talk directly.
+// If user 1's channel dies, the feature folds entirely.
 #pragma once
 
-#include "core/box.hpp"
+#include "core/program.hpp"
 
 namespace cmc {
 
-class ClickToDialBox : public Box {
+class ClickToDialBox : public ProgramBox {
  public:
-  enum class State {
-    start,
-    oneCall,
-    twoCalls,
-    busyTone,
-    ringback,
-    connected,
-    done
-  };
-
   ClickToDialBox(BoxId id, std::string name, std::string tone_resource,
                  SimDuration answer_timeout = std::chrono::seconds(30))
-      : Box(id, std::move(name)),
+      : ProgramBox(id, std::move(name)),
         tone_resource_(std::move(tone_resource)),
         answer_timeout_(answer_timeout) {
-    ids_ = DescriptorFactory{id.value()};
+    addState("start", {});
+    addState("oneCall", {openSlot("1a")});
+    addState("twoCalls", {openSlot("1a"), openSlot("2a")});
+    addState("busyTone", {flowLink("1a", "Ta")});
+    addState("ringback", {flowLink("1a", "Ta"), openSlot("2a")});
+    addState("connected", {flowLink("1a", "2a")});
+    addState("done", {});
+
+    for (const char* from :
+         {"oneCall", "twoCalls", "busyTone", "ringback", "connected"}) {
+      addTransition(from, "done", onSlotLost("1a"), [this](ProgramBox&) {
+        destroyChannelOf("2a");
+        destroyChannelOf("Ta");
+      });
+    }
+    addTransition("oneCall", "twoCalls", isFlowing("1a"),
+                  [this](ProgramBox&) { requestChannel(user2_, 1, "2a"); });
+    // User 1 never picked up.
+    addTransition("oneCall", "done", onTimerTag("answer"),
+                  [this](ProgramBox&) { destroyChannelOf("1a"); });
+    // User 2's device is ringing: play ringback while 2a keeps trying.
+    addTransition("twoCalls", "ringback",
+                  onMetaKind(MetaKind::available, "2a"), [this](ProgramBox&) {
+                    requestChannel(tone_resource_, 1, "Ta");
+                  });
+    for (const char* from : {"twoCalls", "ringback"}) {
+      addTransition(from, "busyTone", onMetaKind(MetaKind::unavailable, "2a"),
+                    [this](ProgramBox&) {
+                      destroyChannelOf("2a");
+                      if (!isBound("Ta")) requestChannel(tone_resource_, 1, "Ta");
+                    });
+      // User 2 answered: drop the tone and connect the two users.
+      addTransition(from, "connected", isFlowing("2a"),
+                    [this](ProgramBox&) { destroyChannelOf("Ta"); });
+    }
+    start("start");
   }
 
   // The user clicked a "click-to-dial" link on a web page.
   void click(const std::string& user1_device, const std::string& user2_device) {
-    if (state_ != State::start) return;
+    if (!inState("start")) return;
     user2_ = user2_device;
-    requestChannel(user1_device, 1, "ch1");
+    requestChannel(user1_device, 1, "1a");
     setTimer(answer_timeout_, "answer");
-    state_ = State::oneCall;
-  }
-
-  [[nodiscard]] State state() const noexcept { return state_; }
-
- protected:
-  void onChannelUp(ChannelId channel, const std::string& tag) override {
-    const auto slots = slotsOf(channel);
-    if (slots.empty()) return;
-    if (tag == "ch1") {
-      slot_1a_ = slots.front();
-      setGoal(slot_1a_, OpenSlotGoal{Medium::audio, MediaIntent::server(), ids_});
-    } else if (tag == "ch2") {
-      slot_2a_ = slots.front();
-      setGoal(slot_2a_, OpenSlotGoal{Medium::audio, MediaIntent::server(), ids_});
-    } else if (tag == "chT") {
-      slot_ta_ = slots.front();
-      // flowLink(1a, Ta): 1a is flowing, Ta closed; the link opens Ta and
-      // once the resource accepts, user 1 hears the tone.
-      linkSlots(slot_1a_, slot_ta_);
-    }
-  }
-
-  void onSlotActivity(SlotId slot) override {
-    if (slot == slot_1a_ && state_ == State::oneCall && isFlowing(slot_1a_)) {
-      state_ = State::twoCalls;
-      requestChannel(user2_, 1, "ch2");
-      return;
-    }
-    if (slot == slot_2a_ && (state_ == State::twoCalls || state_ == State::ringback) &&
-        isFlowing(slot_2a_)) {
-      // User 2 answered: drop the tone and connect the two users.
-      if (slot_ta_.valid() && channelOf(slot_ta_).valid()) {
-        destroyChannel(channelOf(slot_ta_));
-        slot_ta_ = SlotId{};
-      }
-      linkSlots(slot_1a_, slot_2a_);
-      state_ = State::connected;
-    }
-  }
-
-  void onMeta(ChannelId channel, const MetaSignal& meta) override {
-    if (!slot_2a_.valid() || channelOf(slot_2a_) != channel) return;
-    if (meta.kind == MetaKind::unavailable &&
-        (state_ == State::twoCalls || state_ == State::ringback)) {
-      destroyChannel(channel);
-      slot_2a_ = SlotId{};
-      if (!slot_ta_.valid()) requestChannel(tone_resource_, 1, "chT");
-      state_ = State::busyTone;
-    } else if (meta.kind == MetaKind::available && state_ == State::twoCalls) {
-      // Device is ringing: play ringback to user 1 while 2a keeps trying.
-      requestChannel(tone_resource_, 1, "chT");
-      state_ = State::ringback;
-    }
-  }
-
-  void onTimer(const std::string& tag) override {
-    if (tag == "answer" && state_ == State::oneCall) {
-      // User 1 never picked up.
-      if (slot_1a_.valid() && channelOf(slot_1a_).valid()) {
-        destroyChannel(channelOf(slot_1a_));
-      }
-      state_ = State::done;
-    }
-  }
-
-  void onChannelDown(ChannelId) override {
-    // If user 1's channel dies, the feature folds entirely.
-    if (slot_1a_.valid() && !channelOf(slot_1a_).valid()) {
-      if (slot_2a_.valid() && channelOf(slot_2a_).valid()) {
-        destroyChannel(channelOf(slot_2a_));
-      }
-      if (slot_ta_.valid() && channelOf(slot_ta_).valid()) {
-        destroyChannel(channelOf(slot_ta_));
-      }
-      state_ = State::done;
-    }
+    start("oneCall");
   }
 
  private:
   std::string tone_resource_;
   SimDuration answer_timeout_;
-  DescriptorFactory ids_;
   std::string user2_;
-  State state_ = State::start;
-  SlotId slot_1a_;
-  SlotId slot_2a_;
-  SlotId slot_ta_;
 };
 
 }  // namespace cmc

@@ -10,94 +10,70 @@
 //
 // Because control is a flowlink, the caller's media follows wherever the
 // call lands, across any number of chained forwarding boxes, with no
-// feature aware of the others.
+// feature aware of the others. Whichever leg dies first, the box releases
+// the other one.
 #pragma once
 
-#include "core/box.hpp"
+#include "core/program.hpp"
 
 namespace cmc {
 
-class CallForwardingBox : public Box {
+class CallForwardingBox : public ProgramBox {
  public:
   enum class Mode { onUnavailable, always };
 
   CallForwardingBox(BoxId id, std::string name, std::string served_user,
                     std::string forward_target,
                     Mode mode = Mode::onUnavailable)
-      : Box(id, std::move(name)),
+      : ProgramBox(id, std::move(name)),
         served_user_(std::move(served_user)),
         forward_target_(std::move(forward_target)),
         mode_(mode) {
-    ids_ = DescriptorFactory{id.value()};
+    // Hold the caller until the outgoing leg is up, then splice the two.
+    addState("idle", {});
+    addState("calling", {holdSlot("in")});
+    addState("serving", {flowLink("in", "out")});
+    addState("forwarding", {holdSlot("in")});
+    addState("forwarded", {flowLink("in", "out")});
+
+    for (const char* from : {"calling", "serving", "forwarding", "forwarded"}) {
+      // The caller went away: fold the outgoing leg too.
+      addTransition(from, "idle", onSlotLost("in"),
+                    [this](ProgramBox&) { destroyChannelOf("out"); });
+      // The callee hung up: release the caller.
+      addTransition(from, "idle", onSlotLost("out"),
+                    [this](ProgramBox&) { destroyChannelOf("in"); });
+    }
+    const Guard out_up = [](ProgramBox& box) { return box.isBound("out"); };
+    addTransition("calling", "serving", out_up);
+    addTransition("forwarding", "forwarded", out_up);
+    // The served user is unavailable: re-route the leg.
+    addTransition("serving", "forwarding",
+                  onMetaKind(MetaKind::unavailable, "out"), [this](ProgramBox&) {
+                    destroyChannelOf("out");
+                    requestChannel(forward_target_, 1, "out");
+                  });
+    start("idle");
   }
 
-  [[nodiscard]] bool forwarded() const noexcept { return forwarded_; }
+  [[nodiscard]] bool forwarded() const noexcept {
+    return inState("forwarding") || inState("forwarded");
+  }
 
  protected:
   void onIncomingChannel(ChannelId channel, const std::string&) override {
-    const auto slots = slotsOf(channel);
-    if (slots.empty() || in_slot_.valid()) return;  // one call at a time
-    in_slot_ = slots.front();
-    setGoal(in_slot_, HoldSlotGoal{MediaIntent::server(), ids_});
-    if (mode_ == Mode::always) {
-      forwarded_ = true;
-      requestChannel(forward_target_, 1, "out");
-    } else {
-      requestChannel(served_user_, 1, "out");
-    }
-  }
-
-  void onChannelUp(ChannelId channel, const std::string& tag) override {
-    if (tag != "out") return;
-    const auto slots = slotsOf(channel);
-    if (slots.empty()) return;
-    out_slot_ = slots.front();
-    if (in_slot_.valid()) linkSlots(in_slot_, out_slot_);
-  }
-
-  void onMeta(ChannelId channel, const MetaSignal& meta) override {
-    // The served user is unavailable: re-route the leg.
-    if (meta.kind != MetaKind::unavailable || forwarded_) return;
-    if (!out_slot_.valid() || channelOf(out_slot_) != channel) return;
-    forwarded_ = true;
-    // Clear the leg bookkeeping BEFORE the teardown so onChannelDown does
-    // not mistake this intentional re-route for a callee hangup.
-    out_slot_ = SlotId{};
-    destroyChannel(channel);
-    if (in_slot_.valid()) {
-      setGoal(in_slot_, HoldSlotGoal{MediaIntent::server(), ids_});
-      requestChannel(forward_target_, 1, "out");
-    }
-  }
-
-  void onChannelDown(ChannelId) override {
-    if (in_slot_.valid() && !channelOf(in_slot_).valid()) {
-      // The caller went away: fold the outgoing leg too.
-      in_slot_ = SlotId{};
-      if (out_slot_.valid() && channelOf(out_slot_).valid()) {
-        destroyChannel(channelOf(out_slot_));
-      }
-      out_slot_ = SlotId{};
-      forwarded_ = false;
-    } else if (out_slot_.valid() && !channelOf(out_slot_).valid()) {
-      // The callee hung up: release the caller.
-      out_slot_ = SlotId{};
-      if (in_slot_.valid() && channelOf(in_slot_).valid()) {
-        destroyChannel(channelOf(in_slot_));
-        in_slot_ = SlotId{};
-      }
-      forwarded_ = false;
-    }
+    const SlotIds slots = slotsOf(channel);
+    if (slots.empty() || isBound("in")) return;  // one call at a time
+    const bool always = mode_ == Mode::always;
+    start(always ? "forwarding" : "calling");
+    bind("in", slots.front());
+    requestChannel(always ? forward_target_ : served_user_, 1, "out");
   }
 
  private:
   std::string served_user_;
   std::string forward_target_;
   Mode mode_;
-  DescriptorFactory ids_;
-  SlotId in_slot_;
-  SlotId out_slot_;
-  bool forwarded_ = false;
 };
 
 }  // namespace cmc

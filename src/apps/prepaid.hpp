@@ -14,100 +14,61 @@
 // "paid" from V moves collecting -> talking. Note what the feature does
 // NOT do: it never signals A's device directly about C's media — it only
 // rearranges its own flowlinks, and the protocol machinery does the rest
-// correctly even when A's PBX acts concurrently.
+// correctly even when A's PBX acts concurrently. If the caller's channel
+// dies, the feature folds back to idle.
 #pragma once
 
-#include "core/box.hpp"
+#include "core/program.hpp"
 
 namespace cmc {
 
-class PrepaidCardBox : public Box {
+class PrepaidCardBox : public ProgramBox {
  public:
-  enum class State { idle, talking, collecting };
-
   PrepaidCardBox(BoxId id, std::string name, std::string callee_target,
                  std::string voice_resource, SimDuration talk_time)
-      : Box(id, std::move(name)),
+      : ProgramBox(id, std::move(name)),
         callee_target_(std::move(callee_target)),
-        voice_resource_(std::move(voice_resource)),
-        talk_time_(talk_time) {
-    ids_ = DescriptorFactory{id.value()};
+        voice_resource_(std::move(voice_resource)) {
+    // Hold the caller until the call legs exist; the flowlink re-matches.
+    addState("idle", {holdSlot("c")});
+    addState("talking", {holdSlot("v"), flowLink("c", "a")});
+    addState("collecting", {holdSlot("a"), flowLink("c", "v")});
+
+    for (const char* from : {"idle", "talking", "collecting"}) {
+      addTransition(from, "idle", onSlotLost("c"), [this](ProgramBox&) {
+        destroyChannelOf("a");
+        destroyChannelOf("v");
+      });
+    }
+    addTransition("idle", "talking", [](ProgramBox& box) {
+      return box.isBound("a") && box.isBound("v");
+    });
+    addTransition("talking", "collecting", onTimerTag("funds"),
+                  [this](ProgramBox&) { ++times_collected_; });
+    addTransition("collecting", "talking", onCustomMeta("paid"));
+    onEnter("talking", [this, talk_time](ProgramBox&) {
+      setTimer(talk_time, "funds");
+    });
+    start("idle");
   }
 
-  [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] int timesCollected() const noexcept { return times_collected_; }
 
  protected:
+  // The prepaid caller C arrived. Set up the far side and the voice
+  // resource; both legs up starts `talking`.
   void onIncomingChannel(ChannelId channel, const std::string&) override {
-    // The prepaid caller C arrived. Set up the far side and the voice
-    // resource, then start in `talking`.
-    const auto slots = slotsOf(channel);
-    if (slots.empty() || c_slot_.valid()) return;
-    c_slot_ = slots.front();
-    // Hold the caller until the call legs exist; the flowlink re-matches.
-    setGoal(c_slot_, HoldSlotGoal{MediaIntent::server(), ids_});
+    const SlotIds slots = slotsOf(channel);
+    if (slots.empty() || isBound("c")) return;
+    bind("c", slots.front());
     requestChannel(callee_target_, 1, "a");
     requestChannel(voice_resource_, 1, "v");
   }
 
-  void onChannelUp(ChannelId channel, const std::string& tag) override {
-    const auto slots = slotsOf(channel);
-    if (slots.empty()) return;
-    if (tag == "a") a_slot_ = slots.front();
-    if (tag == "v") v_slot_ = slots.front();
-    if (a_slot_.valid() && v_slot_.valid() && state_ == State::idle) {
-      enterTalking();
-      setTimer(talk_time_, "funds");
-    }
-  }
-
-  void onTimer(const std::string& tag) override {
-    if (tag == "funds" && state_ == State::talking) enterCollecting();
-  }
-
-  void onMeta(ChannelId, const MetaSignal& meta) override {
-    if (meta.kind == MetaKind::custom && meta.tag == "paid" &&
-        state_ == State::collecting) {
-      enterTalking();
-      setTimer(talk_time_, "funds");
-    }
-  }
-
-  void onChannelDown(ChannelId) override {
-    // If any leg dies the feature folds: tear everything down.
-    if (c_slot_.valid() && !channelOf(c_slot_).valid()) c_slot_ = SlotId{};
-    if (a_slot_.valid() && !channelOf(a_slot_).valid()) a_slot_ = SlotId{};
-    if (v_slot_.valid() && !channelOf(v_slot_).valid()) v_slot_ = SlotId{};
-    if (!c_slot_.valid()) {
-      if (a_slot_.valid()) destroyChannel(channelOf(a_slot_));
-      if (v_slot_.valid()) destroyChannel(channelOf(v_slot_));
-      state_ = State::idle;
-    }
-  }
-
  private:
-  void enterTalking() {
-    state_ = State::talking;
-    if (v_slot_.valid()) setGoal(v_slot_, HoldSlotGoal{MediaIntent::server(), ids_});
-    if (c_slot_.valid() && a_slot_.valid()) linkSlots(c_slot_, a_slot_);
-  }
-
-  void enterCollecting() {
-    state_ = State::collecting;
-    ++times_collected_;
-    if (a_slot_.valid()) setGoal(a_slot_, HoldSlotGoal{MediaIntent::server(), ids_});
-    if (c_slot_.valid() && v_slot_.valid()) linkSlots(c_slot_, v_slot_);
-  }
-
   std::string callee_target_;
   std::string voice_resource_;
-  SimDuration talk_time_;
-  DescriptorFactory ids_;
-  State state_ = State::idle;
   int times_collected_ = 0;
-  SlotId c_slot_;
-  SlotId a_slot_;
-  SlotId v_slot_;
 };
 
 }  // namespace cmc

@@ -18,7 +18,14 @@
 // Annotation continuity matters (paper: "Because the annotation controlling
 // slot 2a is the same in both states twoCalls and ringback, the object
 // controlling 2a is also the same"): on a state change, slots whose
-// annotation is unchanged keep their goal object untouched.
+// annotation is unchanged keep their goal object untouched. Annotations
+// apply in declaration order, so a state lists its goals in the order the
+// program wants them posted.
+//
+// A channel requested with tag `t` binds its first slot to the symbolic
+// name `t` when it comes up, and the current state's annotations are
+// applied again so a pending annotation on `t` takes effect. A slot whose
+// channel goes away is unbound.
 #pragma once
 
 #include <functional>
@@ -69,11 +76,9 @@ class ProgramBox : public Box {
       channelDown,
     };
     Kind kind = Kind::none;
-    SlotId slot;
     ChannelId channel;
     MetaSignal meta;
     std::string timerTag;
-    std::string channelTag;
   };
 
   using Guard = std::function<bool(ProgramBox&)>;
@@ -100,17 +105,12 @@ class ProgramBox : public Box {
     return *this;
   }
 
-  void start(const std::string& initial) {
-    enterState(initial);
+  // Enter `state` and fire whatever transitions hold there: the program's
+  // initial state, or the target of an event from outside the box (a
+  // click on a web page) that the program's own API turns into a move.
+  void start(const std::string& state) {
+    enterState(state);
     evaluate();
-  }
-
-  // Re-apply the current state's annotations — needed after binding a
-  // newly created channel's slot to a symbolic name, so the pending
-  // annotation takes effect on the real slot. Slots already under the
-  // annotated goal kind are left untouched (annotation continuity).
-  void refreshAnnotations() {
-    if (!current_.empty()) applyAnnotations(states_[current_], states_[current_]);
   }
 
   // ---- runtime helpers for guards and actions ---------------------------
@@ -122,17 +122,16 @@ class ProgramBox : public Box {
   }
   [[nodiscard]] const Event& event() const noexcept { return event_; }
 
-  void bind(const std::string& name, SlotId slot) { bindings_[name] = slot; }
   [[nodiscard]] bool isBound(const std::string& name) const {
-    return bindings_.count(name) != 0 && bindings_.at(name).valid();
+    return slotNamed(name).valid();
   }
   [[nodiscard]] SlotId slotNamed(const std::string& name) const {
     auto it = bindings_.find(name);
     return it == bindings_.end() ? SlotId{} : it->second;
   }
 
-  // The paper's slot predicates, over symbolic names. An unbound name
-  // satisfies none of them.
+  // The paper's slot predicates, over symbolic names. An unbound name is
+  // closed.
   [[nodiscard]] bool flowing(const std::string& name) const {
     return boundState(name) == ProtocolState::flowing;
   }
@@ -150,13 +149,20 @@ class ProgramBox : public Box {
   [[nodiscard]] static Guard isFlowing(std::string slot) {
     return [slot](ProgramBox& box) { return box.flowing(slot); };
   }
-  [[nodiscard]] static Guard isClosed(std::string slot) {
-    return [slot](ProgramBox& box) { return box.closed(slot); };
-  }
-  [[nodiscard]] static Guard onMetaKind(MetaKind kind) {
-    return [kind](ProgramBox& box) {
+  // A meta-signal of `kind` arrived on the channel of the slot bound to
+  // `slot`.
+  [[nodiscard]] static Guard onMetaKind(MetaKind kind, std::string slot) {
+    return [kind, slot](ProgramBox& box) {
       return box.event().kind == Event::Kind::meta &&
-             box.event().meta.kind == kind;
+             box.event().meta.kind == kind && box.isBound(slot) &&
+             box.event().channel == box.channelOf(box.slotNamed(slot));
+    };
+  }
+  // A channel went down and `slot` has no slot bound to it: the channel
+  // was `slot`'s, or `slot` was never bound.
+  [[nodiscard]] static Guard onSlotLost(std::string slot) {
+    return [slot](ProgramBox& box) {
+      return box.event().kind == Event::Kind::channelDown && !box.isBound(slot);
     };
   }
   [[nodiscard]] static Guard onCustomMeta(std::string tag) {
@@ -172,31 +178,32 @@ class ProgramBox : public Box {
              box.event().timerTag == tag;
     };
   }
-  [[nodiscard]] static Guard onChannelUpTag(std::string tag) {
-    return [tag](ProgramBox& box) {
-      return box.event().kind == Event::Kind::channelUp &&
-             box.event().channelTag == tag;
-    };
-  }
-  [[nodiscard]] static Guard onChannelDown() {
-    return [](ProgramBox& box) {
-      return box.event().kind == Event::Kind::channelDown;
-    };
-  }
 
   // Action helpers usable inside transitions.
-  using Box::destroyChannel;
+  // Destroy the channel of the slot bound to `name`, if any.
+  void destroyChannelOf(const std::string& name) {
+    if (isBound(name)) destroyChannel(channelOf(slotNamed(name)));
+  }
   using Box::requestChannel;
-  using Box::sendMeta;
-  using Box::setTimer;
 
  protected:
+  // Bind the symbolic name `name` to `slot` and apply the current state's
+  // annotations again, so a pending annotation on `name` takes effect.
+  // Slots already under their annotated goal kind are left untouched.
+  // Requested channels bind by tag; a program binds the channels that
+  // reach it (onIncomingChannel) itself.
+  void bind(const std::string& name, SlotId slot) {
+    bindings_[name] = slot;
+    if (const auto it = states_.find(current_); it != states_.end()) {
+      applyAnnotations(it->second, it->second);
+    }
+  }
+
   // Box hooks feed the evaluator. Subclasses may override these further but
   // must call the ProgramBox versions.
-  void onSlotActivity(SlotId slot) override {
+  void onSlotActivity(SlotId) override {
     event_ = Event{};
     event_.kind = Event::Kind::slotActivity;
-    event_.slot = slot;
     evaluate();
   }
   void onMeta(ChannelId channel, const MetaSignal& meta) override {
@@ -213,10 +220,12 @@ class ProgramBox : public Box {
     evaluate();
   }
   void onChannelUp(ChannelId channel, const std::string& tag) override {
+    if (const SlotIds slots = slotsOf(channel); !slots.empty()) {
+      bind(tag, slots.front());
+    }
     event_ = Event{};
     event_.kind = Event::Kind::channelUp;
     event_.channel = channel;
-    event_.channelTag = tag;
     evaluate();
   }
   void onChannelDown(ChannelId channel) override {
@@ -238,12 +247,8 @@ class ProgramBox : public Box {
   };
 
   [[nodiscard]] ProtocolState boundState(const std::string& name) const {
-    auto it = bindings_.find(name);
-    if (it == bindings_.end() || !it->second.valid()) {
-      return ProtocolState::closed;
-    }
-    if (!channelOf(it->second).valid()) return ProtocolState::closed;
-    return slotState(it->second);
+    const SlotId slot = slotNamed(name);
+    return slot.valid() ? slotState(slot) : ProtocolState::closed;
   }
 
   void applyAnnotations(const std::vector<Annotation>& previous,

@@ -13,6 +13,20 @@
 
 namespace cmc::net {
 
+namespace {
+
+// Transport counters, per thread: send() runs on the caller's thread and
+// readLoop() on the peer's reader thread.
+thread_local obs::CounterHandle t_frames_dropped{"net.frames_dropped"};
+thread_local obs::CounterHandle t_frames_corrupted{"net.frames_corrupted"};
+thread_local obs::CounterHandle t_frames_sent{"net.frames_sent"};
+thread_local obs::CounterHandle t_bytes_sent{"net.bytes_sent"};
+thread_local obs::CounterHandle t_frames_received{"net.frames_received"};
+thread_local obs::CounterHandle t_bytes_received{"net.bytes_received"};
+thread_local obs::CounterHandle t_frames_rejected{"net.frames_rejected_checksum"};
+
+}  // namespace
+
 TcpSignalingPeer::TcpSignalingPeer(int fd) : fd_(fd) {
   // Signaling is latency-sensitive and messages are tiny: disable Nagle.
   int one = 1;
@@ -34,9 +48,7 @@ void TcpSignalingPeer::start(MessageHandler on_message, ClosedHandler on_closed)
 bool TcpSignalingPeer::send(const ChannelMessage& message) {
   if (!open_.load()) return false;
   if (drop_next_.exchange(false)) {
-    if (obs::MetricsRegistry* m = obs::metrics()) {
-      m->counter("net.frames_dropped").add();
-    }
+    if (obs::Counter* dropped = t_frames_dropped.get()) dropped->add();
     return true;  // the frame was "sent" — and lost below us
   }
   std::vector<std::uint8_t> frame;
@@ -55,9 +67,7 @@ bool TcpSignalingPeer::send(const ChannelMessage& message) {
   }
   if (corrupt_next_.exchange(false) && frame.size() > 8) {
     frame.back() ^= 0x5a;  // body byte: header checksum now rejects it
-    if (obs::MetricsRegistry* m = obs::metrics()) {
-      m->counter("net.frames_corrupted").add();
-    }
+    if (obs::Counter* corrupted = t_frames_corrupted.get()) corrupted->add();
   }
   std::lock_guard<std::mutex> lock(send_mutex_);
   if (!sendAll(fd_, frame)) {
@@ -65,8 +75,8 @@ bool TcpSignalingPeer::send(const ChannelMessage& message) {
     return false;
   }
   if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("net.frames_sent").add();
-    m->counter("net.bytes_sent").add(frame.size());
+    t_frames_sent.in(*m).add();
+    t_bytes_sent.in(*m).add(frame.size());
   }
   return true;
 }
@@ -85,15 +95,14 @@ void TcpSignalingPeer::readLoop() {
     if (n <= 0) break;
     decoder.feed(chunk, static_cast<std::size_t>(n));
     obs::MetricsRegistry* m = obs::metrics();
-    if (m != nullptr) m->counter("net.bytes_received").add(static_cast<std::uint64_t>(n));
+    if (m != nullptr) t_bytes_received.in(*m).add(static_cast<std::uint64_t>(n));
     while (auto message = decoder.next()) {
-      if (m != nullptr) m->counter("net.frames_received").add();
+      if (m != nullptr) t_frames_received.in(*m).add();
       if (on_message_) on_message_(*message);
     }
     if (decoder.corruptFrames() > corrupt_seen) {
       if (m != nullptr) {
-        m->counter("net.frames_rejected_checksum")
-            .add(decoder.corruptFrames() - corrupt_seen);
+        t_frames_rejected.in(*m).add(decoder.corruptFrames() - corrupt_seen);
       }
       corrupt_seen = decoder.corruptFrames();
     }

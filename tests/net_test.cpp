@@ -15,6 +15,7 @@
 #include "net/framed_rpc.hpp"
 #include "net/tcp_transport.hpp"
 #include "obs/context.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace cmc::net {
@@ -324,6 +325,39 @@ TEST_F(LoopbackPair, DropAndCorruptHooksLoseExactlyOneFrame) {
   EXPECT_EQ(received, (std::vector<std::uint32_t>{2}));
   EXPECT_TRUE(client_->isOpen());
   EXPECT_TRUE(server_->isOpen());
+}
+
+TEST_F(LoopbackPair, CountsFramesAndBytesOnBothSides) {
+  obs::MetricsRegistry registry;
+  obs::setMetrics(&registry);
+  std::promise<void> arrived;
+  server_->start([&](const ChannelMessage&) { arrived.set_value(); });
+  client_->start([](const ChannelMessage&) {});
+
+  const ChannelMessage lost = TunnelSignal{0, CloseSignal{}};
+  const ChannelMessage corrupt = TunnelSignal{1, CloseSignal{}};
+  const ChannelMessage clean = TunnelSignal{2, CloseSignal{}};
+  client_->dropNextFrame();
+  ASSERT_TRUE(client_->send(lost));
+  client_->corruptNextFrame();
+  ASSERT_TRUE(client_->send(corrupt));
+  ASSERT_TRUE(client_->send(clean));
+  ASSERT_EQ(arrived.get_future().wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  // Join both reader threads, so every count they make is in.
+  server_.reset();
+  client_.reset();
+  obs::setMetrics(nullptr);
+
+  const std::uint64_t wire =
+      encodeFrame(corrupt).size() + encodeFrame(clean).size();
+  EXPECT_EQ(registry.counter("net.frames_dropped").value(), 1u);
+  EXPECT_EQ(registry.counter("net.frames_corrupted").value(), 1u);
+  EXPECT_EQ(registry.counter("net.frames_sent").value(), 2u);
+  EXPECT_EQ(registry.counter("net.bytes_sent").value(), wire);
+  EXPECT_EQ(registry.counter("net.bytes_received").value(), wire);
+  EXPECT_EQ(registry.counter("net.frames_received").value(), 1u);
+  EXPECT_EQ(registry.counter("net.frames_rejected_checksum").value(), 1u);
 }
 
 TEST_F(LoopbackPair, SendStampsCurrentContextWhenPropagationOn) {

@@ -1,11 +1,14 @@
 // Tests for the state-oriented programming API (ProgramBox): annotation
-// application and continuity, guard evaluation on entry and on events, and
-// the paper's Fig. 6 Click-to-Dial program written declaratively.
+// application order and continuity, and guard evaluation on entry and on
+// events. The paper's Fig. 6 program, ClickToDialBox, is tested end to end
+// in scenario_ctd_test.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/program.hpp"
-#include "endpoints/resources.hpp"
 #include "endpoints/user_device.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace cmc {
@@ -13,146 +16,6 @@ namespace {
 
 using namespace literals;
 using P = ProgramBox;
-
-// The Click-to-Dial program of Fig. 6, as a declarative state table.
-class CtdProgram : public ProgramBox {
- public:
-  CtdProgram(BoxId id, std::string name) : ProgramBox(id, std::move(name)) {
-    addState("start", {});
-    addState("oneCall", {P::openSlot("1a")});
-    addState("twoCalls", {P::openSlot("1a"), P::openSlot("2a")});
-    addState("busyTone", {P::flowLink("1a", "Ta")});
-    addState("ringback", {P::flowLink("1a", "Ta"), P::openSlot("2a")});
-    addState("connected", {P::flowLink("1a", "2a")});
-    addState("done", {});
-
-    addTransition("oneCall", "twoCalls", P::isFlowing("1a"),
-                  [](ProgramBox& box) {
-                    auto& self = static_cast<CtdProgram&>(box);
-                    box.requestChannel(self.user2_, 1, "ch2");
-                  });
-    addTransition("oneCall", "done", P::onTimerTag("answer"),
-                  [](ProgramBox& box) {
-                    auto& self = static_cast<CtdProgram&>(box);
-                    if (self.isBound("1a")) {
-                      box.destroyChannel(box.channelOf(self.slotNamed("1a")));
-                    }
-                  });
-    addTransition("twoCalls", "ringback", P::onMetaKind(MetaKind::available),
-                  [](ProgramBox& box) { box.requestChannel("tone", 1, "chT"); });
-    addTransition("twoCalls", "busyTone", P::onMetaKind(MetaKind::unavailable),
-                  [](ProgramBox& box) {
-                    auto& self = static_cast<CtdProgram&>(box);
-                    box.destroyChannel(box.channelOf(self.slotNamed("2a")));
-                    self.bind("2a", SlotId{});
-                    box.requestChannel("tone", 1, "chT");
-                  });
-    addTransition("ringback", "busyTone", P::onMetaKind(MetaKind::unavailable),
-                  [](ProgramBox& box) {
-                    auto& self = static_cast<CtdProgram&>(box);
-                    box.destroyChannel(box.channelOf(self.slotNamed("2a")));
-                    self.bind("2a", SlotId{});
-                    // the tone channel is already up from ringback
-                  });
-    addTransition("ringback", "connected", P::isFlowing("2a"),
-                  [](ProgramBox& box) {
-                    auto& self = static_cast<CtdProgram&>(box);
-                    if (self.isBound("Ta")) {
-                      box.destroyChannel(box.channelOf(self.slotNamed("Ta")));
-                      self.bind("Ta", SlotId{});
-                    }
-                  });
-    addTransition("twoCalls", "connected", P::isFlowing("2a"));
-  }
-
-  void click(const std::string& user1, const std::string& user2) {
-    user2_ = user2;
-    requestChannel(user1, 1, "ch1");
-    setTimer(10_s, "answer");
-    start("oneCall");
-  }
-
- protected:
-  void onChannelUp(ChannelId channel, const std::string& tag) override {
-    const auto slots = slotsOf(channel);
-    if (!slots.empty()) {
-      if (tag == "ch1") bind("1a", slots.front());
-      if (tag == "ch2") bind("2a", slots.front());
-      if (tag == "chT") bind("Ta", slots.front());
-    }
-    // The current state's annotation now has a real slot to act on.
-    refreshAnnotations();
-    ProgramBox::onChannelUp(channel, tag);
-  }
-
- private:
-  std::string user2_;
-};
-
-class ProgramFixture : public ::testing::Test {
- protected:
-  ProgramFixture()
-      : sim_(TimingModel::paperDefaults(), 17),
-        user1_(sim_.addBox<UserDeviceBox>("user1", sim_.mediaNetwork(),
-                                          sim_.loop(),
-                                          MediaAddress::parse("10.5.0.1", 5000))),
-        user2_(sim_.addBox<UserDeviceBox>(
-            "user2", sim_.mediaNetwork(), sim_.loop(),
-            MediaAddress::parse("10.5.0.2", 5000),
-            UserDeviceBox::AcceptPolicy::manual)),
-        tone_(sim_.addBox<ToneGeneratorBox>("tone", sim_.mediaNetwork(),
-                                            sim_.loop(),
-                                            MediaAddress::parse("10.5.0.9", 5900))),
-        ctd_(sim_.addBox<CtdProgram>("CTD")) {}
-
-  Simulator sim_;
-  UserDeviceBox& user1_;
-  UserDeviceBox& user2_;
-  ToneGeneratorBox& tone_;
-  CtdProgram& ctd_;
-};
-
-TEST_F(ProgramFixture, DeclarativeCtdHappyPath) {
-  sim_.inject("CTD", [](Box& b) {
-    static_cast<CtdProgram&>(b).click("user1", "user2");
-  });
-  sim_.runFor(2_s);
-  EXPECT_EQ(ctd_.currentState(), "ringback");
-  EXPECT_TRUE(user1_.media().hears(tone_.toneId()));
-  sim_.inject("user2",
-              [](Box& b) { static_cast<UserDeviceBox&>(b).acceptCall(); });
-  sim_.runFor(2_s);
-  EXPECT_EQ(ctd_.currentState(), "connected");
-  user1_.media().resetStats();
-  sim_.runFor(1_s);
-  EXPECT_TRUE(user1_.media().hears(user2_.media().id()));
-  EXPECT_TRUE(user2_.media().hears(user1_.media().id()));
-  EXPECT_FALSE(user1_.media().hears(tone_.toneId()));
-}
-
-TEST_F(ProgramFixture, DeclarativeCtdBusyPath) {
-  sim_.inject("CTD", [](Box& b) {
-    static_cast<CtdProgram&>(b).click("user1", "user2");
-  });
-  sim_.runFor(1_s);
-  sim_.inject("user2",
-              [](Box& b) { static_cast<UserDeviceBox&>(b).declineCall(); });
-  sim_.runFor(2_s);
-  EXPECT_EQ(ctd_.currentState(), "busyTone");
-  EXPECT_TRUE(user1_.media().hears(tone_.toneId()));
-}
-
-TEST_F(ProgramFixture, TimeoutPathReachesDone) {
-  auto& silent = sim_.addBox<UserDeviceBox>(
-      "mute1", sim_.mediaNetwork(), sim_.loop(),
-      MediaAddress::parse("10.5.0.3", 5000), UserDeviceBox::AcceptPolicy::manual);
-  (void)silent;
-  sim_.inject("CTD", [](Box& b) {
-    static_cast<CtdProgram&>(b).click("mute1", "user2");
-  });
-  sim_.runFor(12_s);
-  EXPECT_EQ(ctd_.currentState(), "done");
-}
 
 // ------------------------------------------------- ProgramBox primitives
 
@@ -199,6 +62,53 @@ TEST(ProgramBoxUnit, UnboundSlotPredicatesAreFalseButClosedIsTrue) {
   EXPECT_FALSE(box.flowing("x"));
   EXPECT_FALSE(box.opening("x"));
   EXPECT_TRUE(box.closed("x"));  // an unbound slot behaves as closed
+}
+
+TEST(ProgramBoxUnit, AnnotationsApplyInOrderAndUnchangedOnesKeepTheirGoal) {
+  Simulator sim(TimingModel::paperDefaults(), 17);
+  obs::TraceRecorder rec;
+  sim.attachTrace(&rec);
+  sim.addBox<UserDeviceBox>("u1", sim.mediaNetwork(), sim.loop(),
+                            MediaAddress::parse("10.5.0.1", 5000));
+  sim.addBox<UserDeviceBox>("u2", sim.mediaNetwork(), sim.loop(),
+                            MediaAddress::parse("10.5.0.2", 5000));
+  auto& box = sim.addBox<ProgramBox>("p");
+  // `both` declares 2a before 1a; `kept` keeps 1a's annotation unchanged.
+  box.addState("idle", {});
+  box.addState("both", {P::openSlot("2a"), P::openSlot("1a")});
+  box.addState("kept", {P::openSlot("1a")});
+  box.addTransition("idle", "both", [](ProgramBox& b) {
+    return b.isBound("1a") && b.isBound("2a");
+  });
+  box.addTransition("both", "kept", [](ProgramBox& b) {
+    return b.flowing("1a") && b.flowing("2a");
+  });
+  box.start("idle");
+  sim.inject("p", [](Box& b) {
+    auto& program = static_cast<ProgramBox&>(b);
+    program.requestChannel("u1", 1, "1a");
+    program.requestChannel("u2", 1, "2a");
+  });
+  sim.runFor(2_s);
+  sim.attachTrace(nullptr);
+
+  ASSERT_EQ(box.currentState(), "kept");
+  EXPECT_TRUE(box.flowing("1a"));
+  std::vector<std::uint64_t> posted;
+  int opens_to_u1 = 0;
+  for (const obs::TraceEvent& e : rec.snapshot()) {
+    if (e.actor != "p") continue;
+    if (e.kind == obs::EventKind::goalPosted) posted.push_back(e.id);
+    if (e.kind == obs::EventKind::signalSend && e.name == "open" &&
+        e.aux == "u1") {
+      ++opens_to_u1;
+    }
+  }
+  // One goal per slot, posted in declaration order; entering `kept` posts
+  // none and sends no second open on 1a.
+  EXPECT_EQ(posted, (std::vector<std::uint64_t>{box.slotNamed("2a").value(),
+                                                box.slotNamed("1a").value()}));
+  EXPECT_EQ(opens_to_u1, 1);
 }
 
 }  // namespace

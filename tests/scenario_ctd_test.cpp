@@ -1,5 +1,6 @@
 // End-to-end tests for the Click-to-Dial box (paper Fig. 6): happy path,
-// busy callee with busy tone, ringback during alerting, caller giving up.
+// busy callee with busy tone, ringback during alerting, caller giving up,
+// and the feature folding when user 1 hangs up during ringback or a call.
 #include <gtest/gtest.h>
 
 #include "apps/click_to_dial.hpp"
@@ -47,7 +48,7 @@ TEST_F(CtdScenario, HappyPathConnectsBothUsers) {
   EXPECT_TRUE(user2_.ringing());
   sim_.inject("U2", [](Box& b) { static_cast<UserDeviceBox&>(b).acceptCall(); });
   sim_.runFor(2_s);
-  EXPECT_EQ(ctd_.state(), ClickToDialBox::State::connected);
+  EXPECT_EQ(ctd_.currentState(), "connected");
   // The flowlink re-described both flowing slots: users talk directly.
   EXPECT_TRUE(user1_.media().hears(user2_.media().id()));
   EXPECT_TRUE(user2_.media().hears(user1_.media().id()));
@@ -58,7 +59,7 @@ TEST_F(CtdScenario, HappyPathConnectsBothUsers) {
 TEST_F(CtdScenario, RingbackPlaysWhileAlerting) {
   click();
   sim_.runFor(2_s);
-  EXPECT_EQ(ctd_.state(), ClickToDialBox::State::ringback);
+  EXPECT_EQ(ctd_.currentState(), "ringback");
   // User 1 hears ringback from the tone resource while user 2's phone
   // rings; user 2 hears nothing yet.
   EXPECT_TRUE(user1_.media().hears(tone_.toneId()));
@@ -77,7 +78,7 @@ TEST_F(CtdScenario, BusyCalleeYieldsBusyTone) {
   ASSERT_TRUE(user2_.ringing());
   sim_.inject("U2", [](Box& b) { static_cast<UserDeviceBox&>(b).declineCall(); });
   sim_.runFor(2_s);
-  EXPECT_EQ(ctd_.state(), ClickToDialBox::State::busyTone);
+  EXPECT_EQ(ctd_.currentState(), "busyTone");
   EXPECT_TRUE(user1_.media().hears(tone_.toneId()));
 }
 
@@ -91,16 +92,29 @@ TEST_F(CtdScenario, User1NeverAnswersTimesOut) {
     static_cast<ClickToDialBox&>(b).click("U1s", "U2");
   });
   sim_.runFor(15_s);  // answer timeout is 10 s
-  EXPECT_EQ(ctd_.state(), ClickToDialBox::State::done);
+  EXPECT_EQ(ctd_.currentState(), "done");
 }
 
 TEST_F(CtdScenario, User1HangupDuringRingbackFoldsFeature) {
   click();
   sim_.runFor(2_s);
-  ASSERT_EQ(ctd_.state(), ClickToDialBox::State::ringback);
+  ASSERT_EQ(ctd_.currentState(), "ringback");
   sim_.inject("U1", [](Box& b) { static_cast<UserDeviceBox&>(b).hangUp(); });
   sim_.runFor(2_s);
-  EXPECT_EQ(ctd_.state(), ClickToDialBox::State::done);
+  EXPECT_EQ(ctd_.currentState(), "done");
+  EXPECT_FALSE(user2_.inCall());
+}
+
+TEST_F(CtdScenario, User1HangupWhileConnectedFoldsFeature) {
+  click();
+  sim_.runFor(1_s);
+  sim_.inject("U2", [](Box& b) { static_cast<UserDeviceBox&>(b).acceptCall(); });
+  sim_.runFor(2_s);
+  ASSERT_EQ(ctd_.currentState(), "connected");
+  ASSERT_TRUE(user2_.inCall());
+  sim_.inject("U1", [](Box& b) { static_cast<UserDeviceBox&>(b).hangUp(); });
+  sim_.runFor(2_s);
+  EXPECT_EQ(ctd_.currentState(), "done");
   EXPECT_FALSE(user2_.inCall());
 }
 

@@ -96,13 +96,13 @@ TEST_F(PrepaidScenario, Snapshot1_ATalksToC_BHeldAndSilent) {
   // ...and, crucially, was told to stop sending (Fig. 2 pathology: B kept
   // transmitting to an endpoint that threw the packets away).
   EXPECT_FALSE(b_.media().sendingNow());
-  EXPECT_EQ(pc_.state(), PrepaidCardBox::State::talking);
+  EXPECT_EQ(pc_.currentState(), "talking");
 }
 
 TEST_F(PrepaidScenario, Snapshot2_FundsExhausted_CTalksToVBothWays) {
   reachSnapshot1();
   sim_.runFor(talk_time_);  // the prepaid timer fires
-  ASSERT_EQ(pc_.state(), PrepaidCardBox::State::collecting);
+  ASSERT_EQ(pc_.currentState(), "collecting");
   clearAllStats();
   sim_.runFor(1_s);
   // C and V are connected BOTH ways (Fig. 2 pathology: media between C and
@@ -117,7 +117,7 @@ TEST_F(PrepaidScenario, Snapshot2_FundsExhausted_CTalksToVBothWays) {
 TEST_F(PrepaidScenario, Snapshot3_SwitchBackToB_CVUnaffected) {
   reachSnapshot1();
   sim_.runFor(talk_time_);  // collecting
-  ASSERT_EQ(pc_.state(), PrepaidCardBox::State::collecting);
+  ASSERT_EQ(pc_.currentState(), "collecting");
   // A switches back to B while C is talking to V.
   sim_.inject("PBX", [](Box& b) { static_cast<PbxBox&>(b).switchTo("B"); });
   sim_.runFor(1_s);
@@ -134,11 +134,11 @@ TEST_F(PrepaidScenario, Snapshot3_SwitchBackToB_CVUnaffected) {
 TEST_F(PrepaidScenario, Snapshot4_ProximityConfersPriority_ANotHijacked) {
   reachSnapshot1();
   sim_.runFor(talk_time_);  // collecting; V will detect C's audio and accept
-  ASSERT_EQ(pc_.state(), PrepaidCardBox::State::collecting);
+  ASSERT_EQ(pc_.currentState(), "collecting");
   sim_.inject("PBX", [](Box& b) { static_cast<PbxBox&>(b).switchTo("B"); });
   // Wait for V to confirm payment -> PC returns to talking (snapshot 4).
   sim_.runFor(5_s);
-  ASSERT_EQ(pc_.state(), PrepaidCardBox::State::talking);
+  ASSERT_EQ(pc_.currentState(), "talking");
   clearAllStats();
   sim_.runFor(1_s);
   // PC reconnected C toward A, but the PBX (closer to A) still links A to
@@ -159,7 +159,7 @@ TEST_F(PrepaidScenario, Fig13_ConcurrentRelinkConverges) {
   // A<->C media (the paper's informal convergence argument, Fig. 13).
   reachSnapshot1();
   sim_.runFor(talk_time_);
-  ASSERT_EQ(pc_.state(), PrepaidCardBox::State::collecting);
+  ASSERT_EQ(pc_.currentState(), "collecting");
   sim_.inject("PBX", [](Box& b) { static_cast<PbxBox&>(b).switchTo("B"); });
   sim_.runFor(1_s);
   // Simultaneous: V confirms funds (PC relinks c<->a) and the user of A
@@ -180,12 +180,12 @@ TEST_F(PrepaidScenario, PayCycleRepeats) {
   // talking -> collecting -> paid -> talking -> collecting again.
   reachSnapshot1();
   sim_.runFor(talk_time_);
-  ASSERT_EQ(pc_.state(), PrepaidCardBox::State::collecting);
+  ASSERT_EQ(pc_.currentState(), "collecting");
   sim_.runFor(5_s);  // V hears C for authorizeAfter, sends "paid"
-  EXPECT_EQ(pc_.state(), PrepaidCardBox::State::talking);
+  EXPECT_EQ(pc_.currentState(), "talking");
   EXPECT_EQ(pc_.timesCollected(), 1);
   sim_.runFor(talk_time_ + 1_s);  // next talk-time expiry
-  EXPECT_EQ(pc_.state(), PrepaidCardBox::State::collecting);
+  EXPECT_EQ(pc_.currentState(), "collecting");
   EXPECT_EQ(pc_.timesCollected(), 2);
 }
 
@@ -193,7 +193,7 @@ TEST_F(PrepaidScenario, CallerHangupTearsFeatureDown) {
   reachSnapshot1();
   sim_.inject("C", [](Box& b) { static_cast<UserDeviceBox&>(b).hangUp(); });
   sim_.runFor(2_s);
-  EXPECT_EQ(pc_.state(), PrepaidCardBox::State::idle);
+  EXPECT_EQ(pc_.currentState(), "idle");
   clearAllStats();
   sim_.runFor(500_ms);
   EXPECT_FALSE(a_.media().hears(c_.media().id()));
