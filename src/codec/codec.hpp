@@ -74,9 +74,10 @@ struct CodecInfo {
 
 std::ostream& operator<<(std::ostream& os, Codec codec);
 
-// A codec list as carried by descriptors: priority order, best first. Lists
-// are 1-3 entries in practice, so they live inline (no heap) up to 4; the
-// signal hot path copies these on every hop (see DESIGN.md §4.5).
+// A codec list as carried by descriptors and media intents: priority order,
+// best first. Lists are 1-3 entries in practice, so they live inline (no
+// heap) up to 4; the signal hot path copies these on every hop (see
+// DESIGN.md §4.5).
 using CodecList = SmallVec<Codec, 4>;
 
 // All real codecs of a medium, best fidelity first. Useful default

@@ -77,17 +77,11 @@ auto* singleGoalIn(Rows& rows, SlotId slot) {
   return row != nullptr ? std::get_if<EndpointGoal>(&row->goal) : nullptr;
 }
 
-// Runs `fn(goal)` when `goal` is an open or hold goal; a close goal has no
-// media to modify.
-template <typename Fn>
-void withMediaGoal(EndpointGoal& goal, Fn&& fn) {
-  std::visit(
-      [&](auto& g) {
-        if constexpr (!std::is_same_v<std::decay_t<decltype(g)>, CloseSlotGoal>) {
-          fn(g);
-        }
-      },
-      goal);
+// The media core of the open or hold goal controlling `slot`, if any.
+template <typename Rows>
+MediaGoal* mediaGoalIn(Rows& rows, SlotId slot) {
+  EndpointGoal* goal = singleGoalIn(rows, slot);
+  return goal != nullptr ? mediaGoalOf(*goal) : nullptr;
 }
 
 }  // namespace
@@ -246,7 +240,7 @@ void Box::crashRestart() {
   // Everything volatile dies with the process: undrained outputs and all
   // protocol endpoint state. Channel wiring and goal annotations survive
   // (configuration, not run-state).
-  output_ = Output{};
+  output_.clear();
   for (SlotRow& row : slots_) {
     row.slot = SlotEndpoint{row.slot.id(), row.slot.channelInitiator()};
     row.slot.setStabilizing(stabilization_enabled_);
@@ -351,38 +345,32 @@ void Box::fireTimer(const std::string& tag) {
   onTimer(tag);
 }
 
-Box::Output Box::drainOutput() {
-  Output out = std::move(output_);
-  output_ = Output{};
-  return out;
+void Box::drainOutput(Output& into) {
+  into.clear();
+  std::swap(into, output_);
 }
 
 void Box::setSlotMute(SlotId slot, bool mute_in, bool mute_out) {
-  EndpointGoal* goal = singleGoalIn(goals_, slot);
+  MediaGoal* goal = mediaGoalIn(goals_, slot);
   if (goal == nullptr) return;
   Outbox out;
-  setMute(*goal, mute_in, mute_out, slotIn(slots_, slot), out);
+  goal->setMute(mute_in, mute_out, slotIn(slots_, slot), out);
   flushOutbox(std::move(out));
 }
 
 void Box::setSlotAddress(SlotId slot, MediaAddress addr) {
-  EndpointGoal* goal = singleGoalIn(goals_, slot);
+  MediaGoal* goal = mediaGoalIn(goals_, slot);
   if (goal == nullptr) return;
   Outbox out;
-  withMediaGoal(*goal, [&](auto& g) {
-    g.setAddress(addr, slotIn(slots_, slot), out);
-  });
+  goal->setAddress(addr, slotIn(slots_, slot), out);
   flushOutbox(std::move(out));
 }
 
 bool Box::reselectSlotCodec(SlotId slot, Codec codec) {
-  EndpointGoal* goal = singleGoalIn(goals_, slot);
+  MediaGoal* goal = mediaGoalIn(goals_, slot);
   if (goal == nullptr) return false;
   Outbox out;
-  bool ok = false;
-  withMediaGoal(*goal, [&](auto& g) {
-    ok = g.reselect(codec, slotIn(slots_, slot), out);
-  });
+  const bool ok = goal->reselect(codec, slotIn(slots_, slot), out);
   flushOutbox(std::move(out));
   return ok;
 }
@@ -464,7 +452,7 @@ void Box::detachSlot(SlotId slot) {
 void Box::maybeRequestRetryTimer() {
   if (retry_timer_outstanding_ || !hasPendingRetries()) return;
   retry_timer_outstanding_ = true;
-  setTimer(retryDelay, kRetryTimerTag);
+  setTimer(kRetryDelay, kRetryTimerTag);
 }
 
 }  // namespace cmc

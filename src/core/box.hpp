@@ -185,9 +185,19 @@ class Box {
       return tunnel.empty() && meta.empty() && timers.empty() &&
              channelRequests.empty() && teardowns.empty();
     }
+    // Empties every list and keeps its storage.
+    void clear() noexcept {
+      tunnel.clear();
+      meta.clear();
+      timers.clear();
+      channelRequests.clear();
+      teardowns.clear();
+    }
   };
-  // Drain everything the box decided to do since the last drain.
-  [[nodiscard]] Output drainOutput();
+  // Drain everything the box decided to do since the last drain into
+  // `into`, which is cleared first. The two swap buffers: a runtime that
+  // drains every box into one Output keeps reusing the vectors' storage.
+  void drainOutput(Output& into);
 
   // Endpoint modify passthroughs (mute change, address migration, and
   // unilateral codec re-selection); no-ops for slots without a single-slot
@@ -269,8 +279,8 @@ class Box {
   bool stabilization_enabled_ = false;
 
  public:
-  // Pacing for openslot retries; runtimes may tune it.
-  SimDuration retryDelay{200'000};  // 200 ms
+  // Pacing for openslot retries.
+  static constexpr SimDuration kRetryDelay{200'000};  // 200 ms
   static constexpr const char* kRetryTimerTag = "__cmc_retry";
 };
 

@@ -25,17 +25,11 @@ inline void onEvent(EndpointGoal& goal, SlotEndpoint& slot, SlotEvent event,
   std::visit([&](auto& g) { g.onEvent(slot, event, out); }, goal);
 }
 
-// User modify event; no-op for closeSlot (a closed channel has no muting).
-inline void setMute(EndpointGoal& goal, bool mute_in, bool mute_out,
-                    SlotEndpoint& slot, Outbox& out) {
-  std::visit(
-      [&](auto& g) {
-        using T = std::decay_t<decltype(g)>;
-        if constexpr (!std::is_same_v<T, CloseSlotGoal>) {
-          g.setMute(mute_in, mute_out, slot, out);
-        }
-      },
-      goal);
+// The media core of an open or hold goal; null for closeSlot, which has no
+// media to modify.
+[[nodiscard]] inline MediaGoal* mediaGoalOf(EndpointGoal& goal) noexcept {
+  if (auto* open = std::get_if<OpenSlotGoal>(&goal)) return open;
+  return std::get_if<HoldSlotGoal>(&goal);
 }
 
 [[nodiscard]] inline bool retryPending(const EndpointGoal& goal) noexcept {

@@ -14,44 +14,6 @@ std::string_view toString(GoalKind kind) noexcept {
 
 namespace {
 
-// Accept an offered channel by sending oack with our own receiver
-// description, then select answering the opener's descriptor (the
-// !oack / !select sequence of Fig. 9). A stabilizing endpoint re-accepts a
-// redundant open while already flowing; the oack is then a re-send.
-void acceptOffered(SlotEndpoint& slot, const MediaIntent& intent,
-                   const Descriptor& self, Outbox& out) {
-  const Descriptor remote = *slot.remoteDescriptor();  // set by the open
-  out.send(slot.id(), slot.state() == ProtocolState::flowing
-                          ? slot.resendOack(self)
-                          : slot.sendOack(self));
-  out.send(slot.id(), slot.sendSelect(intent.answer(remote)));
-}
-
-// Answer the most recent remote descriptor with a fresh selector.
-void answerRemote(SlotEndpoint& slot, const MediaIntent& intent, Outbox& out) {
-  if (slot.remoteDescriptor()) {
-    out.send(slot.id(), slot.sendSelect(intent.answer(*slot.remoteDescriptor())));
-  }
-}
-
-// After gaining control of a slot that is already flowing (possible for any
-// goal after the model checker's chaotic phase, and for holdSlot at any
-// time), re-assert our receiver description and re-answer the remote one.
-// Idempotent by protocol design (Section VI-C).
-void refreshFlowing(SlotEndpoint& slot, const MediaIntent& intent,
-                    const Descriptor& self, Outbox& out) {
-  out.send(slot.id(), slot.sendDescribe(self));
-  answerRemote(slot, intent, out);
-}
-
-void signalMuteChange(bool changed_in, bool changed_out, SlotEndpoint& slot,
-                      const MediaIntent& intent, const Descriptor& self,
-                      Outbox& out) {
-  if (!slot.canModify()) return;  // picked up at the next open/accept
-  if (changed_in) out.send(slot.id(), slot.sendDescribe(self));
-  if (changed_out) answerRemote(slot, intent, out);
-}
-
 // The media handshake at a flowing slot is fully settled from this end's
 // view: we hold the peer's descriptor, our selector answers it, and the
 // peer's selector answers the descriptor we most recently sent. Anything
@@ -66,58 +28,36 @@ bool flowingComplete(const SlotEndpoint& slot) noexcept {
              slot.lastDescriptorSent();
 }
 
-// Unilateral codec re-selection (Section VI-B): legal at any time after the
-// first selector, provided the codec is on the remote descriptor's list.
-bool reselectCodec(Codec codec, SlotEndpoint& slot, const MediaIntent& intent,
-                   Outbox& out) {
-  if (!slot.canModify() || !slot.remoteDescriptor()) return false;
-  const Descriptor& remote = *slot.remoteDescriptor();
-  if (std::find(remote.codecs.begin(), remote.codecs.end(), codec) ==
-      remote.codecs.end()) {
-    return false;
-  }
-  out.send(slot.id(),
-           slot.sendSelect(Selector{remote.id, intent.addr, codec}));
-  return true;
-}
-
 }  // namespace
 
-// ---------------------------------------------------------------- openSlot
+// -------------------------------------------------------------- media core
 
-const Descriptor& OpenSlotGoal::selfDescriptor() {
+const Descriptor& MediaGoal::selfDescriptor() {
   if (!self_desc_) self_desc_ = intent_.describeSelf(ids_);
   return *self_desc_;
 }
 
-void OpenSlotGoal::attach(SlotEndpoint& slot, Outbox& out) {
-  retry_pending_ = false;
+void MediaGoal::attach(SlotEndpoint& slot, Outbox& out) {
   switch (slot.state()) {
-    case ProtocolState::closed:
-      out.send(slot.id(), slot.sendOpen(medium_, selfDescriptor()));
-      break;
     case ProtocolState::opened:
       accept(slot, out);
       break;
     case ProtocolState::flowing:
-      refreshFlowing(slot, intent_, selfDescriptor(), out);
+      refreshFlowing(slot, out);
       break;
+    case ProtocolState::closed:
     case ProtocolState::opening:
-      // An open is already in flight; adopt it and wait for the answer.
-      break;
     case ProtocolState::closing:
-      // Wait for closeack; fullyClosed will trigger a (re)open.
-      retry_pending_ = true;
+      // Wait: a holdslot never originates anything, and an open already
+      // in flight is adopted, its answer awaited.
       break;
   }
 }
 
-void OpenSlotGoal::onEvent(SlotEndpoint& slot, SlotEvent event, Outbox& out) {
+void MediaGoal::onEvent(SlotEndpoint& slot, SlotEvent event, Outbox& out) {
   switch (event) {
     case SlotEvent::openReceived:
     case SlotEvent::becameAcceptor:
-      // The far end asked first (or won an open/open race): take the
-      // opportunity — an openslot pushes toward flowing however it can.
       accept(slot, out);
       break;
     case SlotEvent::oackReceived:
@@ -128,10 +68,132 @@ void OpenSlotGoal::onEvent(SlotEndpoint& slot, SlotEvent event, Outbox& out) {
       if (slot.lastDescriptorSent() != selfDescriptor().id) {
         out.send(slot.id(), slot.sendDescribe(selfDescriptor()));
       }
-      answerRemote(slot, intent_, out);
+      answerRemote(slot, out);
       break;
     case SlotEvent::descriptorReceived:
-      answerRemote(slot, intent_, out);
+      answerRemote(slot, out);
+      break;
+    case SlotEvent::closedByPeer:
+    case SlotEvent::fullyClosed:
+    case SlotEvent::selectorReceived:
+    case SlotEvent::none:
+    case SlotEvent::ignored:
+      break;
+  }
+}
+
+void MediaGoal::setMute(bool mute_in, bool mute_out, SlotEndpoint& slot,
+                        Outbox& out) {
+  const bool changed_in = intent_.muteIn != mute_in;
+  const bool changed_out = intent_.muteOut != mute_out;
+  intent_.muteIn = mute_in;
+  intent_.muteOut = mute_out;
+  if (changed_in) self_desc_.reset();  // receiver description changed
+  // Minted now even if it goes out only at the next open/accept: the
+  // descriptor id is part of the goal's state.
+  const Descriptor& self = selfDescriptor();
+  if (!slot.canModify()) return;
+  if (changed_in) out.send(slot.id(), slot.sendDescribe(self));
+  if (changed_out) answerRemote(slot, out);
+}
+
+void MediaGoal::setAddress(MediaAddress addr, SlotEndpoint& slot,
+                           Outbox& out) {
+  if (intent_.addr == addr) return;
+  intent_.addr = addr;
+  self_desc_.reset();  // the receiver description changed
+  if (slot.canModify()) out.send(slot.id(), slot.sendDescribe(selfDescriptor()));
+}
+
+// Unilateral codec re-selection (Section VI-B): legal at any time after the
+// first selector, provided the codec is on the remote descriptor's list.
+bool MediaGoal::reselect(Codec codec, SlotEndpoint& slot, Outbox& out) {
+  if (!slot.canModify() || !slot.remoteDescriptor()) return false;
+  const Descriptor& remote = *slot.remoteDescriptor();
+  if (std::find(remote.codecs.begin(), remote.codecs.end(), codec) ==
+      remote.codecs.end()) {
+    return false;
+  }
+  out.send(slot.id(),
+           slot.sendSelect(Selector{remote.id, intent_.addr, codec}));
+  return true;
+}
+
+void MediaGoal::refresh(SlotEndpoint& slot, Outbox& out) {
+  switch (slot.state()) {
+    case ProtocolState::opened:
+      accept(slot, out);
+      break;
+    case ProtocolState::flowing:
+      if (!flowingComplete(slot)) refreshFlowing(slot, out);
+      break;
+    case ProtocolState::closing:
+      out.send(slot.id(), slot.resendClose());
+      break;
+    case ProtocolState::closed:
+    case ProtocolState::opening:
+      break;
+  }
+}
+
+bool MediaGoal::converged(const SlotEndpoint& slot) const noexcept {
+  return slot.state() == ProtocolState::closed || flowingComplete(slot);
+}
+
+void MediaGoal::canonicalizeMedia(ByteWriter& w) const {
+  intent_.canonicalize(w);
+  ids_.canonicalize(w);
+  w.boolean(self_desc_.has_value());
+  if (self_desc_) w.u64(self_desc_->id.value());
+}
+
+// Accept an offered channel by sending oack with our own receiver
+// description, then select answering the opener's descriptor (the
+// !oack / !select sequence of Fig. 9). A stabilizing endpoint re-accepts a
+// redundant open while already flowing; the oack is then a re-send.
+void MediaGoal::accept(SlotEndpoint& slot, Outbox& out) {
+  const Descriptor remote = *slot.remoteDescriptor();  // set by the open
+  out.send(slot.id(), slot.state() == ProtocolState::flowing
+                          ? slot.resendOack(selfDescriptor())
+                          : slot.sendOack(selfDescriptor()));
+  out.send(slot.id(), slot.sendSelect(intent_.answer(remote)));
+}
+
+// Answer the most recent remote descriptor with a fresh selector.
+void MediaGoal::answerRemote(SlotEndpoint& slot, Outbox& out) {
+  if (slot.remoteDescriptor()) {
+    out.send(slot.id(), slot.sendSelect(intent_.answer(*slot.remoteDescriptor())));
+  }
+}
+
+// After gaining control of a slot that is already flowing (possible for any
+// goal after the model checker's chaotic phase, and for holdSlot at any
+// time), re-assert our receiver description and re-answer the remote one.
+// Idempotent by protocol design (Section VI-C).
+void MediaGoal::refreshFlowing(SlotEndpoint& slot, Outbox& out) {
+  out.send(slot.id(), slot.sendDescribe(selfDescriptor()));
+  answerRemote(slot, out);
+}
+
+// ---------------------------------------------------------------- openSlot
+
+void OpenSlotGoal::attach(SlotEndpoint& slot, Outbox& out) {
+  // Closing: wait for closeack; fullyClosed will trigger a (re)open.
+  retry_pending_ = slot.state() == ProtocolState::closing;
+  if (slot.state() == ProtocolState::closed) {
+    out.send(slot.id(), slot.sendOpen(medium_, selfDescriptor()));
+  } else {
+    MediaGoal::attach(slot, out);
+  }
+}
+
+void OpenSlotGoal::onEvent(SlotEndpoint& slot, SlotEvent event, Outbox& out) {
+  switch (event) {
+    case SlotEvent::openReceived:
+    case SlotEvent::becameAcceptor:
+      // The far end asked first (or won an open/open race): take the
+      // opportunity — an openslot pushes toward flowing however it can.
+      retry_pending_ = false;
       break;
     case SlotEvent::closedByPeer:
     case SlotEvent::fullyClosed:
@@ -140,33 +202,14 @@ void OpenSlotGoal::onEvent(SlotEndpoint& slot, SlotEvent event, Outbox& out) {
       // again"). Pacing is the runtime's business.
       retry_pending_ = true;
       break;
+    case SlotEvent::oackReceived:
+    case SlotEvent::descriptorReceived:
     case SlotEvent::selectorReceived:
     case SlotEvent::none:
     case SlotEvent::ignored:
       break;
   }
-}
-
-void OpenSlotGoal::setMute(bool mute_in, bool mute_out, SlotEndpoint& slot,
-                           Outbox& out) {
-  const bool changed_in = intent_.muteIn != mute_in;
-  const bool changed_out = intent_.muteOut != mute_out;
-  intent_.muteIn = mute_in;
-  intent_.muteOut = mute_out;
-  if (changed_in) self_desc_.reset();  // receiver description changed
-  signalMuteChange(changed_in, changed_out, slot, intent_, selfDescriptor(), out);
-}
-
-void OpenSlotGoal::setAddress(MediaAddress addr, SlotEndpoint& slot,
-                              Outbox& out) {
-  if (intent_.addr == addr) return;
-  intent_.addr = addr;
-  self_desc_.reset();  // the receiver description changed
-  if (slot.canModify()) out.send(slot.id(), slot.sendDescribe(selfDescriptor()));
-}
-
-bool OpenSlotGoal::reselect(Codec codec, SlotEndpoint& slot, Outbox& out) {
-  return reselectCodec(codec, slot, intent_, out);
+  MediaGoal::onEvent(slot, event, out);
 }
 
 void OpenSlotGoal::retry(SlotEndpoint& slot, Outbox& out) {
@@ -177,11 +220,6 @@ void OpenSlotGoal::retry(SlotEndpoint& slot, Outbox& out) {
   }
 }
 
-void OpenSlotGoal::accept(SlotEndpoint& slot, Outbox& out) {
-  retry_pending_ = false;
-  acceptOffered(slot, intent_, selfDescriptor(), out);
-}
-
 void OpenSlotGoal::refresh(SlotEndpoint& slot, Outbox& out) {
   switch (slot.state()) {
     case ProtocolState::closed:
@@ -190,36 +228,29 @@ void OpenSlotGoal::refresh(SlotEndpoint& slot, Outbox& out) {
       if (!retry_pending_) {
         out.send(slot.id(), slot.sendOpen(medium_, selfDescriptor()));
       }
-      break;
+      return;
     case ProtocolState::opening:
       out.send(slot.id(), slot.resendOpen(selfDescriptor()));
-      break;
+      return;
     case ProtocolState::opened:
-      accept(slot, out);
+      retry_pending_ = false;  // accepting, as on an incoming open
       break;
     case ProtocolState::flowing:
-      if (!flowingComplete(slot)) {
-        refreshFlowing(slot, intent_, selfDescriptor(), out);
-      }
-      break;
     case ProtocolState::closing:
-      out.send(slot.id(), slot.resendClose());
       break;
   }
+  MediaGoal::refresh(slot, out);
 }
 
 bool OpenSlotGoal::converged(const SlotEndpoint& slot) const noexcept {
   if (slot.state() == ProtocolState::closed) return retry_pending_;
-  return flowingComplete(slot);
+  return MediaGoal::converged(slot);
 }
 
 void OpenSlotGoal::canonicalize(ByteWriter& w) const {
   w.u8(static_cast<std::uint8_t>(kind));
   w.u8(static_cast<std::uint8_t>(medium_));
-  intent_.canonicalize(w);
-  ids_.canonicalize(w);
-  w.boolean(self_desc_.has_value());
-  if (self_desc_) w.u64(self_desc_->id.value());
+  canonicalizeMedia(w);
   w.boolean(retry_pending_);
 }
 
@@ -277,116 +308,22 @@ void CloseSlotGoal::canonicalize(ByteWriter& w) const {
 
 // ---------------------------------------------------------------- holdSlot
 
-const Descriptor& HoldSlotGoal::selfDescriptor() {
-  if (!self_desc_) self_desc_ = intent_.describeSelf(ids_);
-  return *self_desc_;
-}
-
-void HoldSlotGoal::attach(SlotEndpoint& slot, Outbox& out) {
-  switch (slot.state()) {
-    case ProtocolState::opened:
-      accept(slot, out);
-      break;
-    case ProtocolState::flowing:
-      refreshFlowing(slot, intent_, selfDescriptor(), out);
-      break;
-    case ProtocolState::closed:
-    case ProtocolState::opening:
-    case ProtocolState::closing:
-      // Wait: a holdslot never originates anything.
-      break;
-  }
-}
-
-void HoldSlotGoal::onEvent(SlotEndpoint& slot, SlotEvent event, Outbox& out) {
-  switch (event) {
-    case SlotEvent::openReceived:
-    case SlotEvent::becameAcceptor:
-      accept(slot, out);
-      break;
-    case SlotEvent::oackReceived:
-      // An earlier controller's open was accepted; its descriptor was not
-      // ours, so re-describe before answering (see OpenSlotGoal).
-      if (slot.lastDescriptorSent() != selfDescriptor().id) {
-        out.send(slot.id(), slot.sendDescribe(selfDescriptor()));
-      }
-      answerRemote(slot, intent_, out);
-      break;
-    case SlotEvent::descriptorReceived:
-      answerRemote(slot, intent_, out);
-      break;
-    case SlotEvent::closedByPeer:
-    case SlotEvent::fullyClosed:
-      break;  // stay closed until the other end asks to open
-    case SlotEvent::selectorReceived:
-    case SlotEvent::none:
-    case SlotEvent::ignored:
-      break;
-  }
-}
-
-void HoldSlotGoal::setMute(bool mute_in, bool mute_out, SlotEndpoint& slot,
-                           Outbox& out) {
-  const bool changed_in = intent_.muteIn != mute_in;
-  const bool changed_out = intent_.muteOut != mute_out;
-  intent_.muteIn = mute_in;
-  intent_.muteOut = mute_out;
-  if (changed_in) self_desc_.reset();
-  signalMuteChange(changed_in, changed_out, slot, intent_, selfDescriptor(), out);
-}
-
-void HoldSlotGoal::setAddress(MediaAddress addr, SlotEndpoint& slot,
-                              Outbox& out) {
-  if (intent_.addr == addr) return;
-  intent_.addr = addr;
-  self_desc_.reset();
-  if (slot.canModify()) out.send(slot.id(), slot.sendDescribe(selfDescriptor()));
-}
-
-bool HoldSlotGoal::reselect(Codec codec, SlotEndpoint& slot, Outbox& out) {
-  return reselectCodec(codec, slot, intent_, out);
-}
-
-void HoldSlotGoal::accept(SlotEndpoint& slot, Outbox& out) {
-  acceptOffered(slot, intent_, selfDescriptor(), out);
-}
-
 void HoldSlotGoal::refresh(SlotEndpoint& slot, Outbox& out) {
-  switch (slot.state()) {
-    case ProtocolState::opened:
-      accept(slot, out);
-      break;
-    case ProtocolState::flowing:
-      if (!flowingComplete(slot)) {
-        refreshFlowing(slot, intent_, selfDescriptor(), out);
-      }
-      break;
-    case ProtocolState::opening:
-      // A holdslot never originates an open, so an in-flight one was
-      // inherited from an earlier controller; under loss nothing will
-      // resolve it. Retreat to closed — the stabilization-mode exception to
-      // "a holdslot never sends close" (docs/FAULTS.md): the peer that
-      // wants media will simply open again.
-      out.send(slot.id(), slot.sendClose());
-      break;
-    case ProtocolState::closing:
-      out.send(slot.id(), slot.resendClose());
-      break;
-    case ProtocolState::closed:
-      break;
+  if (slot.state() == ProtocolState::opening) {
+    // A holdslot never originates an open, so an in-flight one was
+    // inherited from an earlier controller; under loss nothing will
+    // resolve it. Retreat to closed — the stabilization-mode exception to
+    // "a holdslot never sends close" (docs/FAULTS.md): the peer that
+    // wants media will simply open again.
+    out.send(slot.id(), slot.sendClose());
+    return;
   }
-}
-
-bool HoldSlotGoal::converged(const SlotEndpoint& slot) const noexcept {
-  return slot.state() == ProtocolState::closed || flowingComplete(slot);
+  MediaGoal::refresh(slot, out);
 }
 
 void HoldSlotGoal::canonicalize(ByteWriter& w) const {
   w.u8(static_cast<std::uint8_t>(kind));
-  intent_.canonicalize(w);
-  ids_.canonicalize(w);
-  w.boolean(self_desc_.has_value());
-  if (self_desc_) w.u64(self_desc_->id.value());
+  canonicalizeMedia(w);
 }
 
 }  // namespace cmc

@@ -20,6 +20,14 @@
 // from whatever state the slot is in. (The model checker exploits this: its
 // chaotic initial phases hand goals slots in every reachable state.)
 //
+// openSlot and holdSlot differ only in who starts a channel, so both build
+// on one media core (MediaGoal below): the self-descriptor and its intent,
+// accepting an offered channel, answering remote descriptors, re-asserting
+// a live slot, and the mute, address and codec modifications. Each goal
+// adds only its own half: openSlot opens, re-opens after a rejection and
+// keeps its medium; holdSlot waits, and retreats from an inherited open
+// under stabilization.
+//
 // All goals are value types stepped by the runtime; signals go out through
 // an Outbox.
 #pragma once
@@ -36,14 +44,16 @@ enum class GoalKind : std::uint8_t { openSlot, closeSlot, holdSlot, flowLink };
 
 [[nodiscard]] std::string_view toString(GoalKind kind) noexcept;
 
-class OpenSlotGoal {
+// The media half that openSlot and holdSlot share: both are media
+// endpoints under the unilateral rules of Section VI-B, so both describe
+// themselves from their intent, answer every remote descriptor, accept an
+// offered channel, re-assert a live one, and take the modify requests. A
+// non-virtual base: the EndpointGoal variant dispatches on the concrete
+// goal, and mediaGoalOf (core/goal.hpp) reaches this half of either.
+class MediaGoal {
  public:
-  OpenSlotGoal() = default;
-  OpenSlotGoal(Medium medium, MediaIntent intent, DescriptorFactory ids) noexcept
-      : medium_(medium), intent_(std::move(intent)), ids_(ids) {}
-
-  static constexpr GoalKind kind = GoalKind::openSlot;
-
+  // Wait for the peer: accept a channel it opens and re-assert one that is
+  // already live. This is all of holdSlot's attach and onEvent.
   void attach(SlotEndpoint& slot, Outbox& out);
   void onEvent(SlotEndpoint& slot, SlotEvent event, Outbox& out);
 
@@ -60,6 +70,47 @@ class OpenSlotGoal {
   void setAddress(MediaAddress addr, SlotEndpoint& slot, Outbox& out);
   bool reselect(Codec codec, SlotEndpoint& slot, Outbox& out);
 
+  // Stabilization (docs/FAULTS.md) of an opened, flowing or closing slot;
+  // a closed or opening one is left to the goal.
+  void refresh(SlotEndpoint& slot, Outbox& out);
+  // Closed, or flowing with the media handshake settled.
+  [[nodiscard]] bool converged(const SlotEndpoint& slot) const noexcept;
+
+  [[nodiscard]] const MediaIntent& intent() const noexcept { return intent_; }
+
+ protected:
+  MediaGoal() = default;
+  MediaGoal(MediaIntent intent, DescriptorFactory ids) noexcept
+      : intent_(std::move(intent)), ids_(ids) {}
+
+  [[nodiscard]] const Descriptor& selfDescriptor();
+  // Intent, descriptor ids and self-descriptor, in that order.
+  void canonicalizeMedia(ByteWriter& w) const;
+
+ private:
+  void accept(SlotEndpoint& slot, Outbox& out);
+  void answerRemote(SlotEndpoint& slot, Outbox& out);
+  void refreshFlowing(SlotEndpoint& slot, Outbox& out);
+
+  MediaIntent intent_;
+  DescriptorFactory ids_;
+  // Current self-description. Descriptors are idempotent, so re-sends reuse
+  // the same descriptor (same id); a new one is minted only when the intent
+  // changes. This also keeps the model checker's state space finite.
+  std::optional<Descriptor> self_desc_;
+};
+
+class OpenSlotGoal : public MediaGoal {
+ public:
+  OpenSlotGoal() = default;
+  OpenSlotGoal(Medium medium, MediaIntent intent, DescriptorFactory ids) noexcept
+      : MediaGoal(std::move(intent), ids), medium_(medium) {}
+
+  static constexpr GoalKind kind = GoalKind::openSlot;
+
+  void attach(SlotEndpoint& slot, Outbox& out);
+  void onEvent(SlotEndpoint& slot, SlotEvent event, Outbox& out);
+
   // After a rejection the openslot wants to send open again. The runtime
   // chooses when (timer-paced in real time, explicit action in the model
   // checker) and calls retry().
@@ -74,21 +125,11 @@ class OpenSlotGoal {
   [[nodiscard]] bool converged(const SlotEndpoint& slot) const noexcept;
 
   [[nodiscard]] Medium medium() const noexcept { return medium_; }
-  [[nodiscard]] const MediaIntent& intent() const noexcept { return intent_; }
 
   void canonicalize(ByteWriter& w) const;
 
  private:
-  void accept(SlotEndpoint& slot, Outbox& out);
-  [[nodiscard]] const Descriptor& selfDescriptor();
-
   Medium medium_ = Medium::audio;
-  MediaIntent intent_;
-  DescriptorFactory ids_;
-  // Current self-description. Descriptors are idempotent, so re-sends reuse
-  // the same descriptor (same id); a new one is minted only when the intent
-  // changes. This also keeps the model checker's state space finite.
-  std::optional<Descriptor> self_desc_;
   bool retry_pending_ = false;
 };
 
@@ -107,35 +148,18 @@ class CloseSlotGoal {
   void canonicalize(ByteWriter& w) const;
 };
 
-class HoldSlotGoal {
+// attach, onEvent and converged are the media core's.
+class HoldSlotGoal : public MediaGoal {
  public:
   HoldSlotGoal() = default;
   HoldSlotGoal(MediaIntent intent, DescriptorFactory ids) noexcept
-      : intent_(std::move(intent)), ids_(ids) {}
+      : MediaGoal(std::move(intent), ids) {}
 
   static constexpr GoalKind kind = GoalKind::holdSlot;
 
-  void attach(SlotEndpoint& slot, Outbox& out);
-  void onEvent(SlotEndpoint& slot, SlotEvent event, Outbox& out);
-
-  void setMute(bool mute_in, bool mute_out, SlotEndpoint& slot, Outbox& out);
-  void setAddress(MediaAddress addr, SlotEndpoint& slot, Outbox& out);
-  bool reselect(Codec codec, SlotEndpoint& slot, Outbox& out);
-
-  [[nodiscard]] const MediaIntent& intent() const noexcept { return intent_; }
-
   void refresh(SlotEndpoint& slot, Outbox& out);
-  [[nodiscard]] bool converged(const SlotEndpoint& slot) const noexcept;
 
   void canonicalize(ByteWriter& w) const;
-
- private:
-  void accept(SlotEndpoint& slot, Outbox& out);
-  [[nodiscard]] const Descriptor& selfDescriptor();
-
-  MediaIntent intent_;
-  DescriptorFactory ids_;
-  std::optional<Descriptor> self_desc_;
 };
 
 }  // namespace cmc

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "codec/descriptor.hpp"
 #include "util/ids.hpp"
@@ -35,8 +34,8 @@ class DescriptorFactory {
 
 struct MediaIntent {
   MediaAddress addr;              // where this party receives media
-  std::vector<Codec> receivable;  // priority order, best first
-  std::vector<Codec> sendable;
+  CodecList receivable;  // priority order, best first
+  CodecList sendable;
   bool muteIn = false;   // user wishes inward flow suspended
   bool muteOut = false;  // user wishes outward flow suspended
 
@@ -51,7 +50,7 @@ struct MediaIntent {
 
   // Intent of a media endpoint with symmetric codec capability.
   [[nodiscard]] static MediaIntent endpoint(MediaAddress addr,
-                                            std::vector<Codec> codecs) {
+                                            CodecList codecs) {
     MediaIntent intent;
     intent.addr = addr;
     intent.receivable = codecs;

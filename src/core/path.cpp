@@ -272,8 +272,10 @@ void PathSystem::fireRetry(PathEnd end) {
 
 void PathSystem::setMute(PathEnd end, bool mute_in, bool mute_out) {
   End& e = ends_[idx(end)];
+  MediaGoal* goal = mediaGoalOf(e.goal);
+  if (goal == nullptr) return;  // a closed channel has no muting
   Outbox out;
-  cmc::setMute(e.goal, mute_in, mute_out, e.slot, out);
+  goal->setMute(mute_in, mute_out, e.slot, out);
   flush(std::move(out));
 }
 

@@ -22,7 +22,7 @@ class AvDeviceBox : public Box {
  public:
   struct StreamSpec {
     Medium medium = Medium::audio;
-    std::vector<Codec> codecs;
+    CodecList codecs;
   };
 
   AvDeviceBox(BoxId id, std::string name, MediaNetwork& media_network,

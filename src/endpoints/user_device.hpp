@@ -35,7 +35,7 @@ class UserDeviceBox : public Box {
   UserDeviceBox(BoxId id, std::string name, MediaNetwork& media_network,
                 EventLoop& loop, MediaAddress media_addr,
                 AcceptPolicy policy = AcceptPolicy::autoAccept,
-                std::vector<Codec> codecs = {Codec::g711u, Codec::g726})
+                CodecList codecs = {Codec::g711u, Codec::g726})
       : Box(id, std::move(name)),
         media_(EndpointId{id.value()}, media_addr, media_network, loop),
         policy_(policy) {

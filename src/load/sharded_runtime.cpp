@@ -19,10 +19,10 @@ namespace cmc::load {
 
 namespace {
 
-// One call's live state inside a shard; its outcome lives in
-// ShardState::outcomes. The boxes are owned by the shard's Simulator. A leak-free audit retires them
-// and nulls these pointers; a leaking call keeps both, so its boxes stay
-// live and visible.
+// One call's live state inside a shard; its outcome lives in the runtime's
+// outcomes_, at the call's index in run()'s calls. The boxes are owned by
+// the shard's Simulator. A leak-free audit retires them and nulls these
+// pointers; a leaking call keeps both, so its boxes stay live and visible.
 struct CallRuntime {
   LoadEndpointBox* left = nullptr;
   LoadEndpointBox* right = nullptr;
@@ -43,7 +43,6 @@ struct ShardedRuntime::ShardState {
   std::size_t index = 0;
   std::vector<std::size_t> calls;  // indices into run()'s calls, arrival order
   obs::MetricsRegistry metrics;
-  std::vector<CallOutcome> outcomes;  // one per call, arrival order
   std::vector<obs::TraceEvent> events;
   ShardStats stats;
   std::string error;
@@ -74,7 +73,8 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
     throw std::logic_error("ShardedRuntime::run may only be called once");
   }
   ran_ = true;
-  outcomes_.clear();
+  // Each shard writes its calls' outcomes in place: the slots are disjoint.
+  outcomes_.assign(calls.size(), CallOutcome{});
   shard_stats_.clear();
   shard_traces_.clear();
 
@@ -146,9 +146,6 @@ void ShardedRuntime::run(const std::vector<CallSpec>& calls,
     }
     shard_stats_.push_back(shard->stats);
     shard_traces_.push_back(std::move(shard->events));
-    for (CallOutcome& outcome : shard->outcomes) {
-      outcomes_.push_back(std::move(outcome));
-    }
   }
   std::sort(outcomes_.begin(), outcomes_.end(),
             [](const CallOutcome& a, const CallOutcome& b) {
@@ -235,7 +232,9 @@ void ShardedRuntime::runShard(ShardState& shard,
     };
     const std::size_t count = shard.calls.size();
     std::vector<CallRuntime> calls(count);
-    shard.outcomes.resize(count);
+    const auto outcomeOf = [&](std::size_t i) -> CallOutcome& {
+      return outcomes_[shard.calls[i]];
+    };
     std::size_t boxes_retired = 0;
     // Per-call lifecycle metrics, each created at its first use.
     obs::CounterHandle arrivals{"load.call_arrivals"};
@@ -244,7 +243,7 @@ void ShardedRuntime::runShard(ShardState& shard,
 
     const auto audit = [&](std::size_t i) {
       CallRuntime& call = calls[i];
-      CallOutcome& outcome = shard.outcomes[i];
+      CallOutcome& outcome = outcomeOf(i);
       // Taken, not read: a converged probe holds its slot until then.
       const auto latency = sim.probes().takeLatencyUs(call.probe);
       outcome.converged = latency.has_value();
@@ -287,8 +286,8 @@ void ShardedRuntime::runShard(ShardState& shard,
     std::function<void(std::size_t)> arrive = [&](std::size_t i) {
       const CallSpec& spec = specOf(i);
       CallRuntime& call = calls[i];
-      shard.outcomes[i].spec = spec;
-      shard.outcomes[i].shard = shard.index;
+      outcomeOf(i).spec = spec;
+      outcomeOf(i).shard = shard.index;
       // Live lifecycle metrics, written unconditionally (sampler or not) so
       // the rollup stays byte-identical either way. The gauge is
       // shard-local (excluded from the rollup); the counters are additive
@@ -372,7 +371,8 @@ void ShardedRuntime::runShard(ShardState& shard,
     std::size_t converged = 0;
     std::size_t clean = 0;
     std::uint64_t faults_total = 0;
-    for (const CallOutcome& outcome : shard.outcomes) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const CallOutcome& outcome = outcomeOf(i);
       if (outcome.converged) ++converged;
       if (outcome.clean_teardown) ++clean;
       faults_total += outcome.faults_injected;

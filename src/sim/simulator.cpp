@@ -364,14 +364,14 @@ void Simulator::drain(Box& box) {
   // Processing outputs can trigger same-box hooks that enqueue more output
   // (e.g. onChannelUp when the box creates a channel); loop to fixpoint.
   for (int guard = 0; guard < 64; ++guard) {
-    Box::Output out = box.drainOutput();
-    if (out.empty()) return;
-    processOutput(box, std::move(out));
+    box.drainOutput(drained_);
+    if (drained_.empty()) return;
+    processOutput(box, drained_);
   }
   log::warn("sim", "box ", box.name(), " output did not quiesce");
 }
 
-void Simulator::processOutput(Box& sender, Box::Output&& out) {
+void Simulator::processOutput(Box& sender, Box::Output& out) {
   CMC_PROF_SCOPE("sim.process_output");
   const BoxId from = sender.id();
   // Every output is stamped with the context of the stimulus that produced

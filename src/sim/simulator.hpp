@@ -243,7 +243,7 @@ class Simulator {
   void scheduleRefreshTick(BoxId id);
   void refreshTick(BoxId id);
   void drain(Box& box);
-  void processOutput(Box& box, Box::Output&& out);
+  void processOutput(Box& box, Box::Output& out);
   // Deliver a tunnel signal scheduled by processOutput. The in-flight event
   // carries the address the sender queued it with (destination box,
   // channel, tunnel), so the capture is small and string-free. The slot is
@@ -258,6 +258,9 @@ class Simulator {
   TimingModel timing_;
   Rng rng_;
   std::uint64_t next_channel_id_ = 1;
+  // Every box drains into this one Output (Box::drainOutput), so the
+  // storage of its lists is reused from stimulus to stimulus.
+  Box::Output drained_;
   // The box table: boxes_[id - 1] is the box with that id. The name index
   // serves only callers that address boxes by name (apps, tests, fault
   // plans); the load runtime addresses its boxes by id. It holds no

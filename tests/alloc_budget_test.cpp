@@ -209,8 +209,10 @@ TEST(AllocBudget, BoxWiringAllocatesNothing) {
   EXPECT_EQ(endpoint.slotCount() + endpoint.goalCount(), 0u);
   EXPECT_EQ(relay.slotCount() + relay.goalCount(), 0u);
   EXPECT_FALSE(relay.hasChannel(out));
-  EXPECT_TRUE(endpoint.drainOutput().empty());
-  const Box::Output queued = relay.drainOutput();
+  Box::Output queued;
+  endpoint.drainOutput(queued);
+  EXPECT_TRUE(queued.empty());
+  relay.drainOutput(queued);
   EXPECT_EQ(queued.channelRequests.size(), 1u);
   EXPECT_EQ(queued.teardowns.size(), 1u);
   EXPECT_TRUE(queued.tunnel.empty() && queued.meta.empty() &&

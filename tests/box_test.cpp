@@ -23,6 +23,12 @@ Descriptor remote(std::uint64_t id) {
                         codecs, false);
 }
 
+Box::Output drained(Box& box) {
+  Box::Output out;
+  box.drainOutput(out);
+  return out;
+}
+
 class BoxFixture : public ::testing::Test {
  protected:
   Box box_{BoxId{1}, "box"};
@@ -43,7 +49,7 @@ TEST_F(BoxFixture, AddChannelEndCreatesSlots) {
 TEST_F(BoxFixture, SetGoalAttachesAndEmits) {
   auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
-  auto out = box_.drainOutput();
+  auto out = drained(box_);
   ASSERT_EQ(out.tunnel.size(), 1u);
   EXPECT_EQ(kindOf(out.tunnel[0].signal), SignalKind::open);
   EXPECT_EQ(box_.goalKind(slots[0]), GoalKind::openSlot);
@@ -56,9 +62,9 @@ TEST_F(BoxFixture, LinkSlotsSamePairIsIdempotent) {
   EXPECT_EQ(box_.goalKind(s1[0]), GoalKind::flowLink);
   // Re-linking the same (even reversed) pair must keep the same object:
   // no goal churn, no new signals.
-  (void)box_.drainOutput();
+  (void)drained(box_);
   box_.linkSlots(s2[0], s1[0]);
-  EXPECT_TRUE(box_.drainOutput().empty());
+  EXPECT_TRUE(drained(box_).empty());
 }
 
 TEST_F(BoxFixture, RelinkDifferentPairReplaces) {
@@ -76,9 +82,9 @@ TEST_F(BoxFixture, RelinkDifferentPairReplaces) {
 TEST_F(BoxFixture, DeliverTunnelRoutesToGoal) {
   auto slots = box_.addChannelEnd(ChannelId{1}, 1, false, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], HoldSlotGoal{phone(), DescriptorFactory{1}});
-  (void)box_.drainOutput();
+  (void)drained(box_);
   box_.deliverTunnel(slots[0], OpenSignal{Medium::audio, remote(1)});
-  auto out = box_.drainOutput();
+  auto out = drained(box_);
   ASSERT_EQ(out.tunnel.size(), 2u);  // oack + select
   EXPECT_EQ(kindOf(out.tunnel[0].signal), SignalKind::oack);
   EXPECT_EQ(box_.slotState(slots[0]), ProtocolState::flowing);
@@ -86,7 +92,7 @@ TEST_F(BoxFixture, DeliverTunnelRoutesToGoal) {
 
 TEST_F(BoxFixture, DeliverToUnknownSlotIsSafe) {
   box_.deliverTunnel(SlotId{999}, CloseSignal{});
-  EXPECT_TRUE(box_.drainOutput().empty());
+  EXPECT_TRUE(drained(box_).empty());
 }
 
 TEST_F(BoxFixture, UnboundSlotAbsorbsButAutoReplies) {
@@ -94,10 +100,10 @@ TEST_F(BoxFixture, UnboundSlotAbsorbsButAutoReplies) {
   // No goal bound: an open is absorbed (protocol state advances)...
   box_.deliverTunnel(slots[0], OpenSignal{Medium::audio, remote(1)});
   EXPECT_EQ(box_.slotState(slots[0]), ProtocolState::opened);
-  EXPECT_TRUE(box_.drainOutput().tunnel.empty());
+  EXPECT_TRUE(drained(box_).tunnel.empty());
   // ...but mandatory protocol replies still go out.
   box_.deliverTunnel(slots[0], CloseSignal{});
-  auto out = box_.drainOutput();
+  auto out = drained(box_);
   ASSERT_EQ(out.tunnel.size(), 1u);
   EXPECT_EQ(kindOf(out.tunnel[0].signal), SignalKind::closeack);
 }
@@ -105,16 +111,16 @@ TEST_F(BoxFixture, UnboundSlotAbsorbsButAutoReplies) {
 TEST_F(BoxFixture, RetryTimerRequestedOncePerPendingRetry) {
   auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
-  (void)box_.drainOutput();
+  (void)drained(box_);
   box_.deliverTunnel(slots[0], CloseSignal{});  // rejected -> retry pending
-  auto out = box_.drainOutput();
+  auto out = drained(box_);
   ASSERT_EQ(out.timers.size(), 1u);
   EXPECT_EQ(out.timers[0].tag, Box::kRetryTimerTag);
   EXPECT_TRUE(box_.hasPendingRetries());
   // The retry timer fires: the open goes out again, and because that open
   // clears the pending state, no new timer is requested.
   box_.fireTimer(Box::kRetryTimerTag);
-  auto out2 = box_.drainOutput();
+  auto out2 = drained(box_);
   ASSERT_EQ(out2.tunnel.size(), 1u);
   EXPECT_EQ(kindOf(out2.tunnel[0].signal), SignalKind::open);
   EXPECT_TRUE(out2.timers.empty());
@@ -142,9 +148,9 @@ TEST_F(BoxFixture, SetSlotMuteFlowsThroughGoal) {
   auto slots = box_.addChannelEnd(ChannelId{1}, 1, false, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], HoldSlotGoal{phone(), DescriptorFactory{1}});
   box_.deliverTunnel(slots[0], OpenSignal{Medium::audio, remote(1)});
-  (void)box_.drainOutput();
+  (void)drained(box_);
   box_.setSlotMute(slots[0], true, false);
-  auto out = box_.drainOutput();
+  auto out = drained(box_);
   ASSERT_EQ(out.tunnel.size(), 1u);
   const auto& describe = std::get<DescribeSignal>(out.tunnel[0].signal);
   EXPECT_TRUE(describe.descriptor.isNoMedia());
@@ -153,8 +159,27 @@ TEST_F(BoxFixture, SetSlotMuteFlowsThroughGoal) {
 TEST_F(BoxFixture, DrainOutputIsDestructive) {
   auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
   box_.setGoal(slots[0], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
-  EXPECT_FALSE(box_.drainOutput().empty());
-  EXPECT_TRUE(box_.drainOutput().empty());
+  EXPECT_FALSE(drained(box_).empty());
+  EXPECT_TRUE(drained(box_).empty());
+}
+
+TEST_F(BoxFixture, DrainClearsTheTargetAndHandsTheBoxItsStorage) {
+  auto slots = box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
+  Box::Output out;
+  out.timers.push_back(Box::TimerRequest{SimDuration{1}, "stale"});
+  out.tunnel.reserve(4);
+  const Box::TunnelOut* reserved = out.tunnel.data();
+  box_.setGoal(slots[0], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
+  box_.drainOutput(out);
+  ASSERT_EQ(out.tunnel.size(), 1u);
+  EXPECT_EQ(kindOf(out.tunnel[0].signal), SignalKind::open);
+  EXPECT_TRUE(out.timers.empty());  // what the target held is gone
+  // The box queues its next output into the storage it was handed.
+  box_.deliverTunnel(slots[0], CloseSignal{});
+  Box::Output next;
+  box_.drainOutput(next);
+  ASSERT_EQ(next.tunnel.size(), 1u);
+  EXPECT_EQ(next.tunnel.data(), reserved);
 }
 
 TEST_F(BoxFixture, ClearGoalDetaches) {
@@ -168,7 +193,7 @@ TEST_F(BoxFixture, OutputsAreAddressedFromTheChannelEnd) {
   box_.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "x");
   auto slots = box_.addChannelEnd(ChannelId{4}, 3, true, "", BoxId{7}, "peer");
   box_.setGoal(slots[2], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
-  auto out = box_.drainOutput();
+  auto out = drained(box_);
   ASSERT_EQ(out.tunnel.size(), 1u);
   EXPECT_EQ(out.tunnel[0].slot, slots[2]);
   EXPECT_EQ(out.tunnel[0].channel, ChannelId{4});
@@ -195,7 +220,7 @@ TEST(BoxHelpers, MetaAndTeardownOnAChannelNotHeldQueueNothing) {
   box.addChannelEnd(ChannelId{1}, 1, true, "", BoxId{2}, "peer");
   box.sendMeta(ChannelId{1}, MetaSignal{MetaKind::custom, "m", ""});
   box.destroyChannel(ChannelId{1});
-  auto out = box.drainOutput();
+  auto out = drained(box);
   ASSERT_EQ(out.meta.size(), 1u);
   EXPECT_EQ(out.meta[0].peer, BoxId{2});
   ASSERT_EQ(out.teardowns.size(), 1u);
@@ -204,7 +229,7 @@ TEST(BoxHelpers, MetaAndTeardownOnAChannelNotHeldQueueNothing) {
   // The end is gone: a second teardown or a late meta has nowhere to go.
   box.sendMeta(ChannelId{1}, MetaSignal{MetaKind::custom, "late", ""});
   box.destroyChannel(ChannelId{1});
-  EXPECT_TRUE(box.drainOutput().empty());
+  EXPECT_TRUE(drained(box).empty());
 }
 
 // (slot, signal kind) of each queued tunnel signal, in queue order.
@@ -225,7 +250,7 @@ TEST_F(BoxFixture, RefreshAndCrashPassesKeepTheirOrder) {
   box_.linkSlots(s[2], s[3]);
   box_.linkSlots(s[1], s[0]);
   box_.setGoal(s[4], OpenSlotGoal{Medium::audio, phone(), DescriptorFactory{1}});
-  (void)box_.drainOutput();
+  (void)drained(box_);
 
   // Restart: the goal re-attaches (open), the links re-attach over closed
   // slots (nothing to say), then every closed goal-bound slot is probed in
@@ -235,7 +260,7 @@ TEST_F(BoxFixture, RefreshAndCrashPassesKeepTheirOrder) {
   const std::vector<std::pair<SlotId, SignalKind>> crash{
       {s[4], K::open}, {s[0], K::close}, {s[1], K::close},
       {s[2], K::close}, {s[3], K::close}};
-  EXPECT_EQ(sent(box_.drainOutput()), crash);
+  EXPECT_EQ(sent(drained(box_)), crash);
 
   // Refresh: single goals first, then each link in creation order, each
   // re-sending its stuck closes in its own (a, b) order.
@@ -243,7 +268,7 @@ TEST_F(BoxFixture, RefreshAndCrashPassesKeepTheirOrder) {
   const std::vector<std::pair<SlotId, SignalKind>> refresh{
       {s[4], K::open}, {s[2], K::close}, {s[3], K::close},
       {s[1], K::close}, {s[0], K::close}};
-  EXPECT_EQ(sent(box_.drainOutput()), refresh);
+  EXPECT_EQ(sent(drained(box_)), refresh);
 }
 
 // Destroys another channel the first time one of its slots sees activity.
@@ -265,13 +290,13 @@ TEST(BoxHooks, SlotActivityMayRemoveRowsMidDelivery) {
   const SlotId linked = box.addChannelEnd(ChannelId{3}, 1, true, "", BoxId{4}, "z")[0];
   box.linkSlots(gone, linked);
   box.setGoal(held[1], HoldSlotGoal{phone(), DescriptorFactory{1}});
-  (void)box.drainOutput();
+  (void)drained(box);
 
   // The delivery's own outputs are queued before the hook erases the rows
   // (and the end) ahead of the delivering slot's.
   box.fold = ChannelId{1};
   box.deliverTunnel(held[1], OpenSignal{Medium::audio, remote(1)});
-  const auto out = box.drainOutput();
+  const auto out = drained(box);
   ASSERT_EQ(out.tunnel.size(), 2u);  // oack + select
   for (const auto& t : out.tunnel) {
     EXPECT_EQ(t.slot, held[1]);
@@ -296,7 +321,7 @@ TEST(BoxHooks, SlotActivityMayRemoveRowsMidDelivery) {
   box.deliverTunnel(held[0], OpenSignal{Medium::audio, remote(2)});
   EXPECT_EQ(box.slotState(held[0]), ProtocolState::opened);
   box.deliverTunnel(gone, CloseSignal{});
-  EXPECT_TRUE(box.drainOutput().empty());
+  EXPECT_TRUE(drained(box).empty());
 }
 
 }  // namespace

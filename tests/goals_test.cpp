@@ -2,6 +2,8 @@
 // driven directly against a SlotEndpoint.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/goal.hpp"
 
 namespace cmc {
@@ -308,6 +310,38 @@ TEST_F(HoldSlotTest, AnswersDescribe) {
   EXPECT_EQ(select.selector.answersDescriptor, DescriptorId{7});
 }
 
+// A codec list longer than CodecList's inline capacity spills to the heap;
+// goal copies (the explorer's states, the box rows) must own their lists.
+TEST(MediaIntentCodecs, SpilledListsDescribeAndAnswer) {
+  const CodecList six = {Codec::l16,  Codec::g711u, Codec::g711a,
+                         Codec::g722, Codec::g726,  Codec::gsmFr};
+  const MediaIntent intent =
+      MediaIntent::endpoint(MediaAddress::parse("10.0.0.1", 5000), six);
+  ASSERT_FALSE(intent.receivable.isInline());
+  ASSERT_FALSE(intent.sendable.isInline());
+  std::optional<OpenSlotGoal> original{
+      OpenSlotGoal{Medium::audio, intent, DescriptorFactory{1}}};
+  OpenSlotGoal goal = *original;
+  original.reset();
+
+  SlotEndpoint slot{SlotId{1}, /*channel_initiator=*/true};
+  Outbox out;
+  goal.attach(slot, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(std::get<OpenSignal>(out.signals()[0].signal).descriptor.codecs, six);
+
+  // The far end offers only the last codec on our list.
+  const Codec last[] = {Codec::gsmFr};
+  Outbox out2 = deliverVia(
+      goal, slot,
+      OackSignal{makeDescriptor(DescriptorId{50},
+                                MediaAddress::parse("10.0.9.9", 5900), last,
+                                false)});
+  ASSERT_EQ(out2.size(), 1u);
+  EXPECT_EQ(std::get<SelectSignal>(out2.signals()[0].signal).selector.codec,
+            Codec::gsmFr);
+}
+
 // ------------------------------------------------------- EndpointGoal glue
 
 TEST(EndpointGoalVariant, KindDispatch) {
@@ -329,11 +363,19 @@ TEST(EndpointGoalVariant, RetryOnlyForOpenSlot) {
 }
 
 TEST(EndpointGoalVariant, SetMuteNoopForCloseSlot) {
+  // Mute reaches a goal through its media core, which a closeSlot lacks.
   EndpointGoal close = CloseSlotGoal{};
+  EXPECT_EQ(mediaGoalOf(close), nullptr);
+  EndpointGoal open = OpenSlotGoal{Medium::audio, phoneIntent(), DescriptorFactory{1}};
+  EXPECT_EQ(mediaGoalOf(open), &std::get<OpenSlotGoal>(open));
+  EndpointGoal hold = HoldSlotGoal{phoneIntent(), DescriptorFactory{2}};
+  MediaGoal* media = mediaGoalOf(hold);
+  ASSERT_EQ(media, &std::get<HoldSlotGoal>(hold));
   SlotEndpoint slot{SlotId{1}, true};
   Outbox out;
-  setMute(close, true, true, slot, out);
-  EXPECT_TRUE(out.empty());
+  media->setMute(true, true, slot, out);
+  EXPECT_TRUE(out.empty());  // closed: picked up at the next accept
+  EXPECT_TRUE(std::get<HoldSlotGoal>(hold).intent().muteIn);
 }
 
 TEST(EndpointGoalVariant, CanonicalizeDistinguishesGoals) {

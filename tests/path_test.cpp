@@ -305,14 +305,30 @@ TEST(PathFingerprint, CopyIsIndependent) {
   EXPECT_EQ(p1.fingerprint(), p2.fingerprint());
 }
 
-// The explorer's reference model, openSlot/openSlot with one flowlink, set
-// up as explorePath sets it up (deferred attach, chaos and modify budget 1).
-PathSystem referenceInitial() {
+// The explorer's reference models, openSlot with one flowlink to an openSlot
+// or a holdSlot, set up as explorePath sets them up (deferred attach, chaos
+// and modify budget 1).
+PathSystem referenceInitial(K right) {
   PathSystem path(PathSystem::makeGoal(K::openSlot, PathEnd::left),
-                  PathSystem::makeGoal(K::openSlot, PathEnd::right), 1,
+                  PathSystem::makeGoal(right, PathEnd::right), 1,
                   /*defer_attach=*/true);
   path.setChaosBudget(1);
   path.setModifyBudget(1);
+  return path;
+}
+
+// Twelve steps from the reference model; on openSlot/openSlot they attach
+// every party, spend the chaos and modify budgets and deliver in both
+// directions on both channels.
+PathSystem referenceScripted(K right) {
+  PathSystem path = referenceInitial(right);
+  std::vector<PathAction> actions;
+  for (std::size_t step = 0; step < 12; ++step) {
+    path.enabledActions(actions);
+    EXPECT_FALSE(actions.empty()) << "step " << step;
+    if (actions.empty()) break;
+    path.apply(actions[(step * 7) % actions.size()]);
+  }
   return path;
 }
 
@@ -322,74 +338,120 @@ std::vector<std::uint8_t> canonicalBytes(const PathSystem& path) {
   return w.take();
 }
 
-// Canonical bytes recorded before the writer copied whole words: the
-// encoding the explorer dedups on must not move by a byte.
-TEST(PathFingerprint, InitialCanonicalBytesMatchRecordedEncoding) {
-  const PathSystem path = referenceInitial();
-  const std::vector<std::uint8_t> recorded = {
-    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17, 0x00,
-    0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05,
-    0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00,
-    0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00,
-    0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01,
-    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-  };
+void expectRecorded(const PathSystem& path,
+                    const std::vector<std::uint8_t>& recorded) {
   EXPECT_EQ(canonicalBytes(path), recorded);
   EXPECT_EQ(path.fingerprint(), stateHash(recorded));
 }
 
+// Canonical bytes the explorer dedups on must not move by a byte. The
+// openSlot/openSlot encodings were recorded before the writer copied whole
+// words, the openSlot/holdSlot ones before openSlot and holdSlot shared one
+// media core.
+TEST(PathFingerprint, InitialCanonicalBytesMatchRecordedEncoding) {
+  expectRecorded(referenceInitial(K::openSlot), {
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17, 0x00,
+      0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05,
+      0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00,
+      0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00,
+      0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  });
+  expectRecorded(referenceInitial(K::holdSlot), {
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17, 0x00,
+      0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05,
+      0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0x00, 0x02, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00, 0x02,
+      0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00,
+      0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  });
+}
+
 TEST(PathFingerprint, ScriptedCanonicalBytesMatchRecordedEncoding) {
-  // Twelve steps that attach every party, spend the chaos and modify
-  // budgets and deliver in both directions on both channels.
-  PathSystem path = referenceInitial();
-  std::vector<PathAction> actions;
-  for (std::size_t step = 0; step < 12; ++step) {
-    path.enabledActions(actions);
-    ASSERT_FALSE(actions.empty()) << "step " << step;
-    path.apply(actions[(step * 7) % actions.size()]);
-  }
-  const std::vector<std::uint8_t> recorded = {
-    0x01, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17,
-    0x01, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00,
-    0x05, 0x00, 0x02, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01,
-    0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x01,
-    0x00, 0x01, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
-    0x00, 0x0a, 0x70, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00,
-    0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x10, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00,
-    0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x01, 0x02, 0x00,
-    0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x01, 0x00,
-    0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x20, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x01,
-    0x00, 0x01, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
-    0x00, 0x0a, 0x70, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00,
-    0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x01, 0x01, 0x00,
-    0x01, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00,
-    0x0a, 0x71, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x01, 0x0d, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17,
-    0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
-    0x01, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x10, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00,
-  };
-  EXPECT_EQ(canonicalBytes(path), recorded);
-  EXPECT_EQ(path.fingerprint(), stateHash(recorded));
+  expectRecorded(referenceScripted(K::openSlot), {
+      0x01, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17,
+      0x01, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00,
+      0x05, 0x00, 0x02, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01,
+      0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x01,
+      0x00, 0x01, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+      0x00, 0x0a, 0x70, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x10, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x01, 0x02, 0x00,
+      0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x01, 0x00,
+      0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x20, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x01,
+      0x00, 0x01, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+      0x00, 0x0a, 0x70, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x01, 0x01, 0x00,
+      0x01, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00,
+      0x0a, 0x71, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x01, 0x0d, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17,
+      0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+      0x01, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x10, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00,
+  });
+  expectRecorded(referenceScripted(K::holdSlot), {
+      0x01, 0x03, 0x01, 0x01, 0x00, 0x01, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17, 0x01, 0x01,
+      0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00,
+      0x02, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x10,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x01, 0x00, 0x01,
+      0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a,
+      0x70, 0x17, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x20,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x02, 0x00, 0x02, 0x01,
+      0x01, 0x00, 0x0a, 0x71, 0x17, 0x01, 0x00, 0x02, 0x00, 0x02, 0x00, 0x05,
+      0x00, 0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x01, 0x00, 0x20, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00,
+      0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x70, 0x17,
+      0x02, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x03, 0x01, 0x01, 0x00, 0x01, 0x00, 0x00, 0x20,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x01,
+      0x00, 0x00, 0x00, 0x01, 0x0d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x02, 0x00, 0x00, 0x00, 0x10, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x01, 0x01, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x04, 0x01, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x0a, 0x70, 0x17, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x05, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x0a, 0x70, 0x17, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x10,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x0a, 0x71, 0x17, 0x02,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  });
 }
 
 // ------------------------------------------------------------ enabled actions
