@@ -24,44 +24,9 @@ class ClickToDialBox : public ProgramBox {
  public:
   ClickToDialBox(BoxId id, std::string name, std::string tone_resource,
                  SimDuration answer_timeout = std::chrono::seconds(30))
-      : ProgramBox(id, std::move(name)),
+      : ProgramBox(id, std::move(name), program()),
         tone_resource_(std::move(tone_resource)),
         answer_timeout_(answer_timeout) {
-    addState("start", {});
-    addState("oneCall", {openSlot("1a")});
-    addState("twoCalls", {openSlot("1a"), openSlot("2a")});
-    addState("busyTone", {flowLink("1a", "Ta")});
-    addState("ringback", {flowLink("1a", "Ta"), openSlot("2a")});
-    addState("connected", {flowLink("1a", "2a")});
-    addState("done", {});
-
-    for (const char* from :
-         {"oneCall", "twoCalls", "busyTone", "ringback", "connected"}) {
-      addTransition(from, "done", onSlotLost("1a"), [this](ProgramBox&) {
-        destroyChannelOf("2a");
-        destroyChannelOf("Ta");
-      });
-    }
-    addTransition("oneCall", "twoCalls", isFlowing("1a"),
-                  [this](ProgramBox&) { requestChannel(user2_, 1, "2a"); });
-    // User 1 never picked up.
-    addTransition("oneCall", "done", onTimerTag("answer"),
-                  [this](ProgramBox&) { destroyChannelOf("1a"); });
-    // User 2's device is ringing: play ringback while 2a keeps trying.
-    addTransition("twoCalls", "ringback",
-                  onMetaKind(MetaKind::available, "2a"), [this](ProgramBox&) {
-                    requestChannel(tone_resource_, 1, "Ta");
-                  });
-    for (const char* from : {"twoCalls", "ringback"}) {
-      addTransition(from, "busyTone", onMetaKind(MetaKind::unavailable, "2a"),
-                    [this](ProgramBox&) {
-                      destroyChannelOf("2a");
-                      if (!isBound("Ta")) requestChannel(tone_resource_, 1, "Ta");
-                    });
-      // User 2 answered: drop the tone and connect the two users.
-      addTransition(from, "connected", isFlowing("2a"),
-                    [this](ProgramBox&) { destroyChannelOf("Ta"); });
-    }
     start("start");
   }
 
@@ -75,6 +40,52 @@ class ClickToDialBox : public ProgramBox {
   }
 
  private:
+  enum : Slot { k1a, k2a, kTa };
+
+  static const ProgramDef& program() {
+    static const ProgramDef def = [] {
+      ProgramDef d({"1a", "2a", "Ta"});
+      d.state("start", {});
+      d.state("oneCall", {openSlot(k1a)});
+      d.state("twoCalls", {openSlot(k1a), openSlot(k2a)});
+      d.state("busyTone", {flowLink(k1a, kTa)});
+      d.state("ringback", {flowLink(k1a, kTa), openSlot(k2a)});
+      d.state("connected", {flowLink(k1a, k2a)});
+      d.state("done", {});
+
+      d.transition({"oneCall", "twoCalls", "busyTone", "ringback", "connected"},
+                   "done", onSlotLost(k1a), destroying({k2a, kTa}));
+      d.transition("oneCall", "twoCalls", isFlowing(k1a),
+                   [](ProgramBox& box, const Event&) {
+                     box.requestChannel(self(box).user2_, 1, "2a");
+                   });
+      // User 1 never picked up.
+      d.transition("oneCall", "done", onTimerTag("answer"), destroying({k1a}));
+      // User 2's device is ringing: play ringback while 2a keeps trying.
+      d.transition("twoCalls", "ringback", onMetaKind(MetaKind::available, k2a),
+                   [](ProgramBox& box, const Event&) {
+                     box.requestChannel(self(box).tone_resource_, 1, "Ta");
+                   });
+      d.transition({"twoCalls", "ringback"}, "busyTone",
+                   onMetaKind(MetaKind::unavailable, k2a),
+                   [](ProgramBox& box, const Event&) {
+                     box.destroyChannelOf(k2a);
+                     if (!box.isBound(kTa)) {
+                       box.requestChannel(self(box).tone_resource_, 1, "Ta");
+                     }
+                   });
+      // User 2 answered: drop the tone and connect the two users.
+      d.transition({"twoCalls", "ringback"}, "connected", isFlowing(k2a),
+                   destroying({kTa}));
+      return d;
+    }();
+    return def;
+  }
+
+  static ClickToDialBox& self(ProgramBox& box) {
+    return static_cast<ClickToDialBox&>(box);
+  }
+
   std::string tone_resource_;
   SimDuration answer_timeout_;
   std::string user2_;

@@ -25,52 +25,65 @@ class CallForwardingBox : public ProgramBox {
   CallForwardingBox(BoxId id, std::string name, std::string served_user,
                     std::string forward_target,
                     Mode mode = Mode::onUnavailable)
-      : ProgramBox(id, std::move(name)),
+      : ProgramBox(id, std::move(name), program()),
         served_user_(std::move(served_user)),
         forward_target_(std::move(forward_target)),
         mode_(mode) {
-    // Hold the caller until the outgoing leg is up, then splice the two.
-    addState("idle", {});
-    addState("calling", {holdSlot("in")});
-    addState("serving", {flowLink("in", "out")});
-    addState("forwarding", {holdSlot("in")});
-    addState("forwarded", {flowLink("in", "out")});
-
-    for (const char* from : {"calling", "serving", "forwarding", "forwarded"}) {
-      // The caller went away: fold the outgoing leg too.
-      addTransition(from, "idle", onSlotLost("in"),
-                    [this](ProgramBox&) { destroyChannelOf("out"); });
-      // The callee hung up: release the caller.
-      addTransition(from, "idle", onSlotLost("out"),
-                    [this](ProgramBox&) { destroyChannelOf("in"); });
-    }
-    const Guard out_up = [](ProgramBox& box) { return box.isBound("out"); };
-    addTransition("calling", "serving", out_up);
-    addTransition("forwarding", "forwarded", out_up);
-    // The served user is unavailable: re-route the leg.
-    addTransition("serving", "forwarding",
-                  onMetaKind(MetaKind::unavailable, "out"), [this](ProgramBox&) {
-                    destroyChannelOf("out");
-                    requestChannel(forward_target_, 1, "out");
-                  });
     start("idle");
   }
 
-  [[nodiscard]] bool forwarded() const noexcept {
+  [[nodiscard]] bool forwarded() const {
     return inState("forwarding") || inState("forwarded");
   }
 
  protected:
   void onIncomingChannel(ChannelId channel, const std::string&) override {
     const SlotIds slots = slotsOf(channel);
-    if (slots.empty() || isBound("in")) return;  // one call at a time
+    if (slots.empty() || isBound(kIn)) return;  // one call at a time
     const bool always = mode_ == Mode::always;
     start(always ? "forwarding" : "calling");
-    bind("in", slots.front());
+    bind(kIn, slots.front());
     requestChannel(always ? forward_target_ : served_user_, 1, "out");
   }
 
  private:
+  enum : Slot { kIn, kOut };
+
+  static const ProgramDef& program() {
+    static const ProgramDef def = [] {
+      ProgramDef d({"in", "out"});
+      // Hold the caller until the outgoing leg is up, then splice the two.
+      d.state("idle", {});
+      d.state("calling", {holdSlot(kIn)});
+      d.state("serving", {flowLink(kIn, kOut)});
+      d.state("forwarding", {holdSlot(kIn)});
+      d.state("forwarded", {flowLink(kIn, kOut)});
+
+      // The caller went away: fold the outgoing leg too.
+      d.transition({"calling", "serving", "forwarding", "forwarded"}, "idle",
+                   onSlotLost(kIn), destroying({kOut}));
+      // The callee hung up: release the caller.
+      d.transition({"calling", "serving", "forwarding", "forwarded"}, "idle",
+                   onSlotLost(kOut), destroying({kIn}));
+      const Guard out_up = [](const ProgramBox& box, const Event&) {
+        return box.isBound(kOut);
+      };
+      d.transition("calling", "serving", out_up);
+      d.transition("forwarding", "forwarded", out_up);
+      // The served user is unavailable: re-route the leg.
+      d.transition("serving", "forwarding",
+                   onMetaKind(MetaKind::unavailable, kOut),
+                   [](ProgramBox& box, const Event&) {
+                     box.destroyChannelOf(kOut);
+                     box.requestChannel(
+                         static_cast<CallForwardingBox&>(box).forward_target_,
+                         1, "out");
+                   });
+      return d;
+    }();
+    return def;
+  }
+
   std::string served_user_;
   std::string forward_target_;
   Mode mode_;

@@ -26,29 +26,10 @@ class PrepaidCardBox : public ProgramBox {
  public:
   PrepaidCardBox(BoxId id, std::string name, std::string callee_target,
                  std::string voice_resource, SimDuration talk_time)
-      : ProgramBox(id, std::move(name)),
+      : ProgramBox(id, std::move(name), program()),
         callee_target_(std::move(callee_target)),
-        voice_resource_(std::move(voice_resource)) {
-    // Hold the caller until the call legs exist; the flowlink re-matches.
-    addState("idle", {holdSlot("c")});
-    addState("talking", {holdSlot("v"), flowLink("c", "a")});
-    addState("collecting", {holdSlot("a"), flowLink("c", "v")});
-
-    for (const char* from : {"idle", "talking", "collecting"}) {
-      addTransition(from, "idle", onSlotLost("c"), [this](ProgramBox&) {
-        destroyChannelOf("a");
-        destroyChannelOf("v");
-      });
-    }
-    addTransition("idle", "talking", [](ProgramBox& box) {
-      return box.isBound("a") && box.isBound("v");
-    });
-    addTransition("talking", "collecting", onTimerTag("funds"),
-                  [this](ProgramBox&) { ++times_collected_; });
-    addTransition("collecting", "talking", onCustomMeta("paid"));
-    onEnter("talking", [this, talk_time](ProgramBox&) {
-      setTimer(talk_time, "funds");
-    });
+        voice_resource_(std::move(voice_resource)),
+        talk_time_(talk_time) {
     start("idle");
   }
 
@@ -59,15 +40,48 @@ class PrepaidCardBox : public ProgramBox {
   // resource; both legs up starts `talking`.
   void onIncomingChannel(ChannelId channel, const std::string&) override {
     const SlotIds slots = slotsOf(channel);
-    if (slots.empty() || isBound("c")) return;
-    bind("c", slots.front());
+    if (slots.empty() || isBound(kC)) return;
+    bind(kC, slots.front());
     requestChannel(callee_target_, 1, "a");
     requestChannel(voice_resource_, 1, "v");
   }
 
  private:
+  enum : Slot { kC, kA, kV };
+
+  static const ProgramDef& program() {
+    static const ProgramDef def = [] {
+      ProgramDef d({"c", "a", "v"});
+      // Hold the caller until the call legs exist; the flowlink re-matches.
+      d.state("idle", {holdSlot(kC)});
+      d.state("talking", {holdSlot(kV), flowLink(kC, kA)});
+      d.state("collecting", {holdSlot(kA), flowLink(kC, kV)});
+
+      d.transition({"idle", "talking", "collecting"}, "idle", onSlotLost(kC),
+                   destroying({kA, kV}));
+      d.transition("idle", "talking", [](const ProgramBox& box, const Event&) {
+        return box.isBound(kA) && box.isBound(kV);
+      });
+      d.transition("talking", "collecting", onTimerTag("funds"),
+                   [](ProgramBox& box, const Event&) {
+                     ++self(box).times_collected_;
+                   });
+      d.transition("collecting", "talking", onCustomMeta("paid"));
+      d.onEnter("talking", [](ProgramBox& box, const Event&) {
+        self(box).setTimer(self(box).talk_time_, "funds");
+      });
+      return d;
+    }();
+    return def;
+  }
+
+  static PrepaidCardBox& self(ProgramBox& box) {
+    return static_cast<PrepaidCardBox&>(box);
+  }
+
   std::string callee_target_;
   std::string voice_resource_;
+  SimDuration talk_time_;
   int times_collected_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -75,6 +76,27 @@ template <typename Rows>
 auto* singleGoalIn(Rows& rows, SlotId slot) {
   auto* row = goalIn(rows, slot);
   return row != nullptr ? std::get_if<EndpointGoal>(&row->goal) : nullptr;
+}
+
+// The protocol states of a goal's slot and, for a flowlink, of its other
+// slot: all that decides whether the goal sits at its target.
+using GoalStates = std::pair<ProtocolState, ProtocolState>;
+
+template <typename Slots, typename Row>
+GoalStates statesOf(const Slots& slots, const Row& row) {
+  return {slotIn(slots, row.a).state(),
+          row.b.valid() ? slotIn(slots, row.b).state() : ProtocolState::closed};
+}
+
+template <typename Row>
+bool satisfiedAt(const Row& row, GoalStates states) {
+  const auto* goal = std::get_if<EndpointGoal>(&row.goal);
+  if (goal == nullptr) {
+    return FlowLink::matched(states.first, states.second);
+  }
+  return states.first == (kindOf(*goal) == GoalKind::closeSlot
+                              ? ProtocolState::closed
+                              : ProtocolState::flowing);
 }
 
 // The media core of the open or hold goal controlling `slot`, if any.
@@ -286,20 +308,7 @@ const SlotEndpoint& Box::slot(SlotId slot) const { return slotIn(slots_, slot); 
 
 bool Box::goalSatisfied(SlotId slot) const {
   const GoalRow* row = goalIn(goals_, slot);
-  if (row == nullptr) return false;
-  if (const auto* goal = std::get_if<EndpointGoal>(&row->goal)) {
-    switch (kindOf(*goal)) {
-      case GoalKind::openSlot:
-      case GoalKind::holdSlot:
-        return slotState(slot) == ProtocolState::flowing;
-      case GoalKind::closeSlot:
-        return slotState(slot) == ProtocolState::closed;
-      case GoalKind::flowLink:
-        break;  // unreachable: flowlinks are not single-slot goals
-    }
-    return false;
-  }
-  return FlowLink::matched(this->slot(row->a), this->slot(row->b));
+  return row != nullptr && satisfiedAt(*row, statesOf(slots_, *row));
 }
 
 ProtocolState Box::slotState(SlotId slot) const { return this->slot(slot).state(); }
@@ -308,19 +317,32 @@ void Box::deliverTunnel(SlotId slot, const Signal& signal) {
   SlotRow* row = slotRowIn(slots_, slot);
   if (row == nullptr) return;  // raced with channel teardown
   // Goal-achieved edges (posted goal first reaching its target state) are
-  // only detectable across the delivery; evaluate the predicate on both
-  // sides when observability is on.
+  // only detectable across the delivery, when observability is on. A goal's
+  // verdict depends on its slots' protocol states alone, so it is judged
+  // again only if the delivery moved one of them. Dispatch moves no row.
   const bool observing =
       obs::recorder() != nullptr || obs::metrics() != nullptr;
-  const bool satisfied_before = observing && goalSatisfied(slot);
+  const GoalRow* goal = observing ? goalIn(goals_, slot) : nullptr;
+  // A flowlink's other slot; a single-slot goal's slot is `slot`.
+  const SlotEndpoint* other =
+      goal != nullptr && goal->b.valid()
+          ? &slotIn(slots_, goal->a == slot ? goal->b : goal->a)
+          : nullptr;
+  const auto states = [&] {
+    return GoalStates{row->slot.state(),
+                      other ? other->state() : ProtocolState::closed};
+  };
+  const GoalStates before = goal ? states() : GoalStates{};
   const DeliverResult result = row->slot.deliver(signal);
   if (result.autoReply) {
     queueTunnel(slot, *result.autoReply);
   }
   dispatch(row->slot, result.event, signal);
-  if (observing && !satisfied_before && goalSatisfied(slot)) {
-    if (auto kind = goalKind(slot)) {
-      traceGoal(obs::EventKind::goalAchieved, name_, *kind, slot);
+  if (goal != nullptr) {
+    if (const GoalStates after = states(); after != before &&
+                                           satisfiedAt(*goal, after) &&
+                                           !satisfiedAt(*goal, before)) {
+      traceGoal(obs::EventKind::goalAchieved, name_, *goalKind(slot), slot);
     }
   }
   // The hook may add or remove channels, which moves rows: `row` is not

@@ -61,9 +61,11 @@ class FlowLink {
                const Signal& signal, Outbox& out);
 
   // True once both slots sit in a goal substate of Fig. 12.
+  [[nodiscard]] static bool matched(ProtocolState a, ProtocolState b) noexcept {
+    return a == b && (a == ProtocolState::flowing || a == ProtocolState::closed);
+  }
   [[nodiscard]] static bool matched(const SlotEndpoint& a, const SlotEndpoint& b) noexcept {
-    return (a.state() == ProtocolState::flowing && b.state() == ProtocolState::flowing) ||
-           (a.state() == ProtocolState::closed && b.state() == ProtocolState::closed);
+    return matched(a.state(), b.state());
   }
 
   [[nodiscard]] bool upToDate(const SlotEndpoint& slot) const noexcept;

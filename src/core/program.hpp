@@ -6,14 +6,21 @@
 // have a different goal, then the program must change to a state in which
 // that slot is annotated differently."
 //
-// ProgramBox turns that prose into an API: feature authors declare states
-// with goal annotations (openSlot / closeSlot / holdSlot / flowLink over
-// *symbolic* slot names, bound to real slots at runtime) plus guarded
-// transitions. Guards are predicates over the program — the paper's
-// isClosed/isOpening/isOpened/isFlowing slot predicates, meta-signal and
-// timer events — evaluated when the program enters a state and again on
-// every event, so a transition guarded by isFlowing(s) fires as soon as s
-// is flowing, whenever that happens.
+// A program is a shared def plus a slim instance per box. The def
+// (ProgramDef) is the state table: states with goal annotations
+// (openSlot / closeSlot / holdSlot / flowLink over *symbolic* slots) plus
+// guarded transitions and onEnter actions, with state and slot names
+// resolved to dense indices as it is declared. It is built once; every box
+// that runs the program points at the same def, which must outlive them.
+// The instance (ProgramBox) holds the def pointer, the current state index
+// and the slots bound to the def's symbolic slots.
+//
+// Guards are predicates over the box and the event being processed — the
+// paper's isClosed/isOpening/isOpened/isFlowing slot predicates,
+// meta-signal and timer events — evaluated when the program enters a state
+// and again on every event, so a transition guarded by isFlowing(s) fires
+// as soon as s is flowing, whenever that happens. Guards and actions take
+// the box as an argument and capture no box, so one def serves them all.
 //
 // Annotation continuity matters (paper: "Because the annotation controlling
 // slot 2a is the same in both states twoCalls and ringback, the object
@@ -23,314 +30,376 @@
 // program wants them posted.
 //
 // A channel requested with tag `t` binds its first slot to the symbolic
-// name `t` when it comes up, and the current state's annotations are
+// slot named `t` when it comes up, and the current state's annotations are
 // applied again so a pending annotation on `t` takes effect. A slot whose
 // channel goes away is unbound.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
-#include <map>
-#include <optional>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/box.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace cmc {
 
-class ProgramBox : public Box {
+class ProgramBox;
+
+// The event a program's guards and actions see. It lives for one
+// evaluation; nothing keeps it.
+struct ProgramEvent {
+  // `none`: state entry, or a re-evaluation after a transition fired.
+  enum class Kind { none, slotActivity, meta, timer, channelUp, channelDown };
+  Kind kind = Kind::none;
+  ChannelId channel;
+  const MetaSignal* meta = nullptr;  // Kind::meta
+  std::string_view timer_tag;        // Kind::timer
+};
+
+class ProgramDef {
  public:
+  using Slot = std::uint8_t;   // a symbolic slot, by declaration index
+  using State = std::uint8_t;  // a state, by declaration index
+  using Guard = std::function<bool(const ProgramBox&, const ProgramEvent&)>;
+  using Action = std::function<void(ProgramBox&, const ProgramEvent&)>;
+
   struct Annotation {
     GoalKind kind = GoalKind::holdSlot;
-    std::string slot;   // symbolic slot name
-    std::string slot2;  // flowLink: the second slot
+    Slot slot = 0;
+    Slot slot2 = 0;  // flowLink: the second slot
     Medium medium = Medium::audio;  // openSlot
 
     friend bool operator==(const Annotation&, const Annotation&) = default;
   };
 
-  // Annotation constructors, for declarative state tables.
-  [[nodiscard]] static Annotation openSlot(std::string slot,
-                                           Medium medium = Medium::audio) {
-    return Annotation{GoalKind::openSlot, std::move(slot), "", medium};
-  }
-  [[nodiscard]] static Annotation closeSlot(std::string slot) {
-    return Annotation{GoalKind::closeSlot, std::move(slot), "", Medium::audio};
-  }
-  [[nodiscard]] static Annotation holdSlot(std::string slot) {
-    return Annotation{GoalKind::holdSlot, std::move(slot), "", Medium::audio};
-  }
-  [[nodiscard]] static Annotation flowLink(std::string a, std::string b) {
-    return Annotation{GoalKind::flowLink, std::move(a), std::move(b),
-                      Medium::audio};
-  }
+  // The symbolic slots, in index order: slot i is named slots[i].
+  explicit ProgramDef(std::initializer_list<std::string_view> slots)
+      : slots_(slots.begin(), slots.end()) {}
 
-  // The event being processed while guards run.
-  struct Event {
-    enum class Kind {
-      none,         // state entry / re-evaluation
-      slotActivity,
-      meta,
-      timer,
-      channelUp,
-      channelDown,
-    };
-    Kind kind = Kind::none;
-    ChannelId channel;
-    MetaSignal meta;
-    std::string timerTag;
-  };
-
-  using Guard = std::function<bool(ProgramBox&)>;
-  using Action = std::function<void(ProgramBox&)>;
-
-  ProgramBox(BoxId id, std::string name) : Box(id, std::move(name)) {
-    ids_ = DescriptorFactory{id.value()};
-  }
-
-  // ---- program definition (before start) -------------------------------
-  ProgramBox& addState(std::string name, std::vector<Annotation> annotations) {
-    states_[std::move(name)] = std::move(annotations);
+  // Declaring. A transition or onEnter names states already declared; a
+  // name never declared, or declared twice, or an annotation on a slot the
+  // def does not have, throws std::invalid_argument.
+  ProgramDef& state(std::string name, std::vector<Annotation> annotations) {
+    // Indices are bytes, and a box marks "no state yet" with 0xff.
+    const bool slots_declared = std::all_of(
+        annotations.begin(), annotations.end(), [&](const Annotation& a) {
+          return std::max(a.slot, a.slot2) < slots_.size();
+        });
+    if (!slots_declared || indexOf(name) < states_.size() ||
+        states_.size() == 0xfe) {
+      throw std::invalid_argument("program: cannot declare '" + name + "'");
+    }
+    states_.push_back({std::move(name), std::move(annotations), {}, {}});
     return *this;
   }
-  ProgramBox& addTransition(std::string from, std::string to, Guard guard,
-                            Action action = nullptr) {
-    transitions_.push_back(Transition{std::move(from), std::move(to),
-                                      std::move(guard), std::move(action)});
+  // The same transition out of each state in `from`.
+  ProgramDef& transition(std::initializer_list<std::string_view> from,
+                         std::string_view to, const Guard& guard,
+                         const Action& action = nullptr) {
+    const State target = stateNamed(to);
+    for (const std::string_view f : from) {
+      states_[stateNamed(f)].transitions.push_back({target, guard, action});
+    }
     return *this;
+  }
+  ProgramDef& transition(std::string_view from, std::string_view to,
+                         const Guard& guard, const Action& action = nullptr) {
+    return transition({from}, to, guard, action);
   }
   // Action run when a state is entered (after annotations are applied).
-  ProgramBox& onEnter(const std::string& state, Action action) {
-    on_enter_[state] = std::move(action);
+  ProgramDef& onEnter(std::string_view state, Action action) {
+    states_[stateNamed(state)].on_enter = std::move(action);
     return *this;
+  }
+
+ private:
+  friend class ProgramBox;
+
+  struct Transition {
+    State to = 0;
+    Guard guard;  // empty: always
+    Action action;
+  };
+  struct StateRow {
+    std::string name;
+    std::vector<Annotation> annotations;
+    std::vector<Transition> transitions;  // in declaration order
+    Action on_enter;
+  };
+
+  [[nodiscard]] State stateNamed(std::string_view name) const {
+    const std::size_t i = indexOf(name);
+    if (i == states_.size()) {
+      throw std::invalid_argument("program: undeclared state '" +
+                                  std::string(name) + "'");
+    }
+    return static_cast<State>(i);
+  }
+  // The index of the state named `name`, or the number of states.
+  [[nodiscard]] std::size_t indexOf(std::string_view name) const {
+    std::size_t i = 0;
+    while (i < states_.size() && states_[i].name != name) ++i;
+    return i;
+  }
+
+  std::vector<std::string> slots_;
+  std::vector<StateRow> states_;
+};
+
+class ProgramBox : public Box {
+ public:
+  using Slot = ProgramDef::Slot;
+  using Annotation = ProgramDef::Annotation;
+  using Event = ProgramEvent;
+  using Guard = ProgramDef::Guard;
+  using Action = ProgramDef::Action;
+
+  // `def` is shared and must outlive the box.
+  ProgramBox(BoxId id, std::string name, const ProgramDef& def)
+      : Box(id, std::move(name)), def_(&def) {
+    while (bindings_.size() < def.slots_.size()) bindings_.push_back({});
+  }
+
+  // Annotation constructors, for declarative state tables.
+  [[nodiscard]] static Annotation openSlot(Slot slot,
+                                           Medium medium = Medium::audio) {
+    return {GoalKind::openSlot, slot, 0, medium};
+  }
+  [[nodiscard]] static Annotation closeSlot(Slot slot) {
+    return {GoalKind::closeSlot, slot};
+  }
+  [[nodiscard]] static Annotation holdSlot(Slot slot) {
+    return {GoalKind::holdSlot, slot};
+  }
+  [[nodiscard]] static Annotation flowLink(Slot a, Slot b) {
+    return {GoalKind::flowLink, a, b};
+  }
+
+  // Guard factories.
+  [[nodiscard]] static Guard isFlowing(Slot slot) {
+    return [slot](const ProgramBox& box, const Event&) {
+      return box.flowing(slot);
+    };
+  }
+  // A meta-signal of `kind` arrived on the channel of the slot bound to
+  // `slot`.
+  [[nodiscard]] static Guard onMetaKind(MetaKind kind, Slot slot) {
+    return [kind, slot](const ProgramBox& box, const Event& event) {
+      return event.kind == Event::Kind::meta && event.meta->kind == kind &&
+             box.isBound(slot) &&
+             event.channel == box.channelOf(box.bound(slot));
+    };
+  }
+  // A channel went down and `slot` has no slot bound to it: the channel
+  // was `slot`'s, or `slot` was never bound.
+  [[nodiscard]] static Guard onSlotLost(Slot slot) {
+    return [slot](const ProgramBox& box, const Event& event) {
+      return event.kind == Event::Kind::channelDown && !box.isBound(slot);
+    };
+  }
+  [[nodiscard]] static Guard onCustomMeta(std::string tag) {
+    return [tag = std::move(tag)](const ProgramBox&, const Event& event) {
+      return event.kind == Event::Kind::meta &&
+             event.meta->kind == MetaKind::custom && event.meta->tag == tag;
+    };
+  }
+  [[nodiscard]] static Guard onTimerTag(std::string tag) {
+    return [tag = std::move(tag)](const ProgramBox&, const Event& event) {
+      return event.kind == Event::Kind::timer && event.timer_tag == tag;
+    };
+  }
+
+  // Action factory: destroy the channels of the slots bound to `slots`.
+  [[nodiscard]] static Action destroying(std::initializer_list<Slot> slots) {
+    return [slots = std::vector<Slot>(slots)](ProgramBox& box, const Event&) {
+      for (const Slot slot : slots) box.destroyChannelOf(slot);
+    };
   }
 
   // Enter `state` and fire whatever transitions hold there: the program's
   // initial state, or the target of an event from outside the box (a
   // click on a web page) that the program's own API turns into a move.
-  void start(const std::string& state) {
-    enterState(state);
-    evaluate();
+  void start(std::string_view state) {
+    enterState(def_->stateNamed(state));
+    evaluate(Event{});
   }
 
   // ---- runtime helpers for guards and actions ---------------------------
-  [[nodiscard]] const std::string& currentState() const noexcept {
-    return current_;
+  [[nodiscard]] const ProgramDef& def() const noexcept { return *def_; }
+  // Empty before the program starts.
+  [[nodiscard]] const std::string& currentState() const {
+    static const std::string kNone;
+    return state_ != kNoState ? def_->states_[state_].name : kNone;
   }
-  [[nodiscard]] bool inState(const std::string& name) const noexcept {
-    return current_ == name;
-  }
-  [[nodiscard]] const Event& event() const noexcept { return event_; }
-
-  [[nodiscard]] bool isBound(const std::string& name) const {
-    return slotNamed(name).valid();
-  }
-  [[nodiscard]] SlotId slotNamed(const std::string& name) const {
-    auto it = bindings_.find(name);
-    return it == bindings_.end() ? SlotId{} : it->second;
+  [[nodiscard]] bool inState(std::string_view name) const {
+    return currentState() == name;
   }
 
-  // The paper's slot predicates, over symbolic names. An unbound name is
+  // The slot bound to `slot`; invalid when unbound.
+  [[nodiscard]] SlotId bound(Slot slot) const noexcept {
+    return bindings_[slot];
+  }
+  [[nodiscard]] bool isBound(Slot slot) const noexcept {
+    return bindings_[slot].valid();
+  }
+
+  // The paper's slot predicates, over symbolic slots. An unbound slot is
   // closed.
-  [[nodiscard]] bool flowing(const std::string& name) const {
-    return boundState(name) == ProtocolState::flowing;
+  [[nodiscard]] bool flowing(Slot slot) const {
+    return boundState(slot) == ProtocolState::flowing;
   }
-  [[nodiscard]] bool closed(const std::string& name) const {
-    return boundState(name) == ProtocolState::closed;
+  [[nodiscard]] bool closed(Slot slot) const {
+    return boundState(slot) == ProtocolState::closed;
   }
-  [[nodiscard]] bool opening(const std::string& name) const {
-    return boundState(name) == ProtocolState::opening;
-  }
-  [[nodiscard]] bool opened(const std::string& name) const {
-    return boundState(name) == ProtocolState::opened;
+  [[nodiscard]] bool opening(Slot slot) const {
+    return boundState(slot) == ProtocolState::opening;
   }
 
-  // Guard factories.
-  [[nodiscard]] static Guard isFlowing(std::string slot) {
-    return [slot](ProgramBox& box) { return box.flowing(slot); };
-  }
-  // A meta-signal of `kind` arrived on the channel of the slot bound to
-  // `slot`.
-  [[nodiscard]] static Guard onMetaKind(MetaKind kind, std::string slot) {
-    return [kind, slot](ProgramBox& box) {
-      return box.event().kind == Event::Kind::meta &&
-             box.event().meta.kind == kind && box.isBound(slot) &&
-             box.event().channel == box.channelOf(box.slotNamed(slot));
-    };
-  }
-  // A channel went down and `slot` has no slot bound to it: the channel
-  // was `slot`'s, or `slot` was never bound.
-  [[nodiscard]] static Guard onSlotLost(std::string slot) {
-    return [slot](ProgramBox& box) {
-      return box.event().kind == Event::Kind::channelDown && !box.isBound(slot);
-    };
-  }
-  [[nodiscard]] static Guard onCustomMeta(std::string tag) {
-    return [tag](ProgramBox& box) {
-      return box.event().kind == Event::Kind::meta &&
-             box.event().meta.kind == MetaKind::custom &&
-             box.event().meta.tag == tag;
-    };
-  }
-  [[nodiscard]] static Guard onTimerTag(std::string tag) {
-    return [tag](ProgramBox& box) {
-      return box.event().kind == Event::Kind::timer &&
-             box.event().timerTag == tag;
-    };
-  }
-
-  // Action helpers usable inside transitions.
-  // Destroy the channel of the slot bound to `name`, if any.
-  void destroyChannelOf(const std::string& name) {
-    if (isBound(name)) destroyChannel(channelOf(slotNamed(name)));
+  // Destroy the channel of the slot bound to `slot`, if any.
+  void destroyChannelOf(Slot slot) {
+    if (isBound(slot)) destroyChannel(channelOf(bound(slot)));
   }
   using Box::requestChannel;
 
  protected:
-  // Bind the symbolic name `name` to `slot` and apply the current state's
-  // annotations again, so a pending annotation on `name` takes effect.
-  // Slots already under their annotated goal kind are left untouched.
-  // Requested channels bind by tag; a program binds the channels that
-  // reach it (onIncomingChannel) itself.
-  void bind(const std::string& name, SlotId slot) {
-    bindings_[name] = slot;
-    if (const auto it = states_.find(current_); it != states_.end()) {
-      applyAnnotations(it->second, it->second);
+  // Bind `slot` to `real` and apply the current state's annotations again,
+  // so a pending annotation on `slot` takes effect. Slots already under
+  // their annotated goal kind are left untouched. Requested channels bind
+  // by tag; a program binds the channels that reach it (onIncomingChannel)
+  // itself.
+  void bind(Slot slot, SlotId real) {
+    bindings_[slot] = real;
+    if (state_ != kNoState) {
+      const auto& annotations = def_->states_[state_].annotations;
+      applyAnnotations(annotations, annotations);
     }
+  }
+
+  // The goal an openSlot, closeSlot or holdSlot annotation posts. By
+  // default an application server's: media goals carry a muted server
+  // intent and a descriptor space of the box's own id.
+  [[nodiscard]] virtual EndpointGoal makeGoal(const Annotation& a) const {
+    const DescriptorFactory ids{id().value()};
+    if (a.kind == GoalKind::openSlot) {
+      return OpenSlotGoal{a.medium, MediaIntent::server(), ids};
+    }
+    if (a.kind == GoalKind::holdSlot) {
+      return HoldSlotGoal{MediaIntent::server(), ids};
+    }
+    return CloseSlotGoal{};
   }
 
   // Box hooks feed the evaluator. Subclasses may override these further but
   // must call the ProgramBox versions.
   void onSlotActivity(SlotId) override {
-    event_ = Event{};
-    event_.kind = Event::Kind::slotActivity;
-    evaluate();
+    evaluate(Event{Event::Kind::slotActivity, {}, nullptr, {}});
   }
   void onMeta(ChannelId channel, const MetaSignal& meta) override {
-    event_ = Event{};
-    event_.kind = Event::Kind::meta;
-    event_.channel = channel;
-    event_.meta = meta;
-    evaluate();
+    evaluate(Event{Event::Kind::meta, channel, &meta, {}});
   }
   void onTimer(const std::string& tag) override {
-    event_ = Event{};
-    event_.kind = Event::Kind::timer;
-    event_.timerTag = tag;
-    evaluate();
+    evaluate(Event{Event::Kind::timer, {}, nullptr, tag});
   }
   void onChannelUp(ChannelId channel, const std::string& tag) override {
-    if (const SlotIds slots = slotsOf(channel); !slots.empty()) {
-      bind(tag, slots.front());
+    const auto& names = def_->slots_;
+    const auto it = std::find(names.begin(), names.end(), tag);
+    if (const SlotIds slots = slotsOf(channel);
+        !slots.empty() && it != names.end()) {
+      bind(static_cast<Slot>(it - names.begin()), slots.front());
     }
-    event_ = Event{};
-    event_.kind = Event::Kind::channelUp;
-    event_.channel = channel;
-    evaluate();
+    evaluate(Event{Event::Kind::channelUp, channel, nullptr, {}});
   }
   void onChannelDown(ChannelId channel) override {
-    for (auto& [name, slot] : bindings_) {
-      if (!channelOf(slot).valid()) slot = SlotId{};
+    for (SlotId& real : bindings_) {
+      if (!channelOf(real).valid()) real = SlotId{};
     }
-    event_ = Event{};
-    event_.kind = Event::Kind::channelDown;
-    event_.channel = channel;
-    evaluate();
+    evaluate(Event{Event::Kind::channelDown, channel, nullptr, {}});
   }
 
  private:
-  struct Transition {
-    std::string from;
-    std::string to;
-    Guard guard;
-    Action action;
-  };
+  using State = ProgramDef::State;
+  static constexpr State kNoState = 0xff;
+  // Transitions that fire in a row on one event before the evaluator stops.
+  static constexpr int kChainCap = 16;
 
-  [[nodiscard]] ProtocolState boundState(const std::string& name) const {
-    const SlotId slot = slotNamed(name);
-    return slot.valid() ? slotState(slot) : ProtocolState::closed;
+  [[nodiscard]] ProtocolState boundState(Slot slot) const {
+    const SlotId real = bound(slot);
+    return real.valid() ? slotState(real) : ProtocolState::closed;
   }
 
   void applyAnnotations(const std::vector<Annotation>& previous,
                         const std::vector<Annotation>& next) {
     for (const Annotation& annotation : next) {
-      // Annotation continuity: identical annotation -> same goal object.
-      bool unchanged = false;
-      for (const Annotation& old : previous) {
-        if (old == annotation) {
-          unchanged = true;
-          break;
-        }
-      }
-      const SlotId a = slotNamed(annotation.slot);
+      const SlotId a = bound(annotation.slot);
       if (!a.valid()) continue;
       if (annotation.kind == GoalKind::flowLink) {
-        const SlotId b = slotNamed(annotation.slot2);
-        if (!b.valid()) continue;
-        linkSlots(a, b);  // no-op on the same pair by Box contract
+        const SlotId b = bound(annotation.slot2);
+        if (b.valid()) linkSlots(a, b);  // no-op on the same pair
         continue;
       }
-      if (unchanged && goalKind(a).has_value() &&
-          *goalKind(a) == annotation.kind) {
-        continue;
-      }
-      switch (annotation.kind) {
-        case GoalKind::openSlot:
-          setGoal(a, OpenSlotGoal{annotation.medium, MediaIntent::server(),
-                                  ids_});
-          break;
-        case GoalKind::closeSlot:
-          setGoal(a, CloseSlotGoal{});
-          break;
-        case GoalKind::holdSlot:
-          setGoal(a, HoldSlotGoal{MediaIntent::server(), ids_});
-          break;
-        case GoalKind::flowLink:
-          break;
-      }
+      // Annotation continuity: identical annotation -> same goal object.
+      const bool unchanged = std::find(previous.begin(), previous.end(),
+                                       annotation) != previous.end();
+      if (unchanged && goalKind(a) == annotation.kind) continue;
+      setGoal(a, makeGoal(annotation));
     }
   }
 
-  void enterState(const std::string& name) {
-    const auto previous =
-        states_.count(current_) ? states_[current_] : std::vector<Annotation>{};
-    current_ = name;
-    applyAnnotations(previous, states_[name]);
-    if (auto it = on_enter_.find(name); it != on_enter_.end() && it->second) {
-      it->second(*this);
-    }
+  void enterState(State state) {
+    static const std::vector<Annotation> kNone;
+    const auto& previous =
+        state_ != kNoState ? def_->states_[state_].annotations : kNone;
+    state_ = state;
+    const ProgramDef::StateRow& row = def_->states_[state];
+    applyAnnotations(previous, row.annotations);
+    if (row.on_enter) row.on_enter(*this, Event{});
   }
 
-  void evaluate() {
-    if (current_.empty() || evaluating_) return;
+  void evaluate(const Event& event) {
+    if (state_ == kNoState || evaluating_) return;
     evaluating_ = true;
-    // Chain transitions until quiescent; events are consumed by the first
-    // round (subsequent rounds see Kind::none re-evaluation).
-    for (int depth = 0; depth < 16; ++depth) {
-      bool fired = false;
-      for (const Transition& transition : transitions_) {
-        if (transition.from != current_) continue;
-        if (!transition.guard || transition.guard(*this)) {
-          if (transition.action) transition.action(*this);
+    // Chain transitions until quiescent; the event is consumed by the first
+    // round (later rounds re-evaluate with no event).
+    const Event none{};
+    const Event* current = &event;
+    bool fired = true;
+    for (int depth = 0; depth < kChainCap && fired; ++depth, current = &none) {
+      fired = false;
+      for (const auto& transition : def_->states_[state_].transitions) {
+        if (!transition.guard || transition.guard(*this, *current)) {
+          if (transition.action) transition.action(*this, *current);
           enterState(transition.to);
           fired = true;
           break;
         }
       }
-      event_ = Event{};  // consumed
-      if (!fired) break;
+    }
+    if (fired) {
+      // The cap stopped a chain that was still firing: a transition loop.
+      // The counter is registered on its first hit only, so a run that never
+      // reaches the cap reports what it did before the counter existed.
+      static thread_local obs::CounterHandle hits{"program.chain_cap_hits"};
+      if (obs::TraceRecorder* rec = obs::recorder()) {
+        rec->record(obs::EventKind::mark, "program.chain_cap", name(),
+                    currentState());
+      }
+      if (obs::MetricsRegistry* m = obs::metrics()) hits.in(*m).add();
     }
     evaluating_ = false;
   }
 
-  DescriptorFactory ids_;
-  std::map<std::string, std::vector<Annotation>> states_;
-  std::vector<Transition> transitions_;
-  std::map<std::string, Action> on_enter_;
-  std::map<std::string, SlotId> bindings_;
-  std::string current_;
-  Event event_;
+  // First, so that they sit in the tail padding of the Box base.
+  State state_ = kNoState;
   bool evaluating_ = false;
+  const ProgramDef* def_;
+  SmallVec<SlotId, 2> bindings_;  // indexed by the def's slots
 };
 
 }  // namespace cmc

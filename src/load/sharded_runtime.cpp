@@ -278,7 +278,8 @@ void ShardedRuntime::runShard(ShardState& shard,
       teardowns.in(shard.metrics).add(1);
       armed_probes.in(shard.metrics).add(-1);
       sim.inject(call.left->id(), [](Box& box) {
-        static_cast<LoadEndpointBox&>(box).hangUp();
+        static_cast<LoadEndpointBox&>(box).destroyChannelOf(
+            LoadEndpointBox::kCall);
       });
       sim.loop().schedule(kTeardownGrace, [&audit, i]() { audit(i); });
     };
@@ -323,7 +324,7 @@ void ShardedRuntime::runShard(ShardState& shard,
         watch.push_back(relay.id().value());
       }
       sim.inject(left.id(), [target](Box& box) {
-        static_cast<LoadEndpointBox&>(box).dial(target);
+        static_cast<LoadEndpointBox&>(box).requestChannel(target, 1, "call");
       });
       const std::int64_t deadline =
           config_.setup_deadline_us > 0

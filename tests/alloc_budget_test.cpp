@@ -32,6 +32,9 @@
 //   relay box            14         0
 //   closeSlot goal       2          0   (the goal payload makeGoal builds)
 //
+// And a program box's own work per event (its guards and transitions),
+// over a whole 1-flowlink call: 0 per slot activity and per meta event.
+//
 // And a whole clean call, from its arrival to its audit, per call:
 //
 //   call                 before     budget
@@ -45,13 +48,16 @@
 #include <optional>
 #include <string>
 
+#include "apps/forwarding.hpp"
 #include "core/path.hpp"
+#include "endpoints/user_device.hpp"
 #include "load/call_boxes.hpp"
 #include "load/sharded_runtime.hpp"
 #include "load/workload.hpp"
 #include "mc/state_graph.hpp"
 #include "obs/profiler.hpp"
 #include "sim/fault.hpp"
+#include "sim/simulator.hpp"
 
 namespace cmc {
 namespace {
@@ -185,8 +191,9 @@ TEST(AllocBudget, BoxWiringAllocatesNothing) {
     CMC_PROF_SCOPE("box.wiring.relay");
     relay.addChannelEnd(in, 1, /*initiator=*/false, "", BoxId{1}, "L");
     relay.addChannelEnd(out, 1, /*initiator=*/true, "out", BoxId{3}, "R");
-    relay_linked = relay.linked();
-    relay_goal = relay.goalKind(relay.outSlot());
+    relay_linked = relay.isBound(load::LoadRelayBox::kIn) &&
+                   relay.isBound(load::LoadRelayBox::kOut);
+    relay_goal = relay.goalKind(relay.bound(load::LoadRelayBox::kOut));
     relay.removeChannel(in);  // folds the far leg too
   }
   {
@@ -233,6 +240,71 @@ TEST(AllocBudget, BoxWiringAllocatesNothing) {
       << "relay box wiring allocations (" << rl.allocs << " in all, "
       << output.allocs << " of them queued output)";
 }
+
+// A program box whose event hooks run inside a profiling span.
+class MeasuredForwardingBox : public CallForwardingBox {
+ public:
+  using CallForwardingBox::CallForwardingBox;
+
+ protected:
+  void onSlotActivity(SlotId slot) override {
+    CMC_PROF_SCOPE("program.slot_activity");
+    CallForwardingBox::onSlotActivity(slot);
+  }
+  void onMeta(ChannelId channel, const MetaSignal& meta) override {
+    CMC_PROF_SCOPE("program.meta");
+    CallForwardingBox::onMeta(channel, meta);
+  }
+};
+
+TEST(AllocBudget, ProgramEventsAllocateNothing) {
+  // A full call through one forwarding program (one flowlink): ring,
+  // answer, talk, hang up. The program's evaluator runs on every slot
+  // activity and on the ringing callee's availability meta; the goal work
+  // of each delivery runs before the hook, outside the span.
+  Simulator sim(TimingModel::paperDefaults(), 37);
+  sim.addBox<UserDeviceBox>("A", sim.mediaNetwork(), sim.loop(),
+                            MediaAddress::parse("10.5.1.1", 5000));
+  sim.addBox<UserDeviceBox>("B", sim.mediaNetwork(), sim.loop(),
+                            MediaAddress::parse("10.5.1.2", 5000),
+                            UserDeviceBox::AcceptPolicy::manual);
+  auto& fwd = sim.addBox<MeasuredForwardingBox>("fwdB", "B", "C");
+  obs::ProfileTable table;
+  obs::setThreadProfiler(&table);
+  sim.inject("A", [](Box& bx) {
+    static_cast<UserDeviceBox&>(bx).placeCall("fwdB");
+  });
+  sim.runFor(std::chrono::seconds(1));
+  sim.inject("B", [](Box& bx) {
+    static_cast<UserDeviceBox&>(bx).acceptCall();
+  });
+  sim.runFor(std::chrono::seconds(2));
+  const std::string state_in_call = fwd.currentState();
+  sim.inject("A", [](Box& bx) {
+    static_cast<UserDeviceBox&>(bx).hangUp();
+  });
+  sim.runFor(std::chrono::seconds(1));
+  obs::setThreadProfiler(nullptr);
+
+  EXPECT_EQ(state_in_call, "serving");
+  EXPECT_EQ(fwd.currentState(), "idle");
+  const obs::ProfileReport report = table.report();
+  const SiteTotals activity = siteTotals(report, "program.slot_activity");
+  const SiteTotals meta = siteTotals(report, "program.meta");
+  ASSERT_GE(activity.calls, 4u);
+  ASSERT_GE(meta.calls, 1u);
+  EXPECT_EQ(activity.allocs, 0u)
+      << "over " << activity.calls << " slot activities";
+  EXPECT_EQ(meta.allocs, 0u) << "over " << meta.calls << " meta events";
+}
+
+// A program box adds its def pointer and its two inline bindings (behind
+// the SmallVec's 16-byte header) to a Box: 40 bytes. A load box adds one
+// word of its own: the relay's far BoxId, or the endpoint's goal kind and
+// path end.
+static_assert(sizeof(load::LoadEndpointBox) <= sizeof(Box) + 48);
+static_assert(sizeof(load::LoadRelayBox) <= sizeof(Box) + 48);
+static_assert(sizeof(ProgramBox) <= sizeof(Box) + 40);
 
 TEST(AllocBudget, CleanCallLifecycleStaysWithinBudget) {
   // Every allocation of a profiled single-shard run, setup and teardown

@@ -383,7 +383,7 @@ TEST(ProbeIndex, WatchedAndUnwatchedProbesRecordIdenticalLatencies) {
         }
         if (faulty) sim.installFaultPlan(&plan);
         sim.inject("L", [target](Box& box) {
-          static_cast<LoadEndpointBox&>(box).dial(target);
+          static_cast<LoadEndpointBox&>(box).requestChannel(target, 1, "call");
         });
         const auto rest = [&]() { return pathAtRest(left, right, relay); };
         sim.probes().arm("watched", "watched", sim.nowUs(), rest, 0, watch);
