@@ -79,4 +79,21 @@ void ChannelState::canonicalize(ByteWriter& w) const {
   }
 }
 
+bool ChannelState::decode(ByteReader& r) {
+  if (r.u32() != tunnel_count_) return false;
+  for (auto& queue : queues_) {
+    const std::uint32_t depth = r.u32();
+    // Every message takes at least its tag byte, so a depth the bytes
+    // cannot hold is rejected before anything is queued.
+    if (!r.ok() || depth > r.remaining()) return false;
+    queue.clear();
+    for (std::uint32_t i = 0; i < depth; ++i) {
+      std::optional<ChannelMessage> m = deserializeChannelMessage(r);
+      if (!m) return false;
+      queue.push_back(std::move(*m));
+    }
+  }
+  return r.ok();
+}
+
 }  // namespace cmc

@@ -109,6 +109,11 @@ class ChannelState {
   }
 
   void canonicalize(ByteWriter& w) const;
+  // The inverse of canonicalize, into this channel: its id is not encoded
+  // and stays, and a tunnel count other than this channel's is rejected.
+  // Returns false on malformed bytes, leaving the queues valid but
+  // unspecified.
+  [[nodiscard]] bool decode(ByteReader& r);
 
  private:
   // One direction's FIFO, oldest message first. Queues in a path are short

@@ -41,12 +41,26 @@ bool Descriptor::wellFormed() const noexcept {
   return !has_no_media || codecs.size() == 1;
 }
 
+void serializeCodecs(std::span<const Codec> codecs, ByteWriter& w) {
+  w.u16(static_cast<std::uint16_t>(codecs.size()));
+  for (Codec c : codecs) w.u16(static_cast<std::uint16_t>(c));
+}
+
+void deserializeCodecs(ByteReader& r, CodecList& into) {
+  into.clear();
+  const std::uint16_t n = r.u16();
+  for (std::uint16_t i = 0; i < n; ++i) {
+    const auto c = static_cast<Codec>(r.u16());
+    if (!r.ok()) return;
+    into.push_back(c);
+  }
+}
+
 void Descriptor::serialize(ByteWriter& w) const {
   w.u64(id.value());
   w.u32(addr.ip);
   w.u16(addr.port);
-  w.u16(static_cast<std::uint16_t>(codecs.size()));
-  for (Codec c : codecs) w.u16(static_cast<std::uint16_t>(c));
+  serializeCodecs(codecs, w);
 }
 
 Descriptor Descriptor::deserialize(ByteReader& r) {
@@ -54,11 +68,7 @@ Descriptor Descriptor::deserialize(ByteReader& r) {
   d.id = DescriptorId{r.u64()};
   d.addr.ip = r.u32();
   d.addr.port = r.u16();
-  const std::uint16_t n = r.u16();
-  d.codecs.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    d.codecs.push_back(static_cast<Codec>(r.u16()));
-  }
+  deserializeCodecs(r, d.codecs);
   return d;
 }
 

@@ -39,6 +39,14 @@ struct MediaAddress {
 
 std::ostream& operator<<(std::ostream& os, const MediaAddress& addr);
 
+// A codec list as the encodings carry it: a u16 count, then each codec as
+// a u16.
+void serializeCodecs(std::span<const Codec> codecs, ByteWriter& w);
+// Replaces `into` with a list serializeCodecs wrote. Stops at the first
+// read past the end (the reader then reports !ok()), so a count the bytes
+// cannot hold allocates no more than they could.
+void deserializeCodecs(ByteReader& r, CodecList& into);
+
 struct Descriptor {
   DescriptorId id;    // globally unique; selectors answer by this id
   MediaAddress addr;  // where to send media for this receiver

@@ -35,11 +35,15 @@ void FlowLink::attach(SlotEndpoint& a, SlotEndpoint& b, Outbox& out) {
   if (a.medium() && b.medium() && *a.medium() != *b.medium()) {
     throw std::logic_error("flowLink precondition violated: media differ");
   }
-  slots_ = {a.id(), b.id()};
-  if (slots_[1] < slots_[0]) std::swap(slots_[0], slots_[1]);
+  pairSlots(a, b);
   utd_ = {false, false};
   closing_mode_ = false;
   refresh(a, b, out);
+}
+
+void FlowLink::pairSlots(const SlotEndpoint& a, const SlotEndpoint& b) noexcept {
+  slots_ = {a.id(), b.id()};
+  if (slots_[1] < slots_[0]) std::swap(slots_[0], slots_[1]);
 }
 
 bool& FlowLink::utd(const SlotEndpoint& slot) noexcept {
@@ -234,6 +238,20 @@ void FlowLink::canonicalize(ByteWriter& w) const {
   w.boolean(utd_[0]);
   w.boolean(utd_[1]);
   w.boolean(closing_mode_);
+}
+
+bool FlowLink::decode(ByteReader& r, const SlotEndpoint& a,
+                      const SlotEndpoint& b, bool attached) {
+  if (r.u8() != static_cast<std::uint8_t>(kind)) return false;
+  if (attached) {
+    pairSlots(a, b);
+  } else {
+    slots_ = {};
+  }
+  utd_[0] = r.boolean();
+  utd_[1] = r.boolean();
+  closing_mode_ = r.boolean();
+  return r.ok();
 }
 
 }  // namespace cmc

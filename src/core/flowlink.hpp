@@ -90,6 +90,11 @@ class FlowLink {
   bool ablation_ignore_closing_mode = false;
 
   void canonicalize(ByteWriter& w) const;
+  // The inverse of canonicalize for the link over slots `a` and `b`. The
+  // slot pairing is not encoded: it is what attach(a, b) records, or none
+  // for a link not attached yet. Returns false on malformed bytes.
+  [[nodiscard]] bool decode(ByteReader& r, const SlotEndpoint& a,
+                            const SlotEndpoint& b, bool attached);
 
  private:
   // Work toward both-flowing: for each slot that is not up to date and
@@ -106,6 +111,7 @@ class FlowLink {
   }
 
   [[nodiscard]] bool& utd(const SlotEndpoint& slot) noexcept;
+  void pairSlots(const SlotEndpoint& a, const SlotEndpoint& b) noexcept;
 
   // utd_[0] applies to the slot with the smaller SlotId, utd_[1] to the
   // other; the mapping is fixed at attach.

@@ -57,4 +57,26 @@ inline void canonicalize(const EndpointGoal& goal, ByteWriter& w) {
   std::visit([&](const auto& g) { g.canonicalize(w); }, goal);
 }
 
+// The inverse of canonicalize: reads the kind byte, switches `goal` to that
+// goal if it holds another, and decodes the rest into it. A kind that is not
+// an endpoint goal, and malformed bytes, return false.
+[[nodiscard]] inline bool decode(EndpointGoal& goal, ByteReader& r) {
+  const std::uint8_t kind = r.u8();
+  if (!r.ok()) return false;
+  switch (static_cast<GoalKind>(kind)) {
+    case GoalKind::openSlot:
+      if (!std::holds_alternative<OpenSlotGoal>(goal)) goal.emplace<OpenSlotGoal>();
+      return std::get<OpenSlotGoal>(goal).decode(r);
+    case GoalKind::closeSlot:
+      if (!std::holds_alternative<CloseSlotGoal>(goal)) goal.emplace<CloseSlotGoal>();
+      return std::get<CloseSlotGoal>(goal).decode(r);
+    case GoalKind::holdSlot:
+      if (!std::holds_alternative<HoldSlotGoal>(goal)) goal.emplace<HoldSlotGoal>();
+      return std::get<HoldSlotGoal>(goal).decode(r);
+    case GoalKind::flowLink:
+      break;
+  }
+  return false;
+}
+
 }  // namespace cmc

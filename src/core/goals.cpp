@@ -147,6 +147,19 @@ void MediaGoal::canonicalizeMedia(ByteWriter& w) const {
   if (self_desc_) w.u64(self_desc_->id.value());
 }
 
+bool MediaGoal::decodeMedia(ByteReader& r) {
+  intent_.decode(r);
+  ids_.decode(r);
+  if (!r.boolean()) {
+    self_desc_.reset();
+    return r.ok();
+  }
+  const DescriptorId id{r.u64()};
+  if (!r.ok() || id.value() >= ids_.peek().value()) return false;
+  self_desc_ = makeDescriptor(id, intent_.addr, intent_.receivable, intent_.muteIn);
+  return true;
+}
+
 // Accept an offered channel by sending oack with our own receiver
 // description, then select answering the opener's descriptor (the
 // !oack / !select sequence of Fig. 9). A stabilizing endpoint re-accepts a
@@ -252,6 +265,15 @@ void OpenSlotGoal::canonicalize(ByteWriter& w) const {
   w.u8(static_cast<std::uint8_t>(medium_));
   canonicalizeMedia(w);
   w.boolean(retry_pending_);
+}
+
+bool OpenSlotGoal::decode(ByteReader& r) {
+  const std::uint8_t medium = r.u8();
+  if (medium > static_cast<std::uint8_t>(Medium::data)) return false;
+  medium_ = static_cast<Medium>(medium);
+  if (!decodeMedia(r)) return false;
+  retry_pending_ = r.boolean();
+  return r.ok();
 }
 
 // --------------------------------------------------------------- closeSlot

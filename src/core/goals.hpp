@@ -77,6 +77,10 @@ class MediaGoal {
   [[nodiscard]] bool converged(const SlotEndpoint& slot) const noexcept;
 
   [[nodiscard]] const MediaIntent& intent() const noexcept { return intent_; }
+  // The self-description minted so far, if any.
+  [[nodiscard]] const std::optional<Descriptor>& mintedDescriptor() const noexcept {
+    return self_desc_;
+  }
 
  protected:
   MediaGoal() = default;
@@ -86,6 +90,11 @@ class MediaGoal {
   [[nodiscard]] const Descriptor& selfDescriptor();
   // Intent, descriptor ids and self-descriptor, in that order.
   void canonicalizeMedia(ByteWriter& w) const;
+  // The inverse of canonicalizeMedia. The self-descriptor is encoded by id
+  // only: it is rebuilt from the decoded intent, which is what it was
+  // minted from (every intent change that alters it resets it). An id the
+  // factory has not handed out yet is rejected.
+  [[nodiscard]] bool decodeMedia(ByteReader& r);
 
  private:
   void accept(SlotEndpoint& slot, Outbox& out);
@@ -127,6 +136,10 @@ class OpenSlotGoal : public MediaGoal {
   [[nodiscard]] Medium medium() const noexcept { return medium_; }
 
   void canonicalize(ByteWriter& w) const;
+  // Each goal's decode reads what its canonicalize writes after the kind
+  // byte, which decode(EndpointGoal&, ByteReader&) (core/goal.hpp) reads to
+  // choose the goal. Returns false on malformed bytes.
+  [[nodiscard]] bool decode(ByteReader& r);
 
  private:
   Medium medium_ = Medium::audio;
@@ -146,6 +159,7 @@ class CloseSlotGoal {
   [[nodiscard]] bool converged(const SlotEndpoint& slot) const noexcept;
 
   void canonicalize(ByteWriter& w) const;
+  [[nodiscard]] bool decode(ByteReader& r) { return r.ok(); }
 };
 
 // attach, onEvent and converged are the media core's.
@@ -160,6 +174,7 @@ class HoldSlotGoal : public MediaGoal {
   void refresh(SlotEndpoint& slot, Outbox& out);
 
   void canonicalize(ByteWriter& w) const;
+  [[nodiscard]] bool decode(ByteReader& r) { return decodeMedia(r); }
 };
 
 }  // namespace cmc

@@ -25,8 +25,11 @@ class DescriptorFactory {
       : next_((space + 1) << 20) {}
 
   [[nodiscard]] DescriptorId fresh() noexcept { return DescriptorId{next_++}; }
+  // The id fresh() hands out next.
+  [[nodiscard]] DescriptorId peek() const noexcept { return DescriptorId{next_}; }
 
   void canonicalize(ByteWriter& w) const { w.u64(next_); }
+  void decode(ByteReader& r) noexcept { next_ = r.u64(); }
 
  private:
   std::uint64_t next_ = 1;
@@ -74,10 +77,17 @@ struct MediaIntent {
     w.u16(addr.port);
     w.boolean(muteIn);
     w.boolean(muteOut);
-    w.u16(static_cast<std::uint16_t>(receivable.size()));
-    for (Codec c : receivable) w.u16(static_cast<std::uint16_t>(c));
-    w.u16(static_cast<std::uint16_t>(sendable.size()));
-    for (Codec c : sendable) w.u16(static_cast<std::uint16_t>(c));
+    serializeCodecs(receivable, w);
+    serializeCodecs(sendable, w);
+  }
+  // The inverse of canonicalize; the caller checks r.ok().
+  void decode(ByteReader& r) {
+    addr.ip = r.u32();
+    addr.port = r.u16();
+    muteIn = r.boolean();
+    muteOut = r.boolean();
+    deserializeCodecs(r, receivable);
+    deserializeCodecs(r, sendable);
   }
 };
 

@@ -4,13 +4,16 @@
 // appends (slot, signal) pairs to an Outbox and the surrounding runtime
 // (simulator, TCP loop, or model checker) moves them onto the tunnels.
 // Order within the outbox is the order signals must appear on the wire.
+// A step sends one or two signals in the common case (an oack and its
+// select), so those live inside the outbox and sending them allocates
+// nothing; a longer step spills.
 #pragma once
 
 #include <utility>
-#include <vector>
 
 #include "protocol/signal.hpp"
 #include "util/ids.hpp"
+#include "util/small_vec.hpp"
 
 namespace cmc {
 
@@ -21,19 +24,19 @@ struct OutSignal {
 
 class Outbox {
  public:
+  using Signals = SmallVec<OutSignal, 2>;
+
   void send(SlotId slot, Signal signal) {
     signals_.push_back(OutSignal{slot, std::move(signal)});
   }
 
-  [[nodiscard]] const std::vector<OutSignal>& signals() const noexcept {
-    return signals_;
-  }
-  [[nodiscard]] std::vector<OutSignal> take() noexcept { return std::move(signals_); }
+  [[nodiscard]] const Signals& signals() const noexcept { return signals_; }
+  [[nodiscard]] Signals take() noexcept { return std::move(signals_); }
   [[nodiscard]] bool empty() const noexcept { return signals_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return signals_.size(); }
 
  private:
-  std::vector<OutSignal> signals_;
+  Signals signals_;
 };
 
 }  // namespace cmc

@@ -553,6 +553,31 @@ void PathSystem::canonicalize(ByteWriter& w) const {
   w.boolean(stabilize_);
 }
 
+bool PathSystem::decode(ByteReader& r) {
+  for (End& e : ends_) {
+    e.attached = r.boolean();
+    if (!e.slot.decode(r) || !cmc::decode(e.goal, r)) return false;
+  }
+  if (r.u32() != links_.size()) return false;
+  for (LinkBox& box : links_) {
+    box.attached = r.boolean();
+    if (!box.left.decode(r) || !box.right.decode(r) ||
+        !box.link.decode(r, box.left, box.right, box.attached)) {
+      return false;
+    }
+  }
+  for (ChannelState& ch : channels_) {
+    if (!ch.decode(r)) return false;
+  }
+  for (std::uint32_t& b : chaos_budget_) b = r.u32();
+  modify_budget_[0] = r.u32();
+  modify_budget_[1] = r.u32();
+  fault_budget_ = r.u32();
+  const bool stabilizing = r.boolean();
+  if (stabilizing != stabilize_) enableStabilization(stabilizing);
+  return r.ok();
+}
+
 std::uint64_t PathSystem::fingerprint() const {
   ByteWriter w;
   canonicalize(w);

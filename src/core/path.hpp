@@ -170,6 +170,17 @@ class PathSystem {
   bool stabilize();
 
   void canonicalize(ByteWriter& w) const;
+  // The inverse of canonicalize: overwrites this system's state with the
+  // one `r` holds, which must share this system's skeleton. The skeleton is
+  // not encoded: the party count, slot and channel ids, each slot's
+  // initiator flag, each channel's tunnel count and the chaos descriptor
+  // pool stay this system's, and bytes that disagree with them are
+  // rejected. The explorer keeps its states as bytes and decodes each into
+  // one scratch system copied from the model's initial system. Returns
+  // false on malformed or mismatched bytes, leaving the system valid but
+  // unspecified; it reads nothing past r's span, and does not require the
+  // span to end where the state does (see ByteReader::atEnd).
+  [[nodiscard]] bool decode(ByteReader& r);
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:

@@ -16,7 +16,10 @@
 // slot's byte pointer stays valid as the index grows. A state costs its
 // bytes plus one 24-byte slot at a load factor of 3/8 to 3/4, with no
 // per-state allocation. The caller keeps ownership of the bytes it passes;
-// insert copies them only when the state is new.
+// insert copies them only when the state is new, and returns where the
+// state's bytes live. That view stays valid, and its bytes unchanged, for
+// the set's lifetime: the explorer's frontier is such views, read by any
+// worker of a later BFS level.
 //
 // Concurrency: the table is lock-striped into shards addressed by
 // fingerprint, so parallel BFS workers inserting unrelated states almost
@@ -49,6 +52,8 @@ class SeenSet {
     std::uint32_t index = kNoIndex;  // index of the state; kNoIndex if out of budget
     bool inserted = false;           // this call claimed a fresh index
     bool collided = false;           // fingerprint already held different bytes
+    // The set's own copy of the state's bytes; empty if out of budget.
+    std::span<const std::uint8_t> bytes;
   };
 
   // Insert a state by (fingerprint, canonical bytes). If an entry with the
@@ -69,21 +74,22 @@ class SeenSet {
       if (slot.fingerprint != fingerprint) continue;
       if (slot.holds(bytes)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        return Outcome{slot.index, false, false};
+        return Outcome{slot.index, false, false, slot.view()};
       }
       collided = true;
     }
     std::uint32_t index = next_.load(std::memory_order_relaxed);
     do {
-      if (index >= max_states_) return Outcome{kNoIndex, false, collided};
+      if (index >= max_states_) return Outcome{kNoIndex, false, collided, {}};
     } while (!next_.compare_exchange_weak(index, index + 1,
                                           std::memory_order_relaxed));
     bytes_retained_.fetch_add(bytes.size(), std::memory_order_relaxed);
     if (collided) collisions_.fetch_add(1, std::memory_order_relaxed);
-    shard.slots[at] = Slot{fingerprint, shard.store(bytes),
-                           static_cast<std::uint32_t>(bytes.size()), index};
+    Slot& slot = shard.slots[at];
+    slot = Slot{fingerprint, shard.store(bytes),
+                static_cast<std::uint32_t>(bytes.size()), index};
     ++shard.used;
-    return Outcome{index, true, collided};
+    return Outcome{index, true, collided, slot.view()};
   }
 
   // Number of distinct states inserted so far.
@@ -110,6 +116,9 @@ class SeenSet {
     std::uint32_t length = 0;
     std::uint32_t index = kNoIndex;  // kNoIndex marks an empty slot
 
+    [[nodiscard]] std::span<const std::uint8_t> view() const noexcept {
+      return {bytes, length};
+    }
     [[nodiscard]] bool holds(std::span<const std::uint8_t> other) const noexcept {
       return length == other.size() &&
              (length == 0 || std::memcmp(bytes, other.data(), length) == 0);

@@ -67,6 +67,10 @@ struct StateBits {
   }
 };
 
+// The predicate bits of one state, as the explorer records them when it
+// expands the state; `terminal` says whether it has no enabled action.
+[[nodiscard]] StateBits bitsOf(const PathSystem& system, bool terminal);
+
 struct ExploreLimits {
   std::size_t max_states = 2'000'000;
   std::uint32_t chaos_budget = 2;

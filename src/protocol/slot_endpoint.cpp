@@ -276,4 +276,47 @@ void SlotEndpoint::canonicalize(ByteWriter& w) const {
   if (last_selector_sent_) last_selector_sent_->serialize(w);
 }
 
+namespace {
+
+void decodeSelector(ByteReader& r, std::optional<Selector>& into) {
+  if (r.boolean()) {
+    into = Selector::deserialize(r);
+  } else {
+    into.reset();
+  }
+}
+
+}  // namespace
+
+bool SlotEndpoint::decode(ByteReader& r) {
+  const std::uint8_t state = r.u8();
+  if (state > static_cast<std::uint8_t>(ProtocolState::closing)) return false;
+  state_ = static_cast<ProtocolState>(state);
+  if (r.boolean() != channel_initiator_) return false;
+  if (r.boolean()) {
+    const std::uint8_t medium = r.u8();
+    if (medium > static_cast<std::uint8_t>(Medium::data)) return false;
+    medium_ = static_cast<Medium>(medium);
+  } else {
+    medium_.reset();
+  }
+  if (r.boolean()) {
+    const Descriptor remote = Descriptor::deserialize(r);
+    // Interning takes a table lock and keeps what it is given for the life
+    // of the process: skip it when this slot already holds the descriptor,
+    // as a scratch slot decoded state after state can, and never intern
+    // what a bad read produced.
+    if (!r.ok()) return false;
+    if (!remote_descriptor_ || *remote_descriptor_ != remote) {
+      remote_descriptor_ = remote;
+    }
+  } else {
+    remote_descriptor_.reset();
+  }
+  decodeSelector(r, last_selector_received_);
+  last_descriptor_sent_ = DescriptorId{r.u64()};
+  decodeSelector(r, last_selector_sent_);
+  return r.ok();
+}
+
 }  // namespace cmc

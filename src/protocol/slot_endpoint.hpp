@@ -152,6 +152,12 @@ class SlotEndpoint {
   // Canonical byte serialization of the endpoint state, for model-checker
   // state fingerprinting.
   void canonicalize(ByteWriter& w) const;
+  // The inverse of canonicalize, into this slot: its id and stabilizing
+  // flag are not encoded and stay as they are, and bytes naming the other
+  // end as channel initiator, or an out-of-range protocol state or medium,
+  // are rejected. Returns false on malformed bytes, leaving the slot valid
+  // but unspecified.
+  [[nodiscard]] bool decode(ByteReader& r);
 
  private:
   void reset() noexcept;

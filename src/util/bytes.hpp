@@ -99,29 +99,9 @@ class ByteReader {
     return data_[pos_++];
   }
 
-  [[nodiscard]] std::uint16_t u16() noexcept {
-    if (!ensure(2)) return 0;
-    std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                      static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-    pos_ += 2;
-    return v;
-  }
-
-  [[nodiscard]] std::uint32_t u32() noexcept {
-    if (!ensure(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t u64() noexcept {
-    if (!ensure(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
+  [[nodiscard]] std::uint16_t u16() noexcept { return get<std::uint16_t>(); }
+  [[nodiscard]] std::uint32_t u32() noexcept { return get<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() noexcept { return get<std::uint64_t>(); }
 
   [[nodiscard]] bool boolean() noexcept { return u8() != 0; }
 
@@ -144,6 +124,23 @@ class ByteReader {
       return false;
     }
     return true;
+  }
+
+  // The mirror of ByteWriter::put: on a little-endian host the encoding is
+  // the integer's object bytes, read as one fixed-size copy.
+  template <typename T>
+  [[nodiscard]] T get() noexcept {
+    if (!ensure(sizeof(T))) return 0;
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_ + pos_, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
+      }
+    }
+    pos_ += sizeof(T);
+    return v;
   }
 
   const std::uint8_t* data_;

@@ -4,9 +4,13 @@
 // checks proving the checker can find violations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "mc/seen_set.hpp"
 #include "mc/verification.hpp"
@@ -368,6 +372,240 @@ TEST(NegativeChecks, CloseOpenSatisfiesDisjunctionVacuouslyFails) {
   // not bothClosed at every state and never bothFlowing).
   auto graph = explorePath(K::closeSlot, K::openSlot, 0, quick());
   EXPECT_TRUE(checkSpec(graph, PathSpec::closedOrFlowing).has_value());
+}
+
+// ------------------------------------------- canonical bytes decode back
+
+// The initial system explorePath builds for these limits.
+PathSystem initialSystem(K left, K right, std::size_t flowlinks,
+                         const ExploreLimits& limits) {
+  PathSystem initial(PathSystem::makeGoal(left, PathEnd::left),
+                     PathSystem::makeGoal(right, PathEnd::right), flowlinks,
+                     limits.defer_attach);
+  initial.setChaosBudget(limits.defer_attach ? limits.chaos_budget : 0);
+  initial.setModifyBudget(limits.modify_budget);
+  if (limits.fault_budget > 0) {
+    initial.setFaultBudget(limits.fault_budget);
+    initial.enableStabilization(true);
+  }
+  return initial;
+}
+
+// Visits every state reachable from `initial` once, in BFS order, with the
+// system that reached it and that system's canonical bytes; returns the
+// number of states. Unlike the explorer it keeps each level's systems as
+// they were built, never decoded, so the two can be compared.
+template <typename Visit>
+std::size_t walkStates(const PathSystem& initial, Visit&& visit) {
+  SeenSet seen(/*max_states=*/4'000'000);
+  std::vector<PathSystem> level{initial};
+  std::vector<PathSystem> next;
+  std::vector<PathAction> actions;
+  PathSystem successor = initial;
+  ByteWriter bytes;
+  initial.canonicalize(bytes);
+  (void)seen.insert(stateHash(bytes.bytes()), bytes.bytes());
+  while (!level.empty()) {
+    for (const PathSystem& state : level) {
+      bytes.clear();
+      state.canonicalize(bytes);
+      visit(state, bytes.bytes());
+      state.enabledActions(actions);
+      for (const PathAction& action : actions) {
+        successor = state;
+        successor.apply(action);
+        bytes.clear();
+        successor.canonicalize(bytes);
+        if (seen.insert(stateHash(bytes.bytes()), bytes.bytes()).inserted) {
+          next.push_back(successor);
+        }
+      }
+    }
+    level.swap(next);
+    next.clear();
+  }
+  return seen.size();
+}
+
+struct DecodeModel {
+  K left;
+  K right;
+  std::size_t flowlinks;
+  std::uint32_t fault_budget;
+};
+
+class DecodeRoundTrip : public ::testing::TestWithParam<DecodeModel> {};
+
+TEST_P(DecodeRoundTrip, EveryStateReencodesToItsOwnBytes) {
+  const DecodeModel m = GetParam();
+  // The paper's models at this file's budget, the 2-flowlink models at the
+  // transparency test's (no chaos, one modify), and the paper's models at
+  // the fault column's (two faults, stabilizing slots, no chaos or modify).
+  ExploreLimits limits = quick();
+  if (m.flowlinks == 2) {
+    limits.chaos_budget = 0;
+    limits.modify_budget = 1;
+  }
+  if (m.fault_budget > 0) {
+    limits.chaos_budget = 0;
+    limits.fault_budget = m.fault_budget;
+  }
+  const PathSystem initial = initialSystem(m.left, m.right, m.flowlinks, limits);
+  PathSystem decoded = initial;
+  ByteWriter again;
+  std::size_t mismatches = 0;
+  const std::size_t states = walkStates(
+      initial, [&](const PathSystem&, std::span<const std::uint8_t> bytes) {
+        ByteReader reader(bytes);
+        again.clear();
+        if (decoded.decode(reader) && reader.atEnd()) decoded.canonicalize(again);
+        const std::span<const std::uint8_t> out = again.bytes();
+        if (!std::equal(out.begin(), out.end(), bytes.begin(), bytes.end()) &&
+            ++mismatches == 1) {
+          ADD_FAILURE() << "first state whose bytes do not decode back";
+        }
+      });
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(states, explorePath(m.left, m.right, m.flowlinks, limits).states());
+}
+
+std::vector<DecodeModel> decodeModels() {
+  std::vector<DecodeModel> models;
+  for (const VerificationCase& c : paperVerificationSuite()) {
+    models.push_back({c.left, c.right, c.flowlinks, 0});
+  }
+  for (const VerificationCase& c : paperVerificationSuite()) {
+    if (c.flowlinks == 0) models.push_back({c.left, c.right, 2, 0});
+  }
+  for (const VerificationCase& c : paperVerificationSuite()) {
+    models.push_back({c.left, c.right, c.flowlinks, 2});
+  }
+  return models;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PathModels, DecodeRoundTrip,
+    ::testing::ValuesIn(decodeModels()),
+    [](const ::testing::TestParamInfo<DecodeModel>& info) {
+      return std::string(toString(info.param.left)) + "_" +
+             std::string(toString(info.param.right)) + "_links" +
+             std::to_string(info.param.flowlinks) +
+             (info.param.fault_budget > 0
+                  ? "_faults" + std::to_string(info.param.fault_budget)
+                  : "");
+    });
+
+// Every field of StateBits, packed, so two records compare whole.
+std::uint32_t packed(const StateBits& b) {
+  return b.observable() | (std::uint32_t{b.bothClosed} << 9) |
+         (std::uint32_t{b.quiescent} << 10) |
+         (std::uint32_t{b.allAttached} << 11) |
+         (std::uint32_t{b.slotsStable} << 12) |
+         (std::uint32_t{b.terminal} << 13) | (std::uint32_t{b.expanded} << 14);
+}
+
+// The self-descriptor an endpoint goal has minted, which its canonical
+// bytes carry by id only.
+std::optional<Descriptor> mintedDescriptor(const EndpointGoal& goal) {
+  if (const auto* open = std::get_if<OpenSlotGoal>(&goal)) {
+    return open->mintedDescriptor();
+  }
+  if (const auto* hold = std::get_if<HoldSlotGoal>(&goal)) {
+    return hold->mintedDescriptor();
+  }
+  return std::nullopt;
+}
+
+TEST(DecodedSystem, BehavesAsTheSystemThatEncodedIt) {
+  // Byte equality alone would miss state the encoding leaves out (the
+  // content of a goal's self-descriptor, a flowlink's slot pairing, the
+  // slots' stabilizing flags): here a system decoded from each state's
+  // bytes must enable the same actions, reach successors with the same
+  // bytes, and show the same predicate bits as the system that produced
+  // them. The model is the perfbench explore_1t one.
+  ExploreLimits limits;
+  limits.chaos_budget = 1;
+  limits.modify_budget = 1;
+  const PathSystem initial = initialSystem(K::closeSlot, K::openSlot, 1, limits);
+  PathSystem decoded = initial;
+  PathSystem from_original = initial;
+  PathSystem from_decoded = initial;
+  std::vector<PathAction> original_actions;
+  std::vector<PathAction> decoded_actions;
+  ByteWriter original_bytes;
+  ByteWriter decoded_bytes;
+  std::size_t diverged = 0;
+  auto report = [&diverged](const char* what) {
+    if (++diverged <= 5) ADD_FAILURE() << what;
+  };
+  const std::size_t states = walkStates(
+      initial, [&](const PathSystem& state, std::span<const std::uint8_t> bytes) {
+        ByteReader reader(bytes);
+        if (!decoded.decode(reader) || !reader.atEnd()) {
+          report("a state's bytes do not decode");
+          return;
+        }
+        for (PathEnd end : {PathEnd::left, PathEnd::right}) {
+          if (mintedDescriptor(state.endpointGoal(end)) !=
+              mintedDescriptor(decoded.endpointGoal(end))) {
+            report("a rebuilt self-descriptor differs");
+          }
+        }
+        state.enabledActions(original_actions);
+        decoded.enabledActions(decoded_actions);
+        if (original_actions != decoded_actions) {
+          report("enabled actions differ");
+          return;
+        }
+        const bool terminal = original_actions.empty();
+        if (packed(bitsOf(state, terminal)) != packed(bitsOf(decoded, terminal))) {
+          report("state bits differ");
+        }
+        for (const PathAction& action : original_actions) {
+          from_original = state;
+          from_original.apply(action);
+          from_decoded = decoded;
+          from_decoded.apply(action);
+          original_bytes.clear();
+          from_original.canonicalize(original_bytes);
+          decoded_bytes.clear();
+          from_decoded.canonicalize(decoded_bytes);
+          const auto a = original_bytes.bytes();
+          const auto b = decoded_bytes.bytes();
+          if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) {
+            report(("successor bytes differ after " + action.toString()).c_str());
+          }
+        }
+      });
+  EXPECT_EQ(states, 114'132u);
+  EXPECT_EQ(diverged, 0u);
+}
+
+TEST(SeenSetArena, ReturnedBytesStayPutAcrossGrowth) {
+  // The explorer's frontier is the views insert returns, read a BFS level
+  // after they were handed out: they must survive index growth and later
+  // chunks, and a hit returns the first copy's view.
+  SeenSet seen(/*max_states=*/100'000);
+  std::vector<std::vector<std::uint8_t>> encodings;
+  std::vector<std::span<const std::uint8_t>> views;
+  for (std::uint32_t i = 0; i < 20'000; ++i) {
+    std::vector<std::uint8_t>& e = encodings.emplace_back(4 + i % 13, 0x5A);
+    for (int b = 0; b < 4; ++b) e[b] = static_cast<std::uint8_t>(i >> (8 * b));
+  }
+  for (const auto& e : encodings) {
+    const SeenSet::Outcome got = seen.insert(fnv1a(e) & 0xFF, e);
+    ASSERT_TRUE(got.inserted);
+    ASSERT_NE(got.bytes.data(), e.data());
+    views.push_back(got.bytes);
+  }
+  for (std::size_t i = 0; i < encodings.size(); ++i) {
+    const auto& e = encodings[i];
+    ASSERT_TRUE(std::equal(views[i].begin(), views[i].end(), e.begin(), e.end()))
+        << "encoding " << i;
+    const SeenSet::Outcome again = seen.insert(fnv1a(e) & 0xFF, e);
+    EXPECT_EQ(again.bytes.data(), views[i].data());
+    EXPECT_EQ(again.bytes.size(), e.size());
+  }
 }
 
 // ----------------------------------------------------- temporal primitives
